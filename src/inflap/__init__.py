@@ -23,8 +23,9 @@ from .hessian import HessianOperator, fe_hessian, hessian_operator
 from .mesh import (Edge, Triangle, Triangulation, Vertex, build_initial_mesh,
                    conformity_errors, edge_length, element_diameter,
                    min_angle_degrees, refine, uniform_refine)
-from .solver import (ProblemData, SolveReport, SolverConfig, apply_dirichlet,
-                     assemble_step, default_initializer, diffusion_tensor,
-                     fixed_point_solve, load_vector, solve_linear)
+from .solver import (ProblemData, SolveReport, SolverConfig, StepFactor,
+                     apply_dirichlet, assemble_step, default_initializer,
+                     diffusion_tensor, fixed_point_solve, load_vector,
+                     solve_linear)
 
 __version__ = "0.1.0"

@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success, 1 when a solve fails, 2 for bad arguments.
 The output directory defaults to the INFLAP_OUT environment variable and
-then to the current directory.
+then to the current directory.  ``--log-level DEBUG`` prints one line per
+fixed-point iteration, ``INFO`` one per level or cycle.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -25,6 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="inflap",
         description="Finite element solver for the Dirichlet problem of the "
                     "inhomogeneous infinity Laplacian on [-1, 1]^2.")
+    parser.add_argument("-v", "--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="log level of the inflap loggers (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
     problems = sorted(registry())
 
@@ -126,9 +131,10 @@ def _run_adapt(args) -> int:
 
     csv_path = os.path.join(out, f"{args.problem}_adapt_history.csv")
     write_csv(history, csv_path)
-    indicators = estimate(final_mesh, report.previous or report.solution,
-                          report.solution, problem.data.f, tau,
-                          hessian_trace=args.estimator_hessian_trace)
+    # the same self-consistent pair as the history's estimator
+    indicators = estimate(final_mesh, report.solution, report.solution,
+                          problem.data.f, tau, hessian_trace=args.estimator_hessian_trace,
+                          eps=config.solver.gradient_floor)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
     write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
               vtu_path)
@@ -145,6 +151,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("inflap").setLevel(args.log_level)
     try:
         if args.command == "solve":
             return _run_solve(args)

@@ -155,9 +155,12 @@ class Triangulation:
     def _build_edge_table(self):
         tris = self.triangle_vertices
         nt = len(tris)
+        nv = len(self.vertex_coords)
         pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
-        edge_vertices, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        # 1-D keys sort like the (smaller, larger) endpoint pairs and are
+        # much cheaper to unique than rows
+        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+        edge_vertices = np.column_stack([keys // nv, keys % nv])
         ne = len(edge_vertices)
         counts = np.bincount(inverse, minlength=ne)
         if counts.max() > 2:

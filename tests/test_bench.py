@@ -1,4 +1,5 @@
 import csv
+import logging
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -190,7 +191,11 @@ def test_cli_adapt_produces_outputs(tmp_path):
     assert len(history) >= 2
     final_estimate = float(history[-1].split(",")[3])
     assert final_estimate <= 0.6
-    assert (out / "aronsson_adapt_final.vtu").exists()
+    # the final VTU indicator comes from the same pair as the history
+    piece = ET.parse(out / "aronsson_adapt_final.vtu").getroot().find(".//Piece")
+    cell_arrays = {a.get("Name"): a for a in piece.find("./CellData")}
+    eta = np.fromstring(cell_arrays["indicator"].text.replace("\n", " "), sep=" ")
+    assert np.sqrt((eta ** 2).sum()) == pytest.approx(final_estimate, rel=1e-13)
 
 
 def test_cli_check_passes():
@@ -223,3 +228,17 @@ def test_cli_determinism(tmp_path):
     csv_a = (out_a / "classical_eoc.csv").read_bytes()
     csv_b = (out_b / "classical_eoc.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_cli_log_level_shows_iterations(tmp_path, caplog):
+    try:
+        assert main(["--log-level", "DEBUG", "solve", "--problem", "classical",
+                     "--levels", "1", "--tau", "1000", "--out", str(tmp_path)]) == 0
+    finally:
+        logging.getLogger("inflap").setLevel(logging.NOTSET)
+    lines = [r.getMessage() for r in caplog.records if r.name == "inflap.solver"]
+    assert lines and lines[0].startswith("iteration 1: increment")
+    assert "linear residual" in lines[0] and "factorizations 1" in lines[0]
+    assert any(r.name == "inflap.bench" and r.levelno == logging.INFO
+               for r in caplog.records)
+

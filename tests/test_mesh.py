@@ -141,6 +141,23 @@ def test_refinement_determinism():
     assert np.array_equal(a.edge_vertices, b.edge_vertices)
 
 
+def test_edge_table_matches_row_unique_oracle():
+    # the edge table as built from np.unique over endpoint rows
+    mesh = refine(uniform_refine(build_initial_mesh(3)), [0, 7, 19, 40])
+    nt = mesh.triangle_count
+    pairs = np.sort(mesh.triangle_vertices[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2),
+                    axis=1)
+    edge_vertices, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    inverse = inverse.reshape(nt, 3)
+    edge_triangles = np.full((len(edge_vertices), 2), -1)
+    for k in range(nt):
+        for e in inverse[k]:
+            edge_triangles[e, int(edge_triangles[e, 0] >= 0)] = k
+    assert np.array_equal(mesh.edge_vertices, edge_vertices)
+    assert np.array_equal(mesh.triangle_edges, inverse)
+    assert np.array_equal(mesh.edge_triangles, edge_triangles)
+
+
 def test_mesh_arrays_are_frozen():
     mesh = build_initial_mesh(1)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,13 @@ from inflap import (FEFunction, InvalidArgumentError,
                     SolverFailure, SolverConfig, SpaceP1, apply_dirichlet,
                     assemble_step, build_initial_mesh, default_initializer,
                     diffusion_tensor, fe_hessian, fixed_point_solve,
-                    gradients, interpolate, l2_norm, refine, registry,
-                    solve_linear, uniform_refine)
-from inflap.solver import ProblemData
+                    gradients, interpolate, l2_error, l2_norm, refine,
+                    registry, solve_linear, uniform_refine)
+from inflap.bench import convergence_study
+from inflap.solver import ProblemData, StepFactor
+import inflap.solver
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import brute_saddle, schur_eliminate
 
@@ -218,6 +223,9 @@ def test_classical_converges_quickly():
         assert report.converged
         assert report.iterations <= 5
         assert len(report.increments) == report.iterations
+        assert len(report.linear_residuals) == report.iterations
+        assert max(report.linear_residuals) <= SolverConfig().linear_solver_tol
+        assert report.factorizations >= 1
         assert report.increments[-1] <= 10.0 * mesh.diameters.max() ** 2
 
 
@@ -270,3 +278,91 @@ def test_exact_solution_residual_under_refinement():
         matrix, rhs = apply_dirichlet(matrix, rhs, space, CLASSICAL.g)
         assert np.linalg.norm(matrix @ star.coefficients - rhs) <= 1e-12
         mesh = uniform_refine(mesh)
+
+
+# ------------------------------------------------------- factor reuse on a mesh
+
+def test_warm_started_single_step_is_bit_identical_to_direct_path():
+    mesh = uniform_refine(build_initial_mesh(4))
+    space = SpaceP1(mesh)
+    settled = fixed_point_solve(mesh, ARONSSON).solution
+    report = fixed_point_solve(mesh, ARONSSON, initial=settled)
+    assert report.iterations == 1 and report.factorizations == 1
+
+    matrix, rhs = assemble_step(mesh, settled, fe_hessian(settled), ARONSSON)
+    matrix, rhs = apply_dirichlet(matrix, rhs, space, ARONSSON.g)
+    direct = solve_linear(matrix, rhs)
+    assert np.array_equal(report.solution.coefficients, direct)
+    assert np.array_equal(direct, spla.spsolve(matrix.tocsc(), rhs))
+
+
+def _direct_fixed_point(mesh, problem, config):
+    """The fixed-point loop with a fresh direct solve in every step."""
+    space = SpaceP1(mesh)
+    current = default_initializer(mesh, problem)
+    tolerance = config.increment_tol_factor * mesh.diameters.max() ** 2
+    for iteration in range(1, config.max_iterations + 1):
+        matrix, rhs = assemble_step(mesh, current, fe_hessian(current), problem)
+        matrix, rhs = apply_dirichlet(matrix, rhs, space, problem.g)
+        proposed = FEFunction(space, spla.spsolve(matrix.tocsc(), rhs))
+        increment = l2_norm(FEFunction(space, proposed.coefficients - current.coefficients))
+        current = proposed
+        if increment <= tolerance:
+            return current, iteration
+    raise AssertionError("direct loop did not converge")
+
+
+def test_factor_reuse_matches_direct_solves_on_aronsson_study():
+    config = SolverConfig(increment_tol_factor=0.01)
+    levels = []
+    table = convergence_study("aronsson", 3, tau=1.0, solver_config=config,
+                              on_level=lambda level, mesh, report, _:
+                              levels.append((mesh, report)))
+    assert [row.iterations for row in table.rows] == [6, 10, 21]
+    for (mesh, report), row in zip(levels, table.rows):
+        assert report.factorizations == 1
+        assert max(report.linear_residuals) <= 1e-2 * config.linear_solver_tol
+        direct, iterations = _direct_fixed_point(mesh, ARONSSON, config)
+        assert iterations == report.iterations
+        assert row.l2_error == pytest.approx(
+            l2_error(direct, ARONSSON.exact_solution), rel=1e-9)
+
+
+class _WeakFactor:
+    """Stands in for a stored LU; weakly referable, unlike SuperLU."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+def test_unrelated_factor_is_released_and_refactored(monkeypatch):
+    mesh = uniform_refine(build_initial_mesh(4))
+    u = default_initializer(mesh, ARONSSON)
+    matrix, rhs = assemble_step(mesh, u, fe_hessian(u), ARONSSON)
+    matrix, rhs = apply_dirichlet(matrix, rhs, SpaceP1(mesh), ARONSSON.g)
+    rng = np.random.default_rng(5)
+    unrelated = sp.random(matrix.shape[0], matrix.shape[0], density=0.01,
+                          random_state=rng, format="csc") + 4.0 * sp.identity(
+                              matrix.shape[0], format="csc")
+    holder = StepFactor()
+    holder.lu = _WeakFactor(spla.splu(unrelated.tocsc()))
+    stale = weakref.ref(holder.lu)
+
+    factor_calls = []
+    real_splu = inflap.solver.spla.splu
+
+    def splu(*args, **kwargs):
+        factor_calls.append(stale() is None)    # old factor already gone
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(inflap.solver.spla, "splu", splu)
+    config = SolverConfig()
+    solution = solve_linear(matrix, rhs, config, holder)
+    assert factor_calls == [True]
+    assert holder.factorizations == 1
+    assert holder.residual <= config.linear_solver_tol
+    assert np.array_equal(solution, spla.spsolve(matrix.tocsc(), rhs))
+

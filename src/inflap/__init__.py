@@ -14,14 +14,13 @@ from .bench import (BenchmarkProblem, EOCRow, EOCTable, convergence_study,
 from .errors import (DivergenceError, EvaluationError, InvalidArgumentError,
                      SolverFailure)
 from .estimator import (IndicatorField, estimate, interior_residual_norms,
-                        jump_residual, jump_residuals)
+                        jump_residuals)
 from .fespace import (FEFunction, QuadratureRule, SpaceP0Tensor, SpaceP1,
-                      gradient, gradients, h1_semi_error, integrate,
-                      interpolate, l2_error, l2_norm, tensor_trace,
-                      tensor_values, triangle_rule)
+                      gradients, h1_semi_error, integrate, interpolate,
+                      l2_error, l2_norm, tensor_trace, tensor_values,
+                      triangle_rule)
 from .hessian import HessianOperator, fe_hessian, hessian_operator
-from .mesh import (Edge, Triangle, Triangulation, Vertex, build_initial_mesh,
-                   conformity_errors, edge_length, element_diameter,
+from .mesh import (Triangulation, build_initial_mesh, conformity_errors,
                    min_angle_degrees, refine, uniform_refine)
 from .solver import (ProblemData, SolveReport, SolverConfig, StepFactor,
                      apply_dirichlet, assemble_step, default_initializer,

@@ -51,6 +51,7 @@ class CycleRecord:
     estimator: float
     estimator_l1: float
     iterations: int
+    converged: bool
     l2_error: Optional[float] = None
     h1_error: Optional[float] = None
 
@@ -113,17 +114,19 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     history = AdaptiveHistory()
     for cycle in range(config.max_cycles):
         report = fixed_point_solve(mesh, problem, config.solver, initial=guess)
+        if not report.converged:
+            logger.warning("cycle %d: fixed-point solve did not converge in %d iterations",
+                           cycle, report.iterations)
         # Estimate at the self-consistent pair: plugging the returned iterate
         # into both slots makes the 1/tau jump contributions cancel exactly,
         # so the indicator measures the residual of the solution instead of
         # the (tolerance-sized) last linearisation step.
         indicators = estimate(mesh, report.solution, report.solution, problem.f,
-                              problem.tau, hessian_trace=config.hessian_trace_residual,
-                              eps=config.solver.gradient_floor)
+                              problem.tau, hessian_trace=config.hessian_trace_residual)
         record = CycleRecord(
             cycle=cycle, dofs=mesh.vertex_count, triangles=mesh.triangle_count,
             estimator=indicators.eta_total, estimator_l1=indicators.global_estimate,
-            iterations=report.iterations)
+            iterations=report.iterations, converged=report.converged)
         if problem.exact_solution is not None:
             record.l2_error = l2_error(report.solution, problem.exact_solution)
         if problem.exact_gradient is not None:

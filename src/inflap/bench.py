@@ -92,6 +92,7 @@ class EOCRow:
     estimator: Optional[float] = None
     estimator_eoc: Optional[float] = None
     iterations: int = 0
+    converged: bool = False
 
 
 @dataclass
@@ -140,9 +141,12 @@ def convergence_study(problem, levels: int, tau: Optional[float] = None,
         # self-consistent pair, see the note in adapt.adaptive_solve
         indicators = estimate(mesh, report.solution, report.solution, data.f, data.tau,
                               hessian_trace=hessian_trace)
+        if not report.converged:
+            logger.warning("level %d: fixed-point solve did not converge in %d iterations",
+                           level, report.iterations)
         row = EOCRow(level=level, h=float(mesh.diameters.max()),
                      dofs=mesh.vertex_count, iterations=report.iterations,
-                     estimator=indicators.eta_total)
+                     converged=report.converged, estimator=indicators.eta_total)
         if data.exact_solution is not None:
             row.l2_error = l2_error(report.solution, data.exact_solution)
         if data.exact_gradient is not None:
@@ -166,15 +170,15 @@ def convergence_study(problem, levels: int, tau: Optional[float] = None,
 # ----------------------------------------------------------------- CSV output
 
 _EOC_COLUMNS = ("level", "h", "dofs", "l2_error", "l2_eoc", "h1_error",
-                "h1_eoc", "estimator", "estimator_eoc", "iterations")
+                "h1_eoc", "estimator", "estimator_eoc", "iterations", "converged")
 _HISTORY_COLUMNS = ("cycle", "dofs", "triangles", "estimator", "estimator_l1",
-                    "iterations", "l2_error", "h1_error")
+                    "iterations", "converged", "l2_error", "h1_error")
 
 
 def _cell(value):
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):      # bool included: 1 / 0
         return str(int(value))
     return format(float(value), ".17g")
 

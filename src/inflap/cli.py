@@ -1,4 +1,4 @@
-"""Command-line interface: uniform studies, adaptive runs and self-checks.
+"""Command-line interface: uniform studies and adaptive runs.
 
 Exit codes: 0 on success, 1 when a solve fails, 2 for bad arguments.
 The output directory defaults to the INFLAP_OUT environment variable and
@@ -15,7 +15,6 @@ import sys
 
 from .adapt import AdaptiveConfig, adaptive_solve
 from .bench import convergence_study, registry, write_csv, write_vtu
-from .check import run_checks
 from .errors import DivergenceError, InvalidArgumentError, SolverFailure
 from .estimator import estimate
 from .mesh import build_initial_mesh
@@ -61,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--initial-n", type=int, default=4)
     adapt.add_argument("--estimator-hessian-trace", action="store_true")
     adapt.add_argument("--out", default=None)
-
-    sub.add_parser("check", help="run the invariant suite on small meshes")
     return parser
 
 
@@ -133,8 +130,7 @@ def _run_adapt(args) -> int:
     write_csv(history, csv_path)
     # the same self-consistent pair as the history's estimator
     indicators = estimate(final_mesh, report.solution, report.solution,
-                          problem.data.f, tau, hessian_trace=args.estimator_hessian_trace,
-                          eps=config.solver.gradient_floor)
+                          problem.data.f, tau, hessian_trace=args.estimator_hessian_trace)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
     write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
               vtu_path)
@@ -156,9 +152,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "solve":
             return _run_solve(args)
-        if args.command == "adapt":
-            return _run_adapt(args)
-        return 0 if run_checks() else 1
+        return _run_adapt(args)
     except InvalidArgumentError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2

@@ -55,8 +55,7 @@ class IndicatorField:
     eta_total: float
 
 
-def interior_residual_norms(mesh: Triangulation, u_prev: FEFunction,
-                            u_next: FEFunction, f, tau: float,
+def interior_residual_norms(mesh: Triangulation, u_prev: FEFunction, f, tau: float,
                             hessian_trace: bool = False) -> np.ndarray:
     """L2 norm over each element of the interior residual (order-4 quadrature).
 
@@ -66,8 +65,8 @@ def interior_residual_norms(mesh: Triangulation, u_prev: FEFunction,
     Laplacian, which is the variant matching the scheme's right-hand
     side.
     """
-    if u_prev.space.mesh is not mesh or u_next.space.mesh is not mesh:
-        raise InvalidArgumentError("iterates must live on the given mesh")
+    if u_prev.space.mesh is not mesh:
+        raise InvalidArgumentError("u_prev must live on the given mesh")
     rule = triangle_rule(4)
     pts = physical_points(mesh, rule)
     vals = evaluate_field(f, pts[..., 0], pts[..., 1]).copy()
@@ -77,13 +76,15 @@ def interior_residual_norms(mesh: Triangulation, u_prev: FEFunction,
 
 
 def jump_residuals(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
-                   tau: float, eps: float = 1e-10) -> np.ndarray:
+                   tau: float) -> np.ndarray:
     """Edgewise constant jump residual on every interior edge.
 
     Ordered like ``mesh.interior_edge_ids``.  The diffusion tensor is
     elementwise constant and therefore double valued on edges; its edge
     value is the arithmetic average of the two neighbors.
     """
+    if u_prev.space.mesh is not mesh or u_next.space.mesh is not mesh:
+        raise InvalidArgumentError("iterates must live on the given mesh")
     interior = mesh.interior_edge_ids
     plus = mesh.edge_triangles[interior, 0]
     minus = mesh.edge_triangles[interior, 1]
@@ -91,7 +92,7 @@ def jump_residuals(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
 
     grad_prev = gradients(u_prev)
     grad_next = gradients(u_next)
-    tensors = diffusion_tensor(u_prev, tau, eps)
+    tensors = diffusion_tensor(u_prev, tau)
 
     gradient_jump = ((grad_prev[plus] - grad_prev[minus]) * normals).sum(axis=1)
     tensor_jump = (grad_next[plus] - grad_next[minus])[:, :, None] * normals[:, None, :]
@@ -99,21 +100,11 @@ def jump_residuals(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
     return gradient_jump / tau - np.einsum("erc,erc->e", averaged, tensor_jump)
 
 
-def jump_residual(mesh: Triangulation, edge_id: int, u_prev: FEFunction,
-                  u_next: FEFunction, tau: float, eps: float = 1e-10) -> float:
-    """Jump residual on a single interior edge."""
-    if edge_id not in mesh.interior_edge_ids:
-        raise InvalidArgumentError(f"edge {edge_id} is not an interior edge")
-    position = int(np.searchsorted(mesh.interior_edge_ids, edge_id))
-    return float(jump_residuals(mesh, u_prev, u_next, tau, eps)[position])
-
-
 def estimate(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
-             f, tau: float, hessian_trace: bool = False,
-             eps: float = 1e-10) -> IndicatorField:
+             f, tau: float, hessian_trace: bool = False) -> IndicatorField:
     """Assemble the indicator field for a pair of iterates."""
-    residual_norms = interior_residual_norms(mesh, u_prev, u_next, f, tau, hessian_trace)
-    jump_values = jump_residuals(mesh, u_prev, u_next, tau, eps)
+    residual_norms = interior_residual_norms(mesh, u_prev, f, tau, hessian_trace)
+    jump_values = jump_residuals(mesh, u_prev, u_next, tau)
 
     interior = mesh.diameters * residual_norms
     edge_lengths = mesh.edge_lengths[mesh.interior_edge_ids]

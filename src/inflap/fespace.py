@@ -152,15 +152,6 @@ def gradients(u: FEFunction) -> np.ndarray:
     return np.einsum("tid,ti->td", mesh.basis_gradients, values)
 
 
-def gradient(u: FEFunction, triangle_id: int) -> np.ndarray:
-    """Gradient of the affine restriction of u to one triangle."""
-    mesh = u.space.mesh
-    if not 0 <= triangle_id < mesh.triangle_count:
-        raise InvalidArgumentError(f"unknown triangle id {triangle_id}")
-    values = u.coefficients[mesh.triangle_vertices[triangle_id]]
-    return mesh.basis_gradients[triangle_id].T @ values
-
-
 def tensor_values(u: FEFunction) -> np.ndarray:
     """(nt, 2, 2) view of a tensor-valued coefficient vector."""
     nt = u.space.mesh.triangle_count

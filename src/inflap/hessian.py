@@ -74,39 +74,50 @@ class HessianOperator:
         return FEFunction(SpaceP0Tensor(self.mesh), self.matrix @ coeffs)
 
 
+def _edge_terms(mesh, receiver, source, edge_ids, weight, rows, cols, vals):
+    """Write COO entries of blocks of edge terms into (block, i, r, c, edge) views.
+
+    ``receiver`` and ``source`` are (blocks, edges) element ids.  Each
+    entry adds weight * |e| / |K_receiver| * grad(hat_i on source)[r] * n[c],
+    with n the normal of e pointing out of the receiver, to component
+    (r, c) of the receiver and the column of the source's vertex i.
+    """
+    normals = mesh.edge_normals[edge_ids].T                         # (2, edges)
+    sign = np.where(mesh.edge_triangles[edge_ids, 0] == receiver, 1.0, -1.0)
+    scale = weight * mesh.edge_lengths[edge_ids] / mesh.areas[receiver] * sign
+    basis = mesh.basis_gradients[source].transpose(0, 2, 3, 1)      # (blocks, 3, 2, edges)
+    np.multiply(scale[:, None, None, None, :] * basis[:, :, :, None, :], normals, out=vals)
+    rows[...] = 4 * receiver[:, None, None, None, :] + np.arange(4).reshape(2, 2, 1)
+    cols[...] = mesh.triangle_vertices[source].transpose(0, 2, 1)[:, :, None, None, :]
+
+
 def hessian_operator(mesh: Triangulation) -> HessianOperator:
-    """Assemble the recovered-Hessian map once so solves can reuse it."""
-    nt = mesh.triangle_count
-    nv = mesh.vertex_count
-    rows, cols, vals = [], [], []
+    """Assemble the recovered-Hessian map once so solves can reuse it.
 
-    def contribute(receiver, source, edge_ids, weight):
-        # receiver picks up weight * |e| / |K_receiver| * grad_source (x) n,
-        # with n the normal pointing out of the receiver.
-        normals = mesh.edge_normals[edge_ids]
-        sign = np.where(mesh.edge_triangles[edge_ids, 0] == receiver, 1.0, -1.0)
-        scale = weight * mesh.edge_lengths[edge_ids] / mesh.areas[receiver] * sign
-        basis = mesh.basis_gradients[source]            # (k, 3, 2) per-vertex gradients
-        verts = mesh.triangle_vertices[source]          # (k, 3)
-        for i in range(3):
-            for r in range(2):
-                for c in range(2):
-                    rows.append(4 * receiver + 2 * r + c)
-                    cols.append(verts[:, i])
-                    vals.append(scale * basis[:, i, r] * normals[:, c])
-
+    Each edge term of ``fe_hessian`` is split by the element whose
+    gradient it carries: an interior edge passes half of each neighbor's
+    gradient to both neighbors, a boundary edge all of its owner's
+    gradient to the owner.  The rounding of the duplicate sums in
+    ``tocsr`` depends on the order the entries are listed in, which the
+    (block, i, r, c, edge) layout and the block order below fix.
+    """
     interior = mesh.interior_edge_ids
+    boundary = mesh.boundary_edge_ids
     plus = mesh.edge_triangles[interior, 0]
     minus = mesh.edge_triangles[interior, 1]
-    contribute(plus, plus, interior, 0.5)
-    contribute(plus, minus, interior, 0.5)
-    contribute(minus, plus, interior, 0.5)
-    contribute(minus, minus, interior, 0.5)
-    boundary = mesh.boundary_edge_ids
-    owner = mesh.edge_triangles[boundary, 0]
-    contribute(owner, owner, boundary, 1.0)
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(4 * nt, nv)).tocsr()
+    owner = mesh.edge_triangles[boundary, 0][None]
+    split = 48 * len(interior)
+    # scipy keeps int32 indices at these sizes; int64 ones would be copied down
+    rows = np.empty(split + 12 * len(boundary), dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows))
+    inner = (4, 3, 2, 2, len(interior))
+    outer = (1, 3, 2, 2, len(boundary))
+    _edge_terms(mesh, np.stack([plus, plus, minus, minus]),
+                np.stack([plus, minus, plus, minus]), interior, 0.5,
+                *(a[:split].reshape(inner) for a in (rows, cols, vals)))
+    _edge_terms(mesh, owner, owner, boundary, 1.0,
+                *(a[split:].reshape(outer) for a in (rows, cols, vals)))
+    matrix = sp.coo_matrix((vals, (rows, cols)),
+                           shape=(4 * mesh.triangle_count, mesh.vertex_count)).tocsr()
     return HessianOperator(mesh, matrix)

@@ -14,9 +14,6 @@ be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -29,30 +26,6 @@ COVERAGE_TOL = 1e-10
 # Vertex permutation that moves the edge opposite local vertex r into the
 # slot joining local vertices 0 and 1 (cyclic, so orientation is kept).
 _NORMALIZE = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertices: tuple[int, int, int]
-    refinement_edge: int
-    parent: int | None
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    vertices: tuple[int, int]
-    adjacent: tuple[int, ...]
-    normal_from_first: np.ndarray
 
 
 def _perp(v):
@@ -224,33 +197,6 @@ class Triangulation:
     def edge_count(self):
         return len(self.edge_vertices)
 
-    # ----------------------------------------------------------- entity views
-
-    @cached_property
-    def vertices(self) -> tuple[Vertex, ...]:
-        flags = self.vertex_on_boundary
-        return tuple(Vertex(i, float(x), float(y), bool(flags[i]))
-                     for i, (x, y) in enumerate(self.vertex_coords))
-
-    @cached_property
-    def triangles(self) -> tuple[Triangle, ...]:
-        return tuple(Triangle(i, tuple(int(v) for v in vs), int(self.refinement_edges[i]),
-                              int(par) if par >= 0 else None)
-                     for i, (vs, par) in enumerate(zip(self.triangle_vertices, self.parents)))
-
-    def edge(self, edge_id) -> Edge:
-        adjacent = tuple(int(t) for t in self.edge_triangles[edge_id] if t >= 0)
-        return Edge(int(edge_id), tuple(int(v) for v in self.edge_vertices[edge_id]),
-                    adjacent, self.edge_normals[edge_id].copy())
-
-    @cached_property
-    def interior_edges(self) -> tuple[Edge, ...]:
-        return tuple(self.edge(e) for e in self.interior_edge_ids)
-
-    @cached_property
-    def boundary_edges(self) -> tuple[Edge, ...]:
-        return tuple(self.edge(e) for e in self.boundary_edge_ids)
-
     def __repr__(self):
         return (f"Triangulation(level={self.level}, vertices={self.vertex_count}, "
                 f"triangles={self.triangle_count})")
@@ -410,15 +356,6 @@ def _bisect(mesh, edge_marked):
 
     return Triangulation(coords, out, refinement_edges=np.full(len(out), 2, dtype=np.int64),
                          level=mesh.level + 1, parents=parents, new_vertex_parents=pairs)
-
-
-def element_diameter(mesh: Triangulation, triangle_id: int) -> float:
-    """Longest edge length of one triangle."""
-    return float(mesh.diameters[triangle_id])
-
-
-def edge_length(mesh: Triangulation, edge_id: int) -> float:
-    return float(mesh.edge_lengths[edge_id])
 
 
 def min_angle_degrees(mesh: Triangulation) -> float:

@@ -48,6 +48,10 @@ GMRES_RESTART = 20
 GMRES_CYCLES = 2
 GMRES_MIN_RATE = 0.3
 
+# Floor on |p|^2 in the diffusion tensor; it only guards the exact 0/0 case
+# of an element where the frozen gradient vanishes.
+GRADIENT_FLOOR = 1e-10
+
 
 @dataclass
 class ProblemData:
@@ -73,12 +77,11 @@ class ProblemData:
 class SolverConfig:
     increment_tol_factor: float = 10.0
     max_iterations: int = 100
-    gradient_floor: float = 1e-10
     linear_solver_tol: float = 1e-10
 
     def __post_init__(self):
         if min(self.increment_tol_factor, self.max_iterations,
-               self.gradient_floor, self.linear_solver_tol) <= 0:
+               self.linear_solver_tol) <= 0:
             raise InvalidArgumentError("solver configuration values must be positive")
 
 
@@ -118,17 +121,17 @@ class StepFactor:
         self.residual = None
 
 
-def diffusion_tensor(u: FEFunction, tau: float, eps: float = 1e-10) -> np.ndarray:
-    """Per-element tensors (p (x) p) / max(|p|^2, eps) + I / tau, shape (nt, 2, 2).
+def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
+    """Per-element tensors (p (x) p) / max(|p|^2, GRADIENT_FLOOR) + I / tau, shape (nt, 2, 2).
 
-    The floor only guards the exact 0/0 case; whenever |p|^2 >= eps the
-    projection part has eigenvalues {0, 1}, so the spectrum always sits
-    inside [1/tau, 1 + 1/tau].
+    Whenever |p|^2 >= GRADIENT_FLOOR the projection part has eigenvalues
+    {0, 1}, and below the floor it is smaller still, so the spectrum always
+    sits inside [1/tau, 1 + 1/tau].
     """
-    if tau <= 0 or eps <= 0:
-        raise InvalidArgumentError("tau and eps must be positive")
+    if tau <= 0:
+        raise InvalidArgumentError("tau must be positive")
     grad = gradients(u)
-    denom = np.maximum((grad ** 2).sum(axis=1), eps)
+    denom = np.maximum((grad ** 2).sum(axis=1), GRADIENT_FLOOR)
     out = grad[:, :, None] * grad[:, None, :] / denom[:, None, None]
     out[:, 0, 0] += 1.0 / tau
     out[:, 1, 1] += 1.0 / tau
@@ -156,9 +159,9 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
     tensor unknown eliminated through the recovered-Hessian operator; the
     right-hand side integrates f (order-4 quadrature) plus the elementwise
     constant trace(h_prev) / tau.  Pass ``operator`` and ``load`` (the
-    ``load_vector`` of f) to reuse them across iterations.
+    ``load_vector`` of f) to reuse them across iterations.  ``config`` is
+    not used; it keeps the positions of the later arguments.
     """
-    config = config if config is not None else SolverConfig()
     if u_prev.space.mesh is not mesh or h_prev.space.mesh is not mesh:
         raise InvalidArgumentError("u_prev and h_prev must live on the given mesh")
     if operator is None:
@@ -167,7 +170,7 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
         raise InvalidArgumentError("hessian operator belongs to a different mesh")
 
     nt = mesh.triangle_count
-    tensors = diffusion_tensor(u_prev, problem.tau, config.gradient_floor)
+    tensors = diffusion_tensor(u_prev, problem.tau)
     # frobenius pairing with each element's tensor block
     pairing = sp.csr_matrix((tensors.reshape(-1), np.arange(4 * nt),
                              4 * np.arange(nt + 1)), shape=(nt, 4 * nt))
@@ -316,7 +319,7 @@ def default_initializer(mesh: Triangulation, problem: ProblemData,
 def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
                       config: SolverConfig | None = None,
                       initial: FEFunction | None = None) -> SolveReport:
-    """Iterate linearised steps until the L2 increment drops below 10 h^2.
+    """Iterate linearised steps until the L2 increment drops below tol * h^2.
 
     The tolerance is ``increment_tol_factor * h^2`` with h the largest
     element diameter.  Divergence (five consecutive growing increments

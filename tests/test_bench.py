@@ -5,10 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveHistory, CycleRecord, EOCTable, FEFunction,
-                    InvalidArgumentError, SpaceP0Tensor, SpaceP1,
-                    build_initial_mesh, convergence_study, estimate,
-                    interpolate, registry, write_csv, write_vtu)
+from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, EOCTable,
+                    FEFunction, InvalidArgumentError, SolverConfig,
+                    SpaceP0Tensor, SpaceP1, adaptive_solve, build_initial_mesh,
+                    convergence_study, estimate, interpolate, registry,
+                    write_csv, write_vtu)
 from inflap.cli import main
 
 
@@ -75,7 +76,7 @@ def test_csv_header_only_for_empty_table(tmp_path):
     write_csv(EOCTable(problem="classical"), path)
     text = path.read_text()
     assert text == ("level,h,dofs,l2_error,l2_eoc,h1_error,h1_eoc,"
-                    "estimator,estimator_eoc,iterations\n")
+                    "estimator,estimator_eoc,iterations,converged\n")
 
 
 def test_csv_roundtrip_bit_exact(small_study, tmp_path):
@@ -90,20 +91,41 @@ def test_csv_roundtrip_bit_exact(small_study, tmp_path):
         assert float(parsed["l2_error"]) == row.l2_error
         assert float(parsed["estimator"]) == row.estimator
         assert parsed["l2_eoc"] == "" or float(parsed["l2_eoc"]) == row.l2_eoc
+        assert parsed["converged"] == "1"
     assert rows[0]["l2_eoc"] == ""
 
 
 def test_csv_adaptive_history(tmp_path):
     history = AdaptiveHistory(records=[
         CycleRecord(cycle=0, dofs=41, triangles=64, estimator=1.25,
-                    estimator_l1=5.5, iterations=2, l2_error=0.1,
-                    h1_error=None)])
+                    estimator_l1=5.5, iterations=2, converged=True,
+                    l2_error=0.1, h1_error=None)])
     path = tmp_path / "history.csv"
     write_csv(history, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("cycle,dofs,triangles,estimator,estimator_l1,"
-                        "iterations,l2_error,h1_error")
-    assert lines[1].endswith(",")  # empty optional column
+                        "iterations,converged,l2_error,h1_error")
+    assert lines[1] == "0,41,64,1.25,5.5,2,1,0.10000000000000001,"  # empty h1_error
+
+
+def test_unconverged_solves_reach_the_csvs(tmp_path, caplog):
+    # one iteration against an unreachable tolerance stops every solve early
+    solver = SolverConfig(max_iterations=1, increment_tol_factor=1e-12)
+    with caplog.at_level(logging.WARNING, logger="inflap"):
+        table = convergence_study("aronsson", 2, solver_config=solver)
+        _, _, history = adaptive_solve(registry()["aronsson"].data, build_initial_mesh(4),
+                                       AdaptiveConfig(estimator_tol=1e-9, max_cycles=2,
+                                                      solver=solver))
+    for payload, name in ((table, "eoc.csv"), (history, "history.csv")):
+        write_csv(payload, tmp_path / name)
+        with open(tmp_path / name, newline="") as stream:
+            rows = list(csv.DictReader(stream))
+        assert len(rows) == 2
+        assert [row["converged"] for row in rows] == ["0", "0"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    for where in ("level 0", "level 1", "cycle 0", "cycle 1"):
+        assert any(message.startswith(f"{where}: fixed-point solve did not converge")
+                   for message in warnings)
 
 
 def test_csv_rejects_unknown_payload(tmp_path):
@@ -170,6 +192,7 @@ def test_cli_unknown_problem_exits_2(tmp_path, capsys):
 
 def test_cli_missing_subcommand_exits_2():
     assert main([]) == 2
+    assert main(["check"]) == 2     # no such subcommand
 
 
 def test_cli_solve_produces_outputs(tmp_path):
@@ -196,10 +219,6 @@ def test_cli_adapt_produces_outputs(tmp_path):
     cell_arrays = {a.get("Name"): a for a in piece.find("./CellData")}
     eta = np.fromstring(cell_arrays["indicator"].text.replace("\n", " "), sep=" ")
     assert np.sqrt((eta ** 2).sum()) == pytest.approx(final_estimate, rel=1e-13)
-
-
-def test_cli_check_passes():
-    assert main(["check"]) == 0
 
 
 def test_cli_estimator_trace_flag(tmp_path):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from inflap import (FEFunction, InvalidArgumentError, SpaceP1,
-                    build_initial_mesh, estimate, fe_hessian, interpolate,
-                    jump_residual, jump_residuals, refine, tensor_trace,
-                    uniform_refine)
+from inflap import (FEFunction, SpaceP1, build_initial_mesh, estimate,
+                    fe_hessian, interpolate, jump_residuals, refine,
+                    tensor_trace, uniform_refine)
 from inflap.estimator import interior_residual_norms
 
 ZERO = lambda x, y: np.zeros(np.shape(x))
@@ -16,14 +15,14 @@ def test_interior_residual_vanishes_for_zero_f():
     # homogeneous problem leaves nothing in the interior part
     mesh = build_initial_mesh(2)
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x - y)
-    norms = interior_residual_norms(mesh, u, u, ZERO, tau=1.0)
+    norms = interior_residual_norms(mesh, u, ZERO, tau=1.0)
     assert np.all(norms == 0.0)
 
 
 def test_interior_residual_for_constant_f():
     mesh = refine(build_initial_mesh(2), {3})
     u = interpolate(SpaceP1(mesh), lambda x, y: x + y)
-    norms = interior_residual_norms(mesh, u, u, TWO, tau=1.0)
+    norms = interior_residual_norms(mesh, u, TWO, tau=1.0)
     assert np.allclose(norms, 2.0 * np.sqrt(mesh.areas), rtol=1e-13)
 
 
@@ -33,9 +32,9 @@ def test_interior_residual_hessian_trace_variant():
     mesh = build_initial_mesh(1)
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
     assert np.allclose(tensor_trace(fe_hessian(u)), 4.0, atol=1e-13)
-    norms = interior_residual_norms(mesh, u, u, TWO, tau=1.0, hessian_trace=True)
+    norms = interior_residual_norms(mesh, u, TWO, tau=1.0, hessian_trace=True)
     assert np.allclose(norms, 6.0 * np.sqrt(mesh.areas), rtol=1e-13)
-    norms = interior_residual_norms(mesh, u, u, TWO, tau=2.0, hessian_trace=True)
+    norms = interior_residual_norms(mesh, u, TWO, tau=2.0, hessian_trace=True)
     assert np.allclose(norms, 4.0 * np.sqrt(mesh.areas), rtol=1e-13)
 
 
@@ -53,9 +52,6 @@ def test_jump_residual_hand_value_on_unit_mesh():
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
     values = jump_residuals(mesh, u, u, tau=1.0)
     assert np.allclose(values, np.sqrt(2.0), rtol=1e-13)
-    for edge in mesh.interior_edge_ids:
-        assert jump_residual(mesh, int(edge), u, u, tau=1.0) == \
-            pytest.approx(np.sqrt(2.0))
 
 
 def test_jump_residual_large_tau_limit():
@@ -81,14 +77,6 @@ def test_jump_residual_large_tau_limit():
 
     assert np.allclose(jump_residuals(mesh, u_prev, u_next, tau), second_term,
                        rtol=1e-10, atol=1e-10)
-
-
-def test_jump_residual_rejects_boundary_edges():
-    mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x)
-    boundary_edge = int(mesh.boundary_edge_ids[0])
-    with pytest.raises(InvalidArgumentError):
-        jump_residual(mesh, boundary_edge, u, u, tau=1.0)
 
 
 def test_estimate_zero_case():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
-                    SpaceP0Tensor, SpaceP1, build_initial_mesh, gradient,
-                    gradients, h1_semi_error, integrate, interpolate,
-                    l2_error, l2_norm, tensor_trace, tensor_values,
-                    triangle_rule, uniform_refine)
+                    SpaceP0Tensor, SpaceP1, build_initial_mesh, gradients,
+                    h1_semi_error, integrate, interpolate, l2_error, l2_norm,
+                    refine, tensor_trace, tensor_values, triangle_rule,
+                    uniform_refine)
 from conftest import affine_gradient
 
 
@@ -98,10 +98,19 @@ def test_gradient_against_affine_solve_oracle():
     # (0,0); the 3x3 interpolation system gives the gradient (0, -2) there
     mesh = build_initial_mesh(1)
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
-    assert gradient(u, 0) == pytest.approx([0.0, -2.0])
+    grad = gradients(u)
+    assert grad[0] == pytest.approx([0.0, -2.0])
     for k in range(mesh.triangle_count):
         oracle = affine_gradient(mesh, k, u.coefficients)
-        assert gradient(u, k) == pytest.approx(oracle, abs=1e-13)
+        assert grad[k] == pytest.approx(oracle, abs=1e-13)
+    # random coefficients on a locally refined mesh
+    mesh = refine(build_initial_mesh(2), {1, 6})
+    rng = np.random.default_rng(8)
+    u = FEFunction(SpaceP1(mesh), rng.standard_normal(mesh.vertex_count))
+    grad = gradients(u)
+    for k in range(mesh.triangle_count):
+        oracle = affine_gradient(mesh, k, u.coefficients)
+        assert grad[k] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_affine_reproduction_at_quadrature_points():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
-                    conformity_errors, edge_length, element_diameter,
-                    min_angle_degrees, refine, uniform_refine)
+                    conformity_errors, min_angle_degrees, refine,
+                    uniform_refine)
 
 
 def test_initial_mesh_counts_n1():
@@ -44,9 +44,8 @@ def test_diameters_and_edge_lengths():
     # right triangle with legs of length one, outside the square checks
     tiny = Triangulation([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
                          validate=False)
-    assert element_diameter(tiny, 0) == pytest.approx(np.sqrt(2.0))
-    lengths = sorted(edge_length(tiny, e) for e in range(tiny.edge_count))
-    assert lengths[0] == pytest.approx(1.0)
+    assert tiny.diameters == pytest.approx([np.sqrt(2.0)])
+    assert sorted(tiny.edge_lengths) == pytest.approx([1.0, 1.0, np.sqrt(2.0)])
 
     mesh = build_initial_mesh(1)
     assert np.allclose(mesh.diameters, 2.0)
@@ -54,14 +53,13 @@ def test_diameters_and_edge_lengths():
 
 def test_entity_views():
     mesh = build_initial_mesh(1)
-    assert [v.on_boundary for v in mesh.vertices] == [True] * 4 + [False]
-    assert all(t.parent is None for t in mesh.triangles)
-    assert all(t.refinement_edge == 2 for t in mesh.triangles)
-    for edge in mesh.interior_edges:
-        assert len(edge.adjacent) == 2
-        assert np.linalg.norm(edge.normal_from_first) == pytest.approx(1.0, abs=1e-12)
-    for edge in mesh.boundary_edges:
-        assert len(edge.adjacent) == 1
+    assert list(mesh.vertex_on_boundary) == [True] * 4 + [False]
+    assert np.all(mesh.parents == -1)
+    assert np.all(mesh.refinement_edges == 2)
+    one_sided = np.flatnonzero(mesh.edge_triangles[:, 1] == -1)
+    assert np.array_equal(one_sided, mesh.boundary_edge_ids)
+    assert np.all(mesh.edge_triangles[mesh.interior_edge_ids] >= 0)
+    assert np.linalg.norm(mesh.edge_normals, axis=1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_refine_empty_marking_is_noop():

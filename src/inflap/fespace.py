@@ -166,7 +166,7 @@ def tensor_trace(u: FEFunction) -> np.ndarray:
 def physical_points(mesh: Triangulation, rule: QuadratureRule) -> np.ndarray:
     """Quadrature nodes mapped to every element, shape (nt, nq, 2)."""
     corners = mesh.vertex_coords[mesh.triangle_vertices]
-    return np.einsum("qi,tid->tqd", rule.points, corners)
+    return rule.points @ corners
 
 
 def values_at(u: FEFunction, rule: QuadratureRule) -> np.ndarray:

@@ -12,11 +12,15 @@ constants), so the linear system is of vertex size and generally
 nonsymmetric.
 
 Everything that depends only on the mesh is built once per
-``fixed_point_solve`` call: the Hessian operator, the load vector, the
-Dirichlet values and the LU factor of the first step matrix.  Later steps
-on the same mesh differ only through the frozen gradient direction, so
-that factor preconditions restarted GMRES (Saad & Schultz 1986) for them;
-a step GMRES cannot settle is refactored and solved directly.
+``fixed_point_solve`` call: the Hessian operator (per-element Hessian
+blocks plus the sparse pattern of the step matrix), the load vector, the
+Dirichlet values and the LU factor of the first step matrix.  A step only
+contracts each element's block with its diffusion tensor and scatters the
+result into the fixed pattern.  Later steps on the same mesh differ only
+through the frozen gradient direction, so that factor preconditions
+restarted GMRES (Saad & Schultz 1986) for them, started from the previous
+step's solution; a step GMRES cannot settle is refactored and solved
+directly.
 """
 
 from __future__ import annotations
@@ -92,8 +96,10 @@ class SolveReport:
     ``iterations`` counts linear solves; ``previous`` is the iterate one
     step before ``solution``, the pair the a posteriori estimator wants.
     ``linear_residuals`` holds the true relative residual of each step's
-    linear solve and ``factorizations`` the number of LU factorisations
-    of step matrices (one per mesh unless GMRES had to fall back).
+    linear solve, ``linear_iterations`` its GMRES iterations (0 for a step
+    solved by a fresh factorisation) and ``factorizations`` the number of
+    LU factorisations of step matrices (one per mesh unless GMRES had to
+    fall back).
     """
 
     solution: FEFunction
@@ -103,6 +109,7 @@ class SolveReport:
     converged: bool = False
     previous: Optional[FEFunction] = None
     linear_residuals: list[float] = field(default_factory=list)
+    linear_iterations: list[int] = field(default_factory=list)
     factorizations: int = 0
 
 
@@ -111,14 +118,18 @@ class StepFactor:
 
     ``lu`` is the SuperLU factor of the last matrix factored through this
     holder (None before the first solve), ``factorizations`` counts the
-    factorisations and ``residual`` is the true relative residual of the
+    factorisations, ``solution`` is the last solution (the start of the
+    next GMRES run), and ``residual`` and ``iterations`` are the true
+    relative residual and the GMRES iterations (0 when factored) of the
     last solve.
     """
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
+        self.solution = None
         self.residual = None
+        self.iterations = 0
 
 
 def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
@@ -156,7 +167,11 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
     """Matrix and right-hand side of one linearised step.
 
     The matrix applies the hat-function test of A[u_prev] : H[.] with the
-    tensor unknown eliminated through the recovered-Hessian operator; the
+    tensor unknown eliminated through the recovered-Hessian operator: each
+    element adds |K|/3 * (A_K : B_K) over its stencil to the rows of its
+    three vertices, in the operator's fixed CSR pattern (an entry that sums
+    to zero stays stored).  The matrix shares the operator's read-only
+    index arrays, so copy it before changing its pattern in place.  The
     right-hand side integrates f (order-4 quadrature) plus the elementwise
     constant trace(h_prev) / tau.  Pass ``operator`` and ``load`` (the
     ``load_vector`` of f) to reuse them across iterations.  ``config`` is
@@ -169,17 +184,18 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
     elif operator.mesh is not mesh:
         raise InvalidArgumentError("hessian operator belongs to a different mesh")
 
-    nt = mesh.triangle_count
-    tensors = diffusion_tensor(u_prev, problem.tau)
-    # frobenius pairing with each element's tensor block
-    pairing = sp.csr_matrix((tensors.reshape(-1), np.arange(4 * nt),
-                             4 * np.arange(nt + 1)), shape=(nt, 4 * nt))
-    # hat-function integrals: |K|/3 on each vertex of K
-    test = sp.csr_matrix((np.repeat(mesh.areas / 3.0, 3),
-                          mesh.triangle_vertices.reshape(-1),
-                          3 * np.arange(nt + 1)),
-                         shape=(nt, mesh.vertex_count))
-    matrix = (test.T @ (pairing @ operator.matrix)).tocsr()
+    # A : B per element and stencil slot, summed in row-major component
+    # order and scaled by the hat-function integral |K|/3; bincount adds the
+    # elements of each matrix entry in ascending element order
+    tensors = diffusion_tensor(u_prev, problem.tau).reshape(-1, 4, 1)
+    blocks = operator.blocks
+    weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])
+                + tensors[:, 2] * blocks[2]) + tensors[:, 3] * blocks[3])
+    weights *= (mesh.areas / 3.0)[:, None]
+    data = np.bincount(operator.slots.reshape(-1), minlength=len(operator.indices),
+                       weights=np.broadcast_to(weights[:, None], operator.slots.shape).reshape(-1))
+    matrix = sp.csr_matrix((data, operator.indices, operator.indptr),
+                           shape=(mesh.vertex_count, mesh.vertex_count))
 
     rhs = load_vector(mesh, problem.f) if load is None else load.copy()
     relax = mesh.areas * tensor_trace(h_prev) / (3.0 * problem.tau)
@@ -229,8 +245,12 @@ class _Stalled(Exception):
     """GMRES converges too slowly to beat a fresh factorisation."""
 
 
-def _preconditioned_gmres(matrix, rhs, lu, rtol) -> np.ndarray | None:
-    """GMRES started from and preconditioned by ``lu``; None if it stalls."""
+def _preconditioned_gmres(matrix, rhs, lu, start, rtol):
+    """GMRES preconditioned by ``lu``, from ``start`` plus one LU correction.
+
+    Returns the solution and the number of iterations, or None if GMRES
+    stalls.
+    """
     residuals = []
 
     def watch(residual):
@@ -241,14 +261,15 @@ def _preconditioned_gmres(matrix, rhs, lu, rtol) -> np.ndarray | None:
     # The operator holds the bound lu.solve; it dies with this frame, so the
     # caller can drop the factor by clearing its own reference.
     preconditioner = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float)
+    x0 = lu.solve(rhs) if start is None else start + lu.solve(rhs - matrix @ start)
     try:
-        solution, _ = spla.gmres(matrix, rhs, x0=lu.solve(rhs), rtol=rtol, atol=0.0,
+        solution, _ = spla.gmres(matrix, rhs, x0=x0, rtol=rtol, atol=0.0,
                                  restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
                                  M=preconditioner, callback=watch,
                                  callback_type="pr_norm")
     except _Stalled:
         return None
-    return solution
+    return solution, len(residuals)
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
@@ -260,22 +281,23 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     result ``scipy.sparse.linalg.spsolve`` gives bit for bit.  With a
     ``factor`` holder that already carries an LU (of an earlier, similar
     matrix), the solve runs restarted GMRES preconditioned by that LU,
-    started from its solution, and accepts the result when GMRES does not
-    stall and its true relative residual is at most ``1e-2 *
-    linear_solver_tol``.  Otherwise the old LU is released, ``matrix`` is
+    started from the holder's last solution plus the LU solve of its
+    residual, and accepts the result when GMRES does not stall and its true
+    relative residual is at most ``1e-2 * linear_solver_tol``.  Otherwise the old LU is released, ``matrix`` is
     factored, stored in the holder and solved directly.  Either way a
     relative residual above ``linear_solver_tol`` raises ``SolverFailure``.
     """
     config = config if config is not None else SolverConfig()
     holder = factor if factor is not None else StepFactor()
     accept = 1e-2 * config.linear_solver_tol
-    solution = None
+    solution, iterations = None, 0
     if holder.lu is not None:
-        solution = _preconditioned_gmres(matrix, rhs, holder.lu, accept)
-        if solution is not None:
+        result = _preconditioned_gmres(matrix, rhs, holder.lu, holder.solution, accept)
+        if result is not None:
+            solution, iterations = result
             relative = _relative_residual(matrix, solution, rhs)
             if not relative <= accept:
-                solution = None
+                solution, iterations = None, 0
     if solution is None:
         holder.lu = None        # release the old factor before building a new one
         try:
@@ -286,10 +308,12 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
         solution = holder.lu.solve(rhs)
         relative = _relative_residual(matrix, solution, rhs)
     holder.residual = relative
+    holder.iterations = iterations
     if not relative <= config.linear_solver_tol:
         raise SolverFailure(
             f"linear solve reached relative residual {relative:.3e} "
             f"(tolerance {config.linear_solver_tol:.1e})", residual=relative)
+    holder.solution = solution
     return solution
 
 
@@ -326,10 +350,11 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     that gain a factor ten) raises ``DivergenceError``; a failed linear
     solve propagates with its iteration index attached.
 
-    The Hessian operator, load vector and Dirichlet values are built once
-    per call.  The first step matrix is factored and its LU kept in a
-    ``StepFactor`` that later steps pass to ``solve_linear``, which then
-    solves them by preconditioned GMRES.
+    The Hessian operator (with the step-matrix pattern), load vector and
+    Dirichlet values are built once per call.  The first step matrix is
+    factored and its LU kept in a ``StepFactor`` that later steps pass to
+    ``solve_linear``, which then solves them by preconditioned GMRES
+    started from the previous step's solution.
     """
     config = config if config is not None else SolverConfig()
     space = SpaceP1(mesh)
@@ -345,6 +370,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     operator = hessian_operator(mesh)
     factor = StepFactor()
     residuals: list[float] = []
+    linear_iterations: list[int] = []
     h = float(mesh.diameters.max())
     tolerance = config.increment_tol_factor * h * h
     increments: list[float] = []
@@ -360,6 +386,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
             failure.iteration = iteration
             raise
         residuals.append(factor.residual)
+        linear_iterations.append(factor.iterations)
         if not np.isfinite(coefficients).all():
             raise DivergenceError("iterate has non-finite coefficients",
                                   iteration=iteration)
@@ -367,13 +394,14 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         increment = l2_norm(FEFunction(space, proposed.coefficients - current.coefficients))
         increments.append(increment)
         logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
-                     "linear residual %.2e, factorizations %d",
+                     "linear residual %.2e, GMRES iterations %d, factorizations %d",
                      iteration, increment, tolerance, factor.residual,
-                     factor.factorizations)
+                     factor.iterations, factor.factorizations)
         if increment <= tolerance:
             return SolveReport(proposed, fe_hessian(proposed), iteration,
                                increments, True, previous=current,
                                linear_residuals=residuals,
+                               linear_iterations=linear_iterations,
                                factorizations=factor.factorizations)
         if iteration >= 6 and increments[-1] > 10.0 * increments[-6] \
                 and all(b > a for a, b in zip(increments[-6:-1], increments[-5:])):
@@ -386,4 +414,5 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     return SolveReport(current, fe_hessian(current), config.max_iterations,
                        increments, False, previous=previous,
                        linear_residuals=residuals,
+                       linear_iterations=linear_iterations,
                        factorizations=factor.factorizations)

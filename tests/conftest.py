@@ -6,6 +6,7 @@ code paths it is used to check.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from inflap.fespace import triangle_rule
 
@@ -138,3 +139,63 @@ def schur_eliminate(matrix, nv):
     diag = np.diag(matrix[nv:, nv:]).copy()
     to_u = -matrix[nv:, :nv]
     return matrix[:nv, :nv] + coupling @ (to_u / diag[:, None])
+
+
+def _edge_terms(mesh, receiver, source, edge_ids, weight, rows, cols, vals):
+    """Write COO entries of blocks of edge terms into (block, i, r, c, edge) views.
+
+    ``receiver`` and ``source`` are (blocks, edges) element ids.  Each
+    entry adds weight * |e| / |K_receiver| * grad(hat_i on source)[r] * n[c],
+    with n the normal of e pointing out of the receiver, to component
+    (r, c) of the receiver and the column of the source's vertex i.
+    """
+    normals = mesh.edge_normals[edge_ids].T                         # (2, edges)
+    sign = np.where(mesh.edge_triangles[edge_ids, 0] == receiver, 1.0, -1.0)
+    scale = weight * mesh.edge_lengths[edge_ids] / mesh.areas[receiver] * sign
+    basis = mesh.basis_gradients[source].transpose(0, 2, 3, 1)      # (blocks, 3, 2, edges)
+    np.multiply(scale[:, None, None, None, :] * basis[:, :, :, None, :], normals, out=vals)
+    rows[...] = 4 * receiver[:, None, None, None, :] + np.arange(4).reshape(2, 2, 1)
+    cols[...] = mesh.triangle_vertices[source].transpose(0, 2, 1)[:, :, None, None, :]
+
+
+def coo_hessian_matrix(mesh):
+    """Recovered-Hessian map as a (4 nt, nv) CSR matrix, built from COO edge terms.
+
+    Row 4*K + 2*r + c gives component (r, c) on element K.  ``tocsr`` sums
+    the duplicate entries of each (row, vertex) pair.
+    """
+    interior = mesh.interior_edge_ids
+    boundary = mesh.boundary_edge_ids
+    plus = mesh.edge_triangles[interior, 0]
+    minus = mesh.edge_triangles[interior, 1]
+    owner = mesh.edge_triangles[boundary, 0][None]
+    split = 48 * len(interior)
+    rows = np.empty(split + 12 * len(boundary), dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows))
+    inner = (4, 3, 2, 2, len(interior))
+    outer = (1, 3, 2, 2, len(boundary))
+    _edge_terms(mesh, np.stack([plus, plus, minus, minus]),
+                np.stack([plus, minus, plus, minus]), interior, 0.5,
+                *(a[:split].reshape(inner) for a in (rows, cols, vals)))
+    _edge_terms(mesh, owner, owner, boundary, 1.0,
+                *(a[split:].reshape(outer) for a in (rows, cols, vals)))
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(4 * mesh.triangle_count, mesh.vertex_count)).tocsr()
+
+
+def sparse_product_step_matrix(mesh, tensors, hessian_matrix):
+    """Step matrix test^T (pairing H): hat-function test of A : H[.].
+
+    ``pairing`` takes the Frobenius product with each element's tensor,
+    ``test`` integrates an elementwise constant against the hat functions
+    (|K|/3 on each vertex of K).
+    """
+    nt = mesh.triangle_count
+    pairing = sp.csr_matrix((tensors.reshape(-1), np.arange(4 * nt),
+                             4 * np.arange(nt + 1)), shape=(nt, 4 * nt))
+    test = sp.csr_matrix((np.repeat(mesh.areas / 3.0, 3),
+                          mesh.triangle_vertices.reshape(-1),
+                          3 * np.arange(nt + 1)),
+                         shape=(nt, mesh.vertex_count))
+    return (test.T @ (pairing @ hessian_matrix)).tocsr()

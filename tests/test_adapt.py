@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, InvalidArgumentError, SpaceP1,
-                    adaptive_solve, build_initial_mesh, conformity_errors,
-                    estimate, fixed_point_solve, interpolate, mark, refine,
-                    registry, transfer)
+from inflap import (AdaptiveConfig, InvalidArgumentError, SolverConfig,
+                    SpaceP1, adaptive_solve, build_initial_mesh,
+                    conformity_errors, estimate, fixed_point_solve,
+                    interpolate, mark, refine, registry, transfer)
 from inflap.estimator import IndicatorField
 
 ARONSSON = registry()["aronsson"].data
@@ -97,6 +97,21 @@ def test_adaptive_aronsson_run():
     # true errors are tracked and improve overall
     assert records[-1].l2_error < records[0].l2_error
     assert records[-1].h1_error < records[0].h1_error
+
+
+def test_adaptive_trajectory_is_pinned():
+    # bulk marking has exact ties, so any last-bit change of the step matrix
+    # shows as another mesh sequence; the dofs and the final L2 error were
+    # measured with the COO operator and sparse-product assembly of
+    # conftest.py, which the block assembly reproduces bit for bit
+    config = AdaptiveConfig(estimator_tol=0.1, theta=0.5, tau=0.1, max_cycles=80,
+                            solver=SolverConfig(increment_tol_factor=10.0))
+    report, mesh, history = adaptive_solve(ARONSSON, build_initial_mesh(4), config)
+    assert [record.dofs for record in history.records] == [
+        41, 47, 50, 55, 69, 81, 95, 103, 112, 118, 143, 167, 198, 231, 239, 278,
+        328, 369, 464, 513, 618, 725, 855, 985, 1104, 1273, 1456, 1753, 2022,
+        2373, 2725, 3081, 3609]
+    assert history.records[-1].l2_error == 0.020875503733076676
 
 
 def test_adaptive_estimator_monotone_from_resolved_base():

@@ -61,38 +61,69 @@ def test_hessian_against_dense_mass_system_oracle():
                        np.broadcast_to(np.eye(2), (4, 2, 2)), atol=1e-13)
 
 
+def _apply(operator, coefficients):
+    """Tensor coefficients of the operator's blocks applied to vertex values."""
+    values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator.stencil])
+    return values.reshape(-1)
+
+
 def test_operator_matches_direct_evaluation():
     mesh = refine(build_initial_mesh(2), {0, 7})
     space = SpaceP1(mesh)
     operator = hessian_operator(mesh)
 
-    zero = operator.apply(np.zeros(space.dof_count))
-    assert np.all(zero.coefficients == 0.0)
+    assert np.all(_apply(operator, np.zeros(space.dof_count)) == 0.0)
 
     affine = interpolate(space, lambda x, y: 1.0 - x + 4.0 * y)
-    assert np.abs(operator.apply(affine).coefficients).max() <= 1e-13
+    assert np.abs(_apply(operator, affine.coefficients)).max() <= 1e-13
 
     u = interpolate(space, lambda x, y: x * x + y * y)
-    assert np.abs(operator.apply(u).coefficients
+    assert np.abs(_apply(operator, u.coefficients)
                   - fe_hessian(u).coefficients).max() <= 1e-13
 
 
 def test_operator_row_locality():
-    # a tensor row may touch only the dofs of its element and edge neighbors
-    mesh = build_initial_mesh(2)
-    operator = hessian_operator(mesh).matrix
-    neighbors = {}
-    for edge, (t0, t1) in zip(mesh.edge_vertices, mesh.edge_triangles):
-        if t1 >= 0:
-            neighbors.setdefault(t0, set()).add(t1)
-            neighbors.setdefault(t1, set()).add(t0)
-    for k in range(mesh.triangle_count):
-        allowed = set(mesh.triangle_vertices[k])
-        for other in neighbors.get(k, ()):
-            allowed.update(mesh.triangle_vertices[other])
-        for comp in range(4):
-            row = operator.getrow(4 * k + comp)
-            assert set(row.indices) <= allowed
+    # an element's stencil holds its own vertices, then per edge the far
+    # vertex of the neighbor across it, or (boundary edge, zero weights)
+    # the element's own vertex opposite that edge
+    mesh = refine(build_initial_mesh(2), {1, 6})
+    operator = hessian_operator(mesh)
+    neighbor = {}
+    for (a, b), adjacent in edge_dictionary(mesh).items():
+        if len(adjacent) == 2:
+            neighbor[(adjacent[0], a, b)] = adjacent[1]
+            neighbor[(adjacent[1], a, b)] = adjacent[0]
+    for k, verts in enumerate(mesh.triangle_vertices):
+        verts = [int(v) for v in verts]
+        assert list(operator.stencil[k, :3]) == verts
+        for m in range(3):
+            a, b = sorted(verts[j] for j in range(3) if j != m)
+            column = operator.blocks[:, k, 3 + m]
+            if (k, a, b) in neighbor:
+                far = set(mesh.triangle_vertices[neighbor[(k, a, b)]]) - {a, b}
+                assert {operator.stencil[k, 3 + m]} == far
+                assert np.any(column != 0.0)
+            else:
+                assert operator.stencil[k, 3 + m] == verts[m]
+                assert np.all(column == 0.0)
+
+
+def test_step_pattern_and_slots():
+    # the pattern is sorted and duplicate-free, and slot (K, a, s) is the
+    # entry (vertex a of K, stencil vertex s)
+    mesh = refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})
+    operator = hessian_operator(mesh)
+    indptr, indices = operator.indptr, operator.indices
+    assert indptr[0] == 0 and indptr[-1] == len(indices)
+    for i in range(mesh.vertex_count):
+        assert np.all(np.diff(indices[indptr[i]:indptr[i + 1]]) > 0)
+    rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
+    slots = operator.slots
+    assert np.array_equal(rows[slots], np.broadcast_to(
+        mesh.triangle_vertices[:, :, None], slots.shape))
+    assert np.array_equal(indices[slots], np.broadcast_to(
+        operator.stencil[:, None, :], slots.shape))
+    assert np.array_equal(np.unique(slots), np.arange(len(indices)))
 
 
 def test_linearity():

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from inflap import (FEFunction, InvalidArgumentError,
-                    SolverFailure, SolverConfig, SpaceP1, apply_dirichlet,
-                    assemble_step, build_initial_mesh, default_initializer,
-                    diffusion_tensor, fe_hessian, fixed_point_solve,
-                    gradients, interpolate, l2_error, l2_norm, refine,
-                    registry, solve_linear, uniform_refine)
+                    SolverFailure, SolverConfig, SpaceP1, Triangulation,
+                    apply_dirichlet, assemble_step, build_initial_mesh,
+                    default_initializer, diffusion_tensor, fe_hessian,
+                    fixed_point_solve, gradients, interpolate, l2_error,
+                    l2_norm, refine, registry, solve_linear, uniform_refine)
 from inflap.bench import convergence_study
 from inflap.solver import ProblemData, StepFactor
 import inflap.solver
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import brute_saddle, schur_eliminate
+from conftest import (brute_saddle, coo_hessian_matrix, schur_eliminate,
+                      sparse_product_step_matrix)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -113,6 +114,58 @@ def test_assembly_against_coupled_saddle_oracle():
 
     assert np.abs(matrix.toarray() - oracle_matrix).max() <= 1e-12
     assert np.abs(rhs - oracle_rhs[:mesh.vertex_count]).max() <= 1e-12
+
+
+def _oracle_meshes():
+    rng = np.random.default_rng(17)
+    uniform = uniform_refine(uniform_refine(build_initial_mesh(4)))
+    local = build_initial_mesh(4)
+    for _ in range(6):
+        local = refine(local, rng.choice(local.triangle_count,
+                                         local.triangle_count // 5, replace=False))
+    graded = build_initial_mesh(2)
+    for _ in range(8):
+        graded = refine(graded, np.flatnonzero(np.abs(graded.centroids[:, 0]) < 0.25))
+    return [uniform, local, graded]
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes(),
+                         ids=["uniform", "random-local", "axis-graded"])
+def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
+    # the blocks refilled into the fixed pattern give exactly the sums of
+    # the COO-assembled operator and its two sparse products, before and
+    # after the Dirichlet lift (which drops the explicit zeros the fixed
+    # pattern keeps)
+    space = SpaceP1(mesh)
+    u = interpolate(space, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
+                    + 0.1 * np.sin(3.0 * x * y))
+    h = fe_hessian(u)
+    matrix, rhs = assemble_step(mesh, u, h, ARONSSON)
+    oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, ARONSSON.tau),
+                                        coo_hessian_matrix(mesh))
+    assert np.array_equal(matrix.toarray(), oracle.toarray())
+
+    ours, ours_rhs = apply_dirichlet(matrix, rhs, space, ARONSSON.g)
+    theirs, theirs_rhs = apply_dirichlet(oracle, rhs, space, ARONSSON.g)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+    assert np.array_equal(ours_rhs, theirs_rhs)
+
+
+def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
+    # on general triangles the oracle's duplicate sums run in another order,
+    # so the two agree to rounding only
+    rng = np.random.default_rng(4)
+    base = uniform_refine(build_initial_mesh(4))
+    coords = base.vertex_coords.copy()
+    inner = ~base.vertex_on_boundary
+    coords[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) * base.diameters.min()
+    mesh = Triangulation(coords, base.triangle_vertices)
+    u = interpolate(SpaceP1(mesh), lambda x, y: x * x - 0.5 * x * y + np.exp(y))
+    matrix, _ = assemble_step(mesh, u, fe_hessian(u), CLASSICAL)
+    oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, CLASSICAL.tau),
+                                        coo_hessian_matrix(mesh)).toarray()
+    assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 def test_assemble_step_rejects_mesh_mismatch():
@@ -322,10 +375,42 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study():
     for (mesh, report), row in zip(levels, table.rows):
         assert report.factorizations == 1
         assert max(report.linear_residuals) <= 1e-2 * config.linear_solver_tol
+        # the factored first step takes no GMRES iterations, the later ones some
+        assert len(report.linear_iterations) == report.iterations
+        assert report.linear_iterations[0] == 0 and min(report.linear_iterations[1:]) > 0
         direct, iterations = _direct_fixed_point(mesh, ARONSSON, config)
         assert iterations == report.iterations
         assert row.l2_error == pytest.approx(
             l2_error(direct, ARONSSON.exact_solution), rel=1e-9)
+
+
+def test_gmres_starts_from_the_last_solution(monkeypatch):
+    mesh = uniform_refine(build_initial_mesh(4))
+    space = SpaceP1(mesh)
+    u = default_initializer(mesh, ARONSSON)
+    matrix, rhs = assemble_step(mesh, u, fe_hessian(u), ARONSSON)
+    matrix, rhs = apply_dirichlet(matrix, rhs, space, ARONSSON.g)
+    holder = StepFactor()
+    first = solve_linear(matrix, rhs, factor=holder)
+    assert holder.iterations == 0 and holder.factorizations == 1
+    assert np.array_equal(holder.solution, first)
+
+    # a nearby system: the start is the last solution plus one LU correction
+    nudged = matrix + 1e-3 * sp.diags(np.where(space.mesh.vertex_on_boundary, 0.0, 1.0))
+    starts = []
+    real_gmres = inflap.solver.spla.gmres
+
+    def gmres(*args, **kwargs):
+        starts.append(kwargs["x0"])
+        return real_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(inflap.solver.spla, "gmres", gmres)
+    second = solve_linear(nudged, rhs, factor=holder)
+    lu = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
+    assert np.array_equal(starts[0], first + lu.solve(rhs - nudged @ first))
+    assert holder.factorizations == 1 and holder.iterations > 0
+    assert np.array_equal(holder.solution, second)
+    assert holder.residual <= 1e-2 * SolverConfig().linear_solver_tol
 
 
 class _WeakFactor:

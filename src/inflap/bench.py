@@ -28,7 +28,6 @@ logger = logging.getLogger(__name__)
 class BenchmarkProblem:
     name: str
     data: ProblemData
-    description: str
     adaptive_tau: float
 
 
@@ -65,7 +64,6 @@ def registry() -> dict[str, BenchmarkProblem]:
         data=ProblemData(f=_classical_f, g=_classical_exact,
                          exact_solution=_classical_exact,
                          exact_gradient=_classical_gradient, tau=1000.0),
-        description="smooth solution |x|^2 of the inhomogeneous problem with f = 2",
         # large tau is only stable on quasi-uniform meshes; adaptive runs
         # need the relaxation, so the adaptive default is much smaller
         adaptive_tau=1.0)
@@ -74,8 +72,6 @@ def registry() -> dict[str, BenchmarkProblem]:
         data=ProblemData(f=_aronsson_f, g=_aronsson_exact,
                          exact_solution=_aronsson_exact,
                          exact_gradient=_aronsson_gradient, tau=1.0),
-        description=("Aronsson solution |x|^(4/3) - |y|^(4/3) of the homogeneous "
-                     "problem, singular derivatives on the axes"),
         adaptive_tau=0.1)
     return {p.name: p for p in (classical, aronsson)}
 

@@ -111,10 +111,10 @@ def estimate(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
     # ||J||_L2(e) = |J| sqrt(h_e), so the weighted edge part is |J| h_e
     jumps = np.abs(jump_values) * edge_lengths
 
-    eta_sq = interior ** 2
-    half = 0.5 * jumps ** 2
-    np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 0], half)
-    np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 1], half)
+    # interior**2 first, then the edge halves on the plus and minus sides
+    sides = mesh.edge_triangles[mesh.interior_edge_ids].T.reshape(-1)
+    eta_sq = np.bincount(np.concatenate([np.arange(mesh.triangle_count), sides]),
+                         weights=np.concatenate([interior ** 2, np.tile(0.5 * jumps ** 2, 2)]))
 
     return IndicatorField(eta=np.sqrt(eta_sq),
                           interior=interior,

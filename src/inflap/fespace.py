@@ -175,18 +175,18 @@ def values_at(u: FEFunction, rule: QuadratureRule) -> np.ndarray:
     return values @ rule.points.T
 
 
-def l2_error(u: FEFunction, exact, quad: QuadratureRule | None = None) -> float:
-    """Elementwise quadrature of ||u - exact|| in the L2 norm."""
-    rule = quad if quad is not None else triangle_rule(6)
+def l2_error(u: FEFunction, exact) -> float:
+    """Elementwise quadrature (order 6) of ||u - exact|| in the L2 norm."""
+    rule = triangle_rule(6)
     mesh = u.space.mesh
     pts = physical_points(mesh, rule)
     diff = values_at(u, rule) - evaluate_field(exact, pts[..., 0], pts[..., 1])
     return float(np.sqrt(mesh.areas @ ((diff ** 2) @ rule.weights)))
 
 
-def h1_semi_error(u: FEFunction, exact_gradient, quad: QuadratureRule | None = None) -> float:
-    """L2 norm of the elementwise gradient error."""
-    rule = quad if quad is not None else triangle_rule(6)
+def h1_semi_error(u: FEFunction, exact_gradient) -> float:
+    """L2 norm of the elementwise gradient error (order-6 quadrature)."""
+    rule = triangle_rule(6)
     mesh = u.space.mesh
     pts = physical_points(mesh, rule)
     gx, gy = exact_gradient(pts[..., 0], pts[..., 1])
@@ -199,13 +199,13 @@ def h1_semi_error(u: FEFunction, exact_gradient, quad: QuadratureRule | None = N
     return float(np.sqrt(mesh.areas @ (sq @ rule.weights)))
 
 
-def integrate(field, mesh: Triangulation, quad: QuadratureRule | None = None):
+def integrate(field, mesh: Triangulation):
     """Integral over the whole mesh of a callable or FE function.
 
-    Callables and P1 functions integrate to a float; tensor fields
-    integrate componentwise to a (2, 2) array.
+    Callables and P1 functions integrate to a float (order-4 quadrature);
+    tensor fields integrate componentwise to a (2, 2) array.
     """
-    rule = quad if quad is not None else triangle_rule(4)
+    rule = triangle_rule(4)
     if isinstance(field, FEFunction):
         if isinstance(field.space, SpaceP0Tensor):
             mats = tensor_values(field)

@@ -56,6 +56,10 @@ GMRES_MIN_RATE = 0.3
 # of an element where the frozen gradient vanishes.
 GRADIENT_FLOOR = 1e-10
 
+# Largest relative residual a linear solve may return; a GMRES result is
+# accepted only at 1e-2 of it.
+LINEAR_SOLVER_TOL = 1e-10
+
 
 @dataclass
 class ProblemData:
@@ -81,11 +85,9 @@ class ProblemData:
 class SolverConfig:
     increment_tol_factor: float = 10.0
     max_iterations: int = 100
-    linear_solver_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.increment_tol_factor, self.max_iterations,
-               self.linear_solver_tol) <= 0:
+        if min(self.increment_tol_factor, self.max_iterations) <= 0:
             raise InvalidArgumentError("solver configuration values must be positive")
 
 
@@ -93,21 +95,18 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a fixed-point solve.
 
-    ``iterations`` counts linear solves; ``previous`` is the iterate one
-    step before ``solution``, the pair the a posteriori estimator wants.
-    ``linear_residuals`` holds the true relative residual of each step's
-    linear solve, ``linear_iterations`` its GMRES iterations (0 for a step
-    solved by a fresh factorisation) and ``factorizations`` the number of
-    LU factorisations of step matrices (one per mesh unless GMRES had to
-    fall back).
+    ``iterations`` counts linear solves.  ``linear_residuals`` holds the
+    true relative residual of each step's linear solve,
+    ``linear_iterations`` its GMRES iterations (0 for a step solved by a
+    fresh factorisation) and ``factorizations`` the number of LU
+    factorisations of step matrices (one per mesh unless GMRES had to fall
+    back).
     """
 
     solution: FEFunction
-    hessian: FEFunction
     iterations: int
     increments: list[float] = field(default_factory=list)
     converged: bool = False
-    previous: Optional[FEFunction] = None
     linear_residuals: list[float] = field(default_factory=list)
     linear_iterations: list[int] = field(default_factory=list)
     factorizations: int = 0
@@ -149,20 +148,18 @@ def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
     return out
 
 
-def load_vector(mesh: Triangulation, f, order: int = 4) -> np.ndarray:
-    """Vertex vector of integrals of f against the hat functions."""
-    rule = triangle_rule(order)
+def load_vector(mesh: Triangulation, f) -> np.ndarray:
+    """Vertex vector of integrals of f against the hat functions (order 4)."""
+    rule = triangle_rule(4)
     pts = physical_points(mesh, rule)
     vals = evaluate_field(f, pts[..., 0], pts[..., 1])
     per_vertex = vals @ (rule.weights[:, None] * rule.points)   # (nt, 3)
-    out = np.zeros(mesh.vertex_count)
-    np.add.at(out, mesh.triangle_vertices, mesh.areas[:, None] * per_vertex)
-    return out
+    return np.bincount(mesh.triangle_vertices.reshape(-1), minlength=mesh.vertex_count,
+                       weights=(mesh.areas[:, None] * per_vertex).reshape(-1))
 
 
 def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
-                  problem: ProblemData, config: SolverConfig | None = None,
-                  operator: HessianOperator | None = None,
+                  problem: ProblemData, operator: HessianOperator | None = None,
                   load: np.ndarray | None = None):
     """Matrix and right-hand side of one linearised step.
 
@@ -174,8 +171,7 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
     index arrays, so copy it before changing its pattern in place.  The
     right-hand side integrates f (order-4 quadrature) plus the elementwise
     constant trace(h_prev) / tau.  Pass ``operator`` and ``load`` (the
-    ``load_vector`` of f) to reuse them across iterations.  ``config`` is
-    not used; it keeps the positions of the later arguments.
+    ``load_vector`` of f) to reuse them across iterations.
     """
     if u_prev.space.mesh is not mesh or h_prev.space.mesh is not mesh:
         raise InvalidArgumentError("u_prev and h_prev must live on the given mesh")
@@ -197,9 +193,12 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
     matrix = sp.csr_matrix((data, operator.indices, operator.indptr),
                            shape=(mesh.vertex_count, mesh.vertex_count))
 
-    rhs = load_vector(mesh, problem.f) if load is None else load.copy()
+    # the load first, then each element's relaxation term on its vertices
+    load = load_vector(mesh, problem.f) if load is None else load
     relax = mesh.areas * tensor_trace(h_prev) / (3.0 * problem.tau)
-    np.add.at(rhs, mesh.triangle_vertices, relax[:, None])
+    rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
+                                      mesh.triangle_vertices.reshape(-1)]),
+                      weights=np.concatenate([load, np.repeat(relax, 3)]))
     return matrix, rhs
 
 
@@ -273,7 +272,6 @@ def _preconditioned_gmres(matrix, rhs, lu, start, rtol):
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
-                 config: SolverConfig | None = None,
                  factor: StepFactor | None = None) -> np.ndarray:
     """Sparse solve with an explicit relative-residual check.
 
@@ -283,13 +281,13 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     matrix), the solve runs restarted GMRES preconditioned by that LU,
     started from the holder's last solution plus the LU solve of its
     residual, and accepts the result when GMRES does not stall and its true
-    relative residual is at most ``1e-2 * linear_solver_tol``.  Otherwise the old LU is released, ``matrix`` is
-    factored, stored in the holder and solved directly.  Either way a
-    relative residual above ``linear_solver_tol`` raises ``SolverFailure``.
+    relative residual is at most ``1e-2 * LINEAR_SOLVER_TOL``.  Otherwise
+    the old LU is released, ``matrix`` is factored, stored in the holder and
+    solved directly.  Either way a relative residual above
+    ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
     """
-    config = config if config is not None else SolverConfig()
     holder = factor if factor is not None else StepFactor()
-    accept = 1e-2 * config.linear_solver_tol
+    accept = 1e-2 * LINEAR_SOLVER_TOL
     solution, iterations = None, 0
     if holder.lu is not None:
         result = _preconditioned_gmres(matrix, rhs, holder.lu, holder.solution, accept)
@@ -309,10 +307,10 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
         relative = _relative_residual(matrix, solution, rhs)
     holder.residual = relative
     holder.iterations = iterations
-    if not relative <= config.linear_solver_tol:
+    if not relative <= LINEAR_SOLVER_TOL:
         raise SolverFailure(
             f"linear solve reached relative residual {relative:.3e} "
-            f"(tolerance {config.linear_solver_tol:.1e})", residual=relative)
+            f"(tolerance {LINEAR_SOLVER_TOL:.1e})", residual=relative)
     holder.solution = solution
     return solution
 
@@ -375,13 +373,12 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     tolerance = config.increment_tol_factor * h * h
     increments: list[float] = []
 
-    previous = None
     for iteration in range(1, config.max_iterations + 1):
-        h_prev = fe_hessian(current)
-        matrix, rhs = assemble_step(mesh, current, h_prev, problem, config, operator, load)
+        matrix, rhs = assemble_step(mesh, current, fe_hessian(current), problem,
+                                    operator, load)
         matrix, rhs = apply_dirichlet(matrix, rhs, space, problem.g, boundary_values)
         try:
-            coefficients = solve_linear(matrix, rhs, config, factor)
+            coefficients = solve_linear(matrix, rhs, factor)
         except SolverFailure as failure:
             failure.iteration = iteration
             raise
@@ -398,8 +395,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
                      iteration, increment, tolerance, factor.residual,
                      factor.iterations, factor.factorizations)
         if increment <= tolerance:
-            return SolveReport(proposed, fe_hessian(proposed), iteration,
-                               increments, True, previous=current,
+            return SolveReport(proposed, iteration, increments, True,
                                linear_residuals=residuals,
                                linear_iterations=linear_iterations,
                                factorizations=factor.factorizations)
@@ -408,11 +404,9 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
             raise DivergenceError(
                 f"increments grew tenfold over five iterations "
                 f"(last {increment:.3e}); try a smaller tau", iteration=iteration)
-        previous = current
         current = proposed
 
-    return SolveReport(current, fe_hessian(current), config.max_iterations,
-                       increments, False, previous=previous,
+    return SolveReport(current, config.max_iterations, increments, False,
                        linear_residuals=residuals,
                        linear_iterations=linear_iterations,
                        factorizations=factor.factorizations)

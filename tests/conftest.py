@@ -8,7 +8,8 @@ code paths it is used to check.
 import numpy as np
 import scipy.sparse as sp
 
-from inflap.fespace import triangle_rule
+from inflap.fespace import (evaluate_field, physical_points, tensor_trace,
+                            triangle_rule)
 
 
 def tri_area(mesh, k):
@@ -199,3 +200,34 @@ def sparse_product_step_matrix(mesh, tensors, hessian_matrix):
                           3 * np.arange(nt + 1)),
                          shape=(nt, mesh.vertex_count))
     return (test.T @ (pairing @ hessian_matrix)).tocsr()
+
+
+# The scatters below sum with np.add.at, one term after another in index
+# order; the package sums the same terms with np.bincount.
+
+def add_at_load_vector(mesh, f):
+    """Integrals of f against the hat functions (order-4 quadrature)."""
+    rule = triangle_rule(4)
+    pts = physical_points(mesh, rule)
+    vals = evaluate_field(f, pts[..., 0], pts[..., 1])
+    per_vertex = vals @ (rule.weights[:, None] * rule.points)
+    out = np.zeros(mesh.vertex_count)
+    np.add.at(out, mesh.triangle_vertices, mesh.areas[:, None] * per_vertex)
+    return out
+
+
+def add_at_step_rhs(mesh, h_prev, problem):
+    """Load vector plus |K| trace(h_prev) / (3 tau) on each vertex of K."""
+    rhs = add_at_load_vector(mesh, problem.f)
+    relax = mesh.areas * tensor_trace(h_prev) / (3.0 * problem.tau)
+    np.add.at(rhs, mesh.triangle_vertices, relax[:, None])
+    return rhs
+
+
+def add_at_squared_indicators(mesh, interior, jumps):
+    """interior**2 plus half of each interior edge's jumps**2 on both sides."""
+    eta_sq = interior ** 2
+    half = 0.5 * jumps ** 2
+    np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 0], half)
+    np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 1], half)
+    return eta_sq

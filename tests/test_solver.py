@@ -6,17 +6,19 @@ import pytest
 from inflap import (FEFunction, InvalidArgumentError,
                     SolverFailure, SolverConfig, SpaceP1, Triangulation,
                     apply_dirichlet, assemble_step, build_initial_mesh,
-                    default_initializer, diffusion_tensor, fe_hessian,
-                    fixed_point_solve, gradients, interpolate, l2_error,
-                    l2_norm, refine, registry, solve_linear, uniform_refine)
+                    default_initializer, diffusion_tensor, estimate,
+                    fe_hessian, fixed_point_solve, gradients, interpolate,
+                    l2_error, l2_norm, load_vector, refine, registry,
+                    solve_linear, uniform_refine)
 from inflap.bench import convergence_study
-from inflap.solver import ProblemData, StepFactor
+from inflap.solver import LINEAR_SOLVER_TOL, ProblemData, StepFactor
 import inflap.solver
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (brute_saddle, coo_hessian_matrix, schur_eliminate,
-                      sparse_product_step_matrix)
+from conftest import (add_at_load_vector, add_at_squared_indicators,
+                      add_at_step_rhs, brute_saddle, coo_hessian_matrix,
+                      schur_eliminate, sparse_product_step_matrix)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -152,20 +154,45 @@ def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     assert np.array_equal(ours_rhs, theirs_rhs)
 
 
-def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
-    # on general triangles the oracle's duplicate sums run in another order,
-    # so the two agree to rounding only
+def _perturbed_mesh():
     rng = np.random.default_rng(4)
     base = uniform_refine(build_initial_mesh(4))
     coords = base.vertex_coords.copy()
     inner = ~base.vertex_on_boundary
     coords[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) * base.diameters.min()
-    mesh = Triangulation(coords, base.triangle_vertices)
+    return Triangulation(coords, base.triangle_vertices)
+
+
+def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
+    # on general triangles the oracle's duplicate sums run in another order,
+    # so the two agree to rounding only
+    mesh = _perturbed_mesh()
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x - 0.5 * x * y + np.exp(y))
     matrix, _ = assemble_step(mesh, u, fe_hessian(u), CLASSICAL)
     oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes() + [_perturbed_mesh()],
+                         ids=["uniform", "random-local", "axis-graded", "perturbed"])
+def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
+    # bincount adds each entry's terms in the order np.add.at does, after
+    # the base value (load vector, interior**2) it starts from
+    problem = ProblemData(f=lambda x, y: np.sin(2.0 * x) + y * y, g=ARONSSON.g, tau=0.3)
+    space = SpaceP1(mesh)
+    u = interpolate(space, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
+                    + 0.1 * np.sin(3.0 * x * y))
+    h = fe_hessian(u)
+    assert np.array_equal(load_vector(mesh, problem.f), add_at_load_vector(mesh, problem.f))
+    _, rhs = assemble_step(mesh, u, h, problem)
+    assert np.array_equal(rhs, add_at_step_rhs(mesh, h, problem))
+
+    v = FEFunction(space, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
+    indicators = estimate(mesh, u, v, problem.f, problem.tau)
+    eta_sq = add_at_squared_indicators(mesh, indicators.interior, indicators.jumps)
+    assert np.array_equal(indicators.eta, np.sqrt(eta_sq))
+    assert indicators.eta_total == float(np.sqrt(eta_sq.sum()))
 
 
 def test_assemble_step_rejects_mesh_mismatch():
@@ -238,7 +265,7 @@ def test_solve_linear_residual_contract():
     dense = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)
     matrix = sp.csr_matrix(dense)
     rhs = rng.standard_normal(20)
-    x = solve_linear(matrix, rhs, SolverConfig())
+    x = solve_linear(matrix, rhs)
     residual = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
     assert residual <= 1e-10
 
@@ -277,7 +304,7 @@ def test_classical_converges_quickly():
         assert report.iterations <= 5
         assert len(report.increments) == report.iterations
         assert len(report.linear_residuals) == report.iterations
-        assert max(report.linear_residuals) <= SolverConfig().linear_solver_tol
+        assert max(report.linear_residuals) <= LINEAR_SOLVER_TOL
         assert report.factorizations >= 1
         assert report.increments[-1] <= 10.0 * mesh.diameters.max() ** 2
 
@@ -333,6 +360,24 @@ def test_exact_solution_residual_under_refinement():
         mesh = uniform_refine(mesh)
 
 
+@pytest.mark.parametrize("config", [SolverConfig(increment_tol_factor=0.01),
+                                    SolverConfig(increment_tol_factor=1e-12, max_iterations=3)],
+                         ids=["converged", "iteration-limit"])
+def test_fixed_point_solve_evaluates_one_hessian_per_iteration(monkeypatch, config):
+    # each step needs the Hessian of its previous iterate and nothing more
+    calls = []
+    real_fe_hessian = inflap.solver.fe_hessian
+
+    def counting(u):
+        calls.append(u)
+        return real_fe_hessian(u)
+
+    monkeypatch.setattr(inflap.solver, "fe_hessian", counting)
+    report = fixed_point_solve(uniform_refine(build_initial_mesh(2)), ARONSSON, config)
+    assert report.iterations > 1
+    assert len(calls) == report.iterations
+
+
 # ------------------------------------------------------- factor reuse on a mesh
 
 def test_warm_started_single_step_is_bit_identical_to_direct_path():
@@ -374,7 +419,7 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study():
     assert [row.iterations for row in table.rows] == [6, 10, 21]
     for (mesh, report), row in zip(levels, table.rows):
         assert report.factorizations == 1
-        assert max(report.linear_residuals) <= 1e-2 * config.linear_solver_tol
+        assert max(report.linear_residuals) <= 1e-2 * LINEAR_SOLVER_TOL
         # the factored first step takes no GMRES iterations, the later ones some
         assert len(report.linear_iterations) == report.iterations
         assert report.linear_iterations[0] == 0 and min(report.linear_iterations[1:]) > 0
@@ -410,7 +455,7 @@ def test_gmres_starts_from_the_last_solution(monkeypatch):
     assert np.array_equal(starts[0], first + lu.solve(rhs - nudged @ first))
     assert holder.factorizations == 1 and holder.iterations > 0
     assert np.array_equal(holder.solution, second)
-    assert holder.residual <= 1e-2 * SolverConfig().linear_solver_tol
+    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
 
 
 class _WeakFactor:
@@ -444,10 +489,9 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(inflap.solver.spla, "splu", splu)
-    config = SolverConfig()
-    solution = solve_linear(matrix, rhs, config, holder)
+    solution = solve_linear(matrix, rhs, factor=holder)
     assert factor_calls == [True]
     assert holder.factorizations == 1
-    assert holder.residual <= config.linear_solver_tol
+    assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, spla.spsolve(matrix.tocsc(), rhs))
 

@@ -22,9 +22,9 @@ from .fespace import (FEFunction, QuadratureRule, SpaceP0Tensor, SpaceP1,
 from .hessian import HessianOperator, fe_hessian, hessian_operator
 from .mesh import (Triangulation, build_initial_mesh, conformity_errors,
                    min_angle_degrees, refine, uniform_refine)
-from .solver import (ProblemData, SolveReport, SolverConfig, StepFactor,
-                     apply_dirichlet, assemble_step, default_initializer,
-                     diffusion_tensor, fixed_point_solve, load_vector,
-                     solve_linear)
+from .solver import (Discretisation, ProblemData, SolveReport, SolverConfig,
+                     StepFactor, apply_dirichlet, assemble_step,
+                     default_initializer, diffusion_tensor, fixed_point_solve,
+                     load_vector, solve_linear)
 
 __version__ = "0.1.0"

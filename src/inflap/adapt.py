@@ -37,8 +37,8 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise InvalidArgumentError("theta must lie in (0, 1]")
-        if self.estimator_tol <= 0:
-            raise InvalidArgumentError("estimator_tol must be positive")
+        if not 0.0 < self.estimator_tol < np.inf:
+            raise InvalidArgumentError("estimator_tol must be positive and finite")
         if self.max_cycles < 1 or self.dof_budget < 1:
             raise InvalidArgumentError("cycle and dof budgets must be positive")
 

@@ -74,9 +74,8 @@ class HessianOperator:
     the entry (vertex a of K, ``stencil[K, s]``).
     """
 
-    def __init__(self, mesh: Triangulation, stencil: np.ndarray, blocks: np.ndarray,
+    def __init__(self, stencil: np.ndarray, blocks: np.ndarray,
                  indptr: np.ndarray, indices: np.ndarray, slots: np.ndarray):
-        self.mesh = mesh
         self.stencil = stencil
         self.blocks = blocks
         self.indptr = indptr
@@ -154,5 +153,5 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
                              pattern.indptr), shape=pattern.shape)
     slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
                      np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(mesh, stencil, blocks, pattern.indptr, pattern.indices,
+    return HessianOperator(stencil, blocks, pattern.indptr, pattern.indices,
                            slots.astype(np.int32).reshape(nt, 3, 6))

@@ -11,13 +11,15 @@ is eliminated locally (its mass matrix is diagonal for elementwise
 constants), so the linear system is of vertex size and generally
 nonsymmetric.
 
-Everything that depends only on the mesh is built once per
-``fixed_point_solve`` call: the Hessian operator (per-element Hessian
+Everything that depends only on the mesh lives in one ``Discretisation``
+per ``fixed_point_solve`` call: the Hessian operator (per-element Hessian
 blocks plus the sparse pattern of the step matrix), the load vector, the
-Dirichlet values and the LU factor of the first step matrix.  A step only
-contracts each element's block with its diffusion tensor and scatters the
-result into the fixed pattern.  Later steps on the same mesh differ only
-through the frozen gradient direction, so that factor preconditions
+Dirichlet values with the pattern positions the Dirichlet lift keeps, and
+the LU factor of the first step matrix.  Its ``step`` maps an iterate to
+the next: it contracts each element's block with its diffusion tensor,
+scatters the result into the fixed pattern, lifts the boundary values by
+gathering the kept entries and solves.  Later steps on the same mesh differ
+only through the frozen gradient direction, so that factor preconditions
 restarted GMRES (Saad & Schultz 1986) for them, started from the previous
 step's solution; a step GMRES cannot settle is refactored and solved
 directly.
@@ -36,7 +38,7 @@ import scipy.sparse.linalg as spla
 from .errors import DivergenceError, InvalidArgumentError, SolverFailure
 from .fespace import (FEFunction, SpaceP1, evaluate_field, gradients, l2_norm,
                       physical_points, tensor_trace, triangle_rule)
-from .hessian import HessianOperator, fe_hessian, hessian_operator
+from .hessian import fe_hessian, hessian_operator
 from .mesh import Triangulation
 
 logger = logging.getLogger(__name__)
@@ -77,8 +79,8 @@ class ProblemData:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidArgumentError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise InvalidArgumentError("tau must be positive and finite")
 
 
 @dataclass
@@ -87,8 +89,8 @@ class SolverConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if min(self.increment_tol_factor, self.max_iterations) <= 0:
-            raise InvalidArgumentError("solver configuration values must be positive")
+        if not (0.0 < self.increment_tol_factor < np.inf and self.max_iterations > 0):
+            raise InvalidArgumentError("solver configuration values must be positive and finite")
 
 
 @dataclass
@@ -158,9 +160,42 @@ def load_vector(mesh: Triangulation, f) -> np.ndarray:
                        weights=(mesh.areas[:, None] * per_vertex).reshape(-1))
 
 
-def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
-                  problem: ProblemData, operator: HessianOperator | None = None,
-                  load: np.ndarray | None = None):
+class Discretisation:
+    """What every linearised step of ``problem`` on ``mesh`` shares.
+
+    ``lifted`` is g on the boundary vertices and zero inside.  The
+    Dirichlet lift keeps the step-pattern positions ``kept`` (interior by
+    interior, and the diagonal of each boundary row), whose CSR pattern is
+    ``lift_indptr``/``lift_indices``; ``pins`` are its boundary diagonals.
+    ``factor`` carries the LU that later steps reuse.
+    """
+
+    def __init__(self, mesh: Triangulation, problem: ProblemData):
+        self.mesh = mesh
+        self.problem = problem
+        self.space = SpaceP1(mesh)
+        self.operator = hessian_operator(mesh)
+        self.load = load_vector(mesh, problem.f)
+        boundary = mesh.vertex_on_boundary
+        self.lifted = np.zeros(mesh.vertex_count)
+        self.lifted[boundary] = evaluate_field(problem.g, *mesh.vertex_coords[boundary].T)
+
+        indptr, indices = self.operator.indptr, self.operator.indices
+        rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
+        self.kept = np.flatnonzero((rows == indices) | ~(boundary[rows] | boundary[indices]))
+        self.lift_indptr = np.searchsorted(self.kept, indptr)
+        self.lift_indices = indices[self.kept]
+        self.pins = np.flatnonzero(boundary[self.lift_indices])
+        self.factor = StepFactor()
+
+    def step(self, u: FEFunction) -> FEFunction:
+        """The next iterate: one linearised step from ``u``, solved with ``factor``."""
+        matrix, rhs = assemble_step(self, u, fe_hessian(u))
+        matrix, rhs = apply_dirichlet(self, matrix, rhs)
+        return FEFunction(self.space, solve_linear(matrix, rhs, self.factor))
+
+
+def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: FEFunction):
     """Matrix and right-hand side of one linearised step.
 
     The matrix applies the hat-function test of A[u_prev] : H[.] with the
@@ -168,22 +203,17 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
     element adds |K|/3 * (A_K : B_K) over its stencil to the rows of its
     three vertices, in the operator's fixed CSR pattern (an entry that sums
     to zero stays stored).  The matrix shares the operator's read-only
-    index arrays, so copy it before changing its pattern in place.  The
-    right-hand side integrates f (order-4 quadrature) plus the elementwise
-    constant trace(h_prev) / tau.  Pass ``operator`` and ``load`` (the
-    ``load_vector`` of f) to reuse them across iterations.
+    index arrays.  The right-hand side is the load vector plus the
+    elementwise constant trace(h_prev) / tau tested with the hat functions.
     """
+    mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
     if u_prev.space.mesh is not mesh or h_prev.space.mesh is not mesh:
-        raise InvalidArgumentError("u_prev and h_prev must live on the given mesh")
-    if operator is None:
-        operator = hessian_operator(mesh)
-    elif operator.mesh is not mesh:
-        raise InvalidArgumentError("hessian operator belongs to a different mesh")
+        raise InvalidArgumentError("u_prev and h_prev must live on the discretisation's mesh")
 
     # A : B per element and stencil slot, summed in row-major component
     # order and scaled by the hat-function integral |K|/3; bincount adds the
     # elements of each matrix entry in ascending element order
-    tensors = diffusion_tensor(u_prev, problem.tau).reshape(-1, 4, 1)
+    tensors = diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
     blocks = operator.blocks
     weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])
                 + tensors[:, 2] * blocks[2]) + tensors[:, 3] * blocks[3])
@@ -194,43 +224,29 @@ def assemble_step(mesh: Triangulation, u_prev: FEFunction, h_prev: FEFunction,
                            shape=(mesh.vertex_count, mesh.vertex_count))
 
     # the load first, then each element's relaxation term on its vertices
-    load = load_vector(mesh, problem.f) if load is None else load
-    relax = mesh.areas * tensor_trace(h_prev) / (3.0 * problem.tau)
+    relax = mesh.areas * tensor_trace(h_prev) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
                                       mesh.triangle_vertices.reshape(-1)]),
-                      weights=np.concatenate([load, np.repeat(relax, 3)]))
+                      weights=np.concatenate([disc.load, np.repeat(relax, 3)]))
     return matrix, rhs
 
 
-def dirichlet_values(space: SpaceP1, g) -> np.ndarray:
-    """g evaluated at the boundary dofs, in ``space.boundary_dofs`` order."""
-    coords = space.mesh.vertex_coords[space.boundary_dofs]
-    return evaluate_field(g, coords[:, 0], coords[:, 1])
+def apply_dirichlet(disc: Discretisation, matrix: sp.csr_matrix, rhs: np.ndarray):
+    """Impose g by row replacement with a right-hand side lift.
 
-
-def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, space: SpaceP1, g,
-                    boundary_values: np.ndarray | None = None):
-    """Impose boundary values by row replacement with a right-hand side lift.
-
-    Boundary rows become identity rows with g(vertex) on the right, and
-    the boundary columns are folded into the right-hand side of the
-    interior rows.  Pass ``boundary_values`` (``dirichlet_values`` of g)
-    to skip evaluating g.  Returns new objects.
+    ``matrix`` must hold the step pattern.  Boundary rows become identity
+    rows with g(vertex) on the right, the boundary columns are folded into
+    the right-hand side of the interior rows, and entries that are exactly
+    zero are dropped.  Returns new objects.
     """
-    boundary = space.boundary_dofs
-    values = dirichlet_values(space, g) if boundary_values is None else boundary_values
-
-    n = space.dof_count
-    lifted = np.zeros(n)
-    lifted[boundary] = values
-    interior = np.ones(n)
-    interior[boundary] = 0.0
-
-    new_rhs = interior * (rhs - matrix @ lifted)
-    new_rhs[boundary] = values
-    keep = sp.diags(interior)
-    pin = sp.diags(1.0 - interior)
-    new_matrix = (keep @ matrix @ keep + pin).tocsr()
+    boundary = disc.mesh.vertex_on_boundary
+    new_rhs = np.where(boundary, disc.lifted, rhs - matrix @ disc.lifted)
+    data = matrix.data[disc.kept]
+    data[disc.pins] = 1.0
+    # eliminate_zeros compacts the index arrays in place, so give it copies
+    new_matrix = sp.csr_matrix((data, disc.lift_indices.copy(), disc.lift_indptr.copy()),
+                               shape=matrix.shape)
+    new_matrix.eliminate_zeros()
     return new_matrix, new_rhs
 
 
@@ -315,27 +331,23 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     return solution
 
 
-def default_initializer(mesh: Triangulation, problem: ProblemData,
-                        load: np.ndarray | None = None,
-                        boundary_values: np.ndarray | None = None) -> FEFunction:
+def default_initializer(disc: Discretisation) -> FEFunction:
     """Poisson start-up guess: the P1 solution of laplace(u) = f, u = g.
 
     Away from its critical points the guess has a usable gradient
-    direction, which keeps the first diffusion tensor well defined.
-    ``load`` and ``boundary_values`` reuse an already computed load vector
-    of f and Dirichlet values of g.
+    direction, which keeps the first diffusion tensor well defined.  The
+    stiffness matrix fills the step pattern through the operator's slots
+    of each element's own vertices.
     """
-    space = SpaceP1(mesh)
+    mesh, operator = disc.mesh, disc.operator
     local = mesh.areas[:, None, None] * np.einsum(
         "tid,tjd->tij", mesh.basis_gradients, mesh.basis_gradients)
-    verts = mesh.triangle_vertices
-    rows = np.repeat(verts, 3, axis=1).reshape(-1)
-    cols = np.tile(verts, (1, 3)).reshape(-1)
-    stiffness = sp.coo_matrix((local.reshape(-1), (rows, cols)),
-                              shape=(space.dof_count, space.dof_count)).tocsr()
-    rhs = -(load_vector(mesh, problem.f) if load is None else load)
-    matrix, rhs = apply_dirichlet(stiffness, rhs, space, problem.g, boundary_values)
-    return FEFunction(space, solve_linear(matrix, rhs))
+    stiffness = np.bincount(operator.slots[:, :, :3].reshape(-1),
+                            weights=local.reshape(-1), minlength=len(operator.indices))
+    stiffness = sp.csr_matrix((stiffness, operator.indices, operator.indptr),
+                              shape=(mesh.vertex_count, mesh.vertex_count))
+    matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
+    return FEFunction(disc.space, solve_linear(matrix, rhs))
 
 
 def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
@@ -348,25 +360,18 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     that gain a factor ten) raises ``DivergenceError``; a failed linear
     solve propagates with its iteration index attached.
 
-    The Hessian operator (with the step-matrix pattern), load vector and
-    Dirichlet values are built once per call.  The first step matrix is
-    factored and its LU kept in a ``StepFactor`` that later steps pass to
-    ``solve_linear``, which then solves them by preconditioned GMRES
-    started from the previous step's solution.
+    One ``Discretisation`` of the mesh is built per call, and each
+    iteration is its ``step``.  The first step matrix is factored, and
+    later steps reuse that LU to precondition GMRES started from the
+    previous step's solution.
     """
     config = config if config is not None else SolverConfig()
-    space = SpaceP1(mesh)
     if initial is not None and initial.space.mesh is not mesh:
         raise InvalidArgumentError("initial guess lives on a different mesh")
-    load = load_vector(mesh, problem.f)
-    boundary_values = dirichlet_values(space, problem.g)
-    if initial is None:
-        current = default_initializer(mesh, problem, load, boundary_values)
-    else:
-        current = initial
+    disc = Discretisation(mesh, problem)
+    current = default_initializer(disc) if initial is None else initial
 
-    operator = hessian_operator(mesh)
-    factor = StepFactor()
+    factor = disc.factor
     residuals: list[float] = []
     linear_iterations: list[int] = []
     h = float(mesh.diameters.max())
@@ -374,21 +379,14 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     increments: list[float] = []
 
     for iteration in range(1, config.max_iterations + 1):
-        matrix, rhs = assemble_step(mesh, current, fe_hessian(current), problem,
-                                    operator, load)
-        matrix, rhs = apply_dirichlet(matrix, rhs, space, problem.g, boundary_values)
         try:
-            coefficients = solve_linear(matrix, rhs, factor)
+            proposed = disc.step(current)
         except SolverFailure as failure:
             failure.iteration = iteration
             raise
         residuals.append(factor.residual)
         linear_iterations.append(factor.iterations)
-        if not np.isfinite(coefficients).all():
-            raise DivergenceError("iterate has non-finite coefficients",
-                                  iteration=iteration)
-        proposed = FEFunction(space, coefficients)
-        increment = l2_norm(FEFunction(space, proposed.coefficients - current.coefficients))
+        increment = l2_norm(FEFunction(disc.space, proposed.coefficients - current.coefficients))
         increments.append(increment)
         logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
                      "linear residual %.2e, GMRES iterations %d, factorizations %d",

@@ -1,8 +1,8 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and test meshes for the test suite.
 
 Everything here recomputes geometry from scratch (affine solves, explicit
-edge dictionaries, plain loops) so it stays independent of the vectorised
-code paths it is used to check.
+edge dictionaries, plain loops) or assembles with general sparse products,
+so it stays independent of the vectorised code paths it is used to check.
 """
 
 import numpy as np
@@ -10,6 +10,31 @@ import scipy.sparse as sp
 
 from inflap.fespace import (evaluate_field, physical_points, tensor_trace,
                             triangle_rule)
+from inflap.mesh import Triangulation, build_initial_mesh, refine, uniform_refine
+
+
+def oracle_meshes():
+    """A uniform, a randomly refined and an axis-graded mesh."""
+    rng = np.random.default_rng(17)
+    uniform = uniform_refine(uniform_refine(build_initial_mesh(4)))
+    local = build_initial_mesh(4)
+    for _ in range(6):
+        local = refine(local, rng.choice(local.triangle_count,
+                                         local.triangle_count // 5, replace=False))
+    graded = build_initial_mesh(2)
+    for _ in range(8):
+        graded = refine(graded, np.flatnonzero(np.abs(graded.centroids[:, 0]) < 0.25))
+    return [uniform, local, graded]
+
+
+def perturbed_mesh():
+    """A uniform mesh with randomly displaced interior vertices."""
+    rng = np.random.default_rng(4)
+    base = uniform_refine(build_initial_mesh(4))
+    coords = base.vertex_coords.copy()
+    inner = ~base.vertex_on_boundary
+    coords[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) * base.diameters.min()
+    return Triangulation(coords, base.triangle_vertices)
 
 
 def tri_area(mesh, k):
@@ -200,6 +225,38 @@ def sparse_product_step_matrix(mesh, tensors, hessian_matrix):
                           3 * np.arange(nt + 1)),
                          shape=(nt, mesh.vertex_count))
     return (test.T @ (pairing @ hessian_matrix)).tocsr()
+
+
+def sparse_product_dirichlet(matrix, rhs, space, g):
+    """Dirichlet lift by diagonal products: keep @ matrix @ keep + pin.
+
+    Boundary rows become identity rows with g(vertex) on the right, the
+    boundary columns move into the right-hand side of the interior rows;
+    the sparse products drop the entries that are exactly zero.
+    """
+    boundary = space.boundary_dofs
+    coords = space.mesh.vertex_coords[boundary]
+    values = evaluate_field(g, coords[:, 0], coords[:, 1])
+    lifted = np.zeros(space.dof_count)
+    lifted[boundary] = values
+    interior = np.ones(space.dof_count)
+    interior[boundary] = 0.0
+    new_rhs = interior * (rhs - matrix @ lifted)
+    new_rhs[boundary] = values
+    keep = sp.diags(interior)
+    pin = sp.diags(1.0 - interior)
+    return (keep @ matrix @ keep + pin).tocsr(), new_rhs
+
+
+def coo_poisson_stiffness(mesh):
+    """P1 stiffness matrix, element matrices summed by COO to CSR conversion."""
+    local = mesh.areas[:, None, None] * np.einsum(
+        "tid,tjd->tij", mesh.basis_gradients, mesh.basis_gradients)
+    verts = mesh.triangle_vertices
+    rows = np.repeat(verts, 3, axis=1).reshape(-1)
+    cols = np.tile(verts, (1, 3)).reshape(-1)
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
+                         shape=(mesh.vertex_count, mesh.vertex_count)).tocsr()
 
 
 # The scatters below sum with np.add.at, one term after another in index

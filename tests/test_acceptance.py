@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, FEFunction, SpaceP1, adaptive_solve,
-                    apply_dirichlet, assemble_step, build_initial_mesh,
-                    conformity_errors, convergence_study, estimate,
-                    fe_hessian, gradients, integrate, interpolate,
+from inflap import (AdaptiveConfig, Discretisation, FEFunction, SpaceP1,
+                    adaptive_solve, apply_dirichlet, assemble_step,
+                    build_initial_mesh, conformity_errors, convergence_study,
+                    estimate, fe_hessian, gradients, integrate, interpolate,
                     min_angle_degrees, refine, registry, solve_linear,
                     uniform_refine)
 from inflap.cli import main
@@ -132,11 +132,10 @@ def test_criterion_6_hessian_property_suite():
     for small in (build_initial_mesh(1), uniform_refine(build_initial_mesh(1)),
                   refine(uniform_refine(build_initial_mesh(1)), {0, 5})):
         assert small.triangle_count <= 32
-        small_space = SpaceP1(small)
-        u = interpolate(small_space, lambda x, y: x * x + y * y)
-        matrix, rhs_vec = assemble_step(small, u, fe_hessian(u), CLASSICAL)
-        matrix, rhs_vec = apply_dirichlet(matrix, rhs_vec, small_space,
-                                          CLASSICAL.g)
+        disc = Discretisation(small, CLASSICAL)
+        u = interpolate(disc.space, lambda x, y: x * x + y * y)
+        matrix, rhs_vec = assemble_step(disc, u, fe_hessian(u))
+        matrix, rhs_vec = apply_dirichlet(disc, matrix, rhs_vec)
         eliminated = solve_linear(matrix, rhs_vec)
         saddle, rhs_for, _ = brute_saddle(small, u.coefficients, CLASSICAL.f,
                                           CLASSICAL.g, CLASSICAL.tau)

@@ -1,6 +1,7 @@
 import csv
 import logging
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,26 @@ def test_cli_unknown_problem_exits_2(tmp_path, capsys):
 def test_cli_missing_subcommand_exits_2():
     assert main([]) == 2
     assert main(["check"]) == 2     # no such subcommand
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+@pytest.mark.parametrize("build", [lambda value: replace(registry()["classical"].data, tau=value),
+                                   lambda value: SolverConfig(increment_tol_factor=value),
+                                   lambda value: AdaptiveConfig(estimator_tol=value)],
+                         ids=["tau", "increment-tol-factor", "estimator-tol"])
+def test_settings_must_be_positive_and_finite(build, value):
+    with pytest.raises(InvalidArgumentError):
+        build(value)
+
+
+@pytest.mark.parametrize("argv", [["solve", "--levels", "1", "--tol-factor", "nan"],
+                                  ["solve", "--levels", "1", "--tau", "nan"],
+                                  ["adapt", "--tol", "nan"],
+                                  ["adapt", "--tol", "0.1", "--tau", "inf"]],
+                         ids=["solve-tol-factor", "solve-tau", "adapt-tol", "adapt-tau"])
+def test_cli_non_finite_settings_exit_2(tmp_path, argv):
+    assert main(argv + ["--problem", "classical", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_solve_produces_outputs(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from inflap import (FEFunction, SpaceP1, build_initial_mesh, fe_hessian,
                     gradients, hessian_operator, integrate, interpolate,
                     refine, tensor_values, uniform_refine)
-from conftest import (edge_dictionary, hat_gradients, outward_normal,
-                      tri_area)
+from conftest import (edge_dictionary, hat_gradients, oracle_meshes,
+                      outward_normal, perturbed_mesh, tri_area)
 
 
 def meshes_for_affine_check():
@@ -109,21 +111,27 @@ def test_operator_row_locality():
 
 
 def test_step_pattern_and_slots():
-    # the pattern is sorted and duplicate-free, and slot (K, a, s) is the
-    # entry (vertex a of K, stencil vertex s)
-    mesh = refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})
-    operator = hessian_operator(mesh)
-    indptr, indices = operator.indptr, operator.indices
-    assert indptr[0] == 0 and indptr[-1] == len(indices)
-    for i in range(mesh.vertex_count):
-        assert np.all(np.diff(indices[indptr[i]:indptr[i + 1]]) > 0)
-    rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
-    slots = operator.slots
-    assert np.array_equal(rows[slots], np.broadcast_to(
-        mesh.triangle_vertices[:, :, None], slots.shape))
-    assert np.array_equal(indices[slots], np.broadcast_to(
-        operator.stencil[:, None, :], slots.shape))
-    assert np.array_equal(np.unique(slots), np.arange(len(indices)))
+    # the pattern is sorted, duplicate-free and structurally symmetric, and
+    # slot (K, a, s) is the entry (vertex a of K, stencil vertex s)
+    for mesh in [refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})] \
+            + oracle_meshes() + [perturbed_mesh()]:
+        operator = hessian_operator(mesh)
+        indptr, indices = operator.indptr, operator.indices
+        assert indptr[0] == 0 and indptr[-1] == len(indices)
+        for i in range(mesh.vertex_count):
+            assert np.all(np.diff(indices[indptr[i]:indptr[i + 1]]) > 0)
+        rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
+        slots = operator.slots
+        assert np.array_equal(rows[slots], np.broadcast_to(
+            mesh.triangle_vertices[:, :, None], slots.shape))
+        assert np.array_equal(indices[slots], np.broadcast_to(
+            operator.stencil[:, None, :], slots.shape))
+        assert np.array_equal(np.unique(slots), np.arange(len(indices)))
+
+        transpose = sp.csr_array((np.ones(len(indices)), indices, indptr)).T.tocsr()
+        transpose.sort_indices()
+        assert np.array_equal(transpose.indptr, indptr)
+        assert np.array_equal(transpose.indices, indices)
 
 
 def test_linearity():

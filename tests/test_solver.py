@@ -1,10 +1,11 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from inflap import (FEFunction, InvalidArgumentError,
-                    SolverFailure, SolverConfig, SpaceP1, Triangulation,
+from inflap import (Discretisation, FEFunction, InvalidArgumentError,
+                    SolverFailure, SolverConfig, SpaceP1,
                     apply_dirichlet, assemble_step, build_initial_mesh,
                     default_initializer, diffusion_tensor, estimate,
                     fe_hessian, fixed_point_solve, gradients, interpolate,
@@ -18,7 +19,9 @@ import scipy.sparse.linalg as spla
 
 from conftest import (add_at_load_vector, add_at_squared_indicators,
                       add_at_step_rhs, brute_saddle, coo_hessian_matrix,
-                      schur_eliminate, sparse_product_step_matrix)
+                      coo_poisson_stiffness, oracle_meshes, perturbed_mesh,
+                      schur_eliminate, sparse_product_dirichlet,
+                      sparse_product_step_matrix)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -68,7 +71,7 @@ def test_step_matrix_sparsity_stencil():
     # rows may reach the vertex patch plus the patches of edge neighbors
     mesh = build_initial_mesh(2)
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
-    matrix, _ = assemble_step(mesh, u, fe_hessian(u), CLASSICAL)
+    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u, fe_hessian(u))
 
     patches = {i: set() for i in range(mesh.vertex_count)}
     for k, verts in enumerate(mesh.triangle_vertices):
@@ -97,7 +100,7 @@ def test_rhs_vanishes_for_affine_previous_iterate_and_zero_f():
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: x, tau=5.0)
     u = interpolate(space, lambda x, y: 2.0 * x - y)
-    _, rhs = assemble_step(mesh, u, fe_hessian(u), problem)
+    _, rhs = assemble_step(Discretisation(mesh, problem), u, fe_hessian(u))
     interior = ~mesh.vertex_on_boundary
     assert np.abs(rhs[interior]).max() <= 1e-13
 
@@ -107,7 +110,7 @@ def test_assembly_against_coupled_saddle_oracle():
     mesh = build_initial_mesh(1)
     space = SpaceP1(mesh)
     u = interpolate(space, lambda x, y: x * x + y * y)
-    matrix, rhs = assemble_step(mesh, u, fe_hessian(u), CLASSICAL)
+    matrix, rhs = assemble_step(Discretisation(mesh, CLASSICAL), u, fe_hessian(u))
 
     saddle, rhs_for, _ = brute_saddle(mesh, u.coefficients, CLASSICAL.f,
                                       CLASSICAL.g, CLASSICAL.tau, dirichlet=False)
@@ -118,63 +121,40 @@ def test_assembly_against_coupled_saddle_oracle():
     assert np.abs(rhs - oracle_rhs[:mesh.vertex_count]).max() <= 1e-12
 
 
-def _oracle_meshes():
-    rng = np.random.default_rng(17)
-    uniform = uniform_refine(uniform_refine(build_initial_mesh(4)))
-    local = build_initial_mesh(4)
-    for _ in range(6):
-        local = refine(local, rng.choice(local.triangle_count,
-                                         local.triangle_count // 5, replace=False))
-    graded = build_initial_mesh(2)
-    for _ in range(8):
-        graded = refine(graded, np.flatnonzero(np.abs(graded.centroids[:, 0]) < 0.25))
-    return [uniform, local, graded]
-
-
-@pytest.mark.parametrize("mesh", _oracle_meshes(),
+@pytest.mark.parametrize("mesh", oracle_meshes(),
                          ids=["uniform", "random-local", "axis-graded"])
 def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     # the blocks refilled into the fixed pattern give exactly the sums of
     # the COO-assembled operator and its two sparse products, before and
-    # after the Dirichlet lift (which drops the explicit zeros the fixed
-    # pattern keeps)
-    space = SpaceP1(mesh)
-    u = interpolate(space, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
+    # after the Dirichlet lift; the gathered lift drops the explicit zeros
+    # the fixed pattern keeps, as the diagonal products do
+    disc = Discretisation(mesh, ARONSSON)
+    u = interpolate(disc.space, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
-    h = fe_hessian(u)
-    matrix, rhs = assemble_step(mesh, u, h, ARONSSON)
+    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
     oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, ARONSSON.tau),
                                         coo_hessian_matrix(mesh))
     assert np.array_equal(matrix.toarray(), oracle.toarray())
 
-    ours, ours_rhs = apply_dirichlet(matrix, rhs, space, ARONSSON.g)
-    theirs, theirs_rhs = apply_dirichlet(oracle, rhs, space, ARONSSON.g)
+    ours, ours_rhs = apply_dirichlet(disc, matrix, rhs)
+    theirs, theirs_rhs = sparse_product_dirichlet(oracle, rhs, disc.space, ARONSSON.g)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ours, name), getattr(theirs, name))
     assert np.array_equal(ours_rhs, theirs_rhs)
 
 
-def _perturbed_mesh():
-    rng = np.random.default_rng(4)
-    base = uniform_refine(build_initial_mesh(4))
-    coords = base.vertex_coords.copy()
-    inner = ~base.vertex_on_boundary
-    coords[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) * base.diameters.min()
-    return Triangulation(coords, base.triangle_vertices)
-
-
 def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     # on general triangles the oracle's duplicate sums run in another order,
     # so the two agree to rounding only
-    mesh = _perturbed_mesh()
+    mesh = perturbed_mesh()
     u = interpolate(SpaceP1(mesh), lambda x, y: x * x - 0.5 * x * y + np.exp(y))
-    matrix, _ = assemble_step(mesh, u, fe_hessian(u), CLASSICAL)
+    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u, fe_hessian(u))
     oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
-@pytest.mark.parametrize("mesh", _oracle_meshes() + [_perturbed_mesh()],
+@pytest.mark.parametrize("mesh", oracle_meshes() + [perturbed_mesh()],
                          ids=["uniform", "random-local", "axis-graded", "perturbed"])
 def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
     # bincount adds each entry's terms in the order np.add.at does, after
@@ -185,7 +165,7 @@ def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
                     + 0.1 * np.sin(3.0 * x * y))
     h = fe_hessian(u)
     assert np.array_equal(load_vector(mesh, problem.f), add_at_load_vector(mesh, problem.f))
-    _, rhs = assemble_step(mesh, u, h, problem)
+    _, rhs = assemble_step(Discretisation(mesh, problem), u, h)
     assert np.array_equal(rhs, add_at_step_rhs(mesh, h, problem))
 
     v = FEFunction(space, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
@@ -200,8 +180,11 @@ def test_assemble_step_rejects_mesh_mismatch():
     other = build_initial_mesh(2)
     u = interpolate(SpaceP1(mesh), lambda x, y: x)
     wrong = interpolate(SpaceP1(other), lambda x, y: x)
+    disc = Discretisation(mesh, CLASSICAL)
     with pytest.raises(InvalidArgumentError):
-        assemble_step(mesh, wrong, fe_hessian(u), CLASSICAL)
+        assemble_step(disc, wrong, fe_hessian(u))
+    with pytest.raises(InvalidArgumentError):
+        assemble_step(disc, u, fe_hessian(wrong))
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -211,12 +194,13 @@ def test_eliminated_iterates_match_coupled_system(steps):
                  uniform_refine(build_initial_mesh(1)),
                  refine(uniform_refine(build_initial_mesh(1)), {0, 5})):
         assert mesh.triangle_count <= 32
-        space = SpaceP1(mesh)
+        disc = Discretisation(mesh, CLASSICAL)
+        space = disc.space
         u_ours = interpolate(space, lambda x, y: x * x + y * y)
         u_oracle = u_ours
         for _ in range(steps):
-            matrix, rhs = assemble_step(mesh, u_ours, fe_hessian(u_ours), CLASSICAL)
-            matrix, rhs = apply_dirichlet(matrix, rhs, space, CLASSICAL.g)
+            matrix, rhs = assemble_step(disc, u_ours, fe_hessian(u_ours))
+            matrix, rhs = apply_dirichlet(disc, matrix, rhs)
             u_ours = FEFunction(space, solve_linear(matrix, rhs))
 
             saddle, rhs_for, _ = brute_saddle(mesh, u_oracle.coefficients,
@@ -232,15 +216,16 @@ def test_eliminated_iterates_match_coupled_system(steps):
 
 def test_dirichlet_rows_and_values():
     mesh = build_initial_mesh(2)
-    space = SpaceP1(mesh)
+    disc = Discretisation(mesh, CLASSICAL)
+    space = disc.space
     u = interpolate(space, lambda x, y: x * x + y * y)
-    matrix, rhs = assemble_step(mesh, u, fe_hessian(u), CLASSICAL)
+    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
 
-    zeroed, zrhs = apply_dirichlet(matrix, rhs, space,
-                                   lambda x, y: np.zeros(np.shape(x)))
+    homogeneous = Discretisation(mesh, replace(CLASSICAL, g=lambda x, y: np.zeros(np.shape(x))))
+    zeroed, zrhs = apply_dirichlet(homogeneous, matrix, rhs)
     assert np.abs(zrhs[space.boundary_dofs]).max() == 0.0
 
-    matrix, rhs = apply_dirichlet(matrix, rhs, space, CLASSICAL.g)
+    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     solution = solve_linear(matrix, rhs)
     coords = mesh.vertex_coords[space.boundary_dofs]
     assert solution[space.boundary_dofs] == pytest.approx(
@@ -284,15 +269,33 @@ def test_initializer_reproduces_affine_data():
     mesh = build_initial_mesh(2)
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: 1.0 + x - 2.0 * y, tau=1.0)
-    u0 = default_initializer(mesh, problem)
+    u0 = default_initializer(Discretisation(mesh, problem))
     expected = interpolate(SpaceP1(mesh), problem.g)
     assert np.abs(u0.coefficients - expected.coefficients).max() <= 1e-10
 
 
 def test_initializer_has_usable_gradient():
     mesh = build_initial_mesh(2)
-    u0 = default_initializer(mesh, CLASSICAL)
+    u0 = default_initializer(Discretisation(mesh, CLASSICAL))
     assert np.linalg.norm(gradients(u0), axis=1).max() > 0.0
+
+
+@pytest.mark.parametrize("base, levels, rel", [(2, 3, 0.0), (4, 3, 0.0), (6, 2, 1e-14)],
+                         ids=["initial-2", "initial-4", "initial-6"])
+def test_poisson_start_matches_coo_stiffness_oracle(base, levels, rel):
+    # the stiffness filled into the step pattern sums each entry in element
+    # order; scipy's COO conversion sums the duplicates in another order,
+    # which only shows where build_initial_mesh(6) has non-dyadic vertices
+    mesh = build_initial_mesh(base)
+    for _ in range(levels + 1):
+        for problem in (CLASSICAL, ARONSSON):
+            disc = Discretisation(mesh, problem)
+            ours = default_initializer(disc).coefficients
+            matrix, rhs = sparse_product_dirichlet(coo_poisson_stiffness(mesh), -disc.load,
+                                                   disc.space, problem.g)
+            theirs = spla.spsolve(matrix.tocsc(), rhs)
+            assert np.abs(ours - theirs).max() <= rel * np.abs(theirs).max()
+        mesh = uniform_refine(mesh)
 
 
 # ----------------------------------------------------------------- fixed point
@@ -311,7 +314,6 @@ def test_classical_converges_quickly():
 
 def test_aronsson_converges_within_twenty():
     for tau in (1.0, 10.0):
-        from dataclasses import replace
         problem = replace(ARONSSON, tau=tau)
         mesh = uniform_refine(build_initial_mesh(2))
         report = fixed_point_solve(mesh, problem)
@@ -352,10 +354,10 @@ def test_exact_solution_residual_under_refinement():
     # is the strongest form of the residual-decay property
     mesh = build_initial_mesh(2)
     for _ in range(4):
-        space = SpaceP1(mesh)
-        star = interpolate(space, CLASSICAL.exact_solution)
-        matrix, rhs = assemble_step(mesh, star, fe_hessian(star), CLASSICAL)
-        matrix, rhs = apply_dirichlet(matrix, rhs, space, CLASSICAL.g)
+        disc = Discretisation(mesh, CLASSICAL)
+        star = interpolate(disc.space, CLASSICAL.exact_solution)
+        matrix, rhs = assemble_step(disc, star, fe_hessian(star))
+        matrix, rhs = apply_dirichlet(disc, matrix, rhs)
         assert np.linalg.norm(matrix @ star.coefficients - rhs) <= 1e-12
         mesh = uniform_refine(mesh)
 
@@ -378,17 +380,41 @@ def test_fixed_point_solve_evaluates_one_hessian_per_iteration(monkeypatch, conf
     assert len(calls) == report.iterations
 
 
+@pytest.mark.parametrize("start", ["poisson", "initial"])
+def test_fixed_point_solve_builds_one_discretisation(monkeypatch, start):
+    # the operator and the load vector are built once per solve and shared
+    # by the Poisson start and every step
+    calls = []
+
+    def counting(name):
+        real = getattr(inflap.solver, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("hessian_operator", "load_vector"):
+        monkeypatch.setattr(inflap.solver, name, counting(name))
+    mesh = uniform_refine(build_initial_mesh(2))
+    initial = interpolate(SpaceP1(mesh), ARONSSON.g) if start == "initial" else None
+    config = SolverConfig(increment_tol_factor=0.01)
+    report = fixed_point_solve(mesh, ARONSSON, config, initial=initial)
+    assert report.iterations > 1
+    assert sorted(calls) == ["hessian_operator", "load_vector"]
+
+
 # ------------------------------------------------------- factor reuse on a mesh
 
 def test_warm_started_single_step_is_bit_identical_to_direct_path():
     mesh = uniform_refine(build_initial_mesh(4))
-    space = SpaceP1(mesh)
     settled = fixed_point_solve(mesh, ARONSSON).solution
     report = fixed_point_solve(mesh, ARONSSON, initial=settled)
     assert report.iterations == 1 and report.factorizations == 1
 
-    matrix, rhs = assemble_step(mesh, settled, fe_hessian(settled), ARONSSON)
-    matrix, rhs = apply_dirichlet(matrix, rhs, space, ARONSSON.g)
+    disc = Discretisation(mesh, ARONSSON)
+    matrix, rhs = assemble_step(disc, settled, fe_hessian(settled))
+    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     direct = solve_linear(matrix, rhs)
     assert np.array_equal(report.solution.coefficients, direct)
     assert np.array_equal(direct, spla.spsolve(matrix.tocsc(), rhs))
@@ -396,12 +422,13 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
 
 def _direct_fixed_point(mesh, problem, config):
     """The fixed-point loop with a fresh direct solve in every step."""
-    space = SpaceP1(mesh)
-    current = default_initializer(mesh, problem)
+    disc = Discretisation(mesh, problem)
+    space = disc.space
+    current = default_initializer(disc)
     tolerance = config.increment_tol_factor * mesh.diameters.max() ** 2
     for iteration in range(1, config.max_iterations + 1):
-        matrix, rhs = assemble_step(mesh, current, fe_hessian(current), problem)
-        matrix, rhs = apply_dirichlet(matrix, rhs, space, problem.g)
+        matrix, rhs = assemble_step(disc, current, fe_hessian(current))
+        matrix, rhs = apply_dirichlet(disc, matrix, rhs)
         proposed = FEFunction(space, spla.spsolve(matrix.tocsc(), rhs))
         increment = l2_norm(FEFunction(space, proposed.coefficients - current.coefficients))
         current = proposed
@@ -431,17 +458,17 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study():
 
 def test_gmres_starts_from_the_last_solution(monkeypatch):
     mesh = uniform_refine(build_initial_mesh(4))
-    space = SpaceP1(mesh)
-    u = default_initializer(mesh, ARONSSON)
-    matrix, rhs = assemble_step(mesh, u, fe_hessian(u), ARONSSON)
-    matrix, rhs = apply_dirichlet(matrix, rhs, space, ARONSSON.g)
+    disc = Discretisation(mesh, ARONSSON)
+    u = default_initializer(disc)
+    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
+    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     assert holder.iterations == 0 and holder.factorizations == 1
     assert np.array_equal(holder.solution, first)
 
     # a nearby system: the start is the last solution plus one LU correction
-    nudged = matrix + 1e-3 * sp.diags(np.where(space.mesh.vertex_on_boundary, 0.0, 1.0))
+    nudged = matrix + 1e-3 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
     starts = []
     real_gmres = inflap.solver.spla.gmres
 
@@ -469,10 +496,10 @@ class _WeakFactor:
 
 
 def test_unrelated_factor_is_released_and_refactored(monkeypatch):
-    mesh = uniform_refine(build_initial_mesh(4))
-    u = default_initializer(mesh, ARONSSON)
-    matrix, rhs = assemble_step(mesh, u, fe_hessian(u), ARONSSON)
-    matrix, rhs = apply_dirichlet(matrix, rhs, SpaceP1(mesh), ARONSSON.g)
+    disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
+    u = default_initializer(disc)
+    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
+    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     rng = np.random.default_rng(5)
     unrelated = sp.random(matrix.shape[0], matrix.shape[0], density=0.01,
                           random_state=rng, format="csc") + 4.0 * sp.identity(

@@ -16,12 +16,11 @@ from .errors import (DivergenceError, EvaluationError, InvalidArgumentError,
 from .estimator import (IndicatorField, estimate, interior_residual_norms,
                         jump_residuals)
 from .fespace import (FEFunction, QuadratureRule, SpaceP0Tensor, SpaceP1,
-                      gradients, h1_semi_error, integrate, interpolate,
-                      l2_error, l2_norm, tensor_trace, tensor_values,
-                      triangle_rule)
+                      gradients, h1_semi_error, interpolate, l2_error,
+                      l2_norm, tensor_trace, tensor_values, triangle_rule)
 from .hessian import HessianOperator, fe_hessian, hessian_operator
 from .mesh import (Triangulation, build_initial_mesh, conformity_errors,
-                   min_angle_degrees, refine, uniform_refine)
+                   refine, uniform_refine)
 from .solver import (Discretisation, ProblemData, SolveReport, SolverConfig,
                      StepFactor, apply_dirichlet, assemble_step,
                      default_initializer, diffusion_tensor, fixed_point_solve,

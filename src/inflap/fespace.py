@@ -199,23 +199,6 @@ def h1_semi_error(u: FEFunction, exact_gradient) -> float:
     return float(np.sqrt(mesh.areas @ (sq @ rule.weights)))
 
 
-def integrate(field, mesh: Triangulation):
-    """Integral over the whole mesh of a callable or FE function.
-
-    Callables and P1 functions integrate to a float (order-4 quadrature);
-    tensor fields integrate componentwise to a (2, 2) array.
-    """
-    rule = triangle_rule(4)
-    if isinstance(field, FEFunction):
-        if isinstance(field.space, SpaceP0Tensor):
-            mats = tensor_values(field)
-            return np.einsum("t,trc->rc", mesh.areas, mats)
-        return float(mesh.areas @ (values_at(field, rule) @ rule.weights))
-    pts = physical_points(mesh, rule)
-    vals = evaluate_field(field, pts[..., 0], pts[..., 1])
-    return float(mesh.areas @ (vals @ rule.weights))
-
-
 def l2_norm(u: FEFunction) -> float:
     """Exact L2 norm of a P1 function (elementwise mass matrix identity)."""
     mesh = u.space.mesh

@@ -358,21 +358,6 @@ def _bisect(mesh, edge_marked):
                          level=mesh.level + 1, parents=parents, new_vertex_parents=pairs)
 
 
-def min_angle_degrees(mesh: Triangulation) -> float:
-    """Smallest interior angle over all triangles, in degrees."""
-    p = mesh.vertex_coords[mesh.triangle_vertices]
-    edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    lengths = np.sqrt((edge_vec ** 2).sum(axis=2))
-    small = np.inf
-    for i in range(3):
-        opposite = lengths[:, i]
-        adj1 = lengths[:, (i + 1) % 3]
-        adj2 = lengths[:, (i + 2) % 3]
-        cos = (adj1 ** 2 + adj2 ** 2 - opposite ** 2) / (2.0 * adj1 * adj2)
-        small = min(small, np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min())
-    return float(small)
-
-
 def conformity_errors(mesh: Triangulation, tol: float = 1e-12) -> list[str]:
     """Brute-force conformity check, intended as an independent oracle.
 

@@ -19,10 +19,9 @@ the LU factor of the first step matrix.  Its ``step`` maps an iterate to
 the next: it contracts each element's block with its diffusion tensor,
 scatters the result into the fixed pattern, lifts the boundary values by
 gathering the kept entries and solves.  Later steps on the same mesh differ
-only through the frozen gradient direction, so that factor preconditions
-restarted GMRES (Saad & Schultz 1986) for them, started from the previous
-step's solution; a step GMRES cannot settle is refactored and solved
-directly.
+only through the frozen gradient direction, so they are solved by iterative
+refinement with that factor (Moler 1967), started from the previous step's
+solution; a step whose refinement stalls is refactored and solved directly.
 """
 
 from __future__ import annotations
@@ -43,22 +42,18 @@ from .mesh import Triangulation
 
 logger = logging.getLogger(__name__)
 
-# Later steps on a mesh run GMRES preconditioned by the LU of an earlier
-# step matrix.  A GMRES iteration costs about one LU solve, 1/25 to 1/40 of
-# a factorisation at 8k to 33k dofs, so GMRES gives up and the step is
-# refactored once its preconditioned residual falls by less than
-# GMRES_MIN_RATE per iteration on average (at that pace the 1e-12 target
-# takes more than about 20 iterations), or after GMRES_CYCLES cycles of
-# GMRES_RESTART iterations.
-GMRES_RESTART = 20
-GMRES_CYCLES = 2
-GMRES_MIN_RATE = 0.3
+# Later steps on a mesh are refined iteratively with the LU of an earlier
+# step matrix.  An LU solve costs 1/25 to 1/40 of a factorisation at 8k to
+# 33k dofs, so the refinement gives up and the step is refactored once its
+# true residual falls by less than REFINE_MIN_RATE per LU solve on average
+# (at that pace the 1e-12 target takes more than about 20 solves).
+REFINE_MIN_RATE = 0.3
 
 # Floor on |p|^2 in the diffusion tensor; it only guards the exact 0/0 case
 # of an element where the frozen gradient vanishes.
 GRADIENT_FLOOR = 1e-10
 
-# Largest relative residual a linear solve may return; a GMRES result is
+# Largest relative residual a linear solve may return; a refinement is
 # accepted only at 1e-2 of it.
 LINEAR_SOLVER_TOL = 1e-10
 
@@ -99,10 +94,10 @@ class SolveReport:
 
     ``iterations`` counts linear solves.  ``linear_residuals`` holds the
     true relative residual of each step's linear solve,
-    ``linear_iterations`` its GMRES iterations (0 for a step solved by a
-    fresh factorisation) and ``factorizations`` the number of LU
-    factorisations of step matrices (one per mesh unless GMRES had to fall
-    back).
+    ``linear_iterations`` its LU solves in iterative refinement (0 for a
+    step solved by a fresh factorisation) and ``factorizations`` the number
+    of LU factorisations of step matrices (one per mesh unless a refinement
+    stalled).
     """
 
     solution: FEFunction
@@ -120,9 +115,9 @@ class StepFactor:
     ``lu`` is the SuperLU factor of the last matrix factored through this
     holder (None before the first solve), ``factorizations`` counts the
     factorisations, ``solution`` is the last solution (the start of the
-    next GMRES run), and ``residual`` and ``iterations`` are the true
-    relative residual and the GMRES iterations (0 when factored) of the
-    last solve.
+    next refinement), and ``residual`` and ``iterations`` are the true
+    relative residual and the refinement's LU solves (0 when factored) of
+    the last solve.
     """
 
     def __init__(self):
@@ -140,8 +135,8 @@ def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
     {0, 1}, and below the floor it is smaller still, so the spectrum always
     sits inside [1/tau, 1 + 1/tau].
     """
-    if tau <= 0:
-        raise InvalidArgumentError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise InvalidArgumentError("tau must be positive and finite")
     grad = gradients(u)
     denom = np.maximum((grad ** 2).sum(axis=1), GRADIENT_FLOOR)
     out = grad[:, :, None] * grad[:, None, :] / denom[:, None, None]
@@ -256,35 +251,24 @@ def _relative_residual(matrix, solution, rhs) -> float:
     return residual / scale if scale > 0 else residual
 
 
-class _Stalled(Exception):
-    """GMRES converges too slowly to beat a fresh factorisation."""
+def _refine(matrix, rhs, lu, start, accept):
+    """Iterative refinement (Moler 1967) with ``lu`` from ``start``.
 
-
-def _preconditioned_gmres(matrix, rhs, lu, start, rtol):
-    """GMRES preconditioned by ``lu``, from ``start`` plus one LU correction.
-
-    Returns the solution and the number of iterations, or None if GMRES
-    stalls.
+    The first LU solve corrects ``start`` (zero when None).  Returns the
+    solution and the number of LU solves once the true relative residual
+    is at most ``accept``, or None once it falls by less than
+    REFINE_MIN_RATE per LU solve on average after the first.
     """
-    residuals = []
-
-    def watch(residual):
-        residuals.append(residual)
-        if residual > residuals[0] * GMRES_MIN_RATE ** (len(residuals) - 1):
-            raise _Stalled
-
-    # The operator holds the bound lu.solve; it dies with this frame, so the
-    # caller can drop the factor by clearing its own reference.
-    preconditioner = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float)
-    x0 = lu.solve(rhs) if start is None else start + lu.solve(rhs - matrix @ start)
-    try:
-        solution, _ = spla.gmres(matrix, rhs, x0=x0, rtol=rtol, atol=0.0,
-                                 restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
-                                 M=preconditioner, callback=watch,
-                                 callback_type="pr_norm")
-    except _Stalled:
-        return None
-    return solution, len(residuals)
+    solution = lu.solve(rhs) if start is None else start + lu.solve(rhs - matrix @ start)
+    solves = 1
+    first = relative = _relative_residual(matrix, solution, rhs)
+    while not relative <= accept:
+        if solves > 1 and not relative < first * REFINE_MIN_RATE ** (solves - 1):
+            return None
+        solution = solution + lu.solve(rhs - matrix @ solution)
+        solves += 1
+        relative = _relative_residual(matrix, solution, rhs)
+    return solution, solves
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
@@ -294,35 +278,27 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     A matrix is factored by SuperLU with the COLAMD column ordering, the
     result ``scipy.sparse.linalg.spsolve`` gives bit for bit.  With a
     ``factor`` holder that already carries an LU (of an earlier, similar
-    matrix), the solve runs restarted GMRES preconditioned by that LU,
-    started from the holder's last solution plus the LU solve of its
-    residual, and accepts the result when GMRES does not stall and its true
-    relative residual is at most ``1e-2 * LINEAR_SOLVER_TOL``.  Otherwise
-    the old LU is released, ``matrix`` is factored, stored in the holder and
-    solved directly.  Either way a relative residual above
-    ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
+    matrix), the solve refines iteratively with that LU, started from the
+    holder's last solution plus the LU solve of its residual, until the
+    true relative residual is at most ``1e-2 * LINEAR_SOLVER_TOL``.  If the
+    refinement stalls, the old LU is released, ``matrix`` is factored,
+    stored in the holder and solved directly.  Either way a relative
+    residual above ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
-    accept = 1e-2 * LINEAR_SOLVER_TOL
-    solution, iterations = None, 0
+    result = None
     if holder.lu is not None:
-        result = _preconditioned_gmres(matrix, rhs, holder.lu, holder.solution, accept)
-        if result is not None:
-            solution, iterations = result
-            relative = _relative_residual(matrix, solution, rhs)
-            if not relative <= accept:
-                solution, iterations = None, 0
-    if solution is None:
+        result = _refine(matrix, rhs, holder.lu, holder.solution, 1e-2 * LINEAR_SOLVER_TOL)
+    if result is None:
         holder.lu = None        # release the old factor before building a new one
         try:
             holder.lu = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
         except RuntimeError as singular:
             raise SolverFailure(f"linear solve failed: {singular}") from singular
         holder.factorizations += 1
-        solution = holder.lu.solve(rhs)
-        relative = _relative_residual(matrix, solution, rhs)
-    holder.residual = relative
-    holder.iterations = iterations
+        result = holder.lu.solve(rhs), 0
+    solution, holder.iterations = result
+    relative = holder.residual = _relative_residual(matrix, solution, rhs)
     if not relative <= LINEAR_SOLVER_TOL:
         raise SolverFailure(
             f"linear solve reached relative residual {relative:.3e} "
@@ -362,8 +338,8 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
 
     One ``Discretisation`` of the mesh is built per call, and each
     iteration is its ``step``.  The first step matrix is factored, and
-    later steps reuse that LU to precondition GMRES started from the
-    previous step's solution.
+    later steps refine iteratively with that LU, started from the previous
+    step's solution.
     """
     config = config if config is not None else SolverConfig()
     if initial is not None and initial.space.mesh is not mesh:
@@ -389,7 +365,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         increment = l2_norm(FEFunction(disc.space, proposed.coefficients - current.coefficients))
         increments.append(increment)
         logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
-                     "linear residual %.2e, GMRES iterations %d, factorizations %d",
+                     "linear residual %.2e, LU solves %d, factorizations %d",
                      iteration, increment, tolerance, factor.residual,
                      factor.iterations, factor.factorizations)
         if increment <= tolerance:

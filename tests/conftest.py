@@ -1,16 +1,51 @@
-"""Shared brute-force oracles and test meshes for the test suite.
+"""Shared brute-force oracles, test meshes and helpers for the test suite.
 
-Everything here recomputes geometry from scratch (affine solves, explicit
-edge dictionaries, plain loops) or assembles with general sparse products,
-so it stays independent of the vectorised code paths it is used to check.
+The oracles recompute geometry from scratch (affine solves, explicit edge
+dictionaries, plain loops) or assemble with general sparse products, so
+they stay independent of the vectorised code paths they are used to
+check.  ``integrate`` and ``min_angle_degrees`` are measurements that only
+the tests need.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from inflap.fespace import (evaluate_field, physical_points, tensor_trace,
-                            triangle_rule)
+from inflap.fespace import (FEFunction, SpaceP0Tensor, evaluate_field,
+                            physical_points, tensor_trace, tensor_values,
+                            triangle_rule, values_at)
 from inflap.mesh import Triangulation, build_initial_mesh, refine, uniform_refine
+
+
+def integrate(field, mesh):
+    """Integral over the whole mesh of a callable or FE function.
+
+    Callables and P1 functions integrate to a float (order-4 quadrature);
+    tensor fields integrate componentwise to a (2, 2) array.
+    """
+    rule = triangle_rule(4)
+    if isinstance(field, FEFunction):
+        if isinstance(field.space, SpaceP0Tensor):
+            mats = tensor_values(field)
+            return np.einsum("t,trc->rc", mesh.areas, mats)
+        return float(mesh.areas @ (values_at(field, rule) @ rule.weights))
+    pts = physical_points(mesh, rule)
+    vals = evaluate_field(field, pts[..., 0], pts[..., 1])
+    return float(mesh.areas @ (vals @ rule.weights))
+
+
+def min_angle_degrees(mesh):
+    """Smallest interior angle over all triangles, in degrees."""
+    p = mesh.vertex_coords[mesh.triangle_vertices]
+    edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    lengths = np.sqrt((edge_vec ** 2).sum(axis=2))
+    small = np.inf
+    for i in range(3):
+        opposite = lengths[:, i]
+        adj1 = lengths[:, (i + 1) % 3]
+        adj2 = lengths[:, (i + 2) % 3]
+        cos = (adj1 ** 2 + adj2 ** 2 - opposite ** 2) / (2.0 * adj1 * adj2)
+        small = min(small, np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min())
+    return float(small)
 
 
 def oracle_meshes():

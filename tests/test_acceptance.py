@@ -13,11 +13,10 @@ import pytest
 from inflap import (AdaptiveConfig, Discretisation, FEFunction, SpaceP1,
                     adaptive_solve, apply_dirichlet, assemble_step,
                     build_initial_mesh, conformity_errors, convergence_study,
-                    estimate, fe_hessian, gradients, integrate, interpolate,
-                    min_angle_degrees, refine, registry, solve_linear,
-                    uniform_refine)
+                    estimate, fe_hessian, gradients, interpolate, refine,
+                    registry, solve_linear, uniform_refine)
 from inflap.cli import main
-from conftest import brute_saddle
+from conftest import brute_saddle, integrate, min_angle_degrees
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from inflap import (FEFunction, SpaceP1, build_initial_mesh, estimate,
-                    fe_hessian, interpolate, jump_residuals, refine,
-                    tensor_trace, uniform_refine)
+from inflap import (FEFunction, InvalidArgumentError, SpaceP1,
+                    build_initial_mesh, estimate, fe_hessian, interpolate,
+                    jump_residuals, refine, tensor_trace, uniform_refine)
 from inflap.estimator import interior_residual_norms
 
 ZERO = lambda x, y: np.zeros(np.shape(x))
@@ -86,6 +86,13 @@ def test_estimate_zero_case():
     assert field.global_estimate <= 1e-12
     assert field.eta_total <= 1e-12
     assert np.abs(field.eta).max() <= 1e-12
+
+
+def test_estimate_rejects_non_finite_tau():
+    mesh = build_initial_mesh(2)
+    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
+    with pytest.raises(InvalidArgumentError):
+        estimate(mesh, u, u, TWO, tau=np.nan)
 
 
 def test_estimate_is_nonnegative_and_aggregates_match():

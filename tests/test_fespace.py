@@ -5,10 +5,10 @@ import pytest
 
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
                     SpaceP0Tensor, SpaceP1, build_initial_mesh, gradients,
-                    h1_semi_error, integrate, interpolate, l2_error, l2_norm,
-                    refine, tensor_trace, tensor_values, triangle_rule,
+                    h1_semi_error, interpolate, l2_error, l2_norm, refine,
+                    tensor_trace, tensor_values, triangle_rule,
                     uniform_refine)
-from conftest import affine_gradient
+from conftest import affine_gradient, integrate
 
 
 # ------------------------------------------------------------------ quadrature

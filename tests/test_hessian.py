@@ -4,9 +4,9 @@ import pytest
 import scipy.sparse as sp
 
 from inflap import (FEFunction, SpaceP1, build_initial_mesh, fe_hessian,
-                    gradients, hessian_operator, integrate, interpolate,
-                    refine, tensor_values, uniform_refine)
-from conftest import (edge_dictionary, hat_gradients, oracle_meshes,
+                    gradients, hessian_operator, interpolate, refine,
+                    tensor_values, uniform_refine)
+from conftest import (edge_dictionary, hat_gradients, integrate, oracle_meshes,
                       outward_normal, perturbed_mesh, tri_area)
 
 

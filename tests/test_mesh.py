@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
-                    conformity_errors, min_angle_degrees, refine,
-                    uniform_refine)
+                    conformity_errors, refine, uniform_refine)
+from conftest import min_angle_degrees
 
 
 def test_initial_mesh_counts_n1():

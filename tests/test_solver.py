@@ -58,11 +58,12 @@ def test_diffusion_tensor_eigenvalue_bounds():
         assert eigs.max() <= 1.0 + 1.0 / tau + 1e-12
 
 
-def test_diffusion_tensor_rejects_bad_parameters():
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+def test_diffusion_tensor_rejects_bad_parameters(tau):
     mesh = build_initial_mesh(1)
     u = interpolate(SpaceP1(mesh), lambda x, y: x)
     with pytest.raises(InvalidArgumentError):
-        diffusion_tensor(u, tau=0.0)
+        diffusion_tensor(u, tau=tau)
 
 
 # -------------------------------------------------------------------- assembly
@@ -447,7 +448,7 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study():
     for (mesh, report), row in zip(levels, table.rows):
         assert report.factorizations == 1
         assert max(report.linear_residuals) <= 1e-2 * LINEAR_SOLVER_TOL
-        # the factored first step takes no GMRES iterations, the later ones some
+        # the factored first step takes no refinement LU solves, the later ones some
         assert len(report.linear_iterations) == report.iterations
         assert report.linear_iterations[0] == 0 and min(report.linear_iterations[1:]) > 0
         direct, iterations = _direct_fixed_point(mesh, ARONSSON, config)
@@ -456,7 +457,7 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study():
             l2_error(direct, ARONSSON.exact_solution), rel=1e-9)
 
 
-def test_gmres_starts_from_the_last_solution(monkeypatch):
+def test_refinement_starts_from_the_last_solution():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
     u = default_initializer(disc)
@@ -467,31 +468,27 @@ def test_gmres_starts_from_the_last_solution(monkeypatch):
     assert holder.iterations == 0 and holder.factorizations == 1
     assert np.array_equal(holder.solution, first)
 
-    # a nearby system: the start is the last solution plus one LU correction
+    # a nearby system: the first LU solve corrects the last solution's residual
     nudged = matrix + 1e-3 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
-    starts = []
-    real_gmres = inflap.solver.spla.gmres
-
-    def gmres(*args, **kwargs):
-        starts.append(kwargs["x0"])
-        return real_gmres(*args, **kwargs)
-
-    monkeypatch.setattr(inflap.solver.spla, "gmres", gmres)
+    holder.lu = recording = _RecordingFactor(holder.lu)
     second = solve_linear(nudged, rhs, factor=holder)
-    lu = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
-    assert np.array_equal(starts[0], first + lu.solve(rhs - nudged @ first))
-    assert holder.factorizations == 1 and holder.iterations > 0
+    assert np.array_equal(recording.solved[0], rhs - nudged @ first)
+    assert holder.factorizations == 1
+    assert holder.iterations == len(recording.solved) > 0
     assert np.array_equal(holder.solution, second)
     assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
 
 
-class _WeakFactor:
-    """Stands in for a stored LU; weakly referable, unlike SuperLU."""
+class _RecordingFactor:
+    """Stands in for a stored LU and records the right-hand sides it solves;
+    weakly referable, unlike SuperLU."""
 
     def __init__(self, lu):
         self.lu = lu
+        self.solved = []
 
     def solve(self, rhs):
+        self.solved.append(rhs)
         return self.lu.solve(rhs)
 
 
@@ -505,8 +502,9 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
                           random_state=rng, format="csc") + 4.0 * sp.identity(
                               matrix.shape[0], format="csc")
     holder = StepFactor()
-    holder.lu = _WeakFactor(spla.splu(unrelated.tocsc()))
+    holder.lu = _RecordingFactor(spla.splu(unrelated.tocsc()))
     stale = weakref.ref(holder.lu)
+    stale_solves = holder.lu.solved
 
     factor_calls = []
     real_splu = inflap.solver.spla.splu
@@ -518,6 +516,7 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     monkeypatch.setattr(inflap.solver.spla, "splu", splu)
     solution = solve_linear(matrix, rhs, factor=holder)
     assert factor_calls == [True]
+    assert len(stale_solves) == 2       # the refinement stalls at its first check
     assert holder.factorizations == 1
     assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, spla.spsolve(matrix.tocsc(), rhs))

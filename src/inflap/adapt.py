@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_positive_integer
 from .estimator import IndicatorField, estimate
 from .fespace import FEFunction, SpaceP1, h1_semi_error, l2_error
 from .mesh import Triangulation, refine
@@ -32,15 +32,16 @@ class AdaptiveConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     tau: Optional[float] = None
     dof_budget: int = 200_000
-    hessian_trace_residual: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise InvalidArgumentError("theta must lie in (0, 1]")
         if not 0.0 < self.estimator_tol < np.inf:
             raise InvalidArgumentError("estimator_tol must be positive and finite")
-        if self.max_cycles < 1 or self.dof_budget < 1:
-            raise InvalidArgumentError("cycle and dof budgets must be positive")
+        if not (self.tau is None or 0.0 < self.tau < np.inf):
+            raise InvalidArgumentError("tau must be None or positive and finite")
+        if not (is_positive_integer(self.max_cycles) and is_positive_integer(self.dof_budget)):
+            raise InvalidArgumentError("cycle and dof budgets must be positive integers")
 
 
 @dataclass
@@ -122,7 +123,7 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         # so the indicator measures the residual of the solution instead of
         # the (tolerance-sized) last linearisation step.
         indicators = estimate(mesh, report.solution, report.solution, problem.f,
-                              problem.tau, hessian_trace=config.hessian_trace_residual)
+                              problem.tau)
         record = CycleRecord(
             cycle=cycle, dofs=mesh.vertex_count, triangles=mesh.triangle_count,
             estimator=indicators.eta_total, estimator_l1=indicators.global_estimate,

@@ -17,7 +17,7 @@ import numpy as np
 from .adapt import AdaptiveHistory
 from .errors import DivergenceError, InvalidArgumentError, SolverFailure
 from .estimator import IndicatorField, estimate
-from .fespace import FEFunction, SpaceP0Tensor, h1_semi_error, l2_error
+from .fespace import FEFunction, h1_semi_error, l2_error
 from .mesh import Triangulation, build_initial_mesh, uniform_refine
 from .solver import ProblemData, SolverConfig, fixed_point_solve
 
@@ -105,8 +105,7 @@ def _eoc(coarse, fine, h_coarse, h_fine):
 
 def convergence_study(problem, levels: int, tau: Optional[float] = None,
                       solver_config: Optional[SolverConfig] = None,
-                      initial_n: int = 4, hessian_trace: bool = False,
-                      on_level: Optional[Callable] = None) -> EOCTable:
+                      initial_n: int = 4, on_level: Optional[Callable] = None) -> EOCTable:
     """Uniform-refinement study recording errors, estimators and rates.
 
     Starts from the criss-cross mesh with ``initial_n`` squares per side
@@ -135,8 +134,7 @@ def convergence_study(problem, levels: int, tau: Optional[float] = None,
             failure.partial_table = table
             raise
         # self-consistent pair, see the note in adapt.adaptive_solve
-        indicators = estimate(mesh, report.solution, report.solution, data.f, data.tau,
-                              hessian_trace=hessian_trace)
+        indicators = estimate(mesh, report.solution, report.solution, data.f, data.tau)
         if not report.converged:
             logger.warning("level %d: fixed-point solve did not converge in %d iterations",
                            level, report.iterations)
@@ -212,26 +210,24 @@ def _ascii(values, per_line=6):
 def write_vtu(mesh: Triangulation, fields, path) -> None:
     """ASCII XML unstructured-grid file with triangle cells.
 
-    P1 functions become point data, tensor fields become four-component
-    cell data, indicator fields and plain per-triangle arrays become
-    scalar cell data; per-vertex arrays become point data.
+    P1 functions and (nv,) arrays become point data.  Indicator fields
+    and arrays whose first axis has one entry per triangle become cell
+    data with one component per remaining entry, so an (nt, 2, 2)
+    recovered Hessian writes as four-component cell data.
     """
     point_data: list[tuple[str, np.ndarray, int]] = []
     cell_data: list[tuple[str, np.ndarray, int]] = []
     nv, nt = mesh.vertex_count, mesh.triangle_count
     for name, value in dict(fields or {}).items():
         if isinstance(value, FEFunction):
-            if isinstance(value.space, SpaceP0Tensor):
-                cell_data.append((name, value.coefficients, 4))
-            else:
-                point_data.append((name, value.coefficients, 1))
+            point_data.append((name, value.coefficients, 1))
         elif isinstance(value, IndicatorField):
             cell_data.append((name, value.eta, 1))
         else:
-            array = np.asarray(value, dtype=float).reshape(-1)
-            if len(array) == nt:
-                cell_data.append((name, array, 1))
-            elif len(array) == nv:
+            array = np.asarray(value, dtype=float)
+            if array.ndim and len(array) == nt:
+                cell_data.append((name, array, array.size // nt))
+            elif array.shape == (nv,):
                 point_data.append((name, array, 1))
             else:
                 raise InvalidArgumentError(

@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iters", type=int, default=100)
     solve.add_argument("--initial-n", type=int, default=4,
                        help="squares per side of the starting criss-cross mesh")
-    solve.add_argument("--estimator-hessian-trace", action="store_true",
-                       help="add trace(H)/tau to the interior residual")
     solve.add_argument("--out", default=None)
 
     adapt = sub.add_parser("adapt", help="adaptive solve-estimate-mark-refine run")
@@ -58,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--tol-factor", type=float, default=10.0)
     adapt.add_argument("--max-iters", type=int, default=100)
     adapt.add_argument("--initial-n", type=int, default=4)
-    adapt.add_argument("--estimator-hessian-trace", action="store_true")
     adapt.add_argument("--out", default=None)
     return parser
 
@@ -87,9 +84,7 @@ def _run_solve(args) -> int:
     try:
         table = convergence_study(args.problem, args.levels, tau=args.tau,
                                   solver_config=_solver_config(args),
-                                  initial_n=args.initial_n,
-                                  hessian_trace=args.estimator_hessian_trace,
-                                  on_level=on_level)
+                                  initial_n=args.initial_n, on_level=on_level)
     except (SolverFailure, DivergenceError) as failure:
         partial = getattr(failure, "partial_table", None)
         if partial is not None and partial.rows:
@@ -117,8 +112,7 @@ def _run_adapt(args) -> int:
     tau = args.tau if args.tau is not None else problem.adaptive_tau
     config = AdaptiveConfig(estimator_tol=args.tol, theta=args.theta,
                             max_cycles=args.max_cycles, solver=_solver_config(args),
-                            tau=tau, dof_budget=args.dof_budget,
-                            hessian_trace_residual=args.estimator_hessian_trace)
+                            tau=tau, dof_budget=args.dof_budget)
     mesh = build_initial_mesh(args.initial_n)
     try:
         report, final_mesh, history = adaptive_solve(problem.data, mesh, config)
@@ -130,7 +124,7 @@ def _run_adapt(args) -> int:
     write_csv(history, csv_path)
     # the same self-consistent pair as the history's estimator
     indicators = estimate(final_mesh, report.solution, report.solution,
-                          problem.data.f, tau, hessian_trace=args.estimator_hessian_trace)
+                          problem.data.f, tau)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
     write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
               vtu_path)

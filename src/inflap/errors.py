@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer argument check shared across the package."""
+
+import numpy as np
+
+
+def is_positive_integer(value) -> bool:
+    """True for a Python or NumPy integer of at least one; bools are rejected."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 class InvalidArgumentError(ValueError):

@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fespace import (FEFunction, evaluate_field, gradients, physical_points,
-                      tensor_trace, triangle_rule)
-from .hessian import fe_hessian
+                      triangle_rule)
 from .mesh import Triangulation
 from .solver import diffusion_tensor
 
@@ -55,23 +54,15 @@ class IndicatorField:
     eta_total: float
 
 
-def interior_residual_norms(mesh: Triangulation, u_prev: FEFunction, f, tau: float,
-                            hessian_trace: bool = False) -> np.ndarray:
+def interior_residual_norms(mesh: Triangulation, f) -> np.ndarray:
     """L2 norm over each element of the interior residual (order-4 quadrature).
 
     Broken second derivatives of P1 iterates vanish, so the residual is
-    f itself; with ``hessian_trace`` the elementwise constant
-    trace(H[u_prev]) / tau is added instead of the (zero) broken
-    Laplacian, which is the variant matching the scheme's right-hand
-    side.
+    f itself.
     """
-    if u_prev.space.mesh is not mesh:
-        raise InvalidArgumentError("u_prev must live on the given mesh")
     rule = triangle_rule(4)
     pts = physical_points(mesh, rule)
-    vals = evaluate_field(f, pts[..., 0], pts[..., 1]).copy()
-    if hessian_trace:
-        vals += (tensor_trace(fe_hessian(u_prev)) / tau)[:, None]
+    vals = evaluate_field(f, pts[..., 0], pts[..., 1])
     return np.sqrt(mesh.areas * ((vals ** 2) @ rule.weights))
 
 
@@ -101,10 +92,10 @@ def jump_residuals(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
 
 
 def estimate(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
-             f, tau: float, hessian_trace: bool = False) -> IndicatorField:
+             f, tau: float) -> IndicatorField:
     """Assemble the indicator field for a pair of iterates."""
-    residual_norms = interior_residual_norms(mesh, u_prev, f, tau, hessian_trace)
     jump_values = jump_residuals(mesh, u_prev, u_next, tau)
+    residual_norms = interior_residual_norms(mesh, f)
 
     interior = mesh.diameters * residual_norms
     edge_lengths = mesh.edge_lengths[mesh.interior_edge_ids]

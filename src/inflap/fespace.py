@@ -1,10 +1,7 @@
-"""Lowest-order finite element spaces, interpolation, quadrature and norms.
+"""The lowest-order finite element space, interpolation, quadrature and norms.
 
 The trial space is continuous piecewise-affine (one degree of freedom per
-vertex).  Recovered second derivatives live in the space of elementwise
-constant 2x2 tensors whose coefficients are stored element-major and
-row-major within the element: (K0.a11, K0.a12, K0.a21, K0.a22, K1.a11,
-...).
+vertex).
 
 Scalar fields passed into this module are callables ``f(x, y)`` that
 accept numpy arrays and broadcast; gradient fields return an ``(gx, gy)``
@@ -95,22 +92,10 @@ class SpaceP1:
     def __init__(self, mesh: Triangulation):
         self.mesh = mesh
         self.dof_count = mesh.vertex_count
-        self.boundary_dofs = np.flatnonzero(mesh.vertex_on_boundary)
-        self.boundary_dofs.setflags(write=False)
-
-
-class SpaceP0Tensor:
-    """Elementwise constant 2x2 tensors with row-major component order."""
-
-    components = 4
-
-    def __init__(self, mesh: Triangulation):
-        self.mesh = mesh
-        self.dof_count = self.components * mesh.triangle_count
 
 
 class FEFunction:
-    """Coefficient vector over one of the spaces above."""
+    """Coefficient vector over a ``SpaceP1``."""
 
     def __init__(self, space, coefficients):
         coeffs = np.array(coefficients, dtype=float).reshape(-1)
@@ -150,17 +135,6 @@ def gradients(u: FEFunction) -> np.ndarray:
     mesh = u.space.mesh
     values = u.coefficients[mesh.triangle_vertices]
     return np.einsum("tid,ti->td", mesh.basis_gradients, values)
-
-
-def tensor_values(u: FEFunction) -> np.ndarray:
-    """(nt, 2, 2) view of a tensor-valued coefficient vector."""
-    nt = u.space.mesh.triangle_count
-    return u.coefficients.reshape(nt, 2, 2)
-
-
-def tensor_trace(u: FEFunction) -> np.ndarray:
-    mats = tensor_values(u)
-    return mats[:, 0, 0] + mats[:, 1, 1]
 
 
 def physical_points(mesh: Triangulation, rule: QuadratureRule) -> np.ndarray:

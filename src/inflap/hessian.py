@@ -10,12 +10,13 @@ because the test function is constant), which gives the closed form
 where gbar_e is the average of the gradients on the one or two elements
 meeting e, n_{K,e} is the unit normal pointing out of K, and (x) is the
 outer product.  ``fe_hessian`` evaluates this directly from a function's
-gradients; ``hessian_operator`` builds the same map once per mesh as one
-dense 4x6 block per element over the element's stencil (its own vertices
-and the vertex across each interior edge), which is what the solver
-substitutes into its linear systems.  The operator also carries the sparse
-pattern of the step matrix those blocks fill, so a step only computes new
-values.
+gradients as an (nt, 2, 2) array, whose trace the solver puts into the
+right-hand side; ``hessian_operator`` builds the same map once per mesh as
+one dense 4x6 block per element over the element's stencil (its own
+vertices and the vertex across each interior edge), which is what the
+solver substitutes into its linear systems.  The operator also carries
+the sparse pattern of the step matrix those blocks fill, so a step only
+computes new values.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import FEFunction, SpaceP0Tensor, gradients
+from .fespace import FEFunction, gradients
 from .mesh import Triangulation
 
 
-def fe_hessian(v: FEFunction) -> FEFunction:
+def fe_hessian(v: FEFunction) -> np.ndarray:
     """Elementwise 2x2 Hessian recovered from edge jumps of the gradient.
 
-    Returns a tensor-valued function over ``SpaceP0Tensor``.  The result
+    Returns an (nt, 2, 2) array, row-major within each element.  The result
     vanishes identically for globally affine inputs because the
     length-weighted outward normals of each element sum to zero.
     """
@@ -55,8 +56,7 @@ def fe_hessian(v: FEFunction) -> FEFunction:
     terms = np.concatenate([weighted, -weighted, weighted_boundary])
     out = np.bincount((4 * receivers[:, None] + np.arange(4)).reshape(-1),
                       weights=terms.reshape(-1), minlength=4 * mesh.triangle_count)
-    out = out.reshape(-1, 2, 2) / mesh.areas[:, None, None]
-    return FEFunction(SpaceP0Tensor(mesh), out.reshape(-1))
+    return out.reshape(-1, 2, 2) / mesh.areas[:, None, None]
 
 
 class HessianOperator:

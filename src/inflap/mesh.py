@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_positive_integer
 
 # Dyadic refinement of [-1, 1]^2 keeps boundary coordinates exactly at +-1,
 # so boundary membership only needs a tiny absolute tolerance.
@@ -45,16 +45,14 @@ class Triangulation:
 
     Triangles are stored with their refinement edge joining local
     vertices 0 and 1; the vertex opposite that edge (the newest vertex of
-    the bisection genealogy) sits in slot 2, so ``refinement_edges`` is
-    always 2 after construction.  Vertex order is counterclockwise.
+    the bisection genealogy) sits in slot 2, so ``triangle_edges[:, 2]``
+    holds the refinement edges.  Vertex order is counterclockwise.
 
     Attributes
     ----------
     vertex_coords : (nv, 2) float array
     vertex_on_boundary : (nv,) bool array
     triangle_vertices : (nt, 3) int array
-    refinement_edges : (nt,) int array, local edge index opposite the newest vertex
-    parents : (nt,) int array, id in the mesh this one was refined from (-1 for roots)
     areas, diameters, centroids : per-triangle geometry
     basis_gradients : (nt, 3, 2) gradients of the three hat functions
     edge_vertices : (ne, 2) int array, endpoint ids with the smaller one first
@@ -68,7 +66,7 @@ class Triangulation:
     """
 
     def __init__(self, vertex_coords, triangle_vertices, refinement_edges=None,
-                 level=0, parents=None, new_vertex_parents=None, validate=True):
+                 level=0, new_vertex_parents=None, validate=True):
         coords = np.array(vertex_coords, dtype=float)
         tris = np.array(triangle_vertices, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -92,12 +90,7 @@ class Triangulation:
         self.vertex_coords = coords
         self.vertex_on_boundary = np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL
         self.triangle_vertices = tris
-        self.refinement_edges = np.full(nt, 2, dtype=np.int64)
         self.level = int(level)
-        if parents is None:
-            self.parents = np.full(nt, -1, dtype=np.int64)
-        else:
-            self.parents = np.array(parents, dtype=np.int64)
         self.new_vertex_parents = (None if new_vertex_parents is None
                                    else np.array(new_vertex_parents, dtype=np.int64))
 
@@ -115,10 +108,10 @@ class Triangulation:
         if validate:
             self._validate_domain()
         for arr in (self.vertex_coords, self.vertex_on_boundary, self.triangle_vertices,
-                    self.refinement_edges, self.parents, self.areas, self.diameters,
-                    self.centroids, self.basis_gradients, self.edge_vertices,
-                    self.edge_triangles, self.edge_normals, self.edge_lengths,
-                    self.triangle_edges, self.interior_edge_ids, self.boundary_edge_ids):
+                    self.areas, self.diameters, self.centroids, self.basis_gradients,
+                    self.edge_vertices, self.edge_triangles, self.edge_normals,
+                    self.edge_lengths, self.triangle_edges, self.interior_edge_ids,
+                    self.boundary_edge_ids):
             arr.setflags(write=False)
         if self.new_vertex_parents is not None:
             self.new_vertex_parents.setflags(write=False)
@@ -225,7 +218,7 @@ def build_initial_mesh(n: int) -> Triangulation:
     are the square sides (the longest edge of each triangle), an
     assignment that is compatible for newest-vertex bisection.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not is_positive_integer(n):
         raise InvalidArgumentError("n must be a positive integer")
     n = int(n)
     ticks = np.linspace(-1.0, 1.0, n + 1)
@@ -259,10 +252,9 @@ def refine(mesh: Triangulation, marked) -> Triangulation:
 
     Marked triangles are bisected through their refinement edge; any
     neighbor sharing a bisected edge is bisected as well, repeatedly,
-    until no hanging vertex remains.  Children record the id of the
-    triangle they came from and their refinement edges follow the
-    newest-vertex rule.  The input mesh is returned unchanged for an
-    empty marking.
+    until no hanging vertex remains.  The children's refinement edges
+    follow the newest-vertex rule.  The input mesh is returned unchanged
+    for an empty marking.
     """
     marked = np.unique(np.asarray(list(marked), dtype=np.int64))
     if marked.size == 0:
@@ -318,7 +310,6 @@ def _bisect(mesh, edge_marked):
     n_children = np.array([1, 2, 3, 3, 4])[case]
     start = np.concatenate([[0], np.cumsum(n_children)])
     out = np.empty((start[-1], 3), dtype=np.int64)
-    parents = np.repeat(np.arange(nt, dtype=np.int64), n_children)
 
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     m0 = midpoint_of[te[:, 0]]
@@ -355,7 +346,7 @@ def _bisect(mesh, edge_marked):
     emit(both, 3, (c, m2, m0))
 
     return Triangulation(coords, out, refinement_edges=np.full(len(out), 2, dtype=np.int64),
-                         level=mesh.level + 1, parents=parents, new_vertex_parents=pairs)
+                         level=mesh.level + 1, new_vertex_parents=pairs)
 
 
 def conformity_errors(mesh: Triangulation, tol: float = 1e-12) -> list[str]:

@@ -34,9 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DivergenceError, InvalidArgumentError, SolverFailure
+from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
+                     is_positive_integer)
 from .fespace import (FEFunction, SpaceP1, evaluate_field, gradients, l2_norm,
-                      physical_points, tensor_trace, triangle_rule)
+                      physical_points, triangle_rule)
 from .hessian import fe_hessian, hessian_operator
 from .mesh import Triangulation
 
@@ -84,8 +85,10 @@ class SolverConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not (0.0 < self.increment_tol_factor < np.inf and self.max_iterations > 0):
-            raise InvalidArgumentError("solver configuration values must be positive and finite")
+        if not (0.0 < self.increment_tol_factor < np.inf
+                and is_positive_integer(self.max_iterations)):
+            raise InvalidArgumentError("increment_tol_factor must be positive and finite "
+                                       "and max_iterations a positive integer")
 
 
 @dataclass
@@ -190,7 +193,7 @@ class Discretisation:
         return FEFunction(self.space, solve_linear(matrix, rhs, self.factor))
 
 
-def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: FEFunction):
+def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: np.ndarray):
     """Matrix and right-hand side of one linearised step.
 
     The matrix applies the hat-function test of A[u_prev] : H[.] with the
@@ -199,10 +202,11 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: FEFunction):
     three vertices, in the operator's fixed CSR pattern (an entry that sums
     to zero stays stored).  The matrix shares the operator's read-only
     index arrays.  The right-hand side is the load vector plus the
-    elementwise constant trace(h_prev) / tau tested with the hat functions.
+    elementwise constant trace(h_prev) / tau tested with the hat functions,
+    where ``h_prev`` is the (nt, 2, 2) recovered Hessian of ``fe_hessian``.
     """
     mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
-    if u_prev.space.mesh is not mesh or h_prev.space.mesh is not mesh:
+    if u_prev.space.mesh is not mesh or np.shape(h_prev) != (mesh.triangle_count, 2, 2):
         raise InvalidArgumentError("u_prev and h_prev must live on the discretisation's mesh")
 
     # A : B per element and stencil slot, summed in row-major component
@@ -219,7 +223,7 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: FEFunction):
                            shape=(mesh.vertex_count, mesh.vertex_count))
 
     # the load first, then each element's relaxation term on its vertices
-    relax = mesh.areas * tensor_trace(h_prev) / (3.0 * tau)
+    relax = mesh.areas * (h_prev[:, 0, 0] + h_prev[:, 1, 1]) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
                                       mesh.triangle_vertices.reshape(-1)]),
                       weights=np.concatenate([disc.load, np.repeat(relax, 3)]))

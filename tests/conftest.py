@@ -10,23 +10,22 @@ the tests need.
 import numpy as np
 import scipy.sparse as sp
 
-from inflap.fespace import (FEFunction, SpaceP0Tensor, evaluate_field,
-                            physical_points, tensor_trace, tensor_values,
+from inflap.fespace import (FEFunction, evaluate_field, physical_points,
                             triangle_rule, values_at)
 from inflap.mesh import Triangulation, build_initial_mesh, refine, uniform_refine
 
 
 def integrate(field, mesh):
-    """Integral over the whole mesh of a callable or FE function.
+    """Integral over the whole mesh of a callable, P1 function or tensor field.
 
     Callables and P1 functions integrate to a float (order-4 quadrature);
-    tensor fields integrate componentwise to a (2, 2) array.
+    elementwise constant (nt, 2, 2) tensor arrays integrate componentwise
+    to a (2, 2) array.
     """
     rule = triangle_rule(4)
+    if isinstance(field, np.ndarray):
+        return np.einsum("t,trc->rc", mesh.areas, field)
     if isinstance(field, FEFunction):
-        if isinstance(field.space, SpaceP0Tensor):
-            mats = tensor_values(field)
-            return np.einsum("t,trc->rc", mesh.areas, mats)
         return float(mesh.areas @ (values_at(field, rule) @ rule.weights))
     pts = physical_points(mesh, rule)
     vals = evaluate_field(field, pts[..., 0], pts[..., 1])
@@ -269,7 +268,7 @@ def sparse_product_dirichlet(matrix, rhs, space, g):
     boundary columns move into the right-hand side of the interior rows;
     the sparse products drop the entries that are exactly zero.
     """
-    boundary = space.boundary_dofs
+    boundary = np.flatnonzero(space.mesh.vertex_on_boundary)
     coords = space.mesh.vertex_coords[boundary]
     values = evaluate_field(g, coords[:, 0], coords[:, 1])
     lifted = np.zeros(space.dof_count)
@@ -311,7 +310,7 @@ def add_at_load_vector(mesh, f):
 def add_at_step_rhs(mesh, h_prev, problem):
     """Load vector plus |K| trace(h_prev) / (3 tau) on each vertex of K."""
     rhs = add_at_load_vector(mesh, problem.f)
-    relax = mesh.areas * tensor_trace(h_prev) / (3.0 * problem.tau)
+    relax = mesh.areas * (h_prev[:, 0, 0] + h_prev[:, 1, 1]) / (3.0 * problem.tau)
     np.add.at(rhs, mesh.triangle_vertices, relax[:, None])
     return rhs
 

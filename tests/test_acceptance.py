@@ -110,7 +110,7 @@ def test_criterion_6_hessian_property_suite():
     for mesh in meshes:
         u = interpolate(SpaceP1(mesh), lambda x, y: 0.7 - 1.3 * x + 0.4 * y)
         worst_affine = max(worst_affine,
-                           np.abs(fe_hessian(u).coefficients).max())
+                           np.abs(fe_hessian(u)).max())
 
     mesh = refine(build_initial_mesh(2), {2, 8, 11})
     space = SpaceP1(mesh)
@@ -138,7 +138,7 @@ def test_criterion_6_hessian_property_suite():
         eliminated = solve_linear(matrix, rhs_vec)
         saddle, rhs_for, _ = brute_saddle(small, u.coefficients, CLASSICAL.f,
                                           CLASSICAL.g, CLASSICAL.tau)
-        h_prev = np.asarray(fe_hessian(u).coefficients.reshape(-1, 2, 2))
+        h_prev = fe_hessian(u)
         coupled = np.linalg.solve(saddle, rhs_for(h_prev))[:small.vertex_count]
         worst_iterate = max(worst_iterate, np.abs(eliminated - coupled).max())
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from inflap import (FEFunction, InvalidArgumentError, SpaceP1,
-                    build_initial_mesh, estimate, fe_hessian, interpolate,
-                    jump_residuals, refine, tensor_trace, uniform_refine)
+                    build_initial_mesh, estimate, interpolate, jump_residuals,
+                    refine, uniform_refine)
 from inflap.estimator import interior_residual_norms
 
 ZERO = lambda x, y: np.zeros(np.shape(x))
@@ -14,28 +14,14 @@ def test_interior_residual_vanishes_for_zero_f():
     # piecewise-affine iterates have no broken second derivatives, so the
     # homogeneous problem leaves nothing in the interior part
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x - y)
-    norms = interior_residual_norms(mesh, u, ZERO, tau=1.0)
+    norms = interior_residual_norms(mesh, ZERO)
     assert np.all(norms == 0.0)
 
 
 def test_interior_residual_for_constant_f():
     mesh = refine(build_initial_mesh(2), {3})
-    u = interpolate(SpaceP1(mesh), lambda x, y: x + y)
-    norms = interior_residual_norms(mesh, u, TWO, tau=1.0)
+    norms = interior_residual_norms(mesh, TWO)
     assert np.allclose(norms, 2.0 * np.sqrt(mesh.areas), rtol=1e-13)
-
-
-def test_interior_residual_hessian_trace_variant():
-    # on the unit criss-cross mesh H[x^2 + y^2] is 2 I on every element, so
-    # the trace contribution is exactly 4 / tau
-    mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
-    assert np.allclose(tensor_trace(fe_hessian(u)), 4.0, atol=1e-13)
-    norms = interior_residual_norms(mesh, u, TWO, tau=1.0, hessian_trace=True)
-    assert np.allclose(norms, 6.0 * np.sqrt(mesh.areas), rtol=1e-13)
-    norms = interior_residual_norms(mesh, u, TWO, tau=2.0, hessian_trace=True)
-    assert np.allclose(norms, 4.0 * np.sqrt(mesh.areas), rtol=1e-13)
 
 
 def test_jump_residual_vanishes_for_affine():

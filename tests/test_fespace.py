@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
-                    SpaceP0Tensor, SpaceP1, build_initial_mesh, gradients,
-                    h1_semi_error, interpolate, l2_error, l2_norm, refine,
-                    tensor_trace, tensor_values, triangle_rule,
+                    SpaceP1, build_initial_mesh, gradients, h1_semi_error,
+                    interpolate, l2_error, l2_norm, refine, triangle_rule,
                     uniform_refine)
 from conftest import affine_gradient, integrate
 
@@ -206,9 +205,6 @@ def test_integrate_fe_functions():
     mesh = build_initial_mesh(2)
     u = interpolate(SpaceP1(mesh), lambda x, y: np.full(np.shape(x), 1.5))
     assert integrate(u, mesh) == pytest.approx(6.0)
-    tensor = FEFunction(SpaceP0Tensor(mesh),
-                        np.tile([1.0, 2.0, 3.0, 4.0], mesh.triangle_count))
+    tensor = np.tile([[1.0, 2.0], [3.0, 4.0]], (mesh.triangle_count, 1, 1))
     mats = integrate(tensor, mesh)
     assert np.allclose(mats, 4.0 * np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.allclose(tensor_values(tensor)[0], [[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(tensor_trace(tensor), 5.0)

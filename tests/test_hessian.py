@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from inflap import (FEFunction, SpaceP1, build_initial_mesh, fe_hessian,
                     gradients, hessian_operator, interpolate, refine,
-                    tensor_values, uniform_refine)
+                    uniform_refine)
 from conftest import (edge_dictionary, hat_gradients, integrate, oracle_meshes,
                       outward_normal, perturbed_mesh, tri_area)
 
@@ -20,13 +20,13 @@ def meshes_for_affine_check():
                          ids=["coarse", "uniform", "local"])
 def test_affine_functions_have_zero_hessian(mesh):
     u = interpolate(SpaceP1(mesh), lambda x, y: 0.3 + 1.2 * x - 2.5 * y)
-    assert np.abs(fe_hessian(u).coefficients).max() <= 1e-12
+    assert np.abs(fe_hessian(u)).max() <= 1e-12
 
 
 def test_zero_function_has_zero_hessian():
     mesh = build_initial_mesh(2)
     u = FEFunction(SpaceP1(mesh), np.zeros(mesh.vertex_count))
-    assert np.all(fe_hessian(u).coefficients == 0.0)
+    assert np.all(fe_hessian(u) == 0.0)
 
 
 def test_hessian_against_dense_mass_system_oracle():
@@ -55,18 +55,19 @@ def test_hessian_against_dense_mass_system_oracle():
                         rhs[4 * k + 2 * r + c] += weight * length * grad[r] * normal[c]
     oracle = np.linalg.solve(mass, rhs)
 
-    ours = fe_hessian(u).coefficients
-    assert np.abs(ours - oracle).max() <= 1e-12
+    ours = fe_hessian(u)
+    assert ours.shape == (mesh.triangle_count, 2, 2)
+    assert np.abs(ours.reshape(-1) - oracle).max() <= 1e-12
     # frozen: on the 4-element criss-cross mesh the recovered tensor of x^2
     # is the identity on every element
-    assert np.allclose(tensor_values(fe_hessian(u)),
+    assert np.allclose(fe_hessian(u),
                        np.broadcast_to(np.eye(2), (4, 2, 2)), atol=1e-13)
 
 
 def _apply(operator, coefficients):
-    """Tensor coefficients of the operator's blocks applied to vertex values."""
+    """(nt, 2, 2) tensors of the operator's blocks applied to vertex values."""
     values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator.stencil])
-    return values.reshape(-1)
+    return values.reshape(-1, 2, 2)
 
 
 def test_operator_matches_direct_evaluation():
@@ -80,8 +81,7 @@ def test_operator_matches_direct_evaluation():
     assert np.abs(_apply(operator, affine.coefficients)).max() <= 1e-13
 
     u = interpolate(space, lambda x, y: x * x + y * y)
-    assert np.abs(_apply(operator, u.coefficients)
-                  - fe_hessian(u).coefficients).max() <= 1e-13
+    assert np.abs(_apply(operator, u.coefficients) - fe_hessian(u)).max() <= 1e-13
 
 
 def test_operator_row_locality():
@@ -142,9 +142,8 @@ def test_linearity():
         v = rng.standard_normal(space.dof_count)
         w = rng.standard_normal(space.dof_count)
         a, b = rng.standard_normal(2)
-        combo = fe_hessian(FEFunction(space, a * v + b * w)).coefficients
-        parts = a * fe_hessian(FEFunction(space, v)).coefficients \
-            + b * fe_hessian(FEFunction(space, w)).coefficients
+        combo = fe_hessian(FEFunction(space, a * v + b * w))
+        parts = a * fe_hessian(FEFunction(space, v)) + b * fe_hessian(FEFunction(space, w))
         assert np.abs(combo - parts).max() <= 1e-12
 
 

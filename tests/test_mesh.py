@@ -54,8 +54,12 @@ def test_diameters_and_edge_lengths():
 def test_entity_views():
     mesh = build_initial_mesh(1)
     assert list(mesh.vertex_on_boundary) == [True] * 4 + [False]
-    assert np.all(mesh.parents == -1)
-    assert np.all(mesh.refinement_edges == 2)
+    assert mesh.new_vertex_parents is None
+    # the refinement edge, opposite slot 2, is the longest edge of each
+    # right isosceles triangle, also after local refinement
+    for tested in (mesh, refine(build_initial_mesh(2), {1, 6})):
+        assert np.array_equal(tested.edge_lengths[tested.triangle_edges[:, 2]],
+                              tested.diameters)
     one_sided = np.flatnonzero(mesh.edge_triangles[:, 1] == -1)
     assert np.array_equal(one_sided, mesh.boundary_edge_ids)
     assert np.all(mesh.edge_triangles[mesh.interior_edge_ids] >= 0)
@@ -94,7 +98,13 @@ def test_refine_records_genealogy():
     mesh = build_initial_mesh(1)
     refined = refine(mesh, {0})
     assert refined.new_vertex_parents is not None
-    children = np.flatnonzero(refined.parents == 0)
+    # triangle 0 is bisected through its refinement edge, so at least two
+    # children lie inside it
+    corners = mesh.vertex_coords[mesh.triangle_vertices[0]]
+    vander = np.column_stack([np.ones(3), corners])
+    barycentric = np.column_stack([np.ones(refined.triangle_count),
+                                   refined.centroids]) @ np.linalg.inv(vander)
+    children = np.flatnonzero((barycentric > 0.0).all(axis=1))
     assert len(children) >= 2
 
 
@@ -135,7 +145,7 @@ def test_refinement_determinism():
     a, b = run(), run()
     assert np.array_equal(a.vertex_coords, b.vertex_coords)
     assert np.array_equal(a.triangle_vertices, b.triangle_vertices)
-    assert np.array_equal(a.parents, b.parents)
+    assert np.array_equal(a.new_vertex_parents, b.new_vertex_parents)
     assert np.array_equal(a.edge_vertices, b.edge_vertices)
 
 

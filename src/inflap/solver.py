@@ -15,7 +15,8 @@ Everything that depends only on the mesh lives in one ``Discretisation``
 per ``fixed_point_solve`` call: the Hessian operator (per-element Hessian
 blocks plus the sparse pattern of the step matrix), the load vector, the
 Dirichlet values with the pattern positions the Dirichlet lift keeps, and
-the LU factor of the first step matrix.  Its ``step`` maps an iterate to
+the LU factor of the first step matrix, a minimum-degree LU after a
+reverse Cuthill-McKee pre-ordering.  Its ``step`` maps an iterate to
 the next: it contracts each element's block with its diffusion tensor,
 scatters the result into the fixed pattern, lifts the boundary values by
 gathering the kept entries and solves.  Later steps on the same mesh differ
@@ -32,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
@@ -98,9 +100,9 @@ class SolveReport:
     ``iterations`` counts linear solves.  ``linear_residuals`` holds the
     true relative residual of each step's linear solve,
     ``linear_iterations`` its LU solves in iterative refinement (0 for a
-    step solved by a fresh factorisation) and ``factorizations`` the number
-    of LU factorisations of step matrices (one per mesh unless a refinement
-    stalled).
+    step solved by a fresh factorisation without polish) and
+    ``factorizations`` the number of LU factorisations of step matrices
+    (one per mesh unless a refinement stalled).
     """
 
     solution: FEFunction
@@ -115,20 +117,50 @@ class SolveReport:
 class StepFactor:
     """Holder of the LU factor that ``solve_linear`` reuses across calls.
 
-    ``lu`` is the SuperLU factor of the last matrix factored through this
-    holder (None before the first solve), ``factorizations`` counts the
-    factorisations, ``solution`` is the last solution (the start of the
-    next refinement), and ``residual`` and ``iterations`` are the true
-    relative residual and the refinement's LU solves (0 when factored) of
-    the last solve.
+    ``lu`` is the ``PermutedLU`` of the last matrix factored through this
+    holder (None before the first solve), ``fill`` its number of entries
+    stored in L and U, ``factorizations`` counts the factorisations,
+    ``solution`` is the last solution (the start of the next refinement),
+    and ``residual`` and ``iterations`` are the true relative residual and
+    the refinement's LU solves (0 when factored and not polished) of the
+    last solve.
     """
 
     def __init__(self):
         self.lu = None
+        self.fill = 0
         self.factorizations = 0
         self.solution = None
         self.residual = None
         self.iterations = 0
+
+
+class PermutedLU:
+    """Sparse LU of ``P A P^T`` with P the reverse Cuthill-McKee ordering of A.
+
+    The pre-ordering (Cuthill & McKee 1969) gives SuperLU's minimum-degree
+    ordering on the pattern of A + A^T (Liu 1985) a banded start; on the
+    vertex numbering of ``uniform_refine`` alone minimum degree fills more
+    than COLAMD.  ``symmetric_mode=False`` because the Dirichlet lift's
+    ``eliminate_zeros`` may drop one entry of a symmetric pair.  The step
+    matrices are nonsymmetric, so symmetric mode keeps partial pivoting
+    with threshold 0.1: a diagonal pivot stays unless it is ten times
+    smaller than the largest entry of its column.  ``nnz`` counts the
+    entries SuperLU stores for L and U.
+    """
+
+    def __init__(self, matrix: sp.spmatrix):
+        matrix = sp.csr_matrix(matrix)
+        self.perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=False)
+        self.lu = spla.splu(matrix[self.perm][:, self.perm].tocsc(),
+                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                            options=dict(SymmetricMode=True))
+        self.nnz = self.lu.nnz
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        solution = np.empty_like(rhs, dtype=float)
+        solution[self.perm] = self.lu.solve(rhs[self.perm])
+        return solution
 
 
 def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
@@ -279,15 +311,17 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
                  factor: StepFactor | None = None) -> np.ndarray:
     """Sparse solve with an explicit relative-residual check.
 
-    A matrix is factored by SuperLU with the COLAMD column ordering, the
-    result ``scipy.sparse.linalg.spsolve`` gives bit for bit.  With a
-    ``factor`` holder that already carries an LU (of an earlier, similar
-    matrix), the solve refines iteratively with that LU, started from the
-    holder's last solution plus the LU solve of its residual, until the
-    true relative residual is at most ``1e-2 * LINEAR_SOLVER_TOL``.  If the
-    refinement stalls, the old LU is released, ``matrix`` is factored,
-    stored in the holder and solved directly.  Either way a relative
-    residual above ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
+    A matrix is factored as a ``PermutedLU`` (reverse Cuthill-McKee, then
+    minimum degree, threshold pivoting) and solved directly; if that
+    solve's relative residual exceeds ``LINEAR_SOLVER_TOL``, it is
+    polished by iterative refinement with the same LU.  With a ``factor``
+    holder that already carries an LU (of an earlier, similar matrix), the
+    solve refines iteratively with that LU, started from the holder's last
+    solution plus the LU solve of its residual, until the true relative
+    residual is at most ``1e-2 * LINEAR_SOLVER_TOL``.  If the refinement
+    stalls, the old LU is released, ``matrix`` is factored, stored in the
+    holder and solved directly.  Either way a relative residual above
+    ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
     result = None
@@ -296,11 +330,16 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     if result is None:
         holder.lu = None        # release the old factor before building a new one
         try:
-            holder.lu = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
+            holder.lu = PermutedLU(matrix)
         except RuntimeError as singular:
             raise SolverFailure(f"linear solve failed: {singular}") from singular
         holder.factorizations += 1
-        result = holder.lu.solve(rhs), 0
+        holder.fill = holder.lu.nnz
+        solution = holder.lu.solve(rhs)
+        result = solution, 0
+        if not _relative_residual(matrix, solution, rhs) <= LINEAR_SOLVER_TOL:
+            # threshold pivoting can leave the direct solve above the gate
+            result = _refine(matrix, rhs, holder.lu, solution, LINEAR_SOLVER_TOL) or result
     solution, holder.iterations = result
     relative = holder.residual = _relative_residual(matrix, solution, rhs)
     if not relative <= LINEAR_SOLVER_TOL:
@@ -369,9 +408,9 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         increment = l2_norm(FEFunction(disc.space, proposed.coefficients - current.coefficients))
         increments.append(increment)
         logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
-                     "linear residual %.2e, LU solves %d, factorizations %d",
-                     iteration, increment, tolerance, factor.residual,
-                     factor.iterations, factor.factorizations)
+                     "linear residual %.2e, LU solves %d, factorizations %d, "
+                     "L+U fill %d", iteration, increment, tolerance, factor.residual,
+                     factor.iterations, factor.factorizations, factor.fill)
         if increment <= tolerance:
             return SolveReport(proposed, iteration, increments, True,
                                linear_residuals=residuals,

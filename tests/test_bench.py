@@ -1,5 +1,6 @@
 import csv
 import logging
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -293,6 +294,7 @@ def test_cli_log_level_shows_iterations(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "inflap.solver"]
     assert lines and lines[0].startswith("iteration 1: increment")
     assert "linear residual" in lines[0] and "factorizations 1" in lines[0]
+    assert re.search(r"L\+U fill [1-9]\d*$", lines[0])
     assert any(r.name == "inflap.bench" and r.levelno == logging.INFO
                for r in caplog.records)
 

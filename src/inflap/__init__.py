@@ -15,9 +15,8 @@ from .errors import (DivergenceError, EvaluationError, InvalidArgumentError,
                      SolverFailure)
 from .estimator import (IndicatorField, estimate, interior_residual_norms,
                         jump_residuals)
-from .fespace import (FEFunction, QuadratureRule, SpaceP1, gradients,
-                      h1_semi_error, interpolate, l2_error, l2_norm,
-                      triangle_rule)
+from .fespace import (FEFunction, QuadratureRule, gradients, h1_semi_error,
+                      interpolate, l2_error, l2_norm, triangle_rule)
 from .hessian import HessianOperator, fe_hessian, hessian_operator
 from .mesh import (Triangulation, build_initial_mesh, conformity_errors,
                    refine, uniform_refine)

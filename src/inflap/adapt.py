@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, is_positive_integer
 from .estimator import IndicatorField, estimate
-from .fespace import FEFunction, SpaceP1, h1_semi_error, l2_error
+from .fespace import FEFunction, h1_semi_error, l2_error
 from .mesh import Triangulation, refine
 from .solver import ProblemData, SolverConfig, fixed_point_solve
 
@@ -87,7 +87,7 @@ def transfer(u: FEFunction, fine: Triangulation) -> FEFunction:
     Bisection midpoints take the average of their parent edge's values,
     which reproduces the coarse function exactly.
     """
-    coarse = u.space.mesh
+    coarse = u.mesh
     pairs = fine.new_vertex_parents
     if pairs is None or coarse.vertex_count + len(pairs) != fine.vertex_count:
         raise InvalidArgumentError("fine mesh is not a refinement of the function's mesh")
@@ -95,7 +95,7 @@ def transfer(u: FEFunction, fine: Triangulation) -> FEFunction:
     coefficients[:coarse.vertex_count] = u.coefficients
     coefficients[coarse.vertex_count:] = 0.5 * (u.coefficients[pairs[:, 0]]
                                                 + u.coefficients[pairs[:, 1]])
-    return FEFunction(SpaceP1(fine), coefficients)
+    return FEFunction(fine, coefficients)
 
 
 def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
@@ -122,8 +122,7 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         # into both slots makes the 1/tau jump contributions cancel exactly,
         # so the indicator measures the residual of the solution instead of
         # the (tolerance-sized) last linearisation step.
-        indicators = estimate(mesh, report.solution, report.solution, problem.f,
-                              problem.tau)
+        indicators = estimate(report.solution, report.solution, problem.f, problem.tau)
         record = CycleRecord(
             cycle=cycle, dofs=mesh.vertex_count, triangles=mesh.triangle_count,
             estimator=indicators.eta_total, estimator_l1=indicators.global_estimate,

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .adapt import AdaptiveHistory
-from .errors import DivergenceError, InvalidArgumentError, SolverFailure
+from .adapt import AdaptiveHistory, CycleRecord
+from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
+                     is_positive_integer)
 from .estimator import IndicatorField, estimate
 from .fespace import FEFunction, h1_semi_error, l2_error
 from .mesh import Triangulation, build_initial_mesh, uniform_refine
@@ -103,28 +104,26 @@ def _eoc(coarse, fine, h_coarse, h_fine):
     return float(np.log(coarse / fine) / np.log(h_coarse / h_fine))
 
 
-def convergence_study(problem, levels: int, tau: Optional[float] = None,
+def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
                       solver_config: Optional[SolverConfig] = None,
                       initial_n: int = 4, on_level: Optional[Callable] = None) -> EOCTable:
     """Uniform-refinement study recording errors, estimators and rates.
 
-    Starts from the criss-cross mesh with ``initial_n`` squares per side
-    and refines uniformly between levels; every level is solved from the
-    Poisson initial guess so iteration counts are comparable across
-    levels.  ``on_level(level, mesh, report, indicators)`` is called after
+    ``problem`` names an entry of ``registry()``.  Starts from the
+    criss-cross mesh with ``initial_n`` squares per side and refines
+    uniformly between levels; every level is solved from the Poisson
+    initial guess so iteration counts are comparable across levels.  ``on_level(level, mesh, report, indicators)`` is called after
     each solve.  A solver failure aborts the study and carries the rows
     finished so far in its ``partial_table`` attribute.
     """
-    if levels < 1:
-        raise InvalidArgumentError("levels must be at least 1")
-    if isinstance(problem, str):
-        try:
-            problem = registry()[problem]
-        except KeyError:
-            raise InvalidArgumentError(f"unknown benchmark problem {problem!r}") from None
-    data = problem.data if tau is None else replace(problem.data, tau=tau)
+    if not is_positive_integer(levels):
+        raise InvalidArgumentError("levels must be a positive integer")
+    benchmark = registry().get(problem) if isinstance(problem, str) else None
+    if benchmark is None:
+        raise InvalidArgumentError(f"unknown benchmark problem {problem!r}")
+    data = benchmark.data if tau is None else replace(benchmark.data, tau=tau)
 
-    table = EOCTable(problem=problem.name)
+    table = EOCTable(problem=problem)
     mesh = build_initial_mesh(initial_n)
     previous_row = None
     for level in range(levels):
@@ -134,7 +133,7 @@ def convergence_study(problem, levels: int, tau: Optional[float] = None,
             failure.partial_table = table
             raise
         # self-consistent pair, see the note in adapt.adaptive_solve
-        indicators = estimate(mesh, report.solution, report.solution, data.f, data.tau)
+        indicators = estimate(report.solution, report.solution, data.f, data.tau)
         if not report.converged:
             logger.warning("level %d: fixed-point solve did not converge in %d iterations",
                            level, report.iterations)
@@ -163,12 +162,6 @@ def convergence_study(problem, levels: int, tau: Optional[float] = None,
 
 # ----------------------------------------------------------------- CSV output
 
-_EOC_COLUMNS = ("level", "h", "dofs", "l2_error", "l2_eoc", "h1_error",
-                "h1_eoc", "estimator", "estimator_eoc", "iterations", "converged")
-_HISTORY_COLUMNS = ("cycle", "dofs", "triangles", "estimator", "estimator_l1",
-                    "iterations", "converged", "l2_error", "h1_error")
-
-
 def _cell(value):
     if value is None:
         return ""
@@ -178,13 +171,17 @@ def _cell(value):
 
 
 def write_csv(table, path) -> None:
-    """Write an EOC table or adaptive history with full precision."""
+    """Write an EOC table or adaptive history with full precision.
+
+    One column per field of ``EOCRow`` or ``CycleRecord``, in field order.
+    """
     if isinstance(table, EOCTable):
-        columns, records = _EOC_COLUMNS, table.rows
+        record_type, records = EOCRow, table.rows
     elif isinstance(table, AdaptiveHistory):
-        columns, records = _HISTORY_COLUMNS, table.records
+        record_type, records = CycleRecord, table.records
     else:
         raise InvalidArgumentError("write_csv expects an EOCTable or AdaptiveHistory")
+    columns = [column.name for column in fields(record_type)]
     try:
         with open(path, "w", newline="") as stream:
             writer = csv.writer(stream, lineterminator="\n")

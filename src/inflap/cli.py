@@ -1,6 +1,7 @@
 """Command-line interface: uniform studies and adaptive runs.
 
-Exit codes: 0 on success, 1 when a solve fails, 2 for bad arguments.
+Exit codes: 0 on success, 1 when a solve fails, 2 for bad arguments,
+an unusable ``--out`` directory or an output file that cannot be written.
 The output directory defaults to the INFLAP_OUT environment variable and
 then to the current directory.  ``--log-level DEBUG`` prints one line per
 fixed-point iteration, ``INFO`` one per level or cycle.
@@ -123,8 +124,7 @@ def _run_adapt(args) -> int:
     csv_path = os.path.join(out, f"{args.problem}_adapt_history.csv")
     write_csv(history, csv_path)
     # the same self-consistent pair as the history's estimator
-    indicators = estimate(final_mesh, report.solution, report.solution,
-                          problem.data.f, tau)
+    indicators = estimate(report.solution, report.solution, problem.data.f, tau)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
     write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
               vtu_path)
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _run_solve(args)
         return _run_adapt(args)
-    except InvalidArgumentError as bad:
+    except (InvalidArgumentError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
 

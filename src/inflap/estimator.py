@@ -5,8 +5,8 @@ For a pair of consecutive iterates (u_prev, u_next) the element residual
     R = f + laplace(u_prev) / tau - A[u_prev] : D^2 u_next
 
 uses broken (elementwise) second derivatives, which vanish identically
-for piecewise-affine iterates, so R reduces to f on the implemented
-spaces.  The information sits in the interior-edge residual
+for piecewise-affine iterates, so R reduces to f.  The information sits
+in the interior-edge residual
 
     J = jump(grad u_prev . n) / tau - avg(A[u_prev]) : tensor_jump(grad u_next)
 
@@ -66,16 +66,16 @@ def interior_residual_norms(mesh: Triangulation, f) -> np.ndarray:
     return np.sqrt(mesh.areas * ((vals ** 2) @ rule.weights))
 
 
-def jump_residuals(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
-                   tau: float) -> np.ndarray:
-    """Edgewise constant jump residual on every interior edge.
+def jump_residuals(u_prev: FEFunction, u_next: FEFunction, tau: float) -> np.ndarray:
+    """Edgewise constant jump residual on every interior edge of ``u_prev.mesh``.
 
     Ordered like ``mesh.interior_edge_ids``.  The diffusion tensor is
     elementwise constant and therefore double valued on edges; its edge
     value is the arithmetic average of the two neighbors.
     """
-    if u_prev.space.mesh is not mesh or u_next.space.mesh is not mesh:
-        raise InvalidArgumentError("iterates must live on the given mesh")
+    mesh = u_prev.mesh
+    if u_next.mesh is not mesh:
+        raise InvalidArgumentError("iterates must live on the same mesh")
     interior = mesh.interior_edge_ids
     plus = mesh.edge_triangles[interior, 0]
     minus = mesh.edge_triangles[interior, 1]
@@ -91,10 +91,10 @@ def jump_residuals(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
     return gradient_jump / tau - np.einsum("erc,erc->e", averaged, tensor_jump)
 
 
-def estimate(mesh: Triangulation, u_prev: FEFunction, u_next: FEFunction,
-             f, tau: float) -> IndicatorField:
-    """Assemble the indicator field for a pair of iterates."""
-    jump_values = jump_residuals(mesh, u_prev, u_next, tau)
+def estimate(u_prev: FEFunction, u_next: FEFunction, f, tau: float) -> IndicatorField:
+    """Assemble the indicator field for a pair of iterates on one mesh."""
+    mesh = u_prev.mesh
+    jump_values = jump_residuals(u_prev, u_next, tau)
     residual_norms = interior_residual_norms(mesh, f)
 
     interior = mesh.diameters * residual_norms

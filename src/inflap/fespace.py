@@ -1,7 +1,7 @@
-"""The lowest-order finite element space, interpolation, quadrature and norms.
+"""P1 finite element functions, interpolation, quadrature and norms.
 
 The trial space is continuous piecewise-affine (one degree of freedom per
-vertex).
+vertex); an ``FEFunction`` holds its mesh and its vertex values.
 
 Scalar fields passed into this module are callables ``f(x, y)`` that
 accept numpy arrays and broadcast; gradient fields return an ``(gx, gy)``
@@ -86,31 +86,22 @@ def triangle_rule(order: int) -> QuadratureRule:
     raise InvalidArgumentError(f"no quadrature rule of order {order}")
 
 
-class SpaceP1:
-    """Continuous piecewise-affine scalar functions; dofs are vertex values."""
-
-    def __init__(self, mesh: Triangulation):
-        self.mesh = mesh
-        self.dof_count = mesh.vertex_count
-
-
 class FEFunction:
-    """Coefficient vector over a ``SpaceP1``."""
+    """Vertex values of a continuous piecewise-affine function on ``mesh``."""
 
-    def __init__(self, space, coefficients):
+    def __init__(self, mesh: Triangulation, coefficients):
         coeffs = np.array(coefficients, dtype=float).reshape(-1)
-        if coeffs.shape != (space.dof_count,):
+        if coeffs.shape != (mesh.vertex_count,):
             raise InvalidArgumentError(
-                f"expected {space.dof_count} coefficients, got {coeffs.shape[0]}")
+                f"expected {mesh.vertex_count} coefficients, got {coeffs.shape[0]}")
         if not np.isfinite(coeffs).all():
             raise EvaluationError("non-finite coefficient in FE function")
         coeffs.setflags(write=False)
-        self.space = space
+        self.mesh = mesh
         self.coefficients = coeffs
 
     def __repr__(self):
-        kind = type(self.space).__name__
-        return f"FEFunction({kind}, {self.space.dof_count} dofs)"
+        return f"FEFunction({self.mesh.vertex_count} dofs)"
 
 
 def evaluate_field(fn, x, y):
@@ -122,17 +113,15 @@ def evaluate_field(fn, x, y):
     return values
 
 
-def interpolate(space: SpaceP1, g) -> FEFunction:
+def interpolate(mesh: Triangulation, g) -> FEFunction:
     """Vertex (Lagrange) interpolant of a scalar field."""
-    if not isinstance(space, SpaceP1):
-        raise InvalidArgumentError("interpolation is defined for SpaceP1")
-    coords = space.mesh.vertex_coords
-    return FEFunction(space, evaluate_field(g, coords[:, 0], coords[:, 1]))
+    coords = mesh.vertex_coords
+    return FEFunction(mesh, evaluate_field(g, coords[:, 0], coords[:, 1]))
 
 
 def gradients(u: FEFunction) -> np.ndarray:
     """Elementwise constant gradient of a P1 function, shape (nt, 2)."""
-    mesh = u.space.mesh
+    mesh = u.mesh
     values = u.coefficients[mesh.triangle_vertices]
     return np.einsum("tid,ti->td", mesh.basis_gradients, values)
 
@@ -145,14 +134,14 @@ def physical_points(mesh: Triangulation, rule: QuadratureRule) -> np.ndarray:
 
 def values_at(u: FEFunction, rule: QuadratureRule) -> np.ndarray:
     """P1 function values at the quadrature nodes of every element."""
-    values = u.coefficients[u.space.mesh.triangle_vertices]
+    values = u.coefficients[u.mesh.triangle_vertices]
     return values @ rule.points.T
 
 
 def l2_error(u: FEFunction, exact) -> float:
     """Elementwise quadrature (order 6) of ||u - exact|| in the L2 norm."""
     rule = triangle_rule(6)
-    mesh = u.space.mesh
+    mesh = u.mesh
     pts = physical_points(mesh, rule)
     diff = values_at(u, rule) - evaluate_field(exact, pts[..., 0], pts[..., 1])
     return float(np.sqrt(mesh.areas @ ((diff ** 2) @ rule.weights)))
@@ -161,7 +150,7 @@ def l2_error(u: FEFunction, exact) -> float:
 def h1_semi_error(u: FEFunction, exact_gradient) -> float:
     """L2 norm of the elementwise gradient error (order-6 quadrature)."""
     rule = triangle_rule(6)
-    mesh = u.space.mesh
+    mesh = u.mesh
     pts = physical_points(mesh, rule)
     gx, gy = exact_gradient(pts[..., 0], pts[..., 1])
     gx = np.broadcast_to(np.asarray(gx, dtype=float), pts[..., 0].shape)
@@ -175,7 +164,7 @@ def h1_semi_error(u: FEFunction, exact_gradient) -> float:
 
 def l2_norm(u: FEFunction) -> float:
     """Exact L2 norm of a P1 function (elementwise mass matrix identity)."""
-    mesh = u.space.mesh
+    mesh = u.mesh
     v = u.coefficients[mesh.triangle_vertices]
     s = v.sum(axis=1)
     return float(np.sqrt(np.sum(mesh.areas / 12.0 * (s * s + (v * v).sum(axis=1)))))

@@ -35,7 +35,7 @@ def fe_hessian(v: FEFunction) -> np.ndarray:
     vanishes identically for globally affine inputs because the
     length-weighted outward normals of each element sum to zero.
     """
-    mesh = v.space.mesh
+    mesh = v.mesh
     grad = gradients(v)
 
     interior = mesh.interior_edge_ids

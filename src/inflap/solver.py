@@ -38,8 +38,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
                      is_positive_integer)
-from .fespace import (FEFunction, SpaceP1, evaluate_field, gradients, l2_norm,
-                      physical_points, triangle_rule)
+from .fespace import (FEFunction, evaluate_field, gradients, l2_norm, physical_points,
+                      triangle_rule)
 from .hessian import fe_hessian, hessian_operator
 from .mesh import Triangulation
 
@@ -203,7 +203,6 @@ class Discretisation:
     def __init__(self, mesh: Triangulation, problem: ProblemData):
         self.mesh = mesh
         self.problem = problem
-        self.space = SpaceP1(mesh)
         self.operator = hessian_operator(mesh)
         self.load = load_vector(mesh, problem.f)
         boundary = mesh.vertex_on_boundary
@@ -220,12 +219,12 @@ class Discretisation:
 
     def step(self, u: FEFunction) -> FEFunction:
         """The next iterate: one linearised step from ``u``, solved with ``factor``."""
-        matrix, rhs = assemble_step(self, u, fe_hessian(u))
+        matrix, rhs = assemble_step(self, u)
         matrix, rhs = apply_dirichlet(self, matrix, rhs)
-        return FEFunction(self.space, solve_linear(matrix, rhs, self.factor))
+        return FEFunction(self.mesh, solve_linear(matrix, rhs, self.factor))
 
 
-def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: np.ndarray):
+def assemble_step(disc: Discretisation, u_prev: FEFunction):
     """Matrix and right-hand side of one linearised step.
 
     The matrix applies the hat-function test of A[u_prev] : H[.] with the
@@ -234,12 +233,12 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: np.ndarray):
     three vertices, in the operator's fixed CSR pattern (an entry that sums
     to zero stays stored).  The matrix shares the operator's read-only
     index arrays.  The right-hand side is the load vector plus the
-    elementwise constant trace(h_prev) / tau tested with the hat functions,
-    where ``h_prev`` is the (nt, 2, 2) recovered Hessian of ``fe_hessian``.
+    elementwise constant trace(H[u_prev]) / tau tested with the hat
+    functions, with H[u_prev] the recovered Hessian of ``fe_hessian``.
     """
     mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
-    if u_prev.space.mesh is not mesh or np.shape(h_prev) != (mesh.triangle_count, 2, 2):
-        raise InvalidArgumentError("u_prev and h_prev must live on the discretisation's mesh")
+    if u_prev.mesh is not mesh:
+        raise InvalidArgumentError("u_prev must live on the discretisation's mesh")
 
     # A : B per element and stencil slot, summed in row-major component
     # order and scaled by the hat-function integral |K|/3; bincount adds the
@@ -255,7 +254,8 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction, h_prev: np.ndarray):
                            shape=(mesh.vertex_count, mesh.vertex_count))
 
     # the load first, then each element's relaxation term on its vertices
-    relax = mesh.areas * (h_prev[:, 0, 0] + h_prev[:, 1, 1]) / (3.0 * tau)
+    hessian = fe_hessian(u_prev)
+    relax = mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
                                       mesh.triangle_vertices.reshape(-1)]),
                       weights=np.concatenate([disc.load, np.repeat(relax, 3)]))
@@ -366,7 +366,7 @@ def default_initializer(disc: Discretisation) -> FEFunction:
     stiffness = sp.csr_matrix((stiffness, operator.indices, operator.indptr),
                               shape=(mesh.vertex_count, mesh.vertex_count))
     matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
-    return FEFunction(disc.space, solve_linear(matrix, rhs))
+    return FEFunction(mesh, solve_linear(matrix, rhs))
 
 
 def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
@@ -385,7 +385,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     step's solution.
     """
     config = config if config is not None else SolverConfig()
-    if initial is not None and initial.space.mesh is not mesh:
+    if initial is not None and initial.mesh is not mesh:
         raise InvalidArgumentError("initial guess lives on a different mesh")
     disc = Discretisation(mesh, problem)
     current = default_initializer(disc) if initial is None else initial
@@ -405,7 +405,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
             raise
         residuals.append(factor.residual)
         linear_iterations.append(factor.iterations)
-        increment = l2_norm(FEFunction(disc.space, proposed.coefficients - current.coefficients))
+        increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         increments.append(increment)
         logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
                      "linear residual %.2e, LU solves %d, factorizations %d, "

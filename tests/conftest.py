@@ -261,19 +261,19 @@ def sparse_product_step_matrix(mesh, tensors, hessian_matrix):
     return (test.T @ (pairing @ hessian_matrix)).tocsr()
 
 
-def sparse_product_dirichlet(matrix, rhs, space, g):
+def sparse_product_dirichlet(matrix, rhs, mesh, g):
     """Dirichlet lift by diagonal products: keep @ matrix @ keep + pin.
 
     Boundary rows become identity rows with g(vertex) on the right, the
     boundary columns move into the right-hand side of the interior rows;
     the sparse products drop the entries that are exactly zero.
     """
-    boundary = np.flatnonzero(space.mesh.vertex_on_boundary)
-    coords = space.mesh.vertex_coords[boundary]
+    boundary = np.flatnonzero(mesh.vertex_on_boundary)
+    coords = mesh.vertex_coords[boundary]
     values = evaluate_field(g, coords[:, 0], coords[:, 1])
-    lifted = np.zeros(space.dof_count)
+    lifted = np.zeros(mesh.vertex_count)
     lifted[boundary] = values
-    interior = np.ones(space.dof_count)
+    interior = np.ones(mesh.vertex_count)
     interior[boundary] = 0.0
     new_rhs = interior * (rhs - matrix @ lifted)
     new_rhs[boundary] = values

@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, Discretisation, FEFunction, SpaceP1,
-                    adaptive_solve, apply_dirichlet, assemble_step,
-                    build_initial_mesh, conformity_errors, convergence_study,
-                    estimate, fe_hessian, gradients, interpolate, refine,
-                    registry, solve_linear, uniform_refine)
+from inflap import (AdaptiveConfig, Discretisation, FEFunction, adaptive_solve,
+                    apply_dirichlet, assemble_step, build_initial_mesh,
+                    conformity_errors, convergence_study, estimate, fe_hessian,
+                    gradients, interpolate, refine, registry, solve_linear,
+                    uniform_refine)
 from inflap.cli import main
 from conftest import brute_saddle, integrate, min_angle_degrees
 
@@ -108,16 +108,15 @@ def test_criterion_6_hessian_property_suite():
               refine(build_initial_mesh(2), {1, 4, 9})]
     worst_affine = 0.0
     for mesh in meshes:
-        u = interpolate(SpaceP1(mesh), lambda x, y: 0.7 - 1.3 * x + 0.4 * y)
+        u = interpolate(mesh, lambda x, y: 0.7 - 1.3 * x + 0.4 * y)
         worst_affine = max(worst_affine,
                            np.abs(fe_hessian(u)).max())
 
     mesh = refine(build_initial_mesh(2), {2, 8, 11})
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(42)
     worst_consistency = 0.0
     for _ in range(20):
-        v = FEFunction(space, rng.standard_normal(space.dof_count))
+        v = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
         lhs = integrate(fe_hessian(v), mesh)
         grad = gradients(v)
         rhs = np.zeros((2, 2))
@@ -132,8 +131,8 @@ def test_criterion_6_hessian_property_suite():
                   refine(uniform_refine(build_initial_mesh(1)), {0, 5})):
         assert small.triangle_count <= 32
         disc = Discretisation(small, CLASSICAL)
-        u = interpolate(disc.space, lambda x, y: x * x + y * y)
-        matrix, rhs_vec = assemble_step(disc, u, fe_hessian(u))
+        u = interpolate(small, lambda x, y: x * x + y * y)
+        matrix, rhs_vec = assemble_step(disc, u)
         matrix, rhs_vec = apply_dirichlet(disc, matrix, rhs_vec)
         eliminated = solve_linear(matrix, rhs_vec)
         saddle, rhs_for, _ = brute_saddle(small, u.coefficients, CLASSICAL.f,
@@ -152,8 +151,8 @@ def test_criterion_6_hessian_property_suite():
 
 def test_criterion_7_estimator_property_suite(classical_table):
     mesh = build_initial_mesh(2)
-    affine = interpolate(SpaceP1(mesh), lambda x, y: 1.0 + x - 2.0 * y)
-    zero_field = estimate(mesh, affine, affine,
+    affine = interpolate(mesh, lambda x, y: 1.0 + x - 2.0 * y)
+    zero_field = estimate(affine, affine,
                           lambda x, y: np.zeros(np.shape(x)), tau=1.0)
     zero_ok = zero_field.eta_total <= 1e-12
 
@@ -161,10 +160,9 @@ def test_criterion_7_estimator_property_suite(classical_table):
     eoc_ok = abs(eoc - 1.0) <= 0.25
 
     rng = np.random.default_rng(7)
-    space = SpaceP1(mesh)
-    u_prev = FEFunction(space, rng.standard_normal(space.dof_count))
-    u_next = FEFunction(space, rng.standard_normal(space.dof_count))
-    field = estimate(mesh, u_prev, u_next,
+    u_prev = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    u_next = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    field = estimate(u_prev, u_next,
                      lambda x, y: np.full(np.shape(x), 2.0), tau=0.5)
     partition_gap = abs(np.sum(field.eta ** 2) - np.sum(field.interior ** 2)
                         - np.sum(field.jumps ** 2))

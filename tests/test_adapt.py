@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from inflap import (AdaptiveConfig, InvalidArgumentError, SolverConfig,
-                    SpaceP1, adaptive_solve, build_initial_mesh,
-                    conformity_errors, estimate, fixed_point_solve,
-                    interpolate, mark, refine, registry, transfer)
+                    adaptive_solve, build_initial_mesh, conformity_errors,
+                    estimate, fixed_point_solve, interpolate, mark, refine,
+                    registry, transfer)
 from inflap.estimator import IndicatorField
 
 ARONSSON = registry()["aronsson"].data
@@ -50,7 +50,7 @@ def test_mark_rejects_bad_theta():
 
 def test_transfer_is_exact_prolongation():
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x - 0.5 * y)
+    u = interpolate(mesh, lambda x, y: x * x - 0.5 * y)
     fine = refine(mesh, {0, 3, 8})
     moved = transfer(u, fine)
     nv = mesh.vertex_count
@@ -62,7 +62,7 @@ def test_transfer_is_exact_prolongation():
 
 def test_transfer_rejects_unrelated_mesh():
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x)
+    u = interpolate(mesh, lambda x, y: x)
     with pytest.raises(InvalidArgumentError):
         transfer(u, build_initial_mesh(3))
 
@@ -144,13 +144,13 @@ def test_refinement_concentrates_on_axes():
     guess = None
     for _ in range(2):
         report = fixed_point_solve(mesh, problem, initial=guess)
-        indicators = estimate(mesh, report.solution, report.solution,
+        indicators = estimate(report.solution, report.solution,
                               problem.f, problem.tau)
         fine = refine(mesh, mark(indicators, 0.5))
         guess = transfer(report.solution, fine)
         mesh = fine
     report = fixed_point_solve(mesh, problem, initial=guess)
-    indicators = estimate(mesh, report.solution, report.solution,
+    indicators = estimate(report.solution, report.solution,
                           problem.f, problem.tau)
     count = max(1, int(np.ceil(0.1 * mesh.triangle_count)))
     top = np.argsort(indicators.eta)[::-1][:count]

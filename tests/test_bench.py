@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, EOCTable,
-                    InvalidArgumentError, SolverConfig, SpaceP1,
+                    InvalidArgumentError, SolverConfig, SolverFailure,
                     adaptive_solve, build_initial_mesh, convergence_study,
                     estimate, fe_hessian, interpolate, registry, write_csv,
                     write_vtu)
 from inflap.cli import main
+import inflap.bench
 
 
 # -------------------------------------------------------------------- registry
@@ -69,6 +70,11 @@ def test_study_eoc_arithmetic(small_study):
 def test_study_rejects_unknown_problem():
     with pytest.raises(InvalidArgumentError):
         convergence_study("nonexistent", 2)
+
+
+def test_study_takes_a_registry_name_not_a_problem():
+    with pytest.raises(InvalidArgumentError):
+        convergence_study(registry()["classical"], 2)
 
 
 # ------------------------------------------------------------------------- CSV
@@ -159,9 +165,9 @@ def test_vtu_geometry_roundtrip(tmp_path):
 
 def test_vtu_field_lengths(tmp_path):
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * y)
+    u = interpolate(mesh, lambda x, y: x * y)
     tensor = fe_hessian(u)
-    indicator = estimate(mesh, u, u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
+    indicator = estimate(u, u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
     path = tmp_path / "fields.vtu"
     write_vtu(mesh, {"solution": u, "hess": tensor, "eta": indicator}, path)
 
@@ -214,8 +220,10 @@ def test_settings_must_be_positive_and_finite(build, value):
                                    lambda value: AdaptiveConfig(estimator_tol=1.0,
                                                                 max_cycles=value),
                                    lambda value: AdaptiveConfig(estimator_tol=1.0,
-                                                                dof_budget=value)],
-                         ids=["max-iterations", "max-cycles", "dof-budget"])
+                                                                dof_budget=value),
+                                   lambda value: convergence_study("classical", value,
+                                                                   initial_n=1)],
+                         ids=["max-iterations", "max-cycles", "dof-budget", "study-levels"])
 def test_counts_must_be_positive_integers(build, value):
     # a float count would otherwise only fail mid-run, in range()
     with pytest.raises(InvalidArgumentError):
@@ -231,6 +239,42 @@ def test_counts_must_be_positive_integers(build, value):
 def test_cli_non_finite_settings_exit_2(tmp_path, argv):
     assert main(argv + ["--problem", "classical", "--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["solve", "--problem", "classical", "--levels", "1"],
+                                  ["adapt", "--problem", "aronsson", "--tol", "0.5"]],
+                         ids=["solve", "adapt"])
+def test_cli_unusable_output_directory_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(argv + ["--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_unwritable_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "classical_eoc.csv").mkdir()
+    assert main(["solve", "--problem", "classical", "--levels", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write CSV")
+
+
+def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, capsys):
+    real_solve = inflap.bench.fixed_point_solve
+    solves = []
+
+    def failing_on_third_level(*args, **kwargs):
+        solves.append(args[0])
+        if len(solves) == 3:
+            raise SolverFailure("linear solve failed: stub")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(inflap.bench, "fixed_point_solve", failing_on_third_level)
+    assert main(["solve", "--problem", "classical", "--levels", "4", "--tau", "1000",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: linear solve failed")
+    lines = (tmp_path / "classical_eoc.csv").read_text().splitlines()
+    assert lines[0].startswith("level,h,dofs,")
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
 def test_cli_solve_produces_outputs(tmp_path):

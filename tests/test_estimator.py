@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from inflap import (FEFunction, InvalidArgumentError, SpaceP1,
-                    build_initial_mesh, estimate, interpolate, jump_residuals,
-                    refine, uniform_refine)
+from inflap import (FEFunction, InvalidArgumentError, build_initial_mesh,
+                    estimate, interpolate, jump_residuals, refine,
+                    uniform_refine)
 from inflap.estimator import interior_residual_norms
 
 ZERO = lambda x, y: np.zeros(np.shape(x))
@@ -26,8 +26,8 @@ def test_interior_residual_for_constant_f():
 
 def test_jump_residual_vanishes_for_affine():
     mesh = uniform_refine(build_initial_mesh(2))
-    u = interpolate(SpaceP1(mesh), lambda x, y: 3.0 * x - 2.0 * y + 0.5)
-    assert np.abs(jump_residuals(mesh, u, u, tau=1.0)).max() <= 1e-13
+    u = interpolate(mesh, lambda x, y: 3.0 * x - 2.0 * y + 0.5)
+    assert np.abs(jump_residuals(u, u, tau=1.0)).max() <= 1e-13
 
 
 def test_jump_residual_hand_value_on_unit_mesh():
@@ -35,18 +35,17 @@ def test_jump_residual_hand_value_on_unit_mesh():
     # (0,-2), (2,0), (0,2), (-2,0); working through the averages, normals
     # and tensor jumps by hand gives J = sqrt(2) on every interior edge
     mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
-    values = jump_residuals(mesh, u, u, tau=1.0)
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
+    values = jump_residuals(u, u, tau=1.0)
     assert np.allclose(values, np.sqrt(2.0), rtol=1e-13)
 
 
 def test_jump_residual_large_tau_limit():
     # for tau -> infinity only the tensor-jump pairing survives
     mesh = uniform_refine(build_initial_mesh(1))
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(4)
-    u_prev = FEFunction(space, rng.standard_normal(space.dof_count))
-    u_next = FEFunction(space, rng.standard_normal(space.dof_count))
+    u_prev = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    u_next = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
 
     from inflap.fespace import gradients
     from inflap.solver import diffusion_tensor
@@ -61,14 +60,14 @@ def test_jump_residual_large_tau_limit():
     tensor_jump = (grad_next[plus] - grad_next[minus])[:, :, None] * normals[:, None, :]
     second_term = -np.einsum("erc,erc->e", averaged, tensor_jump)
 
-    assert np.allclose(jump_residuals(mesh, u_prev, u_next, tau), second_term,
+    assert np.allclose(jump_residuals(u_prev, u_next, tau), second_term,
                        rtol=1e-10, atol=1e-10)
 
 
 def test_estimate_zero_case():
     mesh = refine(build_initial_mesh(2), {0, 4})
-    u = interpolate(SpaceP1(mesh), lambda x, y: 2.0 - x + 0.25 * y)
-    field = estimate(mesh, u, u, ZERO, tau=1.0)
+    u = interpolate(mesh, lambda x, y: 2.0 - x + 0.25 * y)
+    field = estimate(u, u, ZERO, tau=1.0)
     assert field.global_estimate <= 1e-12
     assert field.eta_total <= 1e-12
     assert np.abs(field.eta).max() <= 1e-12
@@ -76,18 +75,28 @@ def test_estimate_zero_case():
 
 def test_estimate_rejects_non_finite_tau():
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
     with pytest.raises(InvalidArgumentError):
-        estimate(mesh, u, u, TWO, tau=np.nan)
+        estimate(u, u, TWO, tau=np.nan)
+
+
+def test_iterates_must_share_one_mesh():
+    # the check is by identity: an equal mesh built separately is foreign
+    mesh = build_initial_mesh(2)
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
+    foreign = interpolate(build_initial_mesh(2), lambda x, y: x * x + y * y)
+    with pytest.raises(InvalidArgumentError):
+        jump_residuals(u, foreign, tau=1.0)
+    with pytest.raises(InvalidArgumentError):
+        estimate(u, foreign, TWO, tau=1.0)
 
 
 def test_estimate_is_nonnegative_and_aggregates_match():
     mesh = refine(build_initial_mesh(2), {1, 6, 10})
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(12)
-    u_prev = FEFunction(space, rng.standard_normal(space.dof_count))
-    u_next = FEFunction(space, rng.standard_normal(space.dof_count))
-    field = estimate(mesh, u_prev, u_next, TWO, tau=0.7)
+    u_prev = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    u_next = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    field = estimate(u_prev, u_next, TWO, tau=0.7)
     assert field.interior.min() >= 0.0
     assert field.jumps.min() >= 0.0
     assert field.eta.min() >= 0.0
@@ -99,12 +108,11 @@ def test_edge_partition_identity():
     # the half-and-half edge split keeps the summed squared indicators equal
     # to the full squared residual, exactly
     mesh = refine(build_initial_mesh(2), {2, 9})
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(21)
     for _ in range(5):
-        u_prev = FEFunction(space, rng.standard_normal(space.dof_count))
-        u_next = FEFunction(space, rng.standard_normal(space.dof_count))
-        field = estimate(mesh, u_prev, u_next, TWO, tau=2.0)
+        u_prev = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+        u_next = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+        field = estimate(u_prev, u_next, TWO, tau=2.0)
         lhs = np.sum(field.eta ** 2)
         rhs = np.sum(field.interior ** 2) + np.sum(field.jumps ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -115,14 +123,13 @@ def test_estimate_convexity_in_second_iterate():
     # second iterate, so the estimate obeys the triangle inequality along
     # convex combinations
     mesh = build_initial_mesh(2)
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(9)
-    u_prev = FEFunction(space, rng.standard_normal(space.dof_count))
-    a = FEFunction(space, rng.standard_normal(space.dof_count))
-    b = FEFunction(space, rng.standard_normal(space.dof_count))
+    u_prev = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    a = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
+    b = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
     lam = 0.3
-    mix = FEFunction(space, lam * a.coefficients + (1 - lam) * b.coefficients)
-    est = lambda u: estimate(mesh, u_prev, u, ZERO, tau=1.0).eta_total
+    mix = FEFunction(mesh, lam * a.coefficients + (1 - lam) * b.coefficients)
+    est = lambda u: estimate(u_prev, u, ZERO, tau=1.0).eta_total
     assert est(mix) <= lam * est(a) + (1 - lam) * est(b) + 1e-12
 
 

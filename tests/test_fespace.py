@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
-                    SpaceP1, build_initial_mesh, gradients, h1_semi_error,
-                    interpolate, l2_error, l2_norm, refine, triangle_rule,
-                    uniform_refine)
+                    build_initial_mesh, gradients, h1_semi_error, interpolate,
+                    l2_error, l2_norm, refine, triangle_rule, uniform_refine)
 from conftest import affine_gradient, integrate
 
 
@@ -43,7 +42,7 @@ def test_rule_lookup():
 
 def test_interpolate_squared_norm():
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
     corner = np.flatnonzero((mesh.vertex_coords == [1.0, 1.0]).all(axis=1))[0]
     assert u.coefficients[corner] == pytest.approx(2.0)
     assert np.allclose(u.coefficients, (mesh.vertex_coords ** 2).sum(axis=1))
@@ -51,14 +50,14 @@ def test_interpolate_squared_norm():
 
 def test_interpolate_zero():
     mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: np.zeros(np.shape(x)))
+    u = interpolate(mesh, lambda x, y: np.zeros(np.shape(x)))
     assert np.all(u.coefficients == 0.0)
 
 
 def test_interpolate_aronsson_boundary_data():
     mesh = build_initial_mesh(2)
     g = lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
-    u = interpolate(SpaceP1(mesh), g)
+    u = interpolate(mesh, g)
     coords = mesh.vertex_coords
     at = lambda x, y: u.coefficients[
         np.flatnonzero((coords == [x, y]).all(axis=1))[0]]
@@ -69,26 +68,26 @@ def test_interpolate_aronsson_boundary_data():
 def test_interpolate_rejects_nonfinite():
     mesh = build_initial_mesh(1)
     with pytest.raises(EvaluationError):
-        interpolate(SpaceP1(mesh), lambda x, y: np.where(x > 0, np.inf, 1.0))
+        interpolate(mesh, lambda x, y: np.where(x > 0, np.inf, 1.0))
 
 
 def test_fefunction_validates_length():
     mesh = build_initial_mesh(1)
     with pytest.raises(InvalidArgumentError):
-        FEFunction(SpaceP1(mesh), np.zeros(7))
+        FEFunction(mesh, np.zeros(7))
 
 
 # ------------------------------------------------------------------- gradients
 
 def test_gradient_of_coordinate():
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x + 0.0 * y)
+    u = interpolate(mesh, lambda x, y: x + 0.0 * y)
     assert np.allclose(gradients(u), [1.0, 0.0], atol=1e-14)
 
 
 def test_gradient_of_constant_is_exactly_zero():
     mesh = build_initial_mesh(3)
-    u = interpolate(SpaceP1(mesh), lambda x, y: np.full(np.shape(x), 0.7))
+    u = interpolate(mesh, lambda x, y: np.full(np.shape(x), 0.7))
     assert np.all(gradients(u) == 0.0)
 
 
@@ -96,7 +95,7 @@ def test_gradient_against_affine_solve_oracle():
     # triangle 0 of the unit criss-cross mesh has vertices (-1,-1), (1,-1),
     # (0,0); the 3x3 interpolation system gives the gradient (0, -2) there
     mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
     grad = gradients(u)
     assert grad[0] == pytest.approx([0.0, -2.0])
     for k in range(mesh.triangle_count):
@@ -105,7 +104,7 @@ def test_gradient_against_affine_solve_oracle():
     # random coefficients on a locally refined mesh
     mesh = refine(build_initial_mesh(2), {1, 6})
     rng = np.random.default_rng(8)
-    u = FEFunction(SpaceP1(mesh), rng.standard_normal(mesh.vertex_count))
+    u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
     grad = gradients(u)
     for k in range(mesh.triangle_count):
         oracle = affine_gradient(mesh, k, u.coefficients)
@@ -115,7 +114,7 @@ def test_gradient_against_affine_solve_oracle():
 def test_affine_reproduction_at_quadrature_points():
     mesh = uniform_refine(build_initial_mesh(2))
     g = lambda x, y: 0.3 - 1.7 * x + 0.9 * y
-    u = interpolate(SpaceP1(mesh), g)
+    u = interpolate(mesh, g)
     rule = triangle_rule(6)
     from inflap.fespace import physical_points, values_at
     pts = physical_points(mesh, rule)
@@ -127,7 +126,7 @@ def test_affine_reproduction_at_quadrature_points():
 def test_l2_error_of_exactly_represented_function():
     mesh = build_initial_mesh(2)
     g = lambda x, y: 1.0 + 2.0 * x - 0.5 * y
-    u = interpolate(SpaceP1(mesh), g)
+    u = interpolate(mesh, g)
     assert l2_error(u, g) <= 1e-12
     assert h1_semi_error(u, lambda x, y: (np.full(np.shape(x), 2.0),
                                           np.full(np.shape(x), -0.5))) <= 1e-12
@@ -135,7 +134,7 @@ def test_l2_error_of_exactly_represented_function():
 
 def test_l2_error_zero_vs_one():
     mesh = build_initial_mesh(1)
-    u = FEFunction(SpaceP1(mesh), np.zeros(mesh.vertex_count))
+    u = FEFunction(mesh, np.zeros(mesh.vertex_count))
     assert l2_error(u, lambda x, y: np.ones(np.shape(x))) == pytest.approx(2.0)
 
 
@@ -143,7 +142,7 @@ def test_l2_error_against_dense_quadrature_oracle():
     # 1024^2-point tensor Gauss grid per element through the Duffy map
     mesh = build_initial_mesh(2)
     exact = lambda x, y: x * x + y * y
-    u = interpolate(SpaceP1(mesh), exact)
+    u = interpolate(mesh, exact)
 
     nodes, weights = np.polynomial.legendre.leggauss(1024)
     nodes = 0.5 * (nodes + 1.0)
@@ -170,24 +169,23 @@ def test_l2_error_against_dense_quadrature_oracle():
 
 def test_error_norms_are_absolutely_homogeneous():
     mesh = build_initial_mesh(2)
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(space.dof_count)
+    coeffs = rng.standard_normal(mesh.vertex_count)
     zero = lambda x, y: np.zeros(np.shape(x))
     zero_grad = lambda x, y: (np.zeros(np.shape(x)), np.zeros(np.shape(x)))
     for scale in (-3.0, 0.25):
-        base = l2_error(FEFunction(space, coeffs), zero)
-        scaled = l2_error(FEFunction(space, scale * coeffs), zero)
+        base = l2_error(FEFunction(mesh, coeffs), zero)
+        scaled = l2_error(FEFunction(mesh, scale * coeffs), zero)
         assert scaled == pytest.approx(abs(scale) * base, rel=1e-13)
-        base_h1 = h1_semi_error(FEFunction(space, coeffs), zero_grad)
-        scaled_h1 = h1_semi_error(FEFunction(space, scale * coeffs), zero_grad)
+        base_h1 = h1_semi_error(FEFunction(mesh, coeffs), zero_grad)
+        scaled_h1 = h1_semi_error(FEFunction(mesh, scale * coeffs), zero_grad)
         assert scaled_h1 == pytest.approx(abs(scale) * base_h1, rel=1e-13)
 
 
 def test_l2_norm_matches_l2_error_against_zero():
     mesh = uniform_refine(build_initial_mesh(1))
     rng = np.random.default_rng(11)
-    u = FEFunction(SpaceP1(mesh), rng.standard_normal(mesh.vertex_count))
+    u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
     zero = lambda x, y: np.zeros(np.shape(x))
     assert l2_norm(u) == pytest.approx(l2_error(u, zero), rel=1e-12)
 
@@ -203,7 +201,7 @@ def test_integrate_constants_and_monomials():
 
 def test_integrate_fe_functions():
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: np.full(np.shape(x), 1.5))
+    u = interpolate(mesh, lambda x, y: np.full(np.shape(x), 1.5))
     assert integrate(u, mesh) == pytest.approx(6.0)
     tensor = np.tile([[1.0, 2.0], [3.0, 4.0]], (mesh.triangle_count, 1, 1))
     mats = integrate(tensor, mesh)

@@ -3,9 +3,8 @@ import pytest
 
 import scipy.sparse as sp
 
-from inflap import (FEFunction, SpaceP1, build_initial_mesh, fe_hessian,
-                    gradients, hessian_operator, interpolate, refine,
-                    uniform_refine)
+from inflap import (FEFunction, build_initial_mesh, fe_hessian, gradients,
+                    hessian_operator, interpolate, refine, uniform_refine)
 from conftest import (edge_dictionary, hat_gradients, integrate, oracle_meshes,
                       outward_normal, perturbed_mesh, tri_area)
 
@@ -19,13 +18,13 @@ def meshes_for_affine_check():
 @pytest.mark.parametrize("mesh", meshes_for_affine_check(),
                          ids=["coarse", "uniform", "local"])
 def test_affine_functions_have_zero_hessian(mesh):
-    u = interpolate(SpaceP1(mesh), lambda x, y: 0.3 + 1.2 * x - 2.5 * y)
+    u = interpolate(mesh, lambda x, y: 0.3 + 1.2 * x - 2.5 * y)
     assert np.abs(fe_hessian(u)).max() <= 1e-12
 
 
 def test_zero_function_has_zero_hessian():
     mesh = build_initial_mesh(2)
-    u = FEFunction(SpaceP1(mesh), np.zeros(mesh.vertex_count))
+    u = FEFunction(mesh, np.zeros(mesh.vertex_count))
     assert np.all(fe_hessian(u) == 0.0)
 
 
@@ -34,7 +33,7 @@ def test_hessian_against_dense_mass_system_oracle():
     # brute force, solve, and compare; assembled via the coupled system with
     # the diffusion rows ignored
     mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x)
+    u = interpolate(mesh, lambda x, y: x * x)
     nv = mesh.vertex_count
 
     mass = np.zeros((4 * mesh.triangle_count, 4 * mesh.triangle_count))
@@ -72,15 +71,14 @@ def _apply(operator, coefficients):
 
 def test_operator_matches_direct_evaluation():
     mesh = refine(build_initial_mesh(2), {0, 7})
-    space = SpaceP1(mesh)
     operator = hessian_operator(mesh)
 
-    assert np.all(_apply(operator, np.zeros(space.dof_count)) == 0.0)
+    assert np.all(_apply(operator, np.zeros(mesh.vertex_count)) == 0.0)
 
-    affine = interpolate(space, lambda x, y: 1.0 - x + 4.0 * y)
+    affine = interpolate(mesh, lambda x, y: 1.0 - x + 4.0 * y)
     assert np.abs(_apply(operator, affine.coefficients)).max() <= 1e-13
 
-    u = interpolate(space, lambda x, y: x * x + y * y)
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
     assert np.abs(_apply(operator, u.coefficients) - fe_hessian(u)).max() <= 1e-13
 
 
@@ -136,14 +134,13 @@ def test_step_pattern_and_slots():
 
 def test_linearity():
     mesh = refine(build_initial_mesh(2), {3})
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(23)
     for _ in range(5):
-        v = rng.standard_normal(space.dof_count)
-        w = rng.standard_normal(space.dof_count)
+        v = rng.standard_normal(mesh.vertex_count)
+        w = rng.standard_normal(mesh.vertex_count)
         a, b = rng.standard_normal(2)
-        combo = fe_hessian(FEFunction(space, a * v + b * w))
-        parts = a * fe_hessian(FEFunction(space, v)) + b * fe_hessian(FEFunction(space, w))
+        combo = fe_hessian(FEFunction(mesh, a * v + b * w))
+        parts = a * fe_hessian(FEFunction(mesh, v)) + b * fe_hessian(FEFunction(mesh, w))
         assert np.abs(combo - parts).max() <= 1e-12
 
 
@@ -152,9 +149,8 @@ def test_global_consistency_identity(seed):
     # testing with the constant tensor: interior averages cancel pairwise,
     # leaving the boundary flux of the gradient
     mesh = refine(build_initial_mesh(2), {2, 8, 11})
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(100 + seed)
-    v = FEFunction(space, rng.standard_normal(space.dof_count))
+    v = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
     lhs = integrate(fe_hessian(v), mesh)
     grad = gradients(v)
     rhs = np.zeros((2, 2))
@@ -170,7 +166,7 @@ def test_mean_hessian_converges_for_quadratics():
     def hess_error(mesh):
         q = lambda x, y: x * x + 0.5 * x * y - 2.0 * y * y
         exact = np.array([[2.0, 0.5], [0.5, -4.0]])
-        u = interpolate(SpaceP1(mesh), q)
+        u = interpolate(mesh, q)
         mean = integrate(fe_hessian(u), mesh) / 4.0
         return np.abs(mean - exact).max()
 

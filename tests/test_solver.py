@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inflap import (Discretisation, FEFunction, InvalidArgumentError,
-                    SolverFailure, SolverConfig, SpaceP1,
+from inflap import (Discretisation, DivergenceError, FEFunction,
+                    InvalidArgumentError, SolverFailure, SolverConfig,
                     apply_dirichlet, assemble_step, build_initial_mesh,
-                    default_initializer, diffusion_tensor, estimate,
-                    fe_hessian, fixed_point_solve, gradients, interpolate,
-                    l2_error, l2_norm, load_vector, refine, registry,
-                    solve_linear, uniform_refine)
+                    default_initializer, diffusion_tensor, estimate, fe_hessian,
+                    fixed_point_solve, gradients, interpolate, l2_error,
+                    l2_norm, load_vector, refine, registry, solve_linear,
+                    uniform_refine)
 from inflap.bench import convergence_study
 from inflap.solver import LINEAR_SOLVER_TOL, ProblemData, StepFactor
 import inflap.solver
@@ -31,28 +31,26 @@ ARONSSON = registry()["aronsson"].data
 
 def test_diffusion_tensor_formula():
     mesh = build_initial_mesh(1)
-    space = SpaceP1(mesh)
     # gradient (1, 0) on every element
-    u = interpolate(space, lambda x, y: x + 0.0 * y)
+    u = interpolate(mesh, lambda x, y: x + 0.0 * y)
     tensors = diffusion_tensor(u, tau=2.0)
     assert np.allclose(tensors, [[1.5, 0.0], [0.0, 0.5]])
 
     # degenerate gradient: only the relaxation part survives
-    flat = FEFunction(space, np.zeros(space.dof_count))
+    flat = FEFunction(mesh, np.zeros(mesh.vertex_count))
     tensors = diffusion_tensor(flat, tau=4.0)
     assert np.allclose(tensors, 0.25 * np.eye(2))
 
-    diag = interpolate(space, lambda x, y: x + y)
+    diag = interpolate(mesh, lambda x, y: x + y)
     tensors = diffusion_tensor(diag, tau=1.0)
     assert np.allclose(tensors, [[1.5, 0.5], [0.5, 1.5]])
 
 
 def test_diffusion_tensor_eigenvalue_bounds():
     mesh = refine(build_initial_mesh(2), {0, 3, 9})
-    space = SpaceP1(mesh)
     rng = np.random.default_rng(2)
     for tau in (0.1, 1.0, 1000.0):
-        u = FEFunction(space, rng.standard_normal(space.dof_count))
+        u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
         eigs = np.linalg.eigvalsh(diffusion_tensor(u, tau))
         assert eigs.min() >= 1.0 / tau - 1e-12
         assert eigs.max() <= 1.0 + 1.0 / tau + 1e-12
@@ -61,7 +59,7 @@ def test_diffusion_tensor_eigenvalue_bounds():
 @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
 def test_diffusion_tensor_rejects_bad_parameters(tau):
     mesh = build_initial_mesh(1)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x)
+    u = interpolate(mesh, lambda x, y: x)
     with pytest.raises(InvalidArgumentError):
         diffusion_tensor(u, tau=tau)
 
@@ -71,8 +69,8 @@ def test_diffusion_tensor_rejects_bad_parameters(tau):
 def test_step_matrix_sparsity_stencil():
     # rows may reach the vertex patch plus the patches of edge neighbors
     mesh = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x + y * y)
-    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u, fe_hessian(u))
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
+    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u)
 
     patches = {i: set() for i in range(mesh.vertex_count)}
     for k, verts in enumerate(mesh.triangle_vertices):
@@ -97,11 +95,10 @@ def test_step_matrix_sparsity_stencil():
 
 def test_rhs_vanishes_for_affine_previous_iterate_and_zero_f():
     mesh = build_initial_mesh(2)
-    space = SpaceP1(mesh)
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: x, tau=5.0)
-    u = interpolate(space, lambda x, y: 2.0 * x - y)
-    _, rhs = assemble_step(Discretisation(mesh, problem), u, fe_hessian(u))
+    u = interpolate(mesh, lambda x, y: 2.0 * x - y)
+    _, rhs = assemble_step(Discretisation(mesh, problem), u)
     interior = ~mesh.vertex_on_boundary
     assert np.abs(rhs[interior]).max() <= 1e-13
 
@@ -109,9 +106,8 @@ def test_rhs_vanishes_for_affine_previous_iterate_and_zero_f():
 def test_assembly_against_coupled_saddle_oracle():
     # brute-force coupled system, Schur-eliminated onto the vertex block
     mesh = build_initial_mesh(1)
-    space = SpaceP1(mesh)
-    u = interpolate(space, lambda x, y: x * x + y * y)
-    matrix, rhs = assemble_step(Discretisation(mesh, CLASSICAL), u, fe_hessian(u))
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
+    matrix, rhs = assemble_step(Discretisation(mesh, CLASSICAL), u)
 
     saddle, rhs_for, _ = brute_saddle(mesh, u.coefficients, CLASSICAL.f,
                                       CLASSICAL.g, CLASSICAL.tau, dirichlet=False)
@@ -130,15 +126,15 @@ def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     # after the Dirichlet lift; the gathered lift drops the explicit zeros
     # the fixed pattern keeps, as the diagonal products do
     disc = Discretisation(mesh, ARONSSON)
-    u = interpolate(disc.space, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
+    u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
-    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
+    matrix, rhs = assemble_step(disc, u)
     oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, ARONSSON.tau),
                                         coo_hessian_matrix(mesh))
     assert np.array_equal(matrix.toarray(), oracle.toarray())
 
     ours, ours_rhs = apply_dirichlet(disc, matrix, rhs)
-    theirs, theirs_rhs = sparse_product_dirichlet(oracle, rhs, disc.space, ARONSSON.g)
+    theirs, theirs_rhs = sparse_product_dirichlet(oracle, rhs, mesh, ARONSSON.g)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ours, name), getattr(theirs, name))
     assert np.array_equal(ours_rhs, theirs_rhs)
@@ -148,8 +144,8 @@ def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     # on general triangles the oracle's duplicate sums run in another order,
     # so the two agree to rounding only
     mesh = perturbed_mesh()
-    u = interpolate(SpaceP1(mesh), lambda x, y: x * x - 0.5 * x * y + np.exp(y))
-    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u, fe_hessian(u))
+    u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
+    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u)
     oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -161,16 +157,15 @@ def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
     # bincount adds each entry's terms in the order np.add.at does, after
     # the base value (load vector, interior**2) it starts from
     problem = ProblemData(f=lambda x, y: np.sin(2.0 * x) + y * y, g=ARONSSON.g, tau=0.3)
-    space = SpaceP1(mesh)
-    u = interpolate(space, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
+    u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
     h = fe_hessian(u)
     assert np.array_equal(load_vector(mesh, problem.f), add_at_load_vector(mesh, problem.f))
-    _, rhs = assemble_step(Discretisation(mesh, problem), u, h)
+    _, rhs = assemble_step(Discretisation(mesh, problem), u)
     assert np.array_equal(rhs, add_at_step_rhs(mesh, h, problem))
 
-    v = FEFunction(space, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
-    indicators = estimate(mesh, u, v, problem.f, problem.tau)
+    v = FEFunction(mesh, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
+    indicators = estimate(u, v, problem.f, problem.tau)
     eta_sq = add_at_squared_indicators(mesh, indicators.interior, indicators.jumps)
     assert np.array_equal(indicators.eta, np.sqrt(eta_sq))
     assert indicators.eta_total == float(np.sqrt(eta_sq.sum()))
@@ -179,15 +174,11 @@ def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
 def test_assemble_step_rejects_mesh_mismatch():
     mesh = build_initial_mesh(1)
     other = build_initial_mesh(2)
-    u = interpolate(SpaceP1(mesh), lambda x, y: x)
-    wrong = interpolate(SpaceP1(other), lambda x, y: x)
+    u = interpolate(mesh, lambda x, y: x)
+    wrong = interpolate(other, lambda x, y: x)
     disc = Discretisation(mesh, CLASSICAL)
     with pytest.raises(InvalidArgumentError):
-        assemble_step(disc, wrong, fe_hessian(u))
-    with pytest.raises(InvalidArgumentError):
-        assemble_step(disc, u, fe_hessian(wrong))
-    with pytest.raises(InvalidArgumentError):
-        assemble_step(disc, u, fe_hessian(u).reshape(-1))
+        assemble_step(disc, wrong)
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -198,20 +189,19 @@ def test_eliminated_iterates_match_coupled_system(steps):
                  refine(uniform_refine(build_initial_mesh(1)), {0, 5})):
         assert mesh.triangle_count <= 32
         disc = Discretisation(mesh, CLASSICAL)
-        space = disc.space
-        u_ours = interpolate(space, lambda x, y: x * x + y * y)
+        u_ours = interpolate(mesh, lambda x, y: x * x + y * y)
         u_oracle = u_ours
         for _ in range(steps):
-            matrix, rhs = assemble_step(disc, u_ours, fe_hessian(u_ours))
+            matrix, rhs = assemble_step(disc, u_ours)
             matrix, rhs = apply_dirichlet(disc, matrix, rhs)
-            u_ours = FEFunction(space, solve_linear(matrix, rhs))
+            u_ours = FEFunction(mesh, solve_linear(matrix, rhs))
 
             saddle, rhs_for, _ = brute_saddle(mesh, u_oracle.coefficients,
                                               CLASSICAL.f, CLASSICAL.g,
                                               CLASSICAL.tau)
             h_prev = fe_hessian(u_oracle)
             full = np.linalg.solve(saddle, rhs_for(h_prev))
-            u_oracle = FEFunction(space, full[:mesh.vertex_count])
+            u_oracle = FEFunction(mesh, full[:mesh.vertex_count])
         assert np.abs(u_ours.coefficients - u_oracle.coefficients).max() <= 1e-10
 
 
@@ -220,9 +210,8 @@ def test_eliminated_iterates_match_coupled_system(steps):
 def test_dirichlet_rows_and_values():
     mesh = build_initial_mesh(2)
     disc = Discretisation(mesh, CLASSICAL)
-    space = disc.space
-    u = interpolate(space, lambda x, y: x * x + y * y)
-    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
+    u = interpolate(mesh, lambda x, y: x * x + y * y)
+    matrix, rhs = assemble_step(disc, u)
 
     homogeneous = Discretisation(mesh, replace(CLASSICAL, g=lambda x, y: np.zeros(np.shape(x))))
     zeroed, zrhs = apply_dirichlet(homogeneous, matrix, rhs)
@@ -271,7 +260,7 @@ def _step_system(mesh, problem):
     """The first step's lifted matrix and right-hand side from the Poisson start."""
     disc = Discretisation(mesh, problem)
     u = default_initializer(disc)
-    return apply_dirichlet(disc, *assemble_step(disc, u, fe_hessian(u)))
+    return apply_dirichlet(disc, *assemble_step(disc, u))
 
 
 def _corner_graded_mesh():
@@ -330,7 +319,7 @@ def test_initializer_reproduces_affine_data():
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: 1.0 + x - 2.0 * y, tau=1.0)
     u0 = default_initializer(Discretisation(mesh, problem))
-    expected = interpolate(SpaceP1(mesh), problem.g)
+    expected = interpolate(mesh, problem.g)
     assert np.abs(u0.coefficients - expected.coefficients).max() <= 1e-10
 
 
@@ -352,7 +341,7 @@ def test_poisson_start_matches_coo_stiffness_oracle(base, levels, rel):
             disc = Discretisation(mesh, problem)
             ours = default_initializer(disc).coefficients
             matrix, rhs = sparse_product_dirichlet(coo_poisson_stiffness(mesh), -disc.load,
-                                                   disc.space, problem.g)
+                                                   mesh, problem.g)
             theirs = solve_linear(matrix, rhs)
             assert np.abs(ours - theirs).max() <= rel * np.abs(theirs).max()
         mesh = uniform_refine(mesh)
@@ -394,8 +383,7 @@ def test_fixed_point_idempotence_within_tolerance():
     config = SolverConfig()
     report = fixed_point_solve(mesh, CLASSICAL, config)
     again = fixed_point_solve(mesh, CLASSICAL, config, initial=report.solution)
-    space = SpaceP1(mesh)
-    drift = l2_norm(FEFunction(space, again.solution.coefficients
+    drift = l2_norm(FEFunction(mesh, again.solution.coefficients
                                - report.solution.coefficients))
     assert drift <= config.increment_tol_factor * mesh.diameters.max() ** 2
 
@@ -403,7 +391,7 @@ def test_fixed_point_idempotence_within_tolerance():
 def test_fixed_point_rejects_foreign_initial_guess():
     mesh = build_initial_mesh(1)
     other = build_initial_mesh(2)
-    guess = interpolate(SpaceP1(other), lambda x, y: x)
+    guess = interpolate(other, lambda x, y: x)
     with pytest.raises(InvalidArgumentError):
         fixed_point_solve(mesh, CLASSICAL, initial=guess)
 
@@ -415,11 +403,25 @@ def test_exact_solution_residual_under_refinement():
     mesh = build_initial_mesh(2)
     for _ in range(4):
         disc = Discretisation(mesh, CLASSICAL)
-        star = interpolate(disc.space, CLASSICAL.exact_solution)
-        matrix, rhs = assemble_step(disc, star, fe_hessian(star))
+        star = interpolate(mesh, CLASSICAL.exact_solution)
+        matrix, rhs = assemble_step(disc, star)
         matrix, rhs = apply_dirichlet(disc, matrix, rhs)
         assert np.linalg.norm(matrix @ star.coefficients - rhs) <= 1e-12
         mesh = uniform_refine(mesh)
+
+
+def test_growing_increments_raise_divergence_error(monkeypatch):
+    # the step map u -> 2u + 1 doubles every increment, so five growing
+    # increments in a row gain 2^5 > 10 at iteration 6
+    def doubling(disc, u):
+        disc.factor.residual, disc.factor.iterations = 0.0, 0
+        return FEFunction(disc.mesh, 2.0 * u.coefficients + 1.0)
+
+    monkeypatch.setattr(Discretisation, "step", doubling)
+    with pytest.raises(DivergenceError) as info:
+        fixed_point_solve(build_initial_mesh(2), CLASSICAL,
+                          SolverConfig(increment_tol_factor=1e-6))
+    assert info.value.iteration == 6
 
 
 @pytest.mark.parametrize("config", [SolverConfig(increment_tol_factor=0.01),
@@ -457,7 +459,7 @@ def test_fixed_point_solve_builds_one_discretisation(monkeypatch, start):
     for name in ("hessian_operator", "load_vector"):
         monkeypatch.setattr(inflap.solver, name, counting(name))
     mesh = uniform_refine(build_initial_mesh(2))
-    initial = interpolate(SpaceP1(mesh), ARONSSON.g) if start == "initial" else None
+    initial = interpolate(mesh, ARONSSON.g) if start == "initial" else None
     config = SolverConfig(increment_tol_factor=0.01)
     report = fixed_point_solve(mesh, ARONSSON, config, initial=initial)
     assert report.iterations > 1
@@ -473,7 +475,7 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
     assert report.iterations == 1 and report.factorizations == 1
 
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = assemble_step(disc, settled, fe_hessian(settled))
+    matrix, rhs = assemble_step(disc, settled)
     matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     direct = solve_linear(matrix, rhs)
     assert np.array_equal(report.solution.coefficients, direct)
@@ -486,14 +488,13 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
 def _direct_fixed_point(mesh, problem, config):
     """The fixed-point loop with a fresh direct solve in every step."""
     disc = Discretisation(mesh, problem)
-    space = disc.space
     current = default_initializer(disc)
     tolerance = config.increment_tol_factor * mesh.diameters.max() ** 2
     for iteration in range(1, config.max_iterations + 1):
-        matrix, rhs = assemble_step(disc, current, fe_hessian(current))
+        matrix, rhs = assemble_step(disc, current)
         matrix, rhs = apply_dirichlet(disc, matrix, rhs)
-        proposed = FEFunction(space, spla.spsolve(matrix.tocsc(), rhs))
-        increment = l2_norm(FEFunction(space, proposed.coefficients - current.coefficients))
+        proposed = FEFunction(mesh, spla.spsolve(matrix.tocsc(), rhs))
+        increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         current = proposed
         if increment <= tolerance:
             return current, iteration
@@ -523,7 +524,7 @@ def test_refinement_starts_from_the_last_solution():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
+    matrix, rhs = assemble_step(disc, u)
     matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
@@ -557,7 +558,7 @@ class _RecordingFactor:
 def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = assemble_step(disc, u, fe_hessian(u))
+    matrix, rhs = assemble_step(disc, u)
     matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     rng = np.random.default_rng(5)
     unrelated = sp.random(matrix.shape[0], matrix.shape[0], density=0.01,

@@ -132,8 +132,9 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         if problem.exact_gradient is not None:
             record.h1_error = h1_semi_error(report.solution, problem.exact_gradient)
         history.records.append(record)
-        logger.info("cycle %d: %d dofs, estimator %.4e", cycle, record.dofs,
-                    record.estimator)
+        logger.info("cycle %d: %d dofs, estimator %.4e, factorizations %d, "
+                    "refinement LU solves %d", cycle, record.dofs, record.estimator,
+                    report.factorizations, sum(report.linear_iterations))
 
         if indicators.eta_total <= config.estimator_tol:
             break

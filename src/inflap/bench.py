@@ -112,8 +112,9 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
     ``problem`` names an entry of ``registry()``.  Starts from the
     criss-cross mesh with ``initial_n`` squares per side and refines
     uniformly between levels; every level is solved from the Poisson
-    initial guess so iteration counts are comparable across levels.  ``on_level(level, mesh, report, indicators)`` is called after
-    each solve.  A solver failure aborts the study and carries the rows
+    initial guess so iteration counts are comparable across levels.
+    ``on_level(level, mesh, report, indicators)`` is called after each
+    solve.  A solver failure aborts the study and carries the rows
     finished so far in its ``partial_table`` attribute.
     """
     if not is_positive_integer(levels):
@@ -150,8 +151,9 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
             row.estimator_eoc = _eoc(previous_row.estimator, row.estimator,
                                      previous_row.h, row.h)
         table.rows.append(row)
-        logger.info("level %d: h %.4e, dofs %d, iterations %d", level, row.h,
-                    row.dofs, row.iterations)
+        logger.info("level %d: h %.4e, dofs %d, iterations %d, factorizations %d, "
+                    "refinement LU solves %d", level, row.h, row.dofs, row.iterations,
+                    report.factorizations, sum(report.linear_iterations))
         if on_level is not None:
             on_level(level, mesh, report, indicators)
         previous_row = row
@@ -195,11 +197,9 @@ def write_csv(table, path) -> None:
 # ----------------------------------------------------------------- VTU output
 
 def _ascii(values, per_line=6):
+    # tolist() yields Python ints and floats, which format faster than numpy scalars
     values = np.asarray(values).reshape(-1)
-    if values.dtype.kind in "iu":
-        parts = [str(int(v)) for v in values]
-    else:
-        parts = [format(float(v), ".17g") for v in values]
+    parts = list(map(str if values.dtype.kind in "iu" else "%.17g".__mod__, values.tolist()))
     lines = [" ".join(parts[i:i + per_line]) for i in range(0, len(parts), per_line)]
     return "\n          ".join(lines)
 

@@ -15,14 +15,17 @@ Everything that depends only on the mesh lives in one ``Discretisation``
 per ``fixed_point_solve`` call: the Hessian operator (per-element Hessian
 blocks plus the sparse pattern of the step matrix), the load vector, the
 Dirichlet values with the pattern positions the Dirichlet lift keeps, and
-the LU factor of the first step matrix, a minimum-degree LU after a
+the LU factor of the last factored step matrix, a minimum-degree LU after a
 reverse Cuthill-McKee pre-ordering.  Its ``step`` maps an iterate to
 the next: it contracts each element's block with its diffusion tensor,
 scatters the result into the fixed pattern, lifts the boundary values by
 gathering the kept entries and solves.  Later steps on the same mesh differ
 only through the frozen gradient direction, so they are solved by iterative
 refinement with that factor (Moler 1967), started from the previous step's
-solution; a step whose refinement stalls is refactored and solved directly.
+solution, with one matrix-vector product per LU solve.  The factor is
+refreshed, that is, the step matrix is factored and solved directly, when
+the previous step needed more than ``REFACTOR_AFTER_SOLVES`` LU solves or
+when the refinement stalls.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ logger = logging.getLogger(__name__)
 # true residual falls by less than REFINE_MIN_RATE per LU solve on average
 # (at that pace the 1e-12 target takes more than about 20 solves).
 REFINE_MIN_RATE = 0.3
+# A factor goes stale as the frozen gradient drifts away from the step it was
+# factored for, and each later step needs more LU solves.  Once a solve took
+# more than REFACTOR_AFTER_SOLVES of them, the next step matrix is factored
+# afresh.  On the uniform Aronsson study (tau 1, five levels to 8,321 dofs,
+# where a factorisation costs about 35 LU solves) limits 4, 5 and 6 gave 9,
+# 6 and 4 factorisations with 233, 275 and 383 LU solves on the finest level,
+# and the whole study took 2.8, 2.6 and 2.7 s (median of three runs, 2 vCPU):
+# a lower limit refactors more often than it saves solves.
+REFACTOR_AFTER_SOLVES = 5
 
 # Floor on |p|^2 in the diffusion tensor; it only guards the exact 0/0 case
 # of an element where the frozen gradient vanishes.
@@ -102,7 +114,8 @@ class SolveReport:
     ``linear_iterations`` its LU solves in iterative refinement (0 for a
     step solved by a fresh factorisation without polish) and
     ``factorizations`` the number of LU factorisations of step matrices
-    (one per mesh unless a refinement stalled).
+    (the first step's, plus one per stale factor refreshed or refinement
+    stalled).
     """
 
     solution: FEFunction
@@ -123,7 +136,8 @@ class StepFactor:
     ``solution`` is the last solution (the start of the next refinement),
     and ``residual`` and ``iterations`` are the true relative residual and
     the refinement's LU solves (0 when factored and not polished) of the
-    last solve.
+    last solve.  More than ``REFACTOR_AFTER_SOLVES`` such LU solves mark
+    ``lu`` as stale: the next solve factors its own matrix.
     """
 
     def __init__(self):
@@ -281,30 +295,40 @@ def apply_dirichlet(disc: Discretisation, matrix: sp.csr_matrix, rhs: np.ndarray
     return new_matrix, new_rhs
 
 
-def _relative_residual(matrix, solution, rhs) -> float:
-    scale = np.linalg.norm(rhs)
-    residual = np.linalg.norm(matrix @ solution - rhs) if np.isfinite(solution).all() else np.inf
-    return residual / scale if scale > 0 else residual
+def _residual(matrix, solution, rhs):
+    """``rhs - matrix @ solution`` and its norm relative to that of ``rhs``.
 
-
-def _refine(matrix, rhs, lu, start, accept):
-    """Iterative refinement (Moler 1967) with ``lu`` from ``start``.
-
-    The first LU solve corrects ``start`` (zero when None).  Returns the
-    solution and the number of LU solves once the true relative residual
-    is at most ``accept``, or None once it falls by less than
-    REFINE_MIN_RATE per LU solve on average after the first.
+    The relative residual of a solution with a NaN or inf entry is inf.
     """
-    solution = lu.solve(rhs) if start is None else start + lu.solve(rhs - matrix @ start)
-    solves = 1
-    first = relative = _relative_residual(matrix, solution, rhs)
-    while not relative <= accept:
-        if solves > 1 and not relative < first * REFINE_MIN_RATE ** (solves - 1):
-            return None
-        solution = solution + lu.solve(rhs - matrix @ solution)
+    residual = rhs - matrix @ solution
+    if not np.isfinite(solution).all():
+        return residual, np.inf
+    norm, scale = np.linalg.norm(residual), np.linalg.norm(rhs)
+    return residual, norm / scale if scale > 0 else norm
+
+
+def _refine(matrix, rhs, lu, solution, residual, accept):
+    """Iterative refinement (Moler 1967) of ``solution`` with ``lu``.
+
+    ``residual`` is ``rhs - matrix @ solution``.  Each LU solve corrects
+    the iterate by the LU solve of its residual, and the new iterate's true
+    residual is computed once, one matrix-vector product per LU solve: its
+    norm is the stop test and the vector the next correction's right-hand
+    side.  Returns the solution, the number of LU solves and the relative
+    residual once that is at most ``accept``, or None once it falls by less
+    than REFINE_MIN_RATE per LU solve on average after the first.
+    """
+    solves = 0
+    while True:
+        solution = solution + lu.solve(residual)
         solves += 1
-        relative = _relative_residual(matrix, solution, rhs)
-    return solution, solves
+        residual, relative = _residual(matrix, solution, rhs)
+        if relative <= accept:
+            return solution, solves, relative
+        if solves == 1:
+            first = relative
+        elif not relative < first * REFINE_MIN_RATE ** (solves - 1):
+            return None
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
@@ -317,16 +341,21 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     polished by iterative refinement with the same LU.  With a ``factor``
     holder that already carries an LU (of an earlier, similar matrix), the
     solve refines iteratively with that LU, started from the holder's last
-    solution plus the LU solve of its residual, until the true relative
-    residual is at most ``1e-2 * LINEAR_SOLVER_TOL``.  If the refinement
-    stalls, the old LU is released, ``matrix`` is factored, stored in the
-    holder and solved directly.  Either way a relative residual above
+    solution, until the true relative residual is at most
+    ``1e-2 * LINEAR_SOLVER_TOL``.  The holder's LU is refreshed instead:
+    the old LU is released and ``matrix`` is factored, stored in the
+    holder and solved directly, when the holder's last solve took more
+    than ``REFACTOR_AFTER_SOLVES`` refinement LU solves (the factor has gone
+    stale) or when the refinement stalls.  Every iterate's true residual is
+    computed once and also serves the gate: a relative residual above
     ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
     result = None
-    if holder.lu is not None:
-        result = _refine(matrix, rhs, holder.lu, holder.solution, 1e-2 * LINEAR_SOLVER_TOL)
+    if holder.lu is not None and holder.iterations <= REFACTOR_AFTER_SOLVES:
+        start = holder.solution if holder.solution is not None else np.zeros(len(rhs))
+        result = _refine(matrix, rhs, holder.lu, start, rhs - matrix @ start,
+                         1e-2 * LINEAR_SOLVER_TOL)
     if result is None:
         holder.lu = None        # release the old factor before building a new one
         try:
@@ -336,12 +365,14 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
         holder.factorizations += 1
         holder.fill = holder.lu.nnz
         solution = holder.lu.solve(rhs)
-        result = solution, 0
-        if not _relative_residual(matrix, solution, rhs) <= LINEAR_SOLVER_TOL:
+        residual, relative = _residual(matrix, solution, rhs)
+        result = solution, 0, relative
+        if not relative <= LINEAR_SOLVER_TOL:
             # threshold pivoting can leave the direct solve above the gate
-            result = _refine(matrix, rhs, holder.lu, solution, LINEAR_SOLVER_TOL) or result
-    solution, holder.iterations = result
-    relative = holder.residual = _relative_residual(matrix, solution, rhs)
+            result = _refine(matrix, rhs, holder.lu, solution, residual,
+                             LINEAR_SOLVER_TOL) or result
+    solution, holder.iterations, relative = result
+    holder.residual = relative
     if not relative <= LINEAR_SOLVER_TOL:
         raise SolverFailure(
             f"linear solve reached relative residual {relative:.3e} "
@@ -381,8 +412,8 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
 
     One ``Discretisation`` of the mesh is built per call, and each
     iteration is its ``step``.  The first step matrix is factored, and
-    later steps refine iteratively with that LU, started from the previous
-    step's solution.
+    later steps refine iteratively with the last LU, started from the
+    previous step's solution, until ``solve_linear`` refreshes it.
     """
     config = config if config is not None else SolverConfig()
     if initial is not None and initial.mesh is not mesh:

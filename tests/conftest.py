@@ -4,7 +4,8 @@ The oracles recompute geometry from scratch (affine solves, explicit edge
 dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
 check.  ``integrate`` and ``min_angle_degrees`` are measurements that only
-the tests need.
+the tests need.  ``two_product_refine`` and ``per_scalar_ascii`` are earlier
+forms of package code, kept as references for their faster replacements.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.sparse as sp
 from inflap.fespace import (FEFunction, evaluate_field, physical_points,
                             triangle_rule, values_at)
 from inflap.mesh import Triangulation, build_initial_mesh, refine, uniform_refine
+from inflap.solver import REFINE_MIN_RATE
 
 
 def integrate(field, mesh):
@@ -322,3 +324,41 @@ def add_at_squared_indicators(mesh, interior, jumps):
     np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 0], half)
     np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 1], half)
     return eta_sq
+
+
+def _relative_residual(matrix, solution, rhs):
+    scale = np.linalg.norm(rhs)
+    residual = np.linalg.norm(matrix @ solution - rhs) if np.isfinite(solution).all() else np.inf
+    return residual / scale if scale > 0 else residual
+
+
+def two_product_refine(matrix, rhs, lu, start, accept):
+    """Iterative refinement with ``lu`` from ``start`` (zero when None).
+
+    Computes each iterate's residual twice, ``matrix @ x - rhs`` for the
+    stop test and ``rhs - matrix @ x`` for the next correction.  Returns
+    the solution and the number of LU solves once the relative residual is
+    at most ``accept``, or None once it falls by less than REFINE_MIN_RATE
+    per LU solve on average after the first.
+    """
+    solution = lu.solve(rhs) if start is None else start + lu.solve(rhs - matrix @ start)
+    solves = 1
+    first = relative = _relative_residual(matrix, solution, rhs)
+    while not relative <= accept:
+        if solves > 1 and not relative < first * REFINE_MIN_RATE ** (solves - 1):
+            return None
+        solution = solution + lu.solve(rhs - matrix @ solution)
+        solves += 1
+        relative = _relative_residual(matrix, solution, rhs)
+    return solution, solves
+
+
+def per_scalar_ascii(values, per_line=6):
+    """VTU ASCII text of an array, formatting one numpy scalar at a time."""
+    values = np.asarray(values).reshape(-1)
+    if values.dtype.kind in "iu":
+        parts = [str(int(v)) for v in values]
+    else:
+        parts = [format(float(v), ".17g") for v in values]
+    lines = [" ".join(parts[i:i + per_line]) for i in range(0, len(parts), per_line)]
+    return "\n          ".join(lines)

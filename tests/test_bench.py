@@ -13,7 +13,10 @@ from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, EOCTable,
                     estimate, fe_hessian, interpolate, registry, write_csv,
                     write_vtu)
 from inflap.cli import main
+import inflap.adapt
 import inflap.bench
+
+from conftest import oracle_meshes, per_scalar_ascii
 
 
 # -------------------------------------------------------------------- registry
@@ -136,6 +139,31 @@ def test_unconverged_solves_reach_the_csvs(tmp_path, caplog):
                    for message in warnings)
 
 
+def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, caplog):
+    reports = []
+    real_solve = inflap.adapt.fixed_point_solve
+
+    def recording(*args, **kwargs):
+        reports.append(real_solve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(inflap.adapt, "fixed_point_solve", recording)
+    solver = SolverConfig(increment_tol_factor=0.01)
+    with caplog.at_level(logging.INFO, logger="inflap"):
+        convergence_study("aronsson", 2, solver_config=solver,
+                          on_level=lambda level, mesh, report, _: reports.append(report))
+        adaptive_solve(registry()["aronsson"].data, build_initial_mesh(4),
+                       AdaptiveConfig(estimator_tol=1e-9, max_cycles=2, solver=solver))
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(lines) == len(reports) == 4
+    assert max(sum(report.linear_iterations) for report in reports) > 0
+    for line, report in zip(lines, reports):
+        assert line.endswith(f"factorizations {report.factorizations}, refinement LU "
+                             f"solves {sum(report.linear_iterations)}")
+    assert [line.split(":")[0] for line in lines] == ["level 0", "level 1",
+                                                      "cycle 0", "cycle 1"]
+
+
 def test_csv_rejects_unknown_payload(tmp_path):
     with pytest.raises(InvalidArgumentError):
         write_csv([1, 2, 3], tmp_path / "bad.csv")
@@ -182,6 +210,25 @@ def test_vtu_field_lengths(tmp_path):
     assert int(cell_arrays["hess"].get("NumberOfComponents")) == 4
     eta = np.fromstring(cell_arrays["eta"].text.replace("\n", " "), sep=" ")
     assert len(eta) == mesh.triangle_count
+
+
+def test_vtu_text_is_byte_identical_to_per_scalar_oracle(tmp_path, monkeypatch):
+    values = [np.array([0.0, -0.0, 1e-300, -2.5e300, np.pi, 1.0 / 3.0, np.inf, np.nan]),
+              np.arange(-7, 20, dtype=np.int64), np.arange(13, dtype=np.int32),
+              np.full(5, 5, dtype=np.uint8), np.zeros((0,))]
+    for array in values:
+        assert inflap.bench._ascii(array) == per_scalar_ascii(array)
+
+    for k, mesh in enumerate(oracle_meshes()):
+        u = interpolate(mesh, lambda x, y: np.sin(3.0 * x) * y - 0.0)
+        fields = {"solution": u, "hess": fe_hessian(u), "zero": -np.zeros(mesh.vertex_count),
+                  "eta": estimate(u, u, lambda x, y: np.ones(np.shape(x)), tau=1.0)}
+        write_vtu(mesh, fields, tmp_path / f"fast{k}.vtu")
+        with monkeypatch.context() as patch:
+            patch.setattr(inflap.bench, "_ascii", per_scalar_ascii)
+            write_vtu(mesh, fields, tmp_path / f"oracle{k}.vtu")
+        assert (tmp_path / f"fast{k}.vtu").read_bytes() == \
+            (tmp_path / f"oracle{k}.vtu").read_bytes()
 
 
 def test_vtu_rejects_odd_field_length(tmp_path):

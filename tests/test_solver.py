@@ -21,7 +21,7 @@ from conftest import (add_at_load_vector, add_at_squared_indicators,
                       add_at_step_rhs, brute_saddle, coo_hessian_matrix,
                       coo_poisson_stiffness, oracle_meshes, perturbed_mesh,
                       schur_eliminate, sparse_product_dirichlet,
-                      sparse_product_step_matrix)
+                      sparse_product_step_matrix, two_product_refine)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -501,19 +501,33 @@ def _direct_fixed_point(mesh, problem, config):
     raise AssertionError("direct loop did not converge")
 
 
-def test_factor_reuse_matches_direct_solves_on_aronsson_study():
+def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
+    factored = []
+    real_step = Discretisation.step
+
+    def step(disc, u):
+        before = disc.factor.factorizations
+        proposed = real_step(disc, u)
+        factored.append(disc.factor.factorizations > before)
+        return proposed
+
+    monkeypatch.setattr(Discretisation, "step", step)
     config = SolverConfig(increment_tol_factor=0.01)
     levels = []
     table = convergence_study("aronsson", 3, tau=1.0, solver_config=config,
                               on_level=lambda level, mesh, report, _:
                               levels.append((mesh, report)))
     assert [row.iterations for row in table.rows] == [6, 10, 21]
+    # the first step of each level and every step after a stale refinement factor
+    assert [report.factorizations for _, report in levels] == [2, 4, 5]
+    assert len(factored) == sum(report.iterations for _, report in levels)
+    steps = iter(factored)
     for (mesh, report), row in zip(levels, table.rows):
-        assert report.factorizations == 1
         assert max(report.linear_residuals) <= 1e-2 * LINEAR_SOLVER_TOL
-        # the factored first step takes no refinement LU solves, the later ones some
+        # a step takes no refinement LU solves exactly when it was factored
         assert len(report.linear_iterations) == report.iterations
-        assert report.linear_iterations[0] == 0 and min(report.linear_iterations[1:]) > 0
+        assert [n == 0 for n in report.linear_iterations] == \
+            [next(steps) for _ in range(report.iterations)]
         direct, iterations = _direct_fixed_point(mesh, ARONSSON, config)
         assert iterations == report.iterations
         assert row.l2_error == pytest.approx(
@@ -540,6 +554,70 @@ def test_refinement_starts_from_the_last_solution():
     assert holder.iterations == len(recording.solved) > 0
     assert np.array_equal(holder.solution, second)
     assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+
+
+def test_stale_factor_is_refreshed_before_refining():
+    mesh = uniform_refine(build_initial_mesh(4))
+    disc = Discretisation(mesh, ARONSSON)
+    matrix, rhs = apply_dirichlet(disc, *assemble_step(disc, default_initializer(disc)))
+    holder = StepFactor()
+    solve_linear(matrix, rhs, factor=holder)
+    interior = sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
+    solve_linear(matrix + 2e-2 * interior, rhs, factor=holder)
+    assert holder.factorizations == 1
+    assert holder.iterations > inflap.solver.REFACTOR_AFTER_SOLVES
+
+    # the next solve factors its own matrix and never touches the stale LU
+    holder.lu = stale = _RecordingFactor(holder.lu)
+    nudged = matrix + 3e-2 * interior
+    solution = solve_linear(nudged, rhs, factor=holder)
+    assert stale.solved == []
+    assert holder.factorizations == 2 and holder.iterations == 0
+    assert holder.residual <= LINEAR_SOLVER_TOL
+    assert np.array_equal(solution, solve_linear(nudged, rhs))
+
+
+class _RecordingMatrix:
+    """Stands in for a step matrix and counts its matrix-vector products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, vector):
+        self.products += 1
+        return self.matrix @ vector
+
+
+def test_refinement_computes_one_residual_per_lu_solve():
+    mesh = uniform_refine(build_initial_mesh(4))
+    disc = Discretisation(mesh, ARONSSON)
+    matrix, rhs = apply_dirichlet(disc, *assemble_step(disc, default_initializer(disc)))
+    holder = StepFactor()
+    start = solve_linear(matrix, rhs, factor=holder)
+    nudged = matrix + 2e-2 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
+    for accept in (1e-2 * LINEAR_SOLVER_TOL, LINEAR_SOLVER_TOL):
+        recording, lu = _RecordingMatrix(nudged), _RecordingFactor(holder.lu)
+        solution, solves, relative = inflap.solver._refine(
+            recording, rhs, lu, start, rhs - nudged @ start, accept)
+        assert solves > 1 and recording.products == solves == len(lu.solved)
+        assert relative <= accept
+        reference, reference_solves = two_product_refine(nudged, rhs, holder.lu, start, accept)
+        assert np.array_equal(solution, reference) and solves == reference_solves
+        assert relative == np.linalg.norm(nudged @ solution - rhs) / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_solution_fails_the_gate(monkeypatch, bad):
+    def poisoned(lu, rhs):
+        solution = np.zeros_like(rhs)
+        solution[0] = bad
+        return solution
+
+    monkeypatch.setattr(inflap.solver.PermutedLU, "solve", poisoned)
+    with pytest.raises(SolverFailure) as info:
+        solve_linear(sp.identity(3, format="csr"), np.ones(3))
+    assert info.value.residual == np.inf
 
 
 class _RecordingFactor:

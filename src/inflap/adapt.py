@@ -118,11 +118,7 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         if not report.converged:
             logger.warning("cycle %d: fixed-point solve did not converge in %d iterations",
                            cycle, report.iterations)
-        # Estimate at the self-consistent pair: plugging the returned iterate
-        # into both slots makes the 1/tau jump contributions cancel exactly,
-        # so the indicator measures the residual of the solution instead of
-        # the (tolerance-sized) last linearisation step.
-        indicators = estimate(report.solution, report.solution, problem.f, problem.tau)
+        indicators = estimate(report.solution, problem.f, problem.tau)
         record = CycleRecord(
             cycle=cycle, dofs=mesh.vertex_count, triangles=mesh.triangle_count,
             estimator=indicators.eta_total, estimator_l1=indicators.global_estimate,

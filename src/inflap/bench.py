@@ -15,8 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adapt import AdaptiveHistory, CycleRecord
-from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
-                     is_positive_integer)
+from .errors import InvalidArgumentError, SolverFailure, is_positive_integer
 from .estimator import IndicatorField, estimate
 from .fespace import FEFunction, h1_semi_error, l2_error
 from .mesh import Triangulation, build_initial_mesh, uniform_refine
@@ -130,11 +129,10 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
     for level in range(levels):
         try:
             report = fixed_point_solve(mesh, data, solver_config)
-        except (SolverFailure, DivergenceError) as failure:
+        except SolverFailure as failure:
             failure.partial_table = table
             raise
-        # self-consistent pair, see the note in adapt.adaptive_solve
-        indicators = estimate(report.solution, report.solution, data.f, data.tau)
+        indicators = estimate(report.solution, data.f, data.tau)
         if not report.converged:
             logger.warning("level %d: fixed-point solve did not converge in %d iterations",
                            level, report.iterations)

@@ -16,7 +16,7 @@ import sys
 
 from .adapt import AdaptiveConfig, adaptive_solve
 from .bench import convergence_study, registry, write_csv, write_vtu
-from .errors import DivergenceError, InvalidArgumentError, SolverFailure
+from .errors import InvalidArgumentError, SolverFailure
 from .estimator import estimate
 from .mesh import build_initial_mesh
 from .solver import SolverConfig
@@ -86,7 +86,7 @@ def _run_solve(args) -> int:
         table = convergence_study(args.problem, args.levels, tau=args.tau,
                                   solver_config=_solver_config(args),
                                   initial_n=args.initial_n, on_level=on_level)
-    except (SolverFailure, DivergenceError) as failure:
+    except SolverFailure as failure:
         partial = getattr(failure, "partial_table", None)
         if partial is not None and partial.rows:
             write_csv(partial, csv_path)
@@ -117,14 +117,13 @@ def _run_adapt(args) -> int:
     mesh = build_initial_mesh(args.initial_n)
     try:
         report, final_mesh, history = adaptive_solve(problem.data, mesh, config)
-    except (SolverFailure, DivergenceError) as failure:
+    except SolverFailure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1
 
     csv_path = os.path.join(out, f"{args.problem}_adapt_history.csv")
     write_csv(history, csv_path)
-    # the same self-consistent pair as the history's estimator
-    indicators = estimate(report.solution, report.solution, problem.data.f, tau)
+    indicators = estimate(report.solution, problem.data.f, tau)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
     write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
               vtu_path)

@@ -17,7 +17,7 @@ class EvaluationError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The linear solver could not meet its residual contract."""
+    """A solve failed; raised as such when a linear solve misses its residual contract."""
 
     def __init__(self, message, residual=None, iteration=None):
         super().__init__(message)
@@ -25,9 +25,5 @@ class SolverFailure(RuntimeError):
         self.iteration = iteration
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(SolverFailure):
     """The fixed-point iteration produced growing or non-finite iterates."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration

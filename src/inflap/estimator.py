@@ -1,18 +1,26 @@
-"""Residual a posteriori indicators for the linearised iteration.
+"""Residual a posteriori indicators at the discrete solution.
 
-For a pair of consecutive iterates (u_prev, u_next) the element residual
+The linearised step maps an iterate u_prev to u_next; its residual is
+measured at the self-consistent pair u_prev = u_next = u, where u is the
+solution a fixed-point solve returns.  The indicator then measures the
+residual of that solution, not the (tolerance-sized) last linearisation
+step.  The element residual
 
-    R = f + laplace(u_prev) / tau - A[u_prev] : D^2 u_next
+    R = f + laplace(u) / tau - A[u] : D^2 u
 
 uses broken (elementwise) second derivatives, which vanish identically
-for piecewise-affine iterates, so R reduces to f.  The information sits
+for piecewise-affine functions, so R reduces to f.  The information sits
 in the interior-edge residual
 
-    J = jump(grad u_prev . n) / tau - avg(A[u_prev]) : tensor_jump(grad u_next)
+    J = jump(grad u . n) / tau - avg(A[u]) : tensor_jump(grad u)
 
 where the tensor jump of a vector field xi is xi+ (x) n+ + xi- (x) n-.
 Both residuals are elementwise respectively edgewise constant here, so
-their L2 norms are exact.
+their L2 norms are exact.  With A = (p (x) p) / |p|^2 + I / tau, the two
+1/tau terms of J cancel in exact arithmetic.  Both are still computed:
+the tau-free formula rounds differently, and bulk marking has exact ties,
+so it would change the adaptive mesh sequence.  It waits for a change
+that moves the solver's numbers anyway.
 
 Two aggregates are reported: ``global_estimate`` is the plain sum
 sum_K h_K ||R||_K + sum_e h_e^(1/2) ||J||_e with constant one, and
@@ -31,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
 from .fespace import (FEFunction, evaluate_field, gradients, physical_points,
                       triangle_rule)
 from .mesh import Triangulation
@@ -66,35 +73,33 @@ def interior_residual_norms(mesh: Triangulation, f) -> np.ndarray:
     return np.sqrt(mesh.areas * ((vals ** 2) @ rule.weights))
 
 
-def jump_residuals(u_prev: FEFunction, u_next: FEFunction, tau: float) -> np.ndarray:
-    """Edgewise constant jump residual on every interior edge of ``u_prev.mesh``.
+def jump_residuals(u: FEFunction, tau: float) -> np.ndarray:
+    """Edgewise constant jump residual on every interior edge of ``u.mesh``.
 
     Ordered like ``mesh.interior_edge_ids``.  The diffusion tensor is
     elementwise constant and therefore double valued on edges; its edge
     value is the arithmetic average of the two neighbors.
     """
-    mesh = u_prev.mesh
-    if u_next.mesh is not mesh:
-        raise InvalidArgumentError("iterates must live on the same mesh")
+    mesh = u.mesh
     interior = mesh.interior_edge_ids
     plus = mesh.edge_triangles[interior, 0]
     minus = mesh.edge_triangles[interior, 1]
     normals = mesh.edge_normals[interior]
 
-    grad_prev = gradients(u_prev)
-    grad_next = gradients(u_next)
-    tensors = diffusion_tensor(u_prev, tau)
+    grad = gradients(u)
+    tensors = diffusion_tensor(u, tau)
 
-    gradient_jump = ((grad_prev[plus] - grad_prev[minus]) * normals).sum(axis=1)
-    tensor_jump = (grad_next[plus] - grad_next[minus])[:, :, None] * normals[:, None, :]
+    difference = grad[plus] - grad[minus]
+    gradient_jump = (difference * normals).sum(axis=1)
+    tensor_jump = difference[:, :, None] * normals[:, None, :]
     averaged = 0.5 * (tensors[plus] + tensors[minus])
     return gradient_jump / tau - np.einsum("erc,erc->e", averaged, tensor_jump)
 
 
-def estimate(u_prev: FEFunction, u_next: FEFunction, f, tau: float) -> IndicatorField:
-    """Assemble the indicator field for a pair of iterates on one mesh."""
-    mesh = u_prev.mesh
-    jump_values = jump_residuals(u_prev, u_next, tau)
+def estimate(u: FEFunction, f, tau: float) -> IndicatorField:
+    """Assemble the indicator field of ``u`` on its mesh."""
+    mesh = u.mesh
+    jump_values = jump_residuals(u, tau)
     residual_norms = interior_residual_norms(mesh, f)
 
     interior = mesh.diameters * residual_norms

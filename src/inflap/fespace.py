@@ -32,14 +32,6 @@ class QuadratureRule:
     order: int
 
 
-def _make_rule(points, weights, order):
-    points = np.array(points, dtype=float)
-    weights = np.array(weights, dtype=float)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(points, weights, order)
-
-
 def _orbit3(a, w):
     lam = [(1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)]
     return lam, [w] * 3
@@ -56,15 +48,16 @@ def _symmetric_rule(order, orbits):
     for lam, w in orbits:
         points += lam
         weights += w
-    return _make_rule(points, weights, order)
+    points = np.array(points, dtype=float)
+    weights = np.array(weights, dtype=float)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(points, weights, order)
 
 
 # Symmetric rules; the degree 4 and 6 constants solve the moment equations
 # of the classical 6 and 12 point rules to well below double precision.
 _RULES = {
-    1: _make_rule([[1 / 3, 1 / 3, 1 / 3]], [1.0], 1),
-    2: _make_rule([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
-                  [1 / 3, 1 / 3, 1 / 3], 2),
     4: _symmetric_rule(4, [
         _orbit3(0.4459484909159648863183, 0.223381589678011465695),
         _orbit3(0.09157621350977074345957, 0.1099517436553218676383),

@@ -23,10 +23,6 @@ from .errors import InvalidArgumentError, is_positive_integer
 BOUNDARY_TOL = 1e-14
 COVERAGE_TOL = 1e-10
 
-# Vertex permutation that moves the edge opposite local vertex r into the
-# slot joining local vertices 0 and 1 (cyclic, so orientation is kept).
-_NORMALIZE = np.array([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
-
 
 def _perp(v):
     """Rotate 2-vectors by +90 degrees (last axis holds x, y)."""
@@ -43,10 +39,14 @@ def _cross2(u, v):
 class Triangulation:
     """Conforming triangulation of the square [-1, 1]^2.
 
-    Triangles are stored with their refinement edge joining local
-    vertices 0 and 1; the vertex opposite that edge (the newest vertex of
-    the bisection genealogy) sits in slot 2, so ``triangle_edges[:, 2]``
-    holds the refinement edges.  Vertex order is counterclockwise.
+    Triangles are stored in the order the caller gives, and that order is
+    an input contract: vertices run counterclockwise, and the refinement
+    edge joins local vertices 0 and 1, so the vertex opposite it (the
+    newest vertex of the bisection genealogy) sits in slot 2 and
+    ``triangle_edges[:, 2]`` holds the refinement edges.
+    ``build_initial_mesh``, ``refine`` and ``uniform_refine`` emit that
+    order.  With ``validate`` the mesh must conform to the square
+    (``conformity_errors``).
 
     Attributes
     ----------
@@ -65,8 +65,8 @@ class Triangulation:
         bisected edges that created the k newest vertices, or None for a root mesh
     """
 
-    def __init__(self, vertex_coords, triangle_vertices, refinement_edges=None,
-                 level=0, new_vertex_parents=None, validate=True):
+    def __init__(self, vertex_coords, triangle_vertices, level=0,
+                 new_vertex_parents=None, validate=True):
         coords = np.array(vertex_coords, dtype=float)
         tris = np.array(triangle_vertices, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -78,14 +78,6 @@ class Triangulation:
             raise InvalidArgumentError("mesh needs at least one triangle")
         if tris.min() < 0 or tris.max() >= nv:
             raise InvalidArgumentError("triangle vertex id out of range")
-
-        if refinement_edges is None:
-            ref = _longest_edges(coords, tris)
-        else:
-            ref = np.array(refinement_edges, dtype=np.int64)
-            if ref.shape != (nt,) or ref.min() < 0 or ref.max() > 2:
-                raise InvalidArgumentError("refinement_edges must be per-triangle local indices")
-        tris = np.take_along_axis(tris, _NORMALIZE[ref], axis=1)
 
         self.vertex_coords = coords
         self.vertex_on_boundary = np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL
@@ -106,7 +98,9 @@ class Triangulation:
 
         self._build_edge_table()
         if validate:
-            self._validate_domain()
+            problems = conformity_errors(self)
+            if problems:
+                raise InvalidArgumentError(problems[0])
         for arr in (self.vertex_coords, self.vertex_on_boundary, self.triangle_vertices,
                     self.areas, self.diameters, self.centroids, self.basis_gradients,
                     self.edge_vertices, self.edge_triangles, self.edge_normals,
@@ -158,24 +152,6 @@ class Triangulation:
         self.interior_edge_ids = np.flatnonzero(has_two)
         self.boundary_edge_ids = np.flatnonzero(counts == 1)
 
-    def _validate_domain(self):
-        if np.abs(self.vertex_coords).max() > 1.0 + BOUNDARY_TOL:
-            raise InvalidArgumentError("vertex coordinates must lie in [-1, 1]^2")
-        if abs(self.areas.sum() - 4.0) > COVERAGE_TOL:
-            raise InvalidArgumentError("triangle areas do not cover the square")
-        # A boundary edge (one adjacent triangle) must lie on a side of the
-        # square; an interior edge with one neighbor is a hanging-node bug.
-        ev = self.edge_vertices[self.boundary_edge_ids]
-        pa = self.vertex_coords[ev[:, 0]]
-        pb = self.vertex_coords[ev[:, 1]]
-        on_side = np.zeros(len(ev), dtype=bool)
-        for axis in (0, 1):
-            for side in (-1.0, 1.0):
-                on_side |= ((np.abs(pa[:, axis] - side) <= BOUNDARY_TOL)
-                            & (np.abs(pb[:, axis] - side) <= BOUNDARY_TOL))
-        if not on_side.all():
-            raise InvalidArgumentError("edge with one neighbor does not lie on the boundary")
-
     # ------------------------------------------------------------------ sizes
 
     @property
@@ -195,28 +171,14 @@ class Triangulation:
                 f"triangles={self.triangle_count})")
 
 
-def _longest_edges(coords, tris):
-    """Local index of the longest edge per triangle.
-
-    Ties go to the edge whose opposite vertex has the smallest global id,
-    which keeps the assignment deterministic.
-    """
-    p = coords[tris]
-    edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    lengths = np.sqrt((edge_vec ** 2).sum(axis=2))
-    longest = lengths.max(axis=1, keepdims=True)
-    tied = lengths >= longest * (1.0 - 1e-12)
-    candidates = np.where(tied, tris, np.iinfo(np.int64).max)
-    return candidates.argmin(axis=1)
-
-
 def build_initial_mesh(n: int) -> Triangulation:
     """Criss-cross mesh of [-1, 1]^2 with n x n grid squares.
 
     Each square is split into four triangles by adding its center, so the
     mesh has 4*n^2 triangles and (n+1)^2 + n^2 vertices.  Refinement edges
-    are the square sides (the longest edge of each triangle), an
-    assignment that is compatible for newest-vertex bisection.
+    are the square sides (the longest edge of each triangle), in local
+    slots 0 and 1, an assignment that is compatible for newest-vertex
+    bisection.
     """
     if not is_positive_integer(n):
         raise InvalidArgumentError("n must be a positive integer")
@@ -345,66 +307,39 @@ def _bisect(mesh, edge_marked):
     emit(both, 2, (m2, b, m0))
     emit(both, 3, (c, m2, m0))
 
-    return Triangulation(coords, out, refinement_edges=np.full(len(out), 2, dtype=np.int64),
-                         level=mesh.level + 1, new_vertex_parents=pairs)
+    return Triangulation(coords, out, level=mesh.level + 1, new_vertex_parents=pairs)
 
 
-def conformity_errors(mesh: Triangulation, tol: float = 1e-12) -> list[str]:
-    """Brute-force conformity check, intended as an independent oracle.
+def conformity_errors(mesh: Triangulation) -> list[str]:
+    """What keeps ``mesh`` from being a conforming triangulation of [-1, 1]^2.
 
-    Works directly from the triangle list (not the cached edge table):
-    counts edge multiplicities with a dictionary, tests every vertex
-    against every edge segment for hanging nodes, and checks orientation,
-    coverage and that single-sided edges lie on the boundary of the
-    square.  Returns a list of human-readable violations, empty when the
-    mesh is conforming.
+    Linear in the mesh size, read from the mesh's own edge table.  The
+    constructor already rejects triangles without positive area and edges
+    shared by more than two triangles.  Given those, the mesh conforms
+    exactly when its vertices lie in the square and belong to triangles,
+    its areas sum to 4 and every edge with one neighbor lies on a side of
+    the square: a hanging vertex leaves the edge it sits on one-sided
+    inside the domain.  Returns human-readable problems, empty for a
+    conforming mesh.
     """
     problems = []
     coords = mesh.vertex_coords
-    tris = mesh.triangle_vertices
-
-    seen: dict[tuple[int, int], int] = {}
-    for verts in tris:
-        v = [int(x) for x in verts]
-        for i, j in ((v[0], v[1]), (v[1], v[2]), (v[2], v[0])):
-            key = (i, j) if i < j else (j, i)
-            seen[key] = seen.get(key, 0) + 1
-    for key, count in seen.items():
-        if count > 2:
-            problems.append(f"edge {key} shared by {count} triangles")
-
-    pa = coords[tris[:, 0]]
-    signed = 0.5 * _cross2(coords[tris[:, 1]] - pa, coords[tris[:, 2]] - pa)
-    for k in np.flatnonzero(signed <= 0.0):
-        problems.append(f"triangle {k} has non-positive area {signed[k]:.3e}")
-    total = signed.sum()
-    if abs(total - 4.0) > COVERAGE_TOL:
-        problems.append(f"total area {total!r} differs from 4")
-
-    edges = np.array(sorted(seen.keys()), dtype=np.int64)
-    a = coords[edges[:, 0]]
-    d = coords[edges[:, 1]] - a
-    dd = (d ** 2).sum(axis=1)
-    chunk = max(1, int(2e6) // max(len(edges), 1))
-    for lo in range(0, len(coords), chunk):
-        pts = coords[lo:lo + chunk]
-        rel = pts[:, None, :] - a[None, :, :]
-        cross = rel[..., 0] * d[None, :, 1] - rel[..., 1] * d[None, :, 0]
-        t = (rel * d[None, :, :]).sum(axis=2) / dd[None, :]
-        near = (np.abs(cross) <= tol * np.sqrt(dd)[None, :]) & (t > tol) & (t < 1.0 - tol)
-        ids = np.arange(lo, lo + len(pts))
-        near &= (ids[:, None] != edges[None, :, 0]) & (ids[:, None] != edges[None, :, 1])
-        for vi, ei in zip(*np.nonzero(near)):
-            problems.append(f"vertex {lo + int(vi)} hangs on edge "
-                            f"{tuple(int(x) for x in edges[ei])}")
-
-    for key, count in seen.items():
-        if count != 1:
-            continue
-        qa, qb = coords[key[0]], coords[key[1]]
-        on_side = any(abs(qa[axis] - side) <= BOUNDARY_TOL
-                      and abs(qb[axis] - side) <= BOUNDARY_TOL
-                      for axis in (0, 1) for side in (-1.0, 1.0))
-        if not on_side:
-            problems.append(f"interior edge {key} has only one neighbor")
+    if np.abs(coords).max() > 1.0 + BOUNDARY_TOL:
+        problems.append("vertex coordinates must lie in [-1, 1]^2")
+    unused = np.bincount(mesh.triangle_vertices.reshape(-1), minlength=len(coords)) == 0
+    if unused.any():
+        problems.append(f"{int(unused.sum())} vertices belong to no triangle")
+    if abs(mesh.areas.sum() - 4.0) > COVERAGE_TOL:
+        problems.append("triangle areas do not cover the square")
+    ev = mesh.edge_vertices[mesh.boundary_edge_ids]
+    pa = coords[ev[:, 0]]
+    pb = coords[ev[:, 1]]
+    on_side = np.zeros(len(ev), dtype=bool)
+    for axis in (0, 1):
+        for side in (-1.0, 1.0):
+            on_side |= ((np.abs(pa[:, axis] - side) <= BOUNDARY_TOL)
+                        & (np.abs(pb[:, axis] - side) <= BOUNDARY_TOL))
+    if not on_side.all():
+        problems.append(f"{int((~on_side).sum())} edges with one neighbor do not lie "
+                        "on the boundary")
     return problems

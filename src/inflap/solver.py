@@ -112,7 +112,8 @@ class SolveReport:
     ``iterations`` counts linear solves.  ``linear_residuals`` holds the
     true relative residual of each step's linear solve,
     ``linear_iterations`` its LU solves in iterative refinement (0 for a
-    step solved by a fresh factorisation without polish) and
+    step solved by a fresh factorisation without polish), including those
+    of a refinement with the previous factor that stalled, and
     ``factorizations`` the number of LU factorisations of step matrices
     (the first step's, plus one per stale factor refreshed or refinement
     stalled).
@@ -135,9 +136,11 @@ class StepFactor:
     stored in L and U, ``factorizations`` counts the factorisations,
     ``solution`` is the last solution (the start of the next refinement),
     and ``residual`` and ``iterations`` are the true relative residual and
-    the refinement's LU solves (0 when factored and not polished) of the
-    last solve.  More than ``REFACTOR_AFTER_SOLVES`` such LU solves mark
-    ``lu`` as stale: the next solve factors its own matrix.
+    the refinement's LU solves with ``lu`` (0 when factored and not
+    polished) of the last solve.  More than ``REFACTOR_AFTER_SOLVES`` such
+    LU solves mark ``lu`` as stale: the next solve factors its own matrix.
+    ``stalled`` counts the LU solves of the last solve's refinement with the
+    previous factor when that stalled and ``lu`` was refactored, else 0.
     """
 
     def __init__(self):
@@ -147,6 +150,7 @@ class StepFactor:
         self.solution = None
         self.residual = None
         self.iterations = 0
+        self.stalled = 0
 
 
 class PermutedLU:
@@ -315,8 +319,9 @@ def _refine(matrix, rhs, lu, solution, residual, accept):
     residual is computed once, one matrix-vector product per LU solve: its
     norm is the stop test and the vector the next correction's right-hand
     side.  Returns the solution, the number of LU solves and the relative
-    residual once that is at most ``accept``, or None once it falls by less
-    than REFINE_MIN_RATE per LU solve on average after the first.
+    residual once that is at most ``accept``, with None for the solution
+    once it falls by less than REFINE_MIN_RATE per LU solve on average
+    after the first.
     """
     solves = 0
     while True:
@@ -328,7 +333,7 @@ def _refine(matrix, rhs, lu, solution, residual, accept):
         if solves == 1:
             first = relative
         elif not relative < first * REFINE_MIN_RATE ** (solves - 1):
-            return None
+            return None, solves, relative
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
@@ -346,17 +351,21 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     the old LU is released and ``matrix`` is factored, stored in the
     holder and solved directly, when the holder's last solve took more
     than ``REFACTOR_AFTER_SOLVES`` refinement LU solves (the factor has gone
-    stale) or when the refinement stalls.  Every iterate's true residual is
+    stale) or when the refinement stalls; the stalled refinement's LU
+    solves go to the holder's ``stalled``.  Every iterate's true residual is
     computed once and also serves the gate: a relative residual above
     ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
-    result = None
+    solution = None
+    holder.stalled = 0
     if holder.lu is not None and holder.iterations <= REFACTOR_AFTER_SOLVES:
         start = holder.solution if holder.solution is not None else np.zeros(len(rhs))
-        result = _refine(matrix, rhs, holder.lu, start, rhs - matrix @ start,
-                         1e-2 * LINEAR_SOLVER_TOL)
-    if result is None:
+        solution, solves, relative = _refine(matrix, rhs, holder.lu, start,
+                                             rhs - matrix @ start, 1e-2 * LINEAR_SOLVER_TOL)
+        if solution is None:
+            holder.stalled = solves
+    if solution is None:
         holder.lu = None        # release the old factor before building a new one
         try:
             holder.lu = PermutedLU(matrix)
@@ -366,12 +375,14 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
         holder.fill = holder.lu.nnz
         solution = holder.lu.solve(rhs)
         residual, relative = _residual(matrix, solution, rhs)
-        result = solution, 0, relative
+        solves = 0
         if not relative <= LINEAR_SOLVER_TOL:
-            # threshold pivoting can leave the direct solve above the gate
-            result = _refine(matrix, rhs, holder.lu, solution, residual,
-                             LINEAR_SOLVER_TOL) or result
-    solution, holder.iterations, relative = result
+            # threshold pivoting can leave the direct solve above the gate;
+            # a stalled polish leaves it there, and the gate below raises
+            polished = _refine(matrix, rhs, holder.lu, solution, residual, LINEAR_SOLVER_TOL)
+            if polished[0] is not None:
+                solution, solves, relative = polished
+    holder.iterations = solves
     holder.residual = relative
     if not relative <= LINEAR_SOLVER_TOL:
         raise SolverFailure(
@@ -435,13 +446,14 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
             failure.iteration = iteration
             raise
         residuals.append(factor.residual)
-        linear_iterations.append(factor.iterations)
+        lu_solves = factor.iterations + factor.stalled
+        linear_iterations.append(lu_solves)
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         increments.append(increment)
         logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
                      "linear residual %.2e, LU solves %d, factorizations %d, "
                      "L+U fill %d", iteration, increment, tolerance, factor.residual,
-                     factor.iterations, factor.factorizations, factor.fill)
+                     lu_solves, factor.factorizations, factor.fill)
         if increment <= tolerance:
             return SolveReport(proposed, iteration, increments, True,
                                linear_residuals=residuals,

@@ -3,18 +3,21 @@
 The oracles recompute geometry from scratch (affine solves, explicit edge
 dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
-check.  ``integrate`` and ``min_angle_degrees`` are measurements that only
-the tests need.  ``two_product_refine`` and ``per_scalar_ascii`` are earlier
-forms of package code, kept as references for their faster replacements.
+check; ``brute_conformity_errors`` tests every vertex against every edge.
+``integrate`` and ``min_angle_degrees`` are measurements that only
+the tests need.  ``two_product_refine``, ``per_scalar_ascii`` and
+``pair_jump_residuals`` are earlier forms of package code, kept as
+references for their faster or narrower replacements.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from inflap.fespace import (FEFunction, evaluate_field, physical_points,
+from inflap.fespace import (FEFunction, evaluate_field, gradients, physical_points,
                             triangle_rule, values_at)
-from inflap.mesh import Triangulation, build_initial_mesh, refine, uniform_refine
-from inflap.solver import REFINE_MIN_RATE
+from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
+                         refine, uniform_refine)
+from inflap.solver import REFINE_MIN_RATE, diffusion_tensor
 
 
 def integrate(field, mesh):
@@ -105,6 +108,68 @@ def edge_dictionary(mesh):
         for a, b in ((v[0], v[1]), (v[1], v[2]), (v[2], v[0])):
             edges.setdefault((min(a, b), max(a, b)), []).append(k)
     return edges
+
+
+def brute_conformity_errors(mesh, tol=1e-12):
+    """Brute-force conformity check, intended as an independent oracle.
+
+    Works directly from the triangle list (not the cached edge table):
+    counts edge multiplicities with a dictionary, tests every vertex
+    against every edge segment for hanging nodes, and checks orientation,
+    coverage and that single-sided edges lie on the boundary of the
+    square.  Returns a list of human-readable violations, empty when the
+    mesh is conforming.  Quadratic in the mesh size.
+    """
+    problems = []
+    coords = mesh.vertex_coords
+    tris = mesh.triangle_vertices
+
+    seen = {}
+    for verts in tris:
+        v = [int(x) for x in verts]
+        for i, j in ((v[0], v[1]), (v[1], v[2]), (v[2], v[0])):
+            key = (i, j) if i < j else (j, i)
+            seen[key] = seen.get(key, 0) + 1
+    for key, count in seen.items():
+        if count > 2:
+            problems.append(f"edge {key} shared by {count} triangles")
+
+    pa = coords[tris[:, 0]]
+    ab, ac = coords[tris[:, 1]] - pa, coords[tris[:, 2]] - pa
+    signed = 0.5 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    for k in np.flatnonzero(signed <= 0.0):
+        problems.append(f"triangle {k} has non-positive area {signed[k]:.3e}")
+    total = signed.sum()
+    if abs(total - 4.0) > COVERAGE_TOL:
+        problems.append(f"total area {total!r} differs from 4")
+
+    edges = np.array(sorted(seen.keys()), dtype=np.int64)
+    a = coords[edges[:, 0]]
+    d = coords[edges[:, 1]] - a
+    dd = (d ** 2).sum(axis=1)
+    chunk = max(1, int(2e6) // max(len(edges), 1))
+    for lo in range(0, len(coords), chunk):
+        pts = coords[lo:lo + chunk]
+        rel = pts[:, None, :] - a[None, :, :]
+        cross = rel[..., 0] * d[None, :, 1] - rel[..., 1] * d[None, :, 0]
+        t = (rel * d[None, :, :]).sum(axis=2) / dd[None, :]
+        near = (np.abs(cross) <= tol * np.sqrt(dd)[None, :]) & (t > tol) & (t < 1.0 - tol)
+        ids = np.arange(lo, lo + len(pts))
+        near &= (ids[:, None] != edges[None, :, 0]) & (ids[:, None] != edges[None, :, 1])
+        for vi, ei in zip(*np.nonzero(near)):
+            problems.append(f"vertex {lo + int(vi)} hangs on edge "
+                            f"{tuple(int(x) for x in edges[ei])}")
+
+    for key, count in seen.items():
+        if count != 1:
+            continue
+        qa, qb = coords[key[0]], coords[key[1]]
+        on_side = any(abs(qa[axis] - side) <= BOUNDARY_TOL
+                      and abs(qb[axis] - side) <= BOUNDARY_TOL
+                      for axis in (0, 1) for side in (-1.0, 1.0))
+        if not on_side:
+            problems.append(f"interior edge {key} has only one neighbor")
+    return problems
 
 
 def outward_normal(mesh, k, a, b):
@@ -362,3 +427,24 @@ def per_scalar_ascii(values, per_line=6):
         parts = [format(float(v), ".17g") for v in values]
     lines = [" ".join(parts[i:i + per_line]) for i in range(0, len(parts), per_line)]
     return "\n          ".join(lines)
+
+
+def pair_jump_residuals(u_prev, u_next, tau):
+    """Jump residual of the step from ``u_prev`` to ``u_next`` on every interior edge.
+
+    The diffusion tensor and the 1/tau gradient jump come from ``u_prev``,
+    the tensor jump from ``u_next``; the package evaluates the pair
+    ``(u, u)``.
+    """
+    mesh = u_prev.mesh
+    interior = mesh.interior_edge_ids
+    plus = mesh.edge_triangles[interior, 0]
+    minus = mesh.edge_triangles[interior, 1]
+    normals = mesh.edge_normals[interior]
+    grad_prev = gradients(u_prev)
+    grad_next = gradients(u_next)
+    tensors = diffusion_tensor(u_prev, tau)
+    gradient_jump = ((grad_prev[plus] - grad_prev[minus]) * normals).sum(axis=1)
+    tensor_jump = (grad_next[plus] - grad_next[minus])[:, :, None] * normals[:, None, :]
+    averaged = 0.5 * (tensors[plus] + tensors[minus])
+    return gradient_jump / tau - np.einsum("erc,erc->e", averaged, tensor_jump)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from inflap import (AdaptiveConfig, InvalidArgumentError, SolverConfig,
-                    adaptive_solve, build_initial_mesh, conformity_errors,
-                    estimate, fixed_point_solve, interpolate, mark, refine,
-                    registry, transfer)
+                    adaptive_solve, build_initial_mesh, estimate,
+                    fixed_point_solve, interpolate, mark, refine, registry,
+                    transfer)
 from inflap.estimator import IndicatorField
+from conftest import brute_conformity_errors
 
 ARONSSON = registry()["aronsson"].data
 
@@ -93,7 +94,7 @@ def test_adaptive_aronsson_run():
     assert records[-1].estimator <= 0.3
     # dof counts never decrease and the final mesh is conforming
     assert all(a.dofs <= b.dofs for a, b in zip(records, records[1:]))
-    assert not conformity_errors(final)
+    assert not brute_conformity_errors(final)
     # true errors are tracked and improve overall
     assert records[-1].l2_error < records[0].l2_error
     assert records[-1].h1_error < records[0].h1_error
@@ -144,14 +145,12 @@ def test_refinement_concentrates_on_axes():
     guess = None
     for _ in range(2):
         report = fixed_point_solve(mesh, problem, initial=guess)
-        indicators = estimate(report.solution, report.solution,
-                              problem.f, problem.tau)
+        indicators = estimate(report.solution, problem.f, problem.tau)
         fine = refine(mesh, mark(indicators, 0.5))
         guess = transfer(report.solution, fine)
         mesh = fine
     report = fixed_point_solve(mesh, problem, initial=guess)
-    indicators = estimate(report.solution, report.solution,
-                          problem.f, problem.tau)
+    indicators = estimate(report.solution, problem.f, problem.tau)
     count = max(1, int(np.ceil(0.1 * mesh.triangle_count)))
     top = np.argsort(indicators.eta)[::-1][:count]
     for k in top:

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, EOCTable,
-                    InvalidArgumentError, SolverConfig, SolverFailure,
+from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, DivergenceError,
+                    EOCTable, InvalidArgumentError, SolverConfig, SolverFailure,
                     adaptive_solve, build_initial_mesh, convergence_study,
                     estimate, fe_hessian, interpolate, registry, write_csv,
                     write_vtu)
@@ -195,7 +195,7 @@ def test_vtu_field_lengths(tmp_path):
     mesh = build_initial_mesh(2)
     u = interpolate(mesh, lambda x, y: x * y)
     tensor = fe_hessian(u)
-    indicator = estimate(u, u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
+    indicator = estimate(u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
     path = tmp_path / "fields.vtu"
     write_vtu(mesh, {"solution": u, "hess": tensor, "eta": indicator}, path)
 
@@ -222,7 +222,7 @@ def test_vtu_text_is_byte_identical_to_per_scalar_oracle(tmp_path, monkeypatch):
     for k, mesh in enumerate(oracle_meshes()):
         u = interpolate(mesh, lambda x, y: np.sin(3.0 * x) * y - 0.0)
         fields = {"solution": u, "hess": fe_hessian(u), "zero": -np.zeros(mesh.vertex_count),
-                  "eta": estimate(u, u, lambda x, y: np.ones(np.shape(x)), tau=1.0)}
+                  "eta": estimate(u, lambda x, y: np.ones(np.shape(x)), tau=1.0)}
         write_vtu(mesh, fields, tmp_path / f"fast{k}.vtu")
         with monkeypatch.context() as patch:
             patch.setattr(inflap.bench, "_ascii", per_scalar_ascii)
@@ -322,6 +322,22 @@ def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, caps
     lines = (tmp_path / "classical_eoc.csv").read_text().splitlines()
     assert lines[0].startswith("level,h,dofs,")
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
+@pytest.mark.parametrize("argv", [["solve", "--problem", "classical", "--levels", "2"],
+                                  ["adapt", "--problem", "aronsson", "--tol", "0.5"]],
+                         ids=["solve", "adapt"])
+def test_cli_divergence_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # a DivergenceError is a SolverFailure, so both runners report it alike
+    def diverging(*args, **kwargs):
+        raise DivergenceError("increments grew tenfold over five iterations (stub)",
+                              iteration=6)
+
+    monkeypatch.setattr(inflap.bench, "fixed_point_solve", diverging)
+    monkeypatch.setattr(inflap.adapt, "fixed_point_solve", diverging)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: increments grew tenfold")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_solve_produces_outputs(tmp_path):

@@ -11,7 +11,7 @@ from conftest import affine_gradient, integrate
 
 # ------------------------------------------------------------------ quadrature
 
-@pytest.mark.parametrize("order", [1, 2, 4, 6])
+@pytest.mark.parametrize("order", [4, 6])
 def test_quadrature_weights(order):
     rule = triangle_rule(order)
     assert rule.weights.min() > 0
@@ -19,7 +19,7 @@ def test_quadrature_weights(order):
     assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("order", [1, 2, 4, 6])
+@pytest.mark.parametrize("order", [4, 6])
 def test_quadrature_monomial_exactness(order):
     # reference triangle (0,0), (1,0), (0,1): integral of x^m y^n has the
     # closed form m! n! / (m + n + 2)!

@@ -3,7 +3,7 @@ import pytest
 
 from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
                     conformity_errors, refine, uniform_refine)
-from conftest import min_angle_degrees
+from conftest import brute_conformity_errors, min_angle_degrees
 
 
 def test_initial_mesh_counts_n1():
@@ -24,7 +24,7 @@ def test_initial_mesh_counts_n2():
 def test_initial_mesh_covers_square(n):
     mesh = build_initial_mesh(n)
     assert mesh.areas.sum() == pytest.approx(4.0, abs=1e-10)
-    assert not conformity_errors(mesh)
+    assert not brute_conformity_errors(mesh)
 
 
 def test_initial_mesh_rejects_bad_n():
@@ -82,16 +82,16 @@ def test_refine_all_of_initial_mesh():
     refined = refine(build_initial_mesh(1), {0, 1, 2, 3})
     assert refined.triangle_count >= 8
     assert refined.areas.sum() == pytest.approx(4.0, abs=1e-10)
-    assert not conformity_errors(refined)
+    assert not brute_conformity_errors(refined)
 
 
 def test_refine_single_triangle_conformity():
     # independent brute-force conformity oracle after a local refinement
     mesh = build_initial_mesh(2)
     refined = refine(mesh, {5})
-    assert not conformity_errors(refined)
+    assert not brute_conformity_errors(refined)
     again = refine(refined, {0})
-    assert not conformity_errors(again)
+    assert not brute_conformity_errors(again)
 
 
 def test_refine_records_genealogy():
@@ -113,7 +113,7 @@ def test_uniform_refine_quadruples_and_halves():
     fine = uniform_refine(mesh)
     assert fine.triangle_count == 4 * mesh.triangle_count
     assert fine.diameters.max() == pytest.approx(0.5 * mesh.diameters.max())
-    assert not conformity_errors(fine)
+    assert not brute_conformity_errors(fine)
     # quadrupling holds on locally refined meshes as well
     local = refine(mesh, {0})
     fine2 = uniform_refine(local)
@@ -130,7 +130,7 @@ def test_min_angle_across_generations():
         assert min_angle_degrees(mesh) >= 22.5 - 1e-9
         assert mesh.areas.sum() == pytest.approx(4.0, abs=1e-10)
         assert mesh.areas.min() > 0
-    assert not conformity_errors(mesh)
+    assert not brute_conformity_errors(mesh)
 
 
 def test_refinement_determinism():
@@ -177,4 +177,42 @@ def test_conformity_oracle_catches_hanging_vertex():
     coords = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (0.0, 0.0)]
     tris = [(0, 1, 2), (0, 2, 3)]
     broken = Triangulation(coords, tris, validate=False)
-    assert any("hangs" in problem for problem in conformity_errors(broken))
+    assert any("hangs" in problem for problem in brute_conformity_errors(broken))
+
+
+_CORNERS = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (0.0, 0.0)]
+_HANGING = {
+    # the vertex planted mid-diagonal belongs to no triangle
+    "isolated": [(0, 1, 2), (0, 2, 3)],
+    # the vertex splits the diagonal on one side only
+    "one-sided": [(0, 1, 4), (1, 2, 4), (0, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_conformity_check_agrees_with_oracle_on_local_refinements(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_initial_mesh(2)
+    for _ in range(6):
+        mesh = refine(mesh, rng.choice(mesh.triangle_count,
+                                       max(1, mesh.triangle_count // 6), replace=False))
+        assert conformity_errors(mesh) == [] == brute_conformity_errors(mesh)
+
+
+@pytest.mark.parametrize("name", sorted(_HANGING))
+def test_conformity_check_agrees_with_oracle_on_hanging_vertex(name):
+    broken = Triangulation(_CORNERS, _HANGING[name], validate=False)
+    assert conformity_errors(broken) and brute_conformity_errors(broken)
+
+
+@pytest.mark.parametrize("coords, tris", [
+    ([(-1.0, -1.0), (1.5, -1.0), (1.0, 1.0), (-1.0, 1.0)], [(0, 1, 2), (0, 2, 3)]),
+    (_CORNERS[:4], [(0, 1, 2)]),
+    (_CORNERS, _HANGING["isolated"]),
+    (_CORNERS, _HANGING["one-sided"]),
+], ids=["outside", "half-covered", "isolated", "one-sided"])
+def test_constructor_raises_the_first_conformity_problem(coords, tris):
+    problems = conformity_errors(Triangulation(coords, tris, validate=False))
+    with pytest.raises(InvalidArgumentError) as info:
+        Triangulation(coords, tris)
+    assert str(info.value) == problems[0]

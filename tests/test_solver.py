@@ -165,7 +165,7 @@ def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
     assert np.array_equal(rhs, add_at_step_rhs(mesh, h, problem))
 
     v = FEFunction(mesh, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
-    indicators = estimate(u, v, problem.f, problem.tau)
+    indicators = estimate(v, problem.f, problem.tau)
     eta_sq = add_at_squared_indicators(mesh, indicators.interior, indicators.jumps)
     assert np.array_equal(indicators.eta, np.sqrt(eta_sq))
     assert indicators.eta_total == float(np.sqrt(eta_sq.sum()))
@@ -534,6 +534,32 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
             l2_error(direct, ARONSSON.exact_solution), rel=1e-9)
 
 
+def test_stalled_refinement_lu_solves_are_counted(monkeypatch):
+    # step 2 of every level after the first tries step 1's factor, stalls
+    # after 2 LU solves and is refactored; the step reports those 2 solves
+    solves = []
+    real_solve = inflap.solver.PermutedLU.solve
+
+    def counting(lu, rhs):
+        solves.append(len(rhs))
+        return real_solve(lu, rhs)
+
+    monkeypatch.setattr(inflap.solver.PermutedLU, "solve", counting)
+    levels = []
+
+    def on_level(level, mesh, report, _):
+        levels.append((report, len(solves)))
+        solves.clear()
+
+    convergence_study("classical", 4, tau=1000.0, on_level=on_level)
+    assert [report.linear_iterations for report, _ in levels] == [[0], [0, 2], [0, 2], [0, 2]]
+    assert [report.factorizations for report, _ in levels] == [1, 2, 2, 2]
+    # every LU solve is reported: the Poisson start's, the direct solve of
+    # each factorisation and the refinements'
+    for report, counted in levels:
+        assert counted == 1 + report.factorizations + sum(report.linear_iterations)
+
+
 def test_refinement_starts_from_the_last_solution():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
@@ -658,6 +684,7 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     solution = solve_linear(matrix, rhs, factor=holder)
     assert factor_calls == [True]
     assert len(stale_solves) == 2       # the refinement stalls at its first check
+    assert holder.stalled == 2 and holder.iterations == 0
     assert holder.factorizations == 1
     assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, solve_linear(matrix, rhs))

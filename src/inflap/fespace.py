@@ -112,11 +112,21 @@ def interpolate(mesh: Triangulation, g) -> FEFunction:
     return FEFunction(mesh, evaluate_field(g, coords[:, 0], coords[:, 1]))
 
 
+def _corner_values(u: FEFunction) -> np.ndarray:
+    """Values of ``u`` at the three vertices of every element, shape (3, nt)."""
+    return u.coefficients[u.mesh.triangle_vertices.T]
+
+
 def gradients(u: FEFunction) -> np.ndarray:
-    """Elementwise constant gradient of a P1 function, shape (nt, 2)."""
-    mesh = u.mesh
-    values = u.coefficients[mesh.triangle_vertices]
-    return np.einsum("tid,ti->td", mesh.basis_gradients, values)
+    """Elementwise constant gradient of a P1 function, shape (nt, 2).
+
+    Computed per component as ``(b0 v0 + b1 v1) + b2 v2`` on contiguous
+    vectors; the result is the (nt, 2) view of a (2, nt) array, so
+    ``gradients(u).T`` is the component-major gradient.
+    """
+    b = u.mesh.basis_components
+    v = _corner_values(u)
+    return ((b[:, 0] * v[0] + b[:, 1] * v[1]) + b[:, 2] * v[2]).T
 
 
 def physical_points(mesh: Triangulation, rule: QuadratureRule) -> np.ndarray:
@@ -157,7 +167,7 @@ def h1_semi_error(u: FEFunction, exact_gradient) -> float:
 
 def l2_norm(u: FEFunction) -> float:
     """Exact L2 norm of a P1 function (elementwise mass matrix identity)."""
-    mesh = u.mesh
-    v = u.coefficients[mesh.triangle_vertices]
-    s = v.sum(axis=1)
-    return float(np.sqrt(np.sum(mesh.areas / 12.0 * (s * s + (v * v).sum(axis=1)))))
+    v = _corner_values(u)
+    s = (v[0] + v[1]) + v[2]
+    squares = (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
+    return float(np.sqrt(np.sum(u.mesh.areas / 12.0 * (s * s + squares))))

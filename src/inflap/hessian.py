@@ -9,14 +9,29 @@ because the test function is constant), which gives the closed form
 
 where gbar_e is the average of the gradients on the one or two elements
 meeting e, n_{K,e} is the unit normal pointing out of K, and (x) is the
-outer product.  ``fe_hessian`` evaluates this directly from a function's
-gradients as an (nt, 2, 2) array, whose trace the solver puts into the
-right-hand side; ``hessian_operator`` builds the same map once per mesh as
-one dense 4x6 block per element over the element's stencil (its own
-vertices and the vertex across each interior edge), which is what the
-solver substitutes into its linear systems.  The operator also carries
-the sparse pattern of the step matrix those blocks fill, so a step only
-computes new values.
+outer product.
+
+Both evaluations of this formula share one per-edge kernel.  Component
+(r, c) of an edge's term is ``(|e| * gbar_r) * n_c`` with n the edge's
+stored normal, which points out of its first neighbor; a boundary edge
+averages its owner's gradient with itself, which is exact.  Each element
+then sums the terms of its three edges as ``(t1 + t2) + t3``, negating
+those of which it is the second neighbor, and divides by |K|.  The
+summation order is a contract: bulk marking has exact ties, so a
+last-bit change gives another adaptive mesh sequence.  The order is the
+one of the ``bincount`` assembly the tests keep as oracle (first-neighbor
+edges, then second-neighbor edges, then boundary edges, each by ascending
+edge id), and the mesh stores each element's edges in that order
+(``Triangulation.signed_element_edges``), so no step rebuilds it.
+
+``fe_hessian`` applies the kernel to all four components and returns the
+(nt, 2, 2) tensor; ``hessian_trace`` applies it to the diagonal only and
+is what each linearised step puts into its right-hand side.
+``hessian_operator`` builds the same map once per mesh as one dense 4x6
+block per element over the element's stencil (its own vertices and the
+vertex across each interior edge), which is what the solver substitutes
+into its linear systems.  The operator also carries the sparse pattern of
+the step matrix those blocks fill, so a step only computes new values.
 """
 
 from __future__ import annotations
@@ -28,6 +43,38 @@ from .fespace import FEFunction, gradients
 from .mesh import Triangulation
 
 
+def _weighted_means(mesh: Triangulation, grad: np.ndarray) -> np.ndarray:
+    """|e| * gbar_r on every edge, shape (2, ne), from a (2, nt) gradient."""
+    sources = mesh.edge_sources
+    means = np.take(grad, sources[0], axis=1)
+    means += np.take(grad, sources[1], axis=1)
+    means *= 0.5
+    means *= mesh.edge_lengths
+    return means
+
+
+def _element_sums(mesh: Triangulation, terms: np.ndarray) -> np.ndarray:
+    """Per-edge terms (k, ne) summed over each element's edges, over |K|; (k, nt)."""
+    signed = np.concatenate([terms, -terms], axis=1)
+    t = np.take(signed, mesh.signed_element_edges, axis=1)         # (k, 3, nt)
+    sums = t[:, 0] + t[:, 1]
+    sums += t[:, 2]
+    sums /= mesh.areas
+    return sums
+
+
+def hessian_trace(mesh: Triangulation, grad: np.ndarray) -> np.ndarray:
+    """Trace of the recovered Hessian per element, shape (nt,).
+
+    ``grad`` is the (2, nt) component-major gradient of a P1 function on
+    ``mesh`` (``gradients(u).T``).  Bit for bit the trace of ``fe_hessian``.
+    """
+    terms = _weighted_means(mesh, grad)
+    terms *= mesh.edge_normals.T
+    diagonal = _element_sums(mesh, terms)
+    return diagonal[0] + diagonal[1]
+
+
 def fe_hessian(v: FEFunction) -> np.ndarray:
     """Elementwise 2x2 Hessian recovered from edge jumps of the gradient.
 
@@ -36,27 +83,9 @@ def fe_hessian(v: FEFunction) -> np.ndarray:
     length-weighted outward normals of each element sum to zero.
     """
     mesh = v.mesh
-    grad = gradients(v)
-
-    interior = mesh.interior_edge_ids
-    plus = mesh.edge_triangles[interior, 0]
-    minus = mesh.edge_triangles[interior, 1]
-    normals = mesh.edge_normals[interior]
-    weighted = mesh.edge_lengths[interior, None, None] * \
-        (0.5 * (grad[plus] + grad[minus]))[:, :, None] * normals[:, None, :]
-
-    boundary = mesh.boundary_edge_ids
-    owner = mesh.edge_triangles[boundary, 0]
-    normals = mesh.edge_normals[boundary]
-    weighted_boundary = mesh.edge_lengths[boundary, None, None] * \
-        grad[owner][:, :, None] * normals[:, None, :]
-
-    # each element sums its plus, minus and boundary terms in that order
-    receivers = np.concatenate([plus, minus, owner])
-    terms = np.concatenate([weighted, -weighted, weighted_boundary])
-    out = np.bincount((4 * receivers[:, None] + np.arange(4)).reshape(-1),
-                      weights=terms.reshape(-1), minlength=4 * mesh.triangle_count)
-    return out.reshape(-1, 2, 2) / mesh.areas[:, None, None]
+    means = _weighted_means(mesh, gradients(v).T)
+    terms = means[:, None] * mesh.edge_normals.T                  # (r, c, ne)
+    return _element_sums(mesh, terms.reshape(4, -1)).T.reshape(-1, 2, 2)
 
 
 class HessianOperator:
@@ -117,7 +146,7 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     scale = np.where(interior, 0.5, 1.0) * mesh.edge_lengths[edges] / mesh.areas * sign
     across = np.where(interior, scale, 0.0)
     normals = np.ascontiguousarray(mesh.edge_normals[edges].transpose(0, 2, 1))[:, None]
-    grad = np.ascontiguousarray(mesh.basis_gradients.reshape(-1, 2).T)  # (r, 3 K + vertex)
+    basis = mesh.basis_components                                   # (r, vertex, K)
 
     def term(m, weights, gradient):
         """(2, 2, nt) terms (weights * gradient[r]) * normal[c] of edge m."""
@@ -125,13 +154,13 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
 
     def their_gradient(m, local):
         """Gradient on the neighbor across edge m of its vertex far + local."""
-        return grad[:, 3 * neighbor[m] + (far[m] + local) % 3]
+        return basis[:, (far[m] + local) % 3, neighbor[m]]
 
     # vertex a is the far + 1 of the neighbor across edge a + 1 and the
     # far + 2 of the one across edge a + 2
     blocks = np.empty((6, 2, 2, nt))
     for a in range(3):
-        gradient = np.ascontiguousarray(grad[:, a::3])
+        gradient = basis[:, a]
         blocks[a] = term(0, scale, gradient)
         blocks[a] += term(1, scale, gradient)
         blocks[a] += term(2, scale, gradient)

@@ -54,13 +54,23 @@ class Triangulation:
     vertex_on_boundary : (nv,) bool array
     triangle_vertices : (nt, 3) int array
     areas, diameters, centroids : per-triangle geometry
-    basis_gradients : (nt, 3, 2) gradients of the three hat functions
+    basis_components : (2, 3, nt) float array, component d of the gradient of hat
+        function i on element K at [d, i, K]
+    basis_gradients : (nt, 3, 2) view of ``basis_components`` indexed [K, i, d]
     edge_vertices : (ne, 2) int array, endpoint ids with the smaller one first
     edge_triangles : (ne, 2) int array, adjacent triangle ids (-1 in slot 1 on the boundary)
     edge_normals : (ne, 2) unit normals pointing out of the first adjacent triangle
     edge_lengths : (ne,) float array
     triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
     interior_edge_ids, boundary_edge_ids : index arrays into the edge table
+    edge_sources : (2, ne) int32 array, the elements whose gradients an edge averages:
+        its two neighbors, or its owner twice on the boundary
+    signed_element_edges : (3, nt) int32 array, each element's edges in the order
+        the recovered Hessian sums them (see ``inflap.hessian``): the edges of which
+        it is the first neighbor, then those of which it is the second, then its
+        boundary edges, each group by ascending edge id; an edge of which the
+        element is the second neighbor (whose normal points into it) is stored
+        as ``ne + edge id``, an index of the negated copy in ``[terms, -terms]``
     new_vertex_parents : (k, 2) int array of endpoint ids (in the parent mesh) of the
         bisected edges that created the k newest vertices, or None for a root mesh
     """
@@ -94,7 +104,10 @@ class Triangulation:
         lengths = np.sqrt((edge_vec ** 2).sum(axis=2))
         self.diameters = lengths.max(axis=1)
         self.centroids = p.mean(axis=1)
-        self.basis_gradients = _perp(edge_vec) / (2.0 * self.areas[:, None, None])
+        # component-major, so per-element kernels run on contiguous vectors
+        self.basis_components = np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / \
+            (2.0 * self.areas)
+        self.basis_gradients = self.basis_components.transpose(2, 1, 0)
 
         self._build_edge_table()
         if validate:
@@ -102,10 +115,11 @@ class Triangulation:
             if problems:
                 raise InvalidArgumentError(problems[0])
         for arr in (self.vertex_coords, self.vertex_on_boundary, self.triangle_vertices,
-                    self.areas, self.diameters, self.centroids, self.basis_gradients,
-                    self.edge_vertices, self.edge_triangles, self.edge_normals,
-                    self.edge_lengths, self.triangle_edges, self.interior_edge_ids,
-                    self.boundary_edge_ids):
+                    self.areas, self.diameters, self.centroids, self.basis_components,
+                    self.basis_gradients, self.edge_vertices, self.edge_triangles,
+                    self.edge_normals, self.edge_lengths, self.triangle_edges,
+                    self.interior_edge_ids, self.boundary_edge_ids, self.edge_sources,
+                    self.signed_element_edges):
             arr.setflags(write=False)
         if self.new_vertex_parents is not None:
             self.new_vertex_parents.setflags(write=False)
@@ -151,6 +165,18 @@ class Triangulation:
         self.edge_lengths = lengths
         self.interior_edge_ids = np.flatnonzero(has_two)
         self.boundary_edge_ids = np.flatnonzero(counts == 1)
+
+        # the edge map of the recovered Hessian: each element's keys
+        # group * ne + edge id (group 0 first neighbor, 1 second, 2 boundary)
+        # sort in the order it sums its edge terms, and modulo 2 ne they are
+        # the signed edge ids
+        owner = edge_triangles[:, 0]
+        self.edge_sources = np.stack(
+            [owner, np.where(has_two, edge_triangles[:, 1], owner)]).astype(np.int32)
+        te = self.triangle_edges
+        second = edge_triangles[te, 1] == np.arange(nt)[:, None]
+        keys = np.sort(te + ne * np.where(has_two[te], second, 2), axis=1)
+        self.signed_element_edges = np.ascontiguousarray((keys % (2 * ne)).T, dtype=np.int32)
 
     # ------------------------------------------------------------------ sizes
 

@@ -11,21 +11,25 @@ is eliminated locally (its mass matrix is diagonal for elementwise
 constants), so the linear system is of vertex size and generally
 nonsymmetric.
 
-Everything that depends only on the mesh lives in one ``Discretisation``
-per ``fixed_point_solve`` call: the Hessian operator (per-element Hessian
+Everything that depends only on the mesh is built once per mesh.  The
+``Triangulation`` holds the component-major hat-function gradients and the
+edge map of the recovered Hessian.  One ``Discretisation`` per
+``fixed_point_solve`` call holds the Hessian operator (per-element Hessian
 blocks plus the sparse pattern of the step matrix), the load vector, the
 Dirichlet values with the pattern positions the Dirichlet lift keeps, and
 the LU factor of the last factored step matrix, a minimum-degree LU after a
 reverse Cuthill-McKee pre-ordering.  Its ``step`` maps an iterate to
-the next: it contracts each element's block with its diffusion tensor,
-scatters the result into the fixed pattern, lifts the boundary values by
-gathering the kept entries and solves.  Later steps on the same mesh differ
-only through the frozen gradient direction, so they are solved by iterative
-refinement with that factor (Moler 1967), started from the previous step's
-solution, with one matrix-vector product per LU solve.  The factor is
-refreshed, that is, the step matrix is factored and solved directly, when
-the previous step needed more than ``REFACTOR_AFTER_SOLVES`` LU solves or
-when the refinement stalls.
+the next, computing only values: the iterate's gradient once, component by
+component; from it the diffusion tensor's entries, which contract each
+element's block, and the trace of the recovered Hessian for the
+right-hand side; the sums into the fixed pattern; the boundary lift by
+gathering the kept entries; and the solve.  Later steps on the same mesh
+differ only through the frozen gradient direction, so they are solved by
+iterative refinement with that factor (Moler 1967), started from the
+previous step's solution, with one matrix-vector product per LU solve.  The
+factor is refreshed, that is, the step matrix is factored and solved
+directly, when the previous step needed more than ``REFACTOR_AFTER_SOLVES``
+LU solves or when the refinement stalls.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
                      is_positive_integer)
 from .fespace import (FEFunction, evaluate_field, gradients, l2_norm, physical_points,
                       triangle_rule)
-from .hessian import fe_hessian, hessian_operator
+from .hessian import hessian_operator, hessian_trace
 from .mesh import Triangulation
 
 logger = logging.getLogger(__name__)
@@ -181,6 +185,20 @@ class PermutedLU:
         return solution
 
 
+def diffusion_components(grad: np.ndarray, tau: float):
+    """Entries t00, t01, t11 of the diffusion tensor per element (t10 == t01).
+
+    ``grad`` is the (2, nt) component-major gradient p of the frozen
+    iterate; t_rc = (p_r p_c) / max(|p|^2, GRADIENT_FLOOR), plus 1/tau on
+    the diagonal.
+    """
+    if not 0.0 < tau < np.inf:
+        raise InvalidArgumentError("tau must be positive and finite")
+    g0, g1 = grad
+    denom = np.maximum(g0 * g0 + g1 * g1, GRADIENT_FLOOR)
+    return g0 * g0 / denom + 1.0 / tau, g0 * g1 / denom, g1 * g1 / denom + 1.0 / tau
+
+
 def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
     """Per-element tensors (p (x) p) / max(|p|^2, GRADIENT_FLOOR) + I / tau, shape (nt, 2, 2).
 
@@ -188,14 +206,8 @@ def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
     {0, 1}, and below the floor it is smaller still, so the spectrum always
     sits inside [1/tau, 1 + 1/tau].
     """
-    if not 0.0 < tau < np.inf:
-        raise InvalidArgumentError("tau must be positive and finite")
-    grad = gradients(u)
-    denom = np.maximum((grad ** 2).sum(axis=1), GRADIENT_FLOOR)
-    out = grad[:, :, None] * grad[:, None, :] / denom[:, None, None]
-    out[:, 0, 0] += 1.0 / tau
-    out[:, 1, 1] += 1.0 / tau
-    return out
+    t00, t01, t11 = diffusion_components(gradients(u).T, tau)
+    return np.stack([t00, t01, t01, t11], axis=-1).reshape(-1, 2, 2)
 
 
 def load_vector(mesh: Triangulation, f) -> np.ndarray:
@@ -253,27 +265,36 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction):
     index arrays.  The right-hand side is the load vector plus the
     elementwise constant trace(H[u_prev]) / tau tested with the hat
     functions, with H[u_prev] the recovered Hessian of ``fe_hessian``.
+
+    What depends only on the mesh is built once: the blocks, pattern and
+    slots of ``disc.operator``, the load vector, and the mesh's edge map of
+    the recovered Hessian.  Per step, only values are computed: the
+    gradient of ``u_prev`` once, component by component, the diffusion
+    tensor's entries and the trace of the recovered Hessian from it, and
+    the two ``bincount`` sums into the fixed pattern and the vertices.
     """
     mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
     if u_prev.mesh is not mesh:
         raise InvalidArgumentError("u_prev must live on the discretisation's mesh")
+    grad = gradients(u_prev).T
 
     # A : B per element and stencil slot, summed in row-major component
     # order and scaled by the hat-function integral |K|/3; bincount adds the
     # elements of each matrix entry in ascending element order
-    tensors = diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
+    t00, t01, t11 = (t[:, None] for t in diffusion_components(grad, tau))
     blocks = operator.blocks
-    weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])
-                + tensors[:, 2] * blocks[2]) + tensors[:, 3] * blocks[3])
+    weights = t00 * blocks[0]
+    weights += t01 * blocks[1]
+    weights += t01 * blocks[2]
+    weights += t11 * blocks[3]
     weights *= (mesh.areas / 3.0)[:, None]
     data = np.bincount(operator.slots.reshape(-1), minlength=len(operator.indices),
-                       weights=np.broadcast_to(weights[:, None], operator.slots.shape).reshape(-1))
+                       weights=np.repeat(weights, 3, axis=0).reshape(-1))
     matrix = sp.csr_matrix((data, operator.indices, operator.indptr),
                            shape=(mesh.vertex_count, mesh.vertex_count))
 
     # the load first, then each element's relaxation term on its vertices
-    hessian = fe_hessian(u_prev)
-    relax = mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / (3.0 * tau)
+    relax = mesh.areas * hessian_trace(mesh, grad) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
                                       mesh.triangle_vertices.reshape(-1)]),
                       weights=np.concatenate([disc.load, np.repeat(relax, 3)]))

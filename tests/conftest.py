@@ -5,19 +5,23 @@ dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
 check; ``brute_conformity_errors`` tests every vertex against every edge.
 ``integrate`` and ``min_angle_degrees`` are measurements that only
-the tests need.  ``two_product_refine``, ``per_scalar_ascii`` and
-``pair_jump_residuals`` are earlier forms of package code, kept as
+the tests need.  ``two_product_refine``, ``per_scalar_ascii``,
+``pair_jump_residuals`` and the row-major kernels (``einsum_gradients``,
+``row_sum_l2_norm``, ``outer_diffusion_tensor``, ``bincount_fe_hessian``,
+``bincount_assemble_step``) are earlier forms of package code, kept as
 references for their faster or narrower replacements.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
 
-from inflap.fespace import (FEFunction, evaluate_field, gradients, physical_points,
-                            triangle_rule, values_at)
+from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangle_rule,
+                            values_at)
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
-from inflap.solver import REFINE_MIN_RATE, diffusion_tensor
+from inflap.solver import GRADIENT_FLOOR, REFINE_MIN_RATE
 
 
 def integrate(field, mesh):
@@ -64,6 +68,36 @@ def oracle_meshes():
     for _ in range(8):
         graded = refine(graded, np.flatnonzero(np.abs(graded.centroids[:, 0]) < 0.25))
     return [uniform, local, graded]
+
+
+@functools.cache
+def kernel_meshes():
+    """Meshes for the bit-for-bit kernel oracles, with their test ids.
+
+    Uniform levels 0-4 of the 4 x 4 criss-cross mesh (64 to 16,384
+    triangles, the meshes of the uniform studies), ten successive random
+    local refinements of the 2 x 2 mesh and a perturbed mesh.
+    """
+    meshes = {"uniform0": build_initial_mesh(4)}
+    for level in range(1, 5):
+        meshes[f"uniform{level}"] = uniform_refine(meshes[f"uniform{level - 1}"])
+    rng = np.random.default_rng(29)
+    local = build_initial_mesh(2)
+    for k in range(10):
+        local = refine(local, rng.choice(local.triangle_count,
+                                         max(1, local.triangle_count // 4), replace=False))
+        meshes[f"local{k}"] = local
+    meshes["perturbed"] = perturbed_mesh()
+    return meshes
+
+
+def kernel_functions(mesh):
+    """A nonsmooth field and random vertex values on ``mesh``."""
+    coords = mesh.vertex_coords
+    rough = (np.abs(coords[:, 0]) ** (4 / 3) - np.abs(coords[:, 1]) ** (4 / 3)
+             + 0.1 * np.sin(3.0 * coords[:, 0] * coords[:, 1]))
+    noise = np.random.default_rng(mesh.triangle_count).standard_normal(mesh.vertex_count)
+    return [FEFunction(mesh, rough), FEFunction(mesh, noise)]
 
 
 def perturbed_mesh():
@@ -441,10 +475,85 @@ def pair_jump_residuals(u_prev, u_next, tau):
     plus = mesh.edge_triangles[interior, 0]
     minus = mesh.edge_triangles[interior, 1]
     normals = mesh.edge_normals[interior]
-    grad_prev = gradients(u_prev)
-    grad_next = gradients(u_next)
-    tensors = diffusion_tensor(u_prev, tau)
+    grad_prev = einsum_gradients(u_prev)
+    grad_next = einsum_gradients(u_next)
+    tensors = outer_diffusion_tensor(u_prev, tau)
     gradient_jump = ((grad_prev[plus] - grad_prev[minus]) * normals).sum(axis=1)
     tensor_jump = (grad_next[plus] - grad_next[minus])[:, :, None] * normals[:, None, :]
     averaged = 0.5 * (tensors[plus] + tensors[minus])
     return gradient_jump / tau - np.einsum("erc,erc->e", averaged, tensor_jump)
+
+
+# Row-major forms of the per-step kernels.  The package computes the same
+# numbers component by component on contiguous vectors, bit for bit.
+
+def einsum_gradients(u):
+    """Elementwise gradients (nt, 2) by one einsum over the (nt, 3, 2) basis."""
+    values = u.coefficients[u.mesh.triangle_vertices]
+    basis = np.ascontiguousarray(u.mesh.basis_gradients)
+    return np.einsum("tid,ti->td", basis, values)
+
+
+def row_sum_l2_norm(u):
+    """Exact L2 norm of a P1 function from (nt, 3) rows of vertex values."""
+    v = u.coefficients[u.mesh.triangle_vertices]
+    s = v.sum(axis=1)
+    return float(np.sqrt(np.sum(u.mesh.areas / 12.0 * (s * s + (v * v).sum(axis=1)))))
+
+
+def outer_diffusion_tensor(u, tau):
+    """(nt, 2, 2) tensors (p (x) p) / max(|p|^2, GRADIENT_FLOOR) + I / tau."""
+    grad = einsum_gradients(u)
+    denom = np.maximum((grad ** 2).sum(axis=1), GRADIENT_FLOOR)
+    out = grad[:, :, None] * grad[:, None, :] / denom[:, None, None]
+    out[:, 0, 0] += 1.0 / tau
+    out[:, 1, 1] += 1.0 / tau
+    return out
+
+
+def bincount_fe_hessian(v):
+    """Recovered Hessian (nt, 2, 2): all edge terms of an element in one bincount.
+
+    Each element sums its terms in the order they appear: interior edges
+    where it is the first neighbor, then the negated terms where it is the
+    second, then its boundary edges, each by ascending edge id.
+    """
+    mesh = v.mesh
+    grad = einsum_gradients(v)
+
+    interior = mesh.interior_edge_ids
+    plus = mesh.edge_triangles[interior, 0]
+    minus = mesh.edge_triangles[interior, 1]
+    normals = mesh.edge_normals[interior]
+    weighted = mesh.edge_lengths[interior, None, None] * \
+        (0.5 * (grad[plus] + grad[minus]))[:, :, None] * normals[:, None, :]
+
+    boundary = mesh.boundary_edge_ids
+    owner = mesh.edge_triangles[boundary, 0]
+    normals = mesh.edge_normals[boundary]
+    weighted_boundary = mesh.edge_lengths[boundary, None, None] * \
+        grad[owner][:, :, None] * normals[:, None, :]
+
+    receivers = np.concatenate([plus, minus, owner])
+    terms = np.concatenate([weighted, -weighted, weighted_boundary])
+    out = np.bincount((4 * receivers[:, None] + np.arange(4)).reshape(-1),
+                      weights=terms.reshape(-1), minlength=4 * mesh.triangle_count)
+    return out.reshape(-1, 2, 2) / mesh.areas[:, None, None]
+
+
+def bincount_assemble_step(disc, u_prev):
+    """Step-matrix data and right-hand side from (nt, 2, 2) tensors and Hessians."""
+    mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
+    tensors = outer_diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
+    blocks = operator.blocks
+    weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])
+                + tensors[:, 2] * blocks[2]) + tensors[:, 3] * blocks[3])
+    weights *= (mesh.areas / 3.0)[:, None]
+    data = np.bincount(operator.slots.reshape(-1), minlength=len(operator.indices),
+                       weights=np.broadcast_to(weights[:, None], operator.slots.shape).reshape(-1))
+    hessian = bincount_fe_hessian(u_prev)
+    relax = mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / (3.0 * tau)
+    rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
+                                      mesh.triangle_vertices.reshape(-1)]),
+                      weights=np.concatenate([disc.load, np.repeat(relax, 3)]))
+    return data, rhs

@@ -6,7 +6,8 @@ import pytest
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
                     build_initial_mesh, gradients, h1_semi_error, interpolate,
                     l2_error, l2_norm, refine, triangle_rule, uniform_refine)
-from conftest import affine_gradient, integrate
+from conftest import (affine_gradient, einsum_gradients, integrate, kernel_functions,
+                      kernel_meshes, row_sum_l2_norm)
 
 
 # ------------------------------------------------------------------ quadrature
@@ -109,6 +110,15 @@ def test_gradient_against_affine_solve_oracle():
     for k in range(mesh.triangle_count):
         oracle = affine_gradient(mesh, k, u.coefficients)
         assert grad[k] == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(kernel_meshes()))
+def test_component_kernels_are_bit_identical_to_row_major_oracles(name):
+    for u in kernel_functions(kernel_meshes()[name]):
+        grad = gradients(u)
+        assert grad.shape == (u.mesh.triangle_count, 2) and grad.T.flags.c_contiguous
+        assert np.array_equal(grad, einsum_gradients(u))
+        assert l2_norm(u) == row_sum_l2_norm(u)
 
 
 def test_affine_reproduction_at_quadrature_points():

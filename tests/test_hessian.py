@@ -5,8 +5,10 @@ import scipy.sparse as sp
 
 from inflap import (FEFunction, build_initial_mesh, fe_hessian, gradients,
                     hessian_operator, interpolate, refine, uniform_refine)
-from conftest import (edge_dictionary, hat_gradients, integrate, oracle_meshes,
-                      outward_normal, perturbed_mesh, tri_area)
+from inflap.hessian import hessian_trace
+from conftest import (bincount_fe_hessian, edge_dictionary, hat_gradients, integrate,
+                      kernel_functions, kernel_meshes, oracle_meshes, outward_normal,
+                      perturbed_mesh, tri_area)
 
 
 def meshes_for_affine_check():
@@ -61,6 +63,23 @@ def test_hessian_against_dense_mass_system_oracle():
     # is the identity on every element
     assert np.allclose(fe_hessian(u),
                        np.broadcast_to(np.eye(2), (4, 2, 2)), atol=1e-13)
+
+
+@pytest.mark.parametrize("name", list(kernel_meshes()))
+def test_fe_hessian_is_bit_identical_to_bincount_oracle(name):
+    # one per-edge kernel summed through the mesh's edge map gives exactly
+    # the sums of the single bincount over all edge terms
+    for u in kernel_functions(kernel_meshes()[name]):
+        assert np.array_equal(fe_hessian(u), bincount_fe_hessian(u))
+
+
+@pytest.mark.parametrize("name", list(kernel_meshes()))
+def test_hessian_trace_is_bit_identical_to_fe_hessian_trace(name):
+    mesh = kernel_meshes()[name]
+    for u in kernel_functions(mesh):
+        full = fe_hessian(u)
+        assert np.array_equal(hessian_trace(mesh, gradients(u).T),
+                              full[:, 0, 0] + full[:, 1, 1])
 
 
 def _apply(operator, coefficients):

@@ -18,8 +18,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (add_at_load_vector, add_at_squared_indicators,
-                      add_at_step_rhs, brute_saddle, coo_hessian_matrix,
-                      coo_poisson_stiffness, oracle_meshes, perturbed_mesh,
+                      add_at_step_rhs, bincount_assemble_step, brute_saddle,
+                      coo_hessian_matrix, coo_poisson_stiffness, kernel_functions,
+                      kernel_meshes, oracle_meshes, outer_diffusion_tensor, perturbed_mesh,
                       schur_eliminate, sparse_product_dirichlet,
                       sparse_product_step_matrix, two_product_refine)
 
@@ -138,6 +139,22 @@ def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ours, name), getattr(theirs, name))
     assert np.array_equal(ours_rhs, theirs_rhs)
+
+
+@pytest.mark.parametrize("name", list(kernel_meshes()))
+def test_assemble_step_is_bit_identical_to_row_major_assembly(name):
+    # one component-major gradient per step feeds the tensor entries and the
+    # Hessian trace; the sums are those of the (nt, 2, 2) assembly
+    mesh = kernel_meshes()[name]
+    for problem in (ARONSSON, replace(CLASSICAL, tau=0.3)):
+        disc = Discretisation(mesh, problem)
+        for u in kernel_functions(mesh):
+            matrix, rhs = assemble_step(disc, u)
+            data, oracle_rhs = bincount_assemble_step(disc, u)
+            assert np.array_equal(matrix.data, data)
+            assert np.array_equal(rhs, oracle_rhs)
+            assert np.array_equal(diffusion_tensor(u, problem.tau),
+                                  outer_diffusion_tensor(u, problem.tau))
 
 
 def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
@@ -428,15 +445,15 @@ def test_growing_increments_raise_divergence_error(monkeypatch):
                                     SolverConfig(increment_tol_factor=1e-12, max_iterations=3)],
                          ids=["converged", "iteration-limit"])
 def test_fixed_point_solve_evaluates_one_hessian_per_iteration(monkeypatch, config):
-    # each step needs the Hessian of its previous iterate and nothing more
+    # each step needs the Hessian trace of its previous iterate and nothing more
     calls = []
-    real_fe_hessian = inflap.solver.fe_hessian
+    real_hessian_trace = inflap.solver.hessian_trace
 
-    def counting(u):
-        calls.append(u)
-        return real_fe_hessian(u)
+    def counting(mesh, grad):
+        calls.append(grad)
+        return real_hessian_trace(mesh, grad)
 
-    monkeypatch.setattr(inflap.solver, "fe_hessian", counting)
+    monkeypatch.setattr(inflap.solver, "hessian_trace", counting)
     report = fixed_point_solve(uniform_refine(build_initial_mesh(2)), ARONSSON, config)
     assert report.iterations > 1
     assert len(calls) == report.iterations

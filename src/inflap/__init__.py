@@ -22,7 +22,7 @@ from .mesh import (Triangulation, build_initial_mesh, conformity_errors,
                    refine, uniform_refine)
 from .solver import (Discretisation, ProblemData, SolveReport, SolverConfig,
                      StepFactor, apply_dirichlet, assemble_step,
-                     default_initializer, diffusion_tensor, fixed_point_solve,
+                     default_initializer, fixed_point_solve,
                      load_vector, solve_linear)
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ fixed-point iteration, ``INFO`` one per level or cycle.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -31,33 +32,41 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                         help="log level of the inflap loggers (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
-    problems = sorted(registry())
 
-    solve = sub.add_parser("solve", help="uniform-refinement convergence study")
-    solve.add_argument("--problem", required=True, choices=problems)
-    solve.add_argument("--levels", type=int, default=5)
-    solve.add_argument("--tau", type=float, default=None,
-                       help="relaxation parameter (defaults to the problem's)")
-    solve.add_argument("--tol-factor", type=float, default=10.0,
-                       help="stop the linearisation at tol-factor * h^2")
-    solve.add_argument("--max-iters", type=int, default=100)
-    solve.add_argument("--initial-n", type=int, default=4,
-                       help="squares per side of the starting criss-cross mesh")
-    solve.add_argument("--out", default=None)
+    # the options of both subcommands, with the library's defaults
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--problem", required=True, choices=sorted(registry()))
+    shared.add_argument("--tau", type=float, default=None,
+                        help="relaxation parameter (defaults to the problem's, "
+                             "for adapt its adaptive value)")
+    shared.add_argument("--tol-factor", type=float,
+                        default=SolverConfig.increment_tol_factor,
+                        help="stop the linearisation at tol-factor * h^2")
+    shared.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations,
+                        help="fixed-point iterations per solve")
+    shared.add_argument("--initial-n", type=int,
+                        default=inspect.signature(convergence_study).parameters[
+                            "initial_n"].default,
+                        help="squares per side of the starting criss-cross mesh")
+    shared.add_argument("--out", default=None,
+                        help="output directory (None: INFLAP_OUT, then the current one)")
 
-    adapt = sub.add_parser("adapt", help="adaptive solve-estimate-mark-refine run")
-    adapt.add_argument("--problem", required=True, choices=problems)
+    def subcommand(name, summary):
+        return sub.add_parser(name, parents=[shared], help=summary,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+    solve = subcommand("solve", "uniform-refinement convergence study")
+    solve.add_argument("--levels", type=int, default=5, help="uniform levels to solve")
+
+    adapt = subcommand("adapt", "adaptive solve-estimate-mark-refine run")
     adapt.add_argument("--tol", type=float, required=True,
                        help="estimator tolerance to refine down to")
-    adapt.add_argument("--theta", type=float, default=0.5)
-    adapt.add_argument("--tau", type=float, default=None,
-                       help="relaxation parameter (defaults to the problem's adaptive value)")
-    adapt.add_argument("--max-cycles", type=int, default=30)
-    adapt.add_argument("--dof-budget", type=int, default=200_000)
-    adapt.add_argument("--tol-factor", type=float, default=10.0)
-    adapt.add_argument("--max-iters", type=int, default=100)
-    adapt.add_argument("--initial-n", type=int, default=4)
-    adapt.add_argument("--out", default=None)
+    adapt.add_argument("--theta", type=float, default=AdaptiveConfig.theta,
+                       help="bulk marking fraction")
+    adapt.add_argument("--max-cycles", type=int, default=AdaptiveConfig.max_cycles,
+                       help="largest number of solve-estimate-mark-refine cycles")
+    adapt.add_argument("--dof-budget", type=int, default=AdaptiveConfig.dof_budget,
+                       help="largest number of dofs to refine to")
     return parser
 
 

@@ -75,8 +75,8 @@ class Triangulation:
         bisected edges that created the k newest vertices, or None for a root mesh
     """
 
-    def __init__(self, vertex_coords, triangle_vertices, level=0,
-                 new_vertex_parents=None, validate=True):
+    def __init__(self, vertex_coords, triangle_vertices, new_vertex_parents=None,
+                 validate=True):
         coords = np.array(vertex_coords, dtype=float)
         tris = np.array(triangle_vertices, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -92,7 +92,6 @@ class Triangulation:
         self.vertex_coords = coords
         self.vertex_on_boundary = np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL
         self.triangle_vertices = tris
-        self.level = int(level)
         self.new_vertex_parents = (None if new_vertex_parents is None
                                    else np.array(new_vertex_parents, dtype=np.int64))
 
@@ -193,8 +192,7 @@ class Triangulation:
         return len(self.edge_vertices)
 
     def __repr__(self):
-        return (f"Triangulation(level={self.level}, vertices={self.vertex_count}, "
-                f"triangles={self.triangle_count})")
+        return f"Triangulation(vertices={self.vertex_count}, triangles={self.triangle_count})"
 
 
 def build_initial_mesh(n: int) -> Triangulation:
@@ -241,12 +239,17 @@ def refine(mesh: Triangulation, marked) -> Triangulation:
     Marked triangles are bisected through their refinement edge; any
     neighbor sharing a bisected edge is bisected as well, repeatedly,
     until no hanging vertex remains.  The children's refinement edges
-    follow the newest-vertex rule.  The input mesh is returned unchanged
-    for an empty marking.
+    follow the newest-vertex rule.  ``marked`` holds integer triangle ids
+    (an array, list, set or range); a boolean mask or float ids raise
+    ``InvalidArgumentError``.  The input mesh is returned unchanged for an
+    empty marking.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    marked = np.asarray(list(marked))
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise InvalidArgumentError("marked must hold integer triangle ids")
+    marked = np.unique(marked.astype(np.int64))
     if marked.min() < 0 or marked.max() >= mesh.triangle_count:
         raise InvalidArgumentError("marked set contains an unknown triangle id")
 
@@ -333,7 +336,7 @@ def _bisect(mesh, edge_marked):
     emit(both, 2, (m2, b, m0))
     emit(both, 3, (c, m2, m0))
 
-    return Triangulation(coords, out, level=mesh.level + 1, new_vertex_parents=pairs)
+    return Triangulation(coords, out, new_vertex_parents=pairs)
 
 
 def conformity_errors(mesh: Triangulation) -> list[str]:

@@ -23,13 +23,17 @@ the next, computing only values: the iterate's gradient once, component by
 component; from it the diffusion tensor's entries, which contract each
 element's block, and the trace of the recovered Hessian for the
 right-hand side; the sums into the fixed pattern; the boundary lift by
-gathering the kept entries; and the solve.  Later steps on the same mesh
-differ only through the frozen gradient direction, so they are solved by
-iterative refinement with that factor (Moler 1967), started from the
-previous step's solution, with one matrix-vector product per LU solve.  The
-factor is refreshed, that is, the step matrix is factored and solved
-directly, when the previous step needed more than ``REFACTOR_AFTER_SOLVES``
-LU solves or when the refinement stalls.
+gathering the kept entries; and the solve.
+
+Every linear system is solved by one loop of iterative refinement (Moler
+1967) with one matrix-vector product per LU solve and one accept target,
+``1e-2 * LINEAR_SOLVER_TOL``.  Later steps on the same mesh differ only
+through the frozen gradient direction, so the loop runs with the last
+factor, started from the previous step's solution.  The factor is
+refreshed when the previous step needed more than ``REFACTOR_AFTER_SOLVES``
+refinement LU solves or when the refinement stalls: the step matrix is
+factored, and the same loop runs with the new factor from nothing, so its
+first LU solve is the direct solve.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ REFACTOR_AFTER_SOLVES = 5
 # of an element where the frozen gradient vanishes.
 GRADIENT_FLOOR = 1e-10
 
-# Largest relative residual a linear solve may return; a refinement is
-# accepted only at 1e-2 of it.
+# Largest relative residual a linear solve may return; the refinement loop
+# stops only at 1e-2 of it.
 LINEAR_SOLVER_TOL = 1e-10
 
 
@@ -115,9 +119,10 @@ class SolveReport:
 
     ``iterations`` counts linear solves.  ``linear_residuals`` holds the
     true relative residual of each step's linear solve,
-    ``linear_iterations`` its LU solves in iterative refinement (0 for a
-    step solved by a fresh factorisation without polish), including those
-    of a refinement with the previous factor that stalled, and
+    ``linear_iterations`` its LU solves in iterative refinement, including
+    those of a refinement with the previous factor that stalled but not the
+    direct solve of a fresh factor (0 for a step whose direct solve was
+    accepted), and
     ``factorizations`` the number of LU factorisations of step matrices
     (the first step's, plus one per stale factor refreshed or refinement
     stalled).
@@ -136,20 +141,19 @@ class StepFactor:
     """Holder of the LU factor that ``solve_linear`` reuses across calls.
 
     ``lu`` is the ``PermutedLU`` of the last matrix factored through this
-    holder (None before the first solve), ``fill`` its number of entries
-    stored in L and U, ``factorizations`` counts the factorisations,
-    ``solution`` is the last solution (the start of the next refinement),
-    and ``residual`` and ``iterations`` are the true relative residual and
-    the refinement's LU solves with ``lu`` (0 when factored and not
-    polished) of the last solve.  More than ``REFACTOR_AFTER_SOLVES`` such
-    LU solves mark ``lu`` as stale: the next solve factors its own matrix.
+    holder (None before the first solve), ``factorizations`` counts the
+    factorisations, ``solution`` is the last solution (the start of the
+    next refinement), and ``residual`` and ``iterations`` are the true
+    relative residual and the refinement LU solves with ``lu`` of the last
+    solve, without the direct solve of a fresh ``lu``.  More than
+    ``REFACTOR_AFTER_SOLVES`` such LU solves mark ``lu`` as stale: the next
+    solve factors its own matrix.
     ``stalled`` counts the LU solves of the last solve's refinement with the
     previous factor when that stalled and ``lu`` was refactored, else 0.
     """
 
     def __init__(self):
         self.lu = None
-        self.fill = 0
         self.factorizations = 0
         self.solution = None
         self.residual = None
@@ -197,17 +201,6 @@ def diffusion_components(grad: np.ndarray, tau: float):
     g0, g1 = grad
     denom = np.maximum(g0 * g0 + g1 * g1, GRADIENT_FLOOR)
     return g0 * g0 / denom + 1.0 / tau, g0 * g1 / denom, g1 * g1 / denom + 1.0 / tau
-
-
-def diffusion_tensor(u: FEFunction, tau: float) -> np.ndarray:
-    """Per-element tensors (p (x) p) / max(|p|^2, GRADIENT_FLOOR) + I / tau, shape (nt, 2, 2).
-
-    Whenever |p|^2 >= GRADIENT_FLOOR the projection part has eigenvalues
-    {0, 1}, and below the floor it is smaller still, so the spectrum always
-    sits inside [1/tau, 1 + 1/tau].
-    """
-    t00, t01, t11 = diffusion_components(gradients(u).T, tau)
-    return np.stack([t00, t01, t01, t11], axis=-1).reshape(-1, 2, 2)
 
 
 def load_vector(mesh: Triangulation, f) -> np.ndarray:
@@ -332,77 +325,65 @@ def _residual(matrix, solution, rhs):
     return residual, norm / scale if scale > 0 else norm
 
 
-def _refine(matrix, rhs, lu, solution, residual, accept):
-    """Iterative refinement (Moler 1967) of ``solution`` with ``lu``.
+def _refine(matrix, rhs, lu, start, residual):
+    """Iterative refinement (Moler 1967) with ``lu`` from ``start``.
 
-    ``residual`` is ``rhs - matrix @ solution``.  Each LU solve corrects
-    the iterate by the LU solve of its residual, and the new iterate's true
-    residual is computed once, one matrix-vector product per LU solve: its
-    norm is the stop test and the vector the next correction's right-hand
-    side.  Returns the solution, the number of LU solves and the relative
-    residual once that is at most ``accept``, with None for the solution
-    once it falls by less than REFINE_MIN_RATE per LU solve on average
-    after the first.
+    ``residual`` is ``rhs - matrix @ start``, or ``rhs`` for ``start=None``,
+    whose first iterate is the direct solve ``lu.solve(rhs)`` itself.  Each
+    LU solve corrects the iterate by the LU solve of its residual, and the
+    new iterate's true residual is computed once, one matrix-vector product
+    per LU solve: its norm is the stop test and the vector the next
+    correction's right-hand side.  Returns the last iterate, the LU solves,
+    its relative residual and whether the loop stalled, once that residual
+    is at most ``1e-2 * LINEAR_SOLVER_TOL`` or falls by less than
+    REFINE_MIN_RATE per LU solve on average after the first (a stall).
     """
-    solves = 0
+    solution, solves = start, 0
     while True:
-        solution = solution + lu.solve(residual)
+        correction = lu.solve(residual)
+        solution = correction if solution is None else solution + correction
         solves += 1
         residual, relative = _residual(matrix, solution, rhs)
-        if relative <= accept:
-            return solution, solves, relative
+        if relative <= 1e-2 * LINEAR_SOLVER_TOL:
+            return solution, solves, relative, False
         if solves == 1:
             first = relative
         elif not relative < first * REFINE_MIN_RATE ** (solves - 1):
-            return None, solves, relative
+            return solution, solves, relative, True
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
                  factor: StepFactor | None = None) -> np.ndarray:
-    """Sparse solve with an explicit relative-residual check.
+    """Sparse solve by the ``_refine`` loop, gated by the true residual.
 
-    A matrix is factored as a ``PermutedLU`` (reverse Cuthill-McKee, then
-    minimum degree, threshold pivoting) and solved directly; if that
-    solve's relative residual exceeds ``LINEAR_SOLVER_TOL``, it is
-    polished by iterative refinement with the same LU.  With a ``factor``
-    holder that already carries an LU (of an earlier, similar matrix), the
-    solve refines iteratively with that LU, started from the holder's last
-    solution, until the true relative residual is at most
-    ``1e-2 * LINEAR_SOLVER_TOL``.  The holder's LU is refreshed instead:
-    the old LU is released and ``matrix`` is factored, stored in the
-    holder and solved directly, when the holder's last solve took more
-    than ``REFACTOR_AFTER_SOLVES`` refinement LU solves (the factor has gone
-    stale) or when the refinement stalls; the stalled refinement's LU
-    solves go to the holder's ``stalled``.  Every iterate's true residual is
-    computed once and also serves the gate: a relative residual above
-    ``LINEAR_SOLVER_TOL`` raises ``SolverFailure``.
+    With a ``factor`` holder whose LU (of an earlier, similar matrix) is not
+    stale, that is, whose last solve took at most ``REFACTOR_AFTER_SOLVES``
+    refinement LU solves, the loop starts from the holder's last solution.
+    With no such LU, or when that loop stalls (its LU solves go to the
+    holder's ``stalled``), the old LU is released, ``matrix`` is factored as
+    a ``PermutedLU`` and the loop starts from nothing, so its first LU solve
+    is the direct solve.  A singular matrix, or a last iterate whose
+    relative residual exceeds ``LINEAR_SOLVER_TOL`` (infinite when it is
+    not finite), raises ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
-    solution = None
     holder.stalled = 0
+    stalled = True
     if holder.lu is not None and holder.iterations <= REFACTOR_AFTER_SOLVES:
-        start = holder.solution if holder.solution is not None else np.zeros(len(rhs))
-        solution, solves, relative = _refine(matrix, rhs, holder.lu, start,
-                                             rhs - matrix @ start, 1e-2 * LINEAR_SOLVER_TOL)
-        if solution is None:
+        start = holder.solution
+        solution, solves, relative, stalled = _refine(
+            matrix, rhs, holder.lu, start, rhs if start is None else rhs - matrix @ start)
+        if stalled:
             holder.stalled = solves
-    if solution is None:
+    if stalled:
         holder.lu = None        # release the old factor before building a new one
         try:
             holder.lu = PermutedLU(matrix)
         except RuntimeError as singular:
             raise SolverFailure(f"linear solve failed: {singular}") from singular
         holder.factorizations += 1
-        holder.fill = holder.lu.nnz
-        solution = holder.lu.solve(rhs)
-        residual, relative = _residual(matrix, solution, rhs)
-        solves = 0
-        if not relative <= LINEAR_SOLVER_TOL:
-            # threshold pivoting can leave the direct solve above the gate;
-            # a stalled polish leaves it there, and the gate below raises
-            polished = _refine(matrix, rhs, holder.lu, solution, residual, LINEAR_SOLVER_TOL)
-            if polished[0] is not None:
-                solution, solves, relative = polished
+        solution, solves, relative, _ = _refine(matrix, rhs, holder.lu, None, rhs)
+        solves -= 1             # the direct solve is no refinement
     holder.iterations = solves
     holder.residual = relative
     if not relative <= LINEAR_SOLVER_TOL:
@@ -471,10 +452,11 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         linear_iterations.append(lu_solves)
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         increments.append(increment)
-        logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
-                     "linear residual %.2e, LU solves %d, factorizations %d, "
-                     "L+U fill %d", iteration, increment, tolerance, factor.residual,
-                     lu_solves, factor.factorizations, factor.fill)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
+                         "linear residual %.2e, LU solves %d, factorizations %d, "
+                         "L+U fill %d", iteration, increment, tolerance, factor.residual,
+                         lu_solves, factor.factorizations, factor.lu.nnz)
         if increment <= tolerance:
             return SolveReport(proposed, iteration, increments, True,
                                linear_residuals=residuals,

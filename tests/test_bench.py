@@ -251,6 +251,26 @@ def test_cli_missing_subcommand_exits_2():
     assert main(["check"]) == 2     # no such subcommand
 
 
+def test_cli_subcommands_list_shared_options_with_library_defaults(capsys):
+    shared = {"--tau": None, "--tol-factor": SolverConfig().increment_tol_factor,
+              "--max-iters": SolverConfig().max_iterations, "--initial-n": 4, "--out": None}
+    adapt_only = {"--theta": AdaptiveConfig(1.0).theta,
+                  "--max-cycles": AdaptiveConfig(1.0).max_cycles,
+                  "--dof-budget": AdaptiveConfig(1.0).dof_budget}
+    entries = {}
+    for command in ("solve", "adapt"):
+        assert main([command, "-h"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--problem {aronsson,classical}" in text
+        expected = shared if command == "solve" else {**shared, **adapt_only}
+        entries[command] = {option: re.search(rf"{option} [A-Z_]+ (.*?\(default: (.*?)\))",
+                                              text).groups()
+                            for option in expected}
+        assert {option: groups[1] for option, groups in entries[command].items()} == \
+            {option: str(value) for option, value in expected.items()}
+    assert all(entries["solve"][option] == entries["adapt"][option] for option in shared)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 @pytest.mark.parametrize("build", [lambda value: replace(registry()["classical"].data, tau=value),
                                    lambda value: SolverConfig(increment_tol_factor=value),

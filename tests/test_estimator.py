@@ -5,7 +5,7 @@ from inflap import (FEFunction, InvalidArgumentError, build_initial_mesh,
                     estimate, interpolate, jump_residuals, refine,
                     uniform_refine)
 from inflap.estimator import interior_residual_norms
-from conftest import oracle_meshes, pair_jump_residuals
+from conftest import outer_diffusion_tensor, oracle_meshes, pair_jump_residuals
 
 ZERO = lambda x, y: np.zeros(np.shape(x))
 TWO = lambda x, y: np.full(np.shape(x), 2.0)
@@ -59,14 +59,13 @@ def test_jump_residual_large_tau_limit():
     u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
 
     from inflap.fespace import gradients
-    from inflap.solver import diffusion_tensor
     interior = mesh.interior_edge_ids
     plus = mesh.edge_triangles[interior, 0]
     minus = mesh.edge_triangles[interior, 1]
     normals = mesh.edge_normals[interior]
     grad = gradients(u)
     tau = 1e12
-    tensors = diffusion_tensor(u, tau)
+    tensors = outer_diffusion_tensor(u, tau)
     averaged = 0.5 * (tensors[plus] + tensors[minus])
     tensor_jump = (grad[plus] - grad[minus])[:, :, None] * normals[:, None, :]
     second_term = -np.einsum("erc,erc->e", averaged, tensor_jump)

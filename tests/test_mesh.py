@@ -78,6 +78,23 @@ def test_refine_unknown_id():
         refine(mesh, {99})
 
 
+@pytest.mark.parametrize("marked", [np.arange(4) == 3, [False, False, False, True],
+                                    [2.7], np.array([3.0])],
+                         ids=["mask", "mask-list", "float", "float-array"])
+def test_refine_rejects_masks_and_float_ids(marked):
+    # a mask would be read as ids 0 and 1, a float id truncated
+    with pytest.raises(InvalidArgumentError):
+        refine(build_initial_mesh(1), marked)
+
+
+@pytest.mark.parametrize("marked", [[3], range(3, 4), np.array([3], dtype=np.uint8)],
+                         ids=["list", "range", "unsigned"])
+def test_refine_accepts_integer_ids(marked):
+    mesh = build_initial_mesh(1)
+    expected = refine(mesh, {3})
+    assert np.array_equal(refine(mesh, marked).triangle_vertices, expected.triangle_vertices)
+
+
 def test_refine_all_of_initial_mesh():
     refined = refine(build_initial_mesh(1), {0, 1, 2, 3})
     assert refined.triangle_count >= 8

@@ -7,12 +7,13 @@ import pytest
 from inflap import (Discretisation, DivergenceError, FEFunction,
                     InvalidArgumentError, SolverFailure, SolverConfig,
                     apply_dirichlet, assemble_step, build_initial_mesh,
-                    default_initializer, diffusion_tensor, estimate, fe_hessian,
+                    default_initializer, estimate, fe_hessian,
                     fixed_point_solve, gradients, interpolate, l2_error,
                     l2_norm, load_vector, refine, registry, solve_linear,
                     uniform_refine)
 from inflap.bench import convergence_study
-from inflap.solver import LINEAR_SOLVER_TOL, ProblemData, StepFactor
+from inflap.solver import (LINEAR_SOLVER_TOL, PermutedLU, ProblemData, StepFactor,
+                           diffusion_components)
 import inflap.solver
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -30,29 +31,34 @@ ARONSSON = registry()["aronsson"].data
 
 # ------------------------------------------------------------ diffusion tensor
 
+def _tensors(u, tau):
+    """The (nt, 2, 2) diffusion tensors of ``u`` from their entries t00, t01, t11."""
+    t00, t01, t11 = diffusion_components(gradients(u).T, tau)
+    return np.stack([t00, t01, t01, t11], axis=-1).reshape(-1, 2, 2)
+
+
 def test_diffusion_tensor_formula():
     mesh = build_initial_mesh(1)
     # gradient (1, 0) on every element
     u = interpolate(mesh, lambda x, y: x + 0.0 * y)
-    tensors = diffusion_tensor(u, tau=2.0)
-    assert np.allclose(tensors, [[1.5, 0.0], [0.0, 0.5]])
+    assert np.allclose(_tensors(u, tau=2.0), [[1.5, 0.0], [0.0, 0.5]])
 
     # degenerate gradient: only the relaxation part survives
     flat = FEFunction(mesh, np.zeros(mesh.vertex_count))
-    tensors = diffusion_tensor(flat, tau=4.0)
-    assert np.allclose(tensors, 0.25 * np.eye(2))
+    assert np.allclose(_tensors(flat, tau=4.0), 0.25 * np.eye(2))
 
     diag = interpolate(mesh, lambda x, y: x + y)
-    tensors = diffusion_tensor(diag, tau=1.0)
-    assert np.allclose(tensors, [[1.5, 0.5], [0.5, 1.5]])
+    assert np.allclose(_tensors(diag, tau=1.0), [[1.5, 0.5], [0.5, 1.5]])
 
 
 def test_diffusion_tensor_eigenvalue_bounds():
+    # the projection part has eigenvalues {0, 1} when |p|^2 >= GRADIENT_FLOOR
+    # and smaller ones below, so the spectrum sits inside [1/tau, 1 + 1/tau]
     mesh = refine(build_initial_mesh(2), {0, 3, 9})
     rng = np.random.default_rng(2)
     for tau in (0.1, 1.0, 1000.0):
         u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
-        eigs = np.linalg.eigvalsh(diffusion_tensor(u, tau))
+        eigs = np.linalg.eigvalsh(_tensors(u, tau))
         assert eigs.min() >= 1.0 / tau - 1e-12
         assert eigs.max() <= 1.0 + 1.0 / tau + 1e-12
 
@@ -62,7 +68,7 @@ def test_diffusion_tensor_rejects_bad_parameters(tau):
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x)
     with pytest.raises(InvalidArgumentError):
-        diffusion_tensor(u, tau=tau)
+        diffusion_components(gradients(u).T, tau=tau)
 
 
 # -------------------------------------------------------------------- assembly
@@ -130,7 +136,7 @@ def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
     matrix, rhs = assemble_step(disc, u)
-    oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, ARONSSON.tau),
+    oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, ARONSSON.tau),
                                         coo_hessian_matrix(mesh))
     assert np.array_equal(matrix.toarray(), oracle.toarray())
 
@@ -153,7 +159,7 @@ def test_assemble_step_is_bit_identical_to_row_major_assembly(name):
             data, oracle_rhs = bincount_assemble_step(disc, u)
             assert np.array_equal(matrix.data, data)
             assert np.array_equal(rhs, oracle_rhs)
-            assert np.array_equal(diffusion_tensor(u, problem.tau),
+            assert np.array_equal(_tensors(u, problem.tau),
                                   outer_diffusion_tensor(u, problem.tau))
 
 
@@ -163,7 +169,7 @@ def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     mesh = perturbed_mesh()
     u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
     matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u)
-    oracle = sparse_product_step_matrix(mesh, diffusion_tensor(u, CLASSICAL.tau),
+    oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
@@ -303,13 +309,13 @@ def test_factor_fills_less_than_colamd_and_meets_the_gate(kind):
         holder = StepFactor()
         solve_linear(matrix, rhs, factor=holder)
         assert holder.residual <= LINEAR_SOLVER_TOL
-        assert holder.fill == holder.lu.nnz
-        assert holder.fill < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
+        assert holder.lu.nnz < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
 
 
 def test_fresh_factor_is_polished_by_refinement(monkeypatch):
     # an LU of a slightly perturbed matrix leaves the direct solve above the
-    # gate; refinement with that same LU brings it below without refactoring
+    # gate; the refinement loop that began with it goes on with that same LU
+    # to its accept target without refactoring
     matrix, rhs = _step_system(uniform_refine(build_initial_mesh(4)), ARONSSON)
     rng = np.random.default_rng(3)
     real_splu = inflap.solver.spla.splu
@@ -325,8 +331,35 @@ def test_fresh_factor_is_polished_by_refinement(monkeypatch):
     direct = holder.lu.solve(rhs)
     assert np.linalg.norm(matrix @ direct - rhs) > LINEAR_SOLVER_TOL * np.linalg.norm(rhs)
     assert holder.factorizations == 1 and holder.iterations > 0
-    assert holder.residual <= LINEAR_SOLVER_TOL
+    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
     assert np.array_equal(holder.solution, solution)
+
+
+def test_stalled_refinement_of_a_fresh_factor_fails_the_gate(monkeypatch):
+    # the LU of twice the matrix halves each residual: the refinement stalls
+    # at its second LU solve, and the gate judges that last iterate
+    matrix, rhs = _step_system(uniform_refine(build_initial_mesh(4)), ARONSSON)
+    real_splu = inflap.solver.spla.splu
+
+    def doubled_splu(permuted, **kwargs):
+        return real_splu(2.0 * permuted, **kwargs)
+
+    real_refine = inflap.solver._refine
+    outcomes = []
+
+    def recording_refine(*args):
+        outcomes.append(real_refine(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(inflap.solver.spla, "splu", doubled_splu)
+    monkeypatch.setattr(inflap.solver, "_refine", recording_refine)
+    with pytest.raises(SolverFailure) as info:
+        solve_linear(matrix, rhs)
+    [(solution, solves, relative, stalled)] = outcomes
+    assert stalled and solves == 2
+    assert relative == pytest.approx(0.25)
+    assert info.value.residual == relative
+    assert relative == np.linalg.norm(rhs - matrix @ solution) / np.linalg.norm(rhs)
 
 
 # ----------------------------------------------------------------- initializer
@@ -637,17 +670,27 @@ def test_refinement_computes_one_residual_per_lu_solve():
     disc = Discretisation(mesh, ARONSSON)
     matrix, rhs = apply_dirichlet(disc, *assemble_step(disc, default_initializer(disc)))
     holder = StepFactor()
-    start = solve_linear(matrix, rhs, factor=holder)
+    first = solve_linear(matrix, rhs, factor=holder)
     nudged = matrix + 2e-2 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
-    for accept in (1e-2 * LINEAR_SOLVER_TOL, LINEAR_SOLVER_TOL):
+    accept = 1e-2 * LINEAR_SOLVER_TOL
+    for start in (first, None):
         recording, lu = _RecordingMatrix(nudged), _RecordingFactor(holder.lu)
-        solution, solves, relative = inflap.solver._refine(
-            recording, rhs, lu, start, rhs - nudged @ start, accept)
-        assert solves > 1 and recording.products == solves == len(lu.solved)
+        solution, solves, relative, stalled = inflap.solver._refine(
+            recording, rhs, lu, start, rhs if start is None else rhs - nudged @ start)
+        assert not stalled and solves > 1 and recording.products == solves == len(lu.solved)
         assert relative <= accept
         reference, reference_solves = two_product_refine(nudged, rhs, holder.lu, start, accept)
         assert np.array_equal(solution, reference) and solves == reference_solves
         assert relative == np.linalg.norm(nudged @ solution - rhs) / np.linalg.norm(rhs)
+
+    # from nothing the first iterate is the direct solve itself, signed zeros
+    # included: with the LU of its own matrix it is accepted at once
+    exact = PermutedLU(nudged)
+    solution, solves, _, stalled = inflap.solver._refine(nudged, rhs, exact, None, rhs)
+    assert solves == 1 and not stalled
+    direct = exact.solve(rhs)
+    assert np.array_equal(solution, direct)
+    assert np.array_equal(np.signbit(solution), np.signbit(direct))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -139,7 +139,9 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         marked = mark(indicators, config.theta)
         if marked.size == 0:
             break
-        refined = refine(mesh, marked)
-        guess = transfer(report.solution, refined)
-        mesh = refined
+        mesh = refine(mesh, marked)
+        guess = transfer(report.solution, mesh)
+        # the next solve holds only the new mesh; every exit from the loop
+        # is a break above, so the returned report is the last solve's
+        del report, indicators, marked
     return report, mesh, history

@@ -154,6 +154,8 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
                     report.factorizations, sum(report.linear_iterations))
         if on_level is not None:
             on_level(level, mesh, report, indicators)
+        # the next solve holds only the next mesh
+        del report, indicators
         previous_row = row
         if level + 1 < levels:
             mesh = uniform_refine(mesh)
@@ -195,11 +197,12 @@ def write_csv(table, path) -> None:
 # ----------------------------------------------------------------- VTU output
 
 def _ascii(values, per_line=6):
-    # tolist() yields Python ints and floats, which format faster than numpy scalars
+    # one %-template formats the whole array from Python ints and floats
     values = np.asarray(values).reshape(-1)
-    parts = list(map(str if values.dtype.kind in "iu" else "%.17g".__mod__, values.tolist()))
-    lines = [" ".join(parts[i:i + per_line]) for i in range(0, len(parts), per_line)]
-    return "\n          ".join(lines)
+    spec = "%d" if values.dtype.kind in "iu" else "%.17g"
+    full, rest = divmod(len(values), per_line)
+    lines = [" ".join([spec] * per_line)] * full + ([" ".join([spec] * rest)] if rest else [])
+    return "\n          ".join(lines) % tuple(values.tolist())
 
 
 def write_vtu(mesh: Triangulation, fields, path) -> None:

@@ -126,61 +126,85 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     a + 1 and a + 2.  On the meshes ``build_initial_mesh`` and ``refine``
     make, the sums equal bit for bit those of the COO assembly the tests
     keep as oracle, whose duplicates are summed in another order.
+
+    The neighbor across edge m and the slot of that edge in it come from
+    the mesh's edge table (``edge_triangles``, ``edge_local``).  The
+    pattern is built with int32 temporaries: the entries are grouped by
+    row with one counting sort, ordered within each row by
+    ``sort_indices``, and numbered by a running count of the distinct
+    columns, which also gives ``slots``.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
-    # arrays are (..., nt) so every term below is a contiguous vector operation
+    # arrays are (..., nt) so every term below is a contiguous vector
+    # operation; np.take gathers rows far faster than fancy indexing
     edges = np.ascontiguousarray(mesh.triangle_edges.T)            # edge m is opposite vertex m
     own = np.arange(nt)
-    adjacent = mesh.edge_triangles[edges]                           # (m, nt, 2)
+    adjacent = np.take(mesh.edge_triangles, edges, axis=0)          # (m, nt, 2)
     is_plus = adjacent[..., 0] == own
     neighbor = np.where(is_plus, adjacent[..., 1], adjacent[..., 0])
     interior = neighbor >= 0
     neighbor = np.where(interior, neighbor, own)
     # local index in the neighbor of the shared edge, i.e. of its far vertex;
     # both elements are counterclockwise, so the neighbor's next vertex after
-    # that is vertex m + 2 of K and the one after it vertex m + 1
-    far = np.argmax(mesh.triangle_edges[neighbor] == edges[..., None], axis=2)
+    # that is vertex m + 2 of K and the one after it vertex m + 1.  A boundary
+    # edge keeps its own slot m, so its zero-weight terms read K's gradients.
+    slot = np.take(mesh.edge_local, edges, axis=0)                  # (m, nt, 2)
+    far = np.where(interior, np.where(is_plus, slot[..., 1], slot[..., 0]),
+                   np.arange(3)[:, None])
 
     sign = np.where(is_plus, 1.0, -1.0)
     scale = np.where(interior, 0.5, 1.0) * mesh.edge_lengths[edges] / mesh.areas * sign
     across = np.where(interior, scale, 0.0)
-    normals = np.ascontiguousarray(mesh.edge_normals[edges].transpose(0, 2, 1))[:, None]
+    normals = np.take(mesh.edge_normals.T, edges, axis=1)          # (c, m, nt)
     basis = mesh.basis_components                                   # (r, vertex, K)
+    corner_basis = basis.reshape(2, 3 * nt)                         # (r, vertex * nt + K)
 
-    def term(m, weights, gradient):
+    def term(m, weights, gradient, out):
         """(2, 2, nt) terms (weights * gradient[r]) * normal[c] of edge m."""
-        return (weights[m] * gradient)[:, None] * normals[m]
+        return np.multiply((weights[m] * gradient)[:, None], normals[:, m], out=out)
 
     def their_gradient(m, local):
         """Gradient on the neighbor across edge m of its vertex far + local."""
-        return basis[:, (far[m] + local) % 3, neighbor[m]]
+        return np.take(corner_basis, (far[m] + local) % 3 * nt + neighbor[m], axis=1)
 
     # vertex a is the far + 1 of the neighbor across edge a + 1 and the
     # far + 2 of the one across edge a + 2
     blocks = np.empty((6, 2, 2, nt))
+    spare = np.empty((2, 2, nt))
     for a in range(3):
         gradient = basis[:, a]
-        blocks[a] = term(0, scale, gradient)
-        blocks[a] += term(1, scale, gradient)
-        blocks[a] += term(2, scale, gradient)
-        blocks[a] += term((a + 1) % 3, across, their_gradient((a + 1) % 3, 1))
-        blocks[a] += term((a + 2) % 3, across, their_gradient((a + 2) % 3, 2))
+        term(0, scale, gradient, blocks[a])
+        blocks[a] += term(1, scale, gradient, spare)
+        blocks[a] += term(2, scale, gradient, spare)
+        blocks[a] += term((a + 1) % 3, across, their_gradient((a + 1) % 3, 1), spare)
+        blocks[a] += term((a + 2) % 3, across, their_gradient((a + 2) % 3, 2), spare)
     for m in range(3):
-        blocks[3 + m] = term(m, across, their_gradient(m, 0))
+        term(m, across, their_gradient(m, 0), blocks[3 + m])
     blocks = np.ascontiguousarray(blocks.reshape(6, 4, nt).transpose(1, 2, 0))  # (q, nt, s)
-    stencil = np.concatenate([tris, np.where(interior, tris[neighbor, far], tris.T).T], axis=1)
+    stencil = np.concatenate([tris, np.where(interior, np.take(tris, 3 * neighbor + far),
+                                             tris.T).T], axis=1)
 
-    # step-matrix pattern: vertex i reaches the stencil of every element at i
-    incidence = sp.csr_array((np.ones(3 * nt), tris.reshape(-1), 3 * np.arange(nt + 1)),
-                             shape=(nt, nv))
-    reach = sp.csr_array((np.ones(6 * nt), stencil.reshape(-1), 6 * np.arange(nt + 1)),
-                         shape=(nt, nv))
-    pattern = (incidence.T @ reach).tocsr()
-    # entry positions as (exact) float values, so indexing returns them
-    position = sp.csr_array((np.arange(pattern.nnz, dtype=float), pattern.indices,
-                             pattern.indptr), shape=pattern.shape)
-    slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
-                     np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(stencil, blocks, pattern.indptr, pattern.indices,
-                           slots.astype(np.int32).reshape(nt, 3, 6))
+    # step-matrix pattern: vertex i reaches the stencil of every element at
+    # i.  The queries (vertex a of K, stencil[K, s]) are numbered
+    # 6 (3 K + a) + s; tocsc's counting sort groups the corners 3 K + a by
+    # vertex, sort_indices orders each vertex's queries by column, and a
+    # running count of the distinct columns gives every query its position.
+    by_vertex = sp.csr_array((np.ones(3 * nt, dtype=np.int8), tris.reshape(-1),
+                              np.arange(3 * nt + 1)), shape=(3 * nt, nv)).tocsc()
+    corners = by_vertex.indices.astype(np.int32)
+    queries = sp.csr_array(
+        ((6 * corners[:, None] + np.arange(6, dtype=np.int32)).reshape(-1),
+         np.take(stencil.astype(np.int32), corners // 3, axis=0).reshape(-1),
+         6 * by_vertex.indptr.astype(np.int32)), shape=(nv, nv))
+    queries.sort_indices()
+    columns = queries.indices
+    new = np.zeros(len(columns) + 1, dtype=bool)      # the spare marks the end
+    new[queries.indptr] = True
+    new[1:-1] |= columns[1:] != columns[:-1]
+    distinct = np.cumsum(new, dtype=np.int32)
+    slots = np.empty(18 * nt, dtype=np.int32)
+    slots[queries.data] = distinct[:-1] - 1
+    indptr = (distinct[queries.indptr] - 1).astype(np.int64)
+    return HessianOperator(stencil, blocks, indptr, columns[new[:-1]].astype(np.int64),
+                           slots.reshape(nt, 3, 6))

@@ -24,18 +24,6 @@ BOUNDARY_TOL = 1e-14
 COVERAGE_TOL = 1e-10
 
 
-def _perp(v):
-    """Rotate 2-vectors by +90 degrees (last axis holds x, y)."""
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
-
-
-def _cross2(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 class Triangulation:
     """Conforming triangulation of the square [-1, 1]^2.
 
@@ -45,7 +33,8 @@ class Triangulation:
     newest vertex of the bisection genealogy) sits in slot 2 and
     ``triangle_edges[:, 2]`` holds the refinement edges.
     ``build_initial_mesh``, ``refine`` and ``uniform_refine`` emit that
-    order.  With ``validate`` the mesh must conform to the square
+    order.  Coordinates must be finite and vertex ids integers.  With
+    ``validate`` the mesh must conform to the square
     (``conformity_errors``).
 
     Attributes
@@ -58,7 +47,11 @@ class Triangulation:
         function i on element K at [d, i, K]
     basis_gradients : (nt, 3, 2) view of ``basis_components`` indexed [K, i, d]
     edge_vertices : (ne, 2) int array, endpoint ids with the smaller one first
-    edge_triangles : (ne, 2) int array, adjacent triangle ids (-1 in slot 1 on the boundary)
+    edge_triangles : (ne, 2) int array, adjacent triangle ids, the smaller one first
+        (-1 in slot 1 on the boundary)
+    edge_local : (ne, 2) int array, the edge's local slot in each adjacent triangle,
+        ``triangle_edges[edge_triangles[e, s], edge_local[e, s]] == e`` (-1 where
+        ``edge_triangles`` is -1)
     edge_normals : (ne, 2) unit normals pointing out of the first adjacent triangle
     edge_lengths : (ne,) float array
     triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
@@ -78,7 +71,7 @@ class Triangulation:
     def __init__(self, vertex_coords, triangle_vertices, new_vertex_parents=None,
                  validate=True):
         coords = np.array(vertex_coords, dtype=float)
-        tris = np.array(triangle_vertices, dtype=np.int64)
+        tris = np.array(triangle_vertices)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise InvalidArgumentError("vertex_coords must have shape (nv, 2)")
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -86,6 +79,12 @@ class Triangulation:
         nv, nt = len(coords), len(tris)
         if nt == 0:
             raise InvalidArgumentError("mesh needs at least one triangle")
+        if not np.isfinite(coords).all():
+            raise InvalidArgumentError("vertex coordinates must be finite")
+        # a float id would be truncated, a boolean one read as 0 or 1
+        if tris.dtype.kind not in "iu":
+            raise InvalidArgumentError("triangle_vertices must hold integer vertex ids")
+        tris = tris.astype(np.int64, copy=False)
         if tris.min() < 0 or tris.max() >= nv:
             raise InvalidArgumentError("triangle vertex id out of range")
 
@@ -95,17 +94,19 @@ class Triangulation:
         self.new_vertex_parents = (None if new_vertex_parents is None
                                    else np.array(new_vertex_parents, dtype=np.int64))
 
-        p = coords[tris]                                   # (nt, 3, 2)
-        edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # local edge i opposite vertex i
-        self.areas = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        # component-major (3, nt) corner coordinates, so every quantity
+        # below is a few operations on contiguous vectors
+        x = coords[:, 0][tris.T]
+        y = coords[:, 1][tris.T]
+        ex = x[[2, 0, 1]] - x[[1, 2, 0]]                   # local edge i opposite vertex i
+        ey = y[[2, 0, 1]] - y[[1, 2, 0]]
+        self.areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
         if self.areas.min() <= 0.0:
             raise InvalidArgumentError("triangles must be counterclockwise with positive area")
-        lengths = np.sqrt((edge_vec ** 2).sum(axis=2))
-        self.diameters = lengths.max(axis=1)
-        self.centroids = p.mean(axis=1)
-        # component-major, so per-element kernels run on contiguous vectors
-        self.basis_components = np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / \
-            (2.0 * self.areas)
+        self.diameters = np.sqrt(ex * ex + ey * ey).max(axis=0)
+        self.centroids = np.column_stack([((x[0] + x[1]) + x[2]) / 3,
+                                          ((y[0] + y[1]) + y[2]) / 3])
+        self.basis_components = np.stack([-ey, ex]) / (2.0 * self.areas)
         self.basis_gradients = self.basis_components.transpose(2, 1, 0)
 
         self._build_edge_table()
@@ -116,9 +117,9 @@ class Triangulation:
         for arr in (self.vertex_coords, self.vertex_on_boundary, self.triangle_vertices,
                     self.areas, self.diameters, self.centroids, self.basis_components,
                     self.basis_gradients, self.edge_vertices, self.edge_triangles,
-                    self.edge_normals, self.edge_lengths, self.triangle_edges,
-                    self.interior_edge_ids, self.boundary_edge_ids, self.edge_sources,
-                    self.signed_element_edges):
+                    self.edge_local, self.edge_normals, self.edge_lengths,
+                    self.triangle_edges, self.interior_edge_ids, self.boundary_edge_ids,
+                    self.edge_sources, self.signed_element_edges):
             arr.setflags(write=False)
         if self.new_vertex_parents is not None:
             self.new_vertex_parents.setflags(write=False)
@@ -129,53 +130,62 @@ class Triangulation:
         tris = self.triangle_vertices
         nt = len(tris)
         nv = len(self.vertex_coords)
-        pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
-        # 1-D keys sort like the (smaller, larger) endpoint pairs and are
-        # much cheaper to unique than rows
-        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
-        edge_vertices = np.column_stack([keys // nv, keys % nv])
-        ne = len(edge_vertices)
-        counts = np.bincount(inverse, minlength=ne)
+        # local edge i joins the two vertices after vertex i; its key is
+        # (smaller id) * nv + larger id, listed triangle-major
+        after, last = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+        keys = (np.minimum(after, last) * nv + np.maximum(after, last)).reshape(-1)
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.empty(3 * nt, dtype=bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        ne = len(first)
+        counts = np.diff(first, append=3 * nt)
         if counts.max() > 2:
             raise InvalidArgumentError("an edge is shared by more than two triangles")
 
-        self.triangle_edges = inverse.reshape(nt, 3)
-        # Stable sort keeps triangle-major order, so the first triangle seen
-        # per edge is the one with the smallest id.
-        order = np.argsort(inverse, kind="stable")
-        flat_tri = np.repeat(np.arange(nt, dtype=np.int64), 3)[order]
-        first = np.searchsorted(inverse[order], np.arange(ne))
-        edge_triangles = np.full((ne, 2), -1, dtype=np.int64)
-        edge_triangles[:, 0] = flat_tri[first]
+        triangle_edges = np.empty(3 * nt, dtype=np.int64)
+        triangle_edges[order] = np.cumsum(new) - 1
+        self.triangle_edges = triangle_edges.reshape(nt, 3)
         has_two = counts == 2
-        edge_triangles[has_two, 1] = flat_tri[first[has_two] + 1]
-
-        a = self.vertex_coords[edge_vertices[:, 0]]
-        b = self.vertex_coords[edge_vertices[:, 1]]
-        tangent = b - a
-        lengths = np.sqrt((tangent ** 2).sum(axis=1))
-        normals = _perp(tangent) / lengths[:, None]
-        outward = ((0.5 * (a + b) - self.centroids[edge_triangles[:, 0]]) * normals).sum(axis=1)
-        normals[outward < 0.0] *= -1.0
-
-        self.edge_vertices = edge_vertices
-        self.edge_triangles = edge_triangles
-        self.edge_normals = normals
-        self.edge_lengths = lengths
+        # each side of an edge as the flat position 3 * triangle + local
+        # slot, the smaller triangle id first
+        corners = np.full((ne, 2), -1, dtype=np.int64)
+        corners[:, 0] = order[first]
+        one, other = corners[has_two, 0], order[first[has_two] + 1]
+        corners[has_two, 0] = np.minimum(one, other)
+        corners[has_two, 1] = np.maximum(one, other)
+        self.edge_triangles = corners // 3                  # -1 // 3 == -1
+        self.edge_local = np.where(corners >= 0, corners % 3, -1)
+        self.edge_vertices = np.column_stack([keys[first] // nv, keys[first] % nv])
         self.interior_edge_ids = np.flatnonzero(has_two)
         self.boundary_edge_ids = np.flatnonzero(counts == 1)
+
+        cx, cy = self.vertex_coords.T
+        a, b = self.edge_vertices.T
+        tx, ty = cx[b] - cx[a], cy[b] - cy[a]
+        self.edge_lengths = np.sqrt(tx * tx + ty * ty)
+        nx, ny = -ty / self.edge_lengths, tx / self.edge_lengths
+        owner = self.edge_triangles[:, 0]
+        ox, oy = np.take(self.centroids, owner, axis=0).T
+        outward = (0.5 * (cx[a] + cx[b]) - ox) * nx + (0.5 * (cy[a] + cy[b]) - oy) * ny
+        flip = np.where(outward < 0.0, -1.0, 1.0)
+        self.edge_normals = np.column_stack([nx * flip, ny * flip])
 
         # the edge map of the recovered Hessian: each element's keys
         # group * ne + edge id (group 0 first neighbor, 1 second, 2 boundary)
         # sort in the order it sums its edge terms, and modulo 2 ne they are
         # the signed edge ids
-        owner = edge_triangles[:, 0]
         self.edge_sources = np.stack(
-            [owner, np.where(has_two, edge_triangles[:, 1], owner)]).astype(np.int32)
-        te = self.triangle_edges
-        second = edge_triangles[te, 1] == np.arange(nt)[:, None]
-        keys = np.sort(te + ne * np.where(has_two[te], second, 2), axis=1)
-        self.signed_element_edges = np.ascontiguousarray((keys % (2 * ne)).T, dtype=np.int32)
+            [owner, np.where(has_two, self.edge_triangles[:, 1], owner)]).astype(np.int32)
+        group = np.full(3 * nt, 2, dtype=np.int64)
+        group[corners[has_two]] = (0, 1)
+        k0, k1, k2 = (self.triangle_edges + ne * group.reshape(nt, 3)).T
+        low, high = np.minimum(k0, k1), np.maximum(k0, k1)
+        middle, high = np.minimum(high, k2), np.maximum(high, k2)
+        low, middle = np.minimum(low, middle), np.maximum(low, middle)
+        self.signed_element_edges = (np.stack([low, middle, high]) % (2 * ne)).astype(np.int32)
 
     # ------------------------------------------------------------------ sizes
 

@@ -172,15 +172,20 @@ class PermutedLU:
     matrices are nonsymmetric, so symmetric mode keeps partial pivoting
     with threshold 0.1: a diagonal pivot stays unless it is ten times
     smaller than the largest entry of its column.  ``nnz`` counts the
-    entries SuperLU stores for L and U.
+    entries SuperLU stores for L and U.  ``P A P^T`` is one row gather with
+    the column indices renamed by the inverse permutation.
     """
 
     def __init__(self, matrix: sp.spmatrix):
         matrix = sp.csr_matrix(matrix)
         self.perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=False)
-        self.lu = spla.splu(matrix[self.perm][:, self.perm].tocsc(),
-                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                            options=dict(SymmetricMode=True))
+        inverse = np.empty_like(self.perm)
+        inverse[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
+        rows = matrix[self.perm]
+        permuted = sp.csr_matrix((rows.data, inverse[rows.indices], rows.indptr),
+                                 shape=matrix.shape)
+        self.lu = spla.splu(permuted.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
         self.nnz = self.lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ they stay independent of the vectorised code paths they are used to
 check; ``brute_conformity_errors`` tests every vertex against every edge.
 ``integrate`` and ``min_angle_degrees`` are measurements that only
 the tests need.  ``two_product_refine``, ``per_scalar_ascii``,
-``pair_jump_residuals`` and the row-major kernels (``einsum_gradients``,
+``pair_jump_residuals``, ``row_major_mesh_arrays``,
+``argmax_product_hessian_operator`` and the row-major kernels (``einsum_gradients``,
 ``row_sum_l2_norm``, ``outer_diffusion_tensor``, ``bincount_fe_hessian``,
 ``bincount_assemble_step``) are earlier forms of package code, kept as
 references for their faster or narrower replacements.
@@ -19,6 +20,7 @@ import scipy.sparse as sp
 
 from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangle_rule,
                             values_at)
+from inflap.hessian import HessianOperator
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
 from inflap.solver import GRADIENT_FLOOR, REFINE_MIN_RATE
@@ -89,6 +91,22 @@ def kernel_meshes():
         meshes[f"local{k}"] = local
     meshes["perturbed"] = perturbed_mesh()
     return meshes
+
+
+@functools.cache
+def bit_oracle_meshes():
+    """``kernel_meshes()`` and ``oracle_meshes()`` together, by test id."""
+    return {**kernel_meshes(), **dict(zip(["oracle-uniform", "oracle-local", "oracle-graded"],
+                                          oracle_meshes()))}
+
+
+def assert_bit_identical(ours, reference, name=""):
+    """Same dtype, shape, strides and values, signed zeros included."""
+    assert (ours.dtype, ours.shape, ours.strides) == \
+        (reference.dtype, reference.shape, reference.strides), name
+    assert np.array_equal(ours, reference), name
+    if ours.dtype.kind == "f":
+        assert np.array_equal(np.signbit(ours), np.signbit(reference)), name
 
 
 def kernel_functions(mesh):
@@ -450,6 +468,124 @@ def two_product_refine(matrix, rhs, lu, start, accept):
         solves += 1
         relative = _relative_residual(matrix, solution, rhs)
     return solution, solves
+
+
+def row_major_mesh_arrays(mesh):
+    """Every array of ``mesh`` recomputed from (nt, 3, 2) corner rows and ``np.unique``.
+
+    Geometry is reduced along the corner and coordinate axes, the edge
+    table comes from row-sorted endpoint pairs, ``np.unique``, a second
+    stable argsort and ``searchsorted``, each edge's local slots from a
+    compare-and-argmax over its triangles' edges, and the Hessian edge map
+    from a row sort.  Returns a dict of attribute name -> array.
+    """
+    coords, tris = mesh.vertex_coords, mesh.triangle_vertices
+    nv, nt = len(coords), len(tris)
+    p = coords[tris]
+    edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    basis_components = np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / (2.0 * areas)
+    centroids = p.mean(axis=1)
+
+    pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+    edge_vertices = np.column_stack([keys // nv, keys % nv])
+    ne = len(edge_vertices)
+    counts = np.bincount(inverse, minlength=ne)
+    triangle_edges = inverse.reshape(nt, 3)
+    order = np.argsort(inverse, kind="stable")
+    flat_tri = np.repeat(np.arange(nt, dtype=np.int64), 3)[order]
+    first = np.searchsorted(inverse[order], np.arange(ne))
+    edge_triangles = np.full((ne, 2), -1, dtype=np.int64)
+    edge_triangles[:, 0] = flat_tri[first]
+    has_two = counts == 2
+    edge_triangles[has_two, 1] = flat_tri[first[has_two] + 1]
+    adjacent = np.maximum(edge_triangles, 0)
+    edge_local = np.where(edge_triangles >= 0, np.argmax(
+        triangle_edges[adjacent] == np.arange(ne)[:, None, None], axis=2), -1)
+
+    a, b = coords[edge_vertices[:, 0]], coords[edge_vertices[:, 1]]
+    tangent = b - a
+    edge_lengths = np.sqrt((tangent ** 2).sum(axis=1))
+    edge_normals = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / edge_lengths[:, None]
+    outward = ((0.5 * (a + b) - centroids[edge_triangles[:, 0]]) * edge_normals).sum(axis=1)
+    edge_normals[outward < 0.0] *= -1.0
+
+    owner = edge_triangles[:, 0]
+    second = edge_triangles[triangle_edges, 1] == np.arange(nt)[:, None]
+    keys = np.sort(triangle_edges + ne * np.where(has_two[triangle_edges], second, 2), axis=1)
+    return {
+        "vertex_coords": coords, "triangle_vertices": tris,
+        "vertex_on_boundary": np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL,
+        "areas": areas, "diameters": np.sqrt((edge_vec ** 2).sum(axis=2)).max(axis=1),
+        "centroids": centroids, "basis_components": basis_components,
+        "basis_gradients": basis_components.transpose(2, 1, 0),
+        "edge_vertices": edge_vertices, "edge_triangles": edge_triangles,
+        "edge_local": edge_local, "edge_normals": edge_normals,
+        "edge_lengths": edge_lengths, "triangle_edges": triangle_edges,
+        "interior_edge_ids": np.flatnonzero(has_two),
+        "boundary_edge_ids": np.flatnonzero(counts == 1),
+        "edge_sources": np.stack([owner, np.where(has_two, edge_triangles[:, 1],
+                                                  owner)]).astype(np.int32),
+        "signed_element_edges": np.ascontiguousarray((keys % (2 * ne)).T, dtype=np.int32),
+    }
+
+
+def argmax_product_hessian_operator(mesh):
+    """The Hessian operator with each neighbor's far slot found by argmax.
+
+    The far slot is the position of the shared edge among the neighbor's
+    edges, the step pattern is the sparse product incidence^T @ reach and
+    the slots are read back by fancy indexing into it.
+    """
+    tris = mesh.triangle_vertices
+    nt, nv = mesh.triangle_count, mesh.vertex_count
+    edges = np.ascontiguousarray(mesh.triangle_edges.T)
+    own = np.arange(nt)
+    adjacent = mesh.edge_triangles[edges]
+    is_plus = adjacent[..., 0] == own
+    neighbor = np.where(is_plus, adjacent[..., 1], adjacent[..., 0])
+    interior = neighbor >= 0
+    neighbor = np.where(interior, neighbor, own)
+    far = np.argmax(mesh.triangle_edges[neighbor] == edges[..., None], axis=2)
+
+    sign = np.where(is_plus, 1.0, -1.0)
+    scale = np.where(interior, 0.5, 1.0) * mesh.edge_lengths[edges] / mesh.areas * sign
+    across = np.where(interior, scale, 0.0)
+    normals = np.ascontiguousarray(mesh.edge_normals[edges].transpose(0, 2, 1))[:, None]
+    basis = mesh.basis_components
+
+    def term(m, weights, gradient):
+        return (weights[m] * gradient)[:, None] * normals[m]
+
+    def their_gradient(m, local):
+        return basis[:, (far[m] + local) % 3, neighbor[m]]
+
+    blocks = np.empty((6, 2, 2, nt))
+    for a in range(3):
+        gradient = basis[:, a]
+        blocks[a] = term(0, scale, gradient)
+        blocks[a] += term(1, scale, gradient)
+        blocks[a] += term(2, scale, gradient)
+        blocks[a] += term((a + 1) % 3, across, their_gradient((a + 1) % 3, 1))
+        blocks[a] += term((a + 2) % 3, across, their_gradient((a + 2) % 3, 2))
+    for m in range(3):
+        blocks[3 + m] = term(m, across, their_gradient(m, 0))
+    blocks = np.ascontiguousarray(blocks.reshape(6, 4, nt).transpose(1, 2, 0))
+    stencil = np.concatenate([tris, np.where(interior, tris[neighbor, far], tris.T).T], axis=1)
+
+    incidence = sp.csr_array((np.ones(3 * nt), tris.reshape(-1), 3 * np.arange(nt + 1)),
+                             shape=(nt, nv))
+    reach = sp.csr_array((np.ones(6 * nt), stencil.reshape(-1), 6 * np.arange(nt + 1)),
+                         shape=(nt, nv))
+    pattern = (incidence.T @ reach).tocsr()
+    position = sp.csr_array((np.arange(pattern.nnz, dtype=float), pattern.indices,
+                             pattern.indptr), shape=pattern.shape)
+    slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
+                     np.tile(stencil, 3).reshape(-1)]
+    return HessianOperator(stencil, blocks, pattern.indptr, pattern.indices,
+                           slots.astype(np.int32).reshape(nt, 3, 6))
 
 
 def per_scalar_ascii(values, per_line=6):

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import inflap.solver
 from inflap import (AdaptiveConfig, InvalidArgumentError, SolverConfig,
                     adaptive_solve, build_initial_mesh, estimate,
                     fixed_point_solve, interpolate, mark, refine, registry,
@@ -98,6 +101,25 @@ def test_adaptive_aronsson_run():
     # true errors are tracked and improve overall
     assert records[-1].l2_error < records[0].l2_error
     assert records[-1].h1_error < records[0].h1_error
+
+
+def test_adaptive_solve_keeps_one_mesh_generation_alive(monkeypatch):
+    # each refined mesh is gone, with its solution, indicators and marking,
+    # before the next mesh's Hessian operator is built; the caller's frame
+    # holds the initial mesh
+    seen = []
+    real_operator = inflap.solver.hessian_operator
+
+    def watching(mesh):
+        assert [ref() for ref in seen[1:]] == [None] * len(seen[1:])
+        seen.append(weakref.ref(mesh))
+        return real_operator(mesh)
+
+    monkeypatch.setattr(inflap.solver, "hessian_operator", watching)
+    config = AdaptiveConfig(estimator_tol=1e-3, theta=0.5, tau=0.1, max_cycles=6)
+    _, final, history = adaptive_solve(ARONSSON, build_initial_mesh(4), config)
+    assert len(seen) == len(history.records) == 6
+    assert seen[-1]() is final
 
 
 def test_adaptive_trajectory_is_pinned():

@@ -1,6 +1,7 @@
 import csv
 import logging
 import re
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, DivergenceErro
 from inflap.cli import main
 import inflap.adapt
 import inflap.bench
+import inflap.solver
 
 from conftest import oracle_meshes, per_scalar_ascii
 
@@ -68,6 +70,22 @@ def test_study_eoc_arithmetic(small_study):
         recomputed = np.log(coarse.estimator / fine.estimator) / \
             np.log(coarse.h / fine.h)
         assert fine.estimator_eoc == pytest.approx(recomputed, abs=1e-12)
+
+
+def test_study_keeps_one_mesh_generation_alive(monkeypatch):
+    # each level's mesh is gone, with its solution and indicators, before the
+    # next level's Hessian operator is built
+    seen = []
+    real_operator = inflap.solver.hessian_operator
+
+    def watching(mesh):
+        assert [ref() for ref in seen] == [None] * len(seen)
+        seen.append(weakref.ref(mesh))
+        return real_operator(mesh)
+
+    monkeypatch.setattr(inflap.solver, "hessian_operator", watching)
+    convergence_study("aronsson", 3, initial_n=2)
+    assert len(seen) == 3
 
 
 def test_study_rejects_unknown_problem():
@@ -215,7 +233,10 @@ def test_vtu_field_lengths(tmp_path):
 def test_vtu_text_is_byte_identical_to_per_scalar_oracle(tmp_path, monkeypatch):
     values = [np.array([0.0, -0.0, 1e-300, -2.5e300, np.pi, 1.0 / 3.0, np.inf, np.nan]),
               np.arange(-7, 20, dtype=np.int64), np.arange(13, dtype=np.int32),
-              np.full(5, 5, dtype=np.uint8), np.zeros((0,))]
+              np.full(5, 5, dtype=np.uint8), np.zeros((0,)),
+              # full lines only, a short last line, a lone negative zero
+              np.linspace(-1.0, 1.0, 12), -np.zeros(13), np.array([-0.0]),
+              np.arange(-3, 4, dtype=np.int64).reshape(7, 1)]
     for array in values:
         assert inflap.bench._ascii(array) == per_scalar_ascii(array)
 

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from inflap import (FEFunction, build_initial_mesh, fe_hessian, gradients,
                     hessian_operator, interpolate, refine, uniform_refine)
 from inflap.hessian import hessian_trace
-from conftest import (bincount_fe_hessian, edge_dictionary, hat_gradients, integrate,
-                      kernel_functions, kernel_meshes, oracle_meshes, outward_normal,
-                      perturbed_mesh, tri_area)
+from conftest import (argmax_product_hessian_operator, assert_bit_identical,
+                      bincount_fe_hessian, bit_oracle_meshes, edge_dictionary, hat_gradients,
+                      integrate, kernel_functions, kernel_meshes, oracle_meshes,
+                      outward_normal, perturbed_mesh, tri_area)
 
 
 def meshes_for_affine_check():
@@ -149,6 +150,20 @@ def test_step_pattern_and_slots():
         transpose.sort_indices()
         assert np.array_equal(transpose.indptr, indptr)
         assert np.array_equal(transpose.indices, indices)
+
+
+@pytest.mark.parametrize("name", list(bit_oracle_meshes()))
+def test_operator_is_bit_identical_to_argmax_product_oracle(name):
+    # far slots read from edge_local (boundary edges keep slot m, so their
+    # zero-weight terms keep their signed zeros) and the pattern built by
+    # one counting sort give the arrays of the argmax search and the
+    # sparse product
+    mesh = bit_oracle_meshes()[name]
+    ours = hessian_operator(mesh)
+    reference = argmax_product_hessian_operator(mesh)
+    for attribute in ("stencil", "blocks", "indptr", "indices", "slots"):
+        assert_bit_identical(getattr(ours, attribute), getattr(reference, attribute),
+                             attribute)
 
 
 def test_linearity():

@@ -3,7 +3,9 @@ import pytest
 
 from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
                     conformity_errors, refine, uniform_refine)
-from conftest import brute_conformity_errors, edge_dictionary, min_angle_degrees, perturbed_mesh
+from conftest import (assert_bit_identical, bit_oracle_meshes, brute_conformity_errors,
+                      edge_dictionary, min_angle_degrees, perturbed_mesh,
+                      row_major_mesh_arrays)
 
 
 def test_initial_mesh_counts_n1():
@@ -184,9 +186,60 @@ def test_edge_table_matches_row_unique_oracle():
 
 
 def test_mesh_arrays_are_frozen():
-    mesh = build_initial_mesh(1)
+    mesh = refine(build_initial_mesh(1), {0})
+    for name in row_major_mesh_arrays(mesh):
+        array = getattr(mesh, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
     with pytest.raises(ValueError):
-        mesh.vertex_coords[0, 0] = 5.0
+        mesh.new_vertex_parents[0, 0] = 0
+
+
+@pytest.mark.parametrize("name", list(bit_oracle_meshes()))
+def test_mesh_arrays_are_bit_identical_to_row_major_oracle(name):
+    mesh = bit_oracle_meshes()[name]
+    for attribute, expected in row_major_mesh_arrays(mesh).items():
+        assert_bit_identical(getattr(mesh, attribute), expected, attribute)
+    # each side of an edge names the edge's slot in that triangle
+    sides = mesh.edge_triangles >= 0
+    assert np.array_equal(mesh.triangle_edges[mesh.edge_triangles[sides],
+                                              mesh.edge_local[sides]],
+                          np.nonzero(sides)[0])
+    assert np.array_equal(mesh.edge_local == -1, ~sides)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("validate", [True, False])
+def test_constructor_rejects_non_finite_coordinates(value, validate):
+    # a NaN vertex gives NaN areas, which pass both the sign and the
+    # coverage check
+    mesh = build_initial_mesh(2)
+    coords = mesh.vertex_coords.copy()
+    coords[np.flatnonzero(~mesh.vertex_on_boundary)[0], 0] = value
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        Triangulation(coords, mesh.triangle_vertices, validate=validate)
+
+
+@pytest.mark.parametrize("ids", [lambda t: t + 0.4, lambda t: t.astype(float),
+                                 lambda t: (t + 0.0).tolist(), lambda t: t >= 0],
+                         ids=["fractional", "whole-floats", "float-list", "mask"])
+def test_constructor_rejects_non_integer_vertex_ids(ids):
+    # a float id would be truncated, a boolean one read as 0 or 1
+    mesh = build_initial_mesh(2)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        Triangulation(mesh.vertex_coords, ids(mesh.triangle_vertices))
+
+
+@pytest.mark.parametrize("ids", [lambda t: t.tolist(), lambda t: t.astype(np.uint32),
+                                 lambda t: t.astype(np.int32)],
+                         ids=["list", "unsigned", "int32"])
+def test_constructor_accepts_integer_vertex_ids(ids):
+    mesh = build_initial_mesh(2)
+    same = Triangulation(mesh.vertex_coords, ids(mesh.triangle_vertices))
+    assert same.triangle_vertices.dtype == np.int64
+    for name, expected in row_major_mesh_arrays(mesh).items():
+        assert_bit_identical(getattr(same, name), expected, name)
 
 
 def test_conformity_oracle_catches_hanging_vertex():

@@ -312,6 +312,29 @@ def test_factor_fills_less_than_colamd_and_meets_the_gate(kind):
         assert holder.lu.nnz < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
 
 
+@pytest.mark.parametrize("kind", ["uniform", "corner-graded"])
+def test_permuted_lu_factors_the_two_index_permutation(monkeypatch, kind):
+    # SuperLU receives exactly the CSC of matrix[perm][:, perm], so the
+    # one-gather permutation leaves the factors unchanged
+    mesh = uniform_refine(build_initial_mesh(4)) if kind == "uniform" else _corner_graded_mesh()
+    handed = []
+    real_splu = inflap.solver.spla.splu
+
+    def recording_splu(permuted, **kwargs):
+        handed.append(permuted)
+        return real_splu(permuted, **kwargs)
+
+    monkeypatch.setattr(inflap.solver.spla, "splu", recording_splu)
+    for problem in (replace(CLASSICAL, tau=1000.0), ARONSSON):
+        matrix, _ = _step_system(mesh, problem)
+        lu = PermutedLU(matrix)
+        expected = sp.csr_matrix(matrix)[lu.perm][:, lu.perm].tocsc()
+        ours = handed[-1]
+        assert ours.format == "csc" and ours.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, name), getattr(expected, name))
+
+
 def test_fresh_factor_is_polished_by_refinement(monkeypatch):
     # an LU of a slightly perturbed matrix leaves the direct solve above the
     # gate; the refinement loop that began with it goes on with that same LU

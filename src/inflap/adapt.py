@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, is_positive_integer
+from .errors import InvalidArgumentError, SolverFailure, is_positive_integer
 from .estimator import IndicatorField, estimate
 from .fespace import FEFunction, h1_semi_error, l2_error
 from .mesh import Triangulation, refine
@@ -105,7 +105,8 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     Each solve warm-starts from the previous solution prolonged onto the
     new mesh.  Returns the final solve report, the final mesh, and the
     per-cycle history.  Stops on the estimator tolerance, the cycle
-    budget, or the dof budget, whichever comes first.
+    budget, or the dof budget, whichever comes first.  A solver failure
+    carries the cycles finished before it in its ``partial_history``.
     """
     if config.tau is not None:
         problem = replace(problem, tau=config.tau)
@@ -114,7 +115,11 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     guess = None
     history = AdaptiveHistory()
     for cycle in range(config.max_cycles):
-        report = fixed_point_solve(mesh, problem, config.solver, initial=guess)
+        try:
+            report = fixed_point_solve(mesh, problem, config.solver, initial=guess)
+        except SolverFailure as failure:
+            failure.partial_history = history
+            raise
         if not report.converged:
             logger.warning("cycle %d: fixed-point solve did not converge in %d iterations",
                            cycle, report.iterations)

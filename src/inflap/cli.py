@@ -124,13 +124,16 @@ def _run_adapt(args) -> int:
                             max_cycles=args.max_cycles, solver=_solver_config(args),
                             tau=tau, dof_budget=args.dof_budget)
     mesh = build_initial_mesh(args.initial_n)
+    csv_path = os.path.join(out, f"{args.problem}_adapt_history.csv")
     try:
         report, final_mesh, history = adaptive_solve(problem.data, mesh, config)
     except SolverFailure as failure:
+        partial = getattr(failure, "partial_history", None)
+        if partial is not None and partial.records:
+            write_csv(partial, csv_path)
         print(f"error: {failure}", file=sys.stderr)
         return 1
 
-    csv_path = os.path.join(out, f"{args.problem}_adapt_history.csv")
     write_csv(history, csv_path)
     indicators = estimate(report.solution, problem.data.f, tau)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")

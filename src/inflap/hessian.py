@@ -30,8 +30,9 @@ is what each linearised step puts into its right-hand side.
 ``hessian_operator`` builds the same map once per mesh as one dense 4x6
 block per element over the element's stencil (its own vertices and the
 vertex across each interior edge), which is what the solver substitutes
-into its linear systems.  The operator also carries the sparse pattern of
-the step matrix those blocks fill, so a step only computes new values.
+into its linear systems.  The operator also carries the pattern of the
+step matrix those blocks fill and each block entry's position in it
+(whose column is the stencil vertex), so a step only computes new values.
 """
 
 from __future__ import annotations
@@ -91,26 +92,26 @@ def fe_hessian(v: FEFunction) -> np.ndarray:
 class HessianOperator:
     """The recovered-Hessian map of one mesh, element by element.
 
-    ``blocks[2*r + c, K, s]`` is the weight of vertex ``stencil[K, s]`` in
-    component (r, c) of the recovered Hessian on element K.  Slots 0-2 of
-    the stencil are the vertices of K, slot 3 + m the vertex across the
-    edge opposite vertex m; on a boundary edge that slot repeats vertex m
-    with zero weights.
+    ``blocks[2*r + c, K, s]`` is the weight of stencil vertex s of element
+    K in component (r, c) of the recovered Hessian on K.  Stencil slots 0-2
+    are the vertices of K, slot 3 + m the vertex across the edge opposite
+    vertex m; on a boundary edge that slot repeats vertex m with zero
+    weights.
 
     ``indptr``/``indices`` are the CSR pattern (sorted, no duplicates) of
     the vertex-by-vertex step matrix, whose row i gathers every element
     with vertex i.  ``slots[K, a, s]`` is the position in that pattern of
-    the entry (vertex a of K, ``stencil[K, s]``).
+    the entry (vertex a of K, stencil vertex s of K), so the stencil is
+    ``indices[slots[:, 0, :]]``.
     """
 
-    def __init__(self, stencil: np.ndarray, blocks: np.ndarray,
-                 indptr: np.ndarray, indices: np.ndarray, slots: np.ndarray):
-        self.stencil = stencil
+    def __init__(self, blocks: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                 slots: np.ndarray):
         self.blocks = blocks
         self.indptr = indptr
         self.indices = indices
         self.slots = slots
-        for arr in (stencil, blocks, indptr, indices, slots):
+        for arr in (blocks, indptr, indices, slots):
             arr.setflags(write=False)
 
 
@@ -206,5 +207,5 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     slots = np.empty(18 * nt, dtype=np.int32)
     slots[queries.data] = distinct[:-1] - 1
     indptr = (distinct[queries.indptr] - 1).astype(np.int64)
-    return HessianOperator(stencil, blocks, indptr, columns[new[:-1]].astype(np.int64),
+    return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int64),
                            slots.reshape(nt, 3, 6))

@@ -7,6 +7,14 @@ refinement edge to the hypotenuse of a right isosceles triangle, which
 makes the initial edge assignment compatible, so the closure always
 terminates and every descendant is again right isosceles.
 
+A triangle (a, b, c) has its refinement edge ab opposite c and edge m
+opposite vertex m.  Its bisected edges give the code m0 + 2 m1 + 4 m2, and
+``_CHILDREN[code]`` lists its children as slots into (a, b, c, mid0, mid1,
+mid2), mid m the midpoint of edge m.  A bisection puts the midpoint in slot
+2 of both halves, whose refinement edges are edge 1 (first half) and edge
+0 (second), split again by the same rule.  Codes 1-3 have no children:
+``refine``'s closure bisects their refinement edges until none is left.
+
 ``Triangulation`` objects are immutable: ``refine`` and ``uniform_refine``
 return new instances, and all arrays are marked read-only, so meshes can
 be shared freely between threads.
@@ -22,6 +30,21 @@ from .errors import InvalidArgumentError, is_positive_integer
 # so boundary membership only needs a tiny absolute tolerance.
 BOUNDARY_TOL = 1e-14
 COVERAGE_TOL = 1e-10
+
+# the children of a triangle by its bisection code (see the module docstring)
+_CHILDREN = {
+    0b000: [(0, 1, 2)],                                  # (a, b, c)
+    0b100: [(2, 0, 5), (1, 2, 5)],                       # (c, a, mid2), (b, c, mid2)
+    0b110: [(5, 2, 4), (0, 5, 4), (1, 2, 5)],            # first half split again
+    0b101: [(2, 0, 5), (5, 1, 3), (2, 5, 3)],            # second half split again
+    0b111: [(5, 2, 4), (0, 5, 4), (5, 1, 3), (2, 5, 3)],  # both halves split again
+}
+_CHILD_COUNTS = np.array([len(_CHILDREN.get(code, ())) for code in range(8)])
+_CHILD_SLOTS = np.array([(_CHILDREN.get(code, []) + [(0, 0, 0)] * 4)[:4]   # padded to four
+                         for code in range(8)])
+_CHILD_KEPT = np.arange(4) < _CHILD_COUNTS[:, None]
+# the criss-cross cut of a grid square (c00, c10, c11, c01, center)
+_CRISS_CROSS = np.array([(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
 
 
 class Triangulation:
@@ -226,20 +249,11 @@ def build_initial_mesh(n: int) -> Triangulation:
     coords = np.vstack([corners, centers])
 
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    i = i.ravel()
-    j = j.ravel()
-    c00 = j * (n + 1) + i
-    c10 = c00 + 1
+    c00 = (j * (n + 1) + i).ravel()
     c01 = c00 + (n + 1)
-    c11 = c01 + 1
-    center = (n + 1) ** 2 + j * n + i
-    quarters = [(c00, c10, center), (c10, c11, center),
-                (c11, c01, center), (c01, c00, center)]
-    tris = np.empty((4 * n * n, 3), dtype=np.int64)
-    for q, (u, v, w) in enumerate(quarters):
-        tris[q::4, 0] = u
-        tris[q::4, 1] = v
-        tris[q::4, 2] = w
+    center = (n + 1) ** 2 + (j * n + i).ravel()
+    square = np.stack([c00, c00 + 1, c01 + 1, c01, center], axis=1)
+    tris = square[:, _CRISS_CROSS].reshape(-1, 3)
     return Triangulation(coords, tris)
 
 
@@ -266,13 +280,13 @@ def refine(mesh: Triangulation, marked) -> Triangulation:
     edge_marked = np.zeros(mesh.edge_count, dtype=bool)
     ref_edge = mesh.triangle_edges[:, 2]
     edge_marked[ref_edge[marked]] = True
-    # Closure: whenever any edge of a triangle is marked its refinement
-    # edge must be marked too.  Marks only grow, so this terminates.
+    # Closure: bisect the refinement edge of every triangle whose code has
+    # no children.  Marks only grow, so this terminates.
     while True:
-        needs = edge_marked[mesh.triangle_edges].any(axis=1) & ~edge_marked[ref_edge]
-        if not needs.any():
+        childless = _CHILD_COUNTS[_bisection_codes(mesh, edge_marked)] == 0
+        if not childless.any():
             break
-        edge_marked[ref_edge[needs]] = True
+        edge_marked[ref_edge[childless]] = True
     return _bisect(mesh, edge_marked)
 
 
@@ -287,12 +301,14 @@ def uniform_refine(mesh: Triangulation) -> Triangulation:
     return _bisect(mesh, np.ones(mesh.edge_count, dtype=bool))
 
 
-def _bisect(mesh, edge_marked):
-    tris = mesh.triangle_vertices
-    te = mesh.triangle_edges
-    nt = mesh.triangle_count
-    nv = mesh.vertex_count
+def _bisection_codes(mesh, edge_marked):
+    """The code m0 + 2 m1 + 4 m2 of each triangle's bisected edges."""
+    m = edge_marked[mesh.triangle_edges]
+    return m[:, 0] + 2 * m[:, 1] + 4 * m[:, 2]
 
+
+def _bisect(mesh, edge_marked):
+    nt, nv = mesh.triangle_count, mesh.vertex_count
     split = np.flatnonzero(edge_marked)
     midpoint_of = np.full(mesh.edge_count, -1, dtype=np.int64)
     midpoint_of[split] = nv + np.arange(len(split))
@@ -300,53 +316,16 @@ def _bisect(mesh, edge_marked):
     mids = 0.5 * (mesh.vertex_coords[pairs[:, 0]] + mesh.vertex_coords[pairs[:, 1]])
     coords = np.vstack([mesh.vertex_coords, mids])
 
-    m = edge_marked[te]
-    if np.any((m[:, 0] | m[:, 1]) & ~m[:, 2]):
+    code = _bisection_codes(mesh, edge_marked)
+    if not _CHILD_COUNTS[code].all():
         raise RuntimeError("bisection called without conforming closure")
-    case = np.zeros(nt, dtype=np.int64)
-    case[m[:, 2] & ~m[:, 1] & ~m[:, 0]] = 1
-    case[m[:, 2] & m[:, 1] & ~m[:, 0]] = 2
-    case[m[:, 2] & ~m[:, 1] & m[:, 0]] = 3
-    case[m[:, 2] & m[:, 1] & m[:, 0]] = 4
-    n_children = np.array([1, 2, 3, 3, 4])[case]
-    start = np.concatenate([[0], np.cumsum(n_children)])
-    out = np.empty((start[-1], 3), dtype=np.int64)
-
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    m0 = midpoint_of[te[:, 0]]
-    m1 = midpoint_of[te[:, 1]]
-    m2 = midpoint_of[te[:, 2]]
-
-    def emit(mask, slot, cols):
-        rows = start[:-1][mask] + slot
-        out[rows, 0] = cols[0][mask]
-        out[rows, 1] = cols[1][mask]
-        out[rows, 2] = cols[2][mask]
-
-    keep = case == 0
-    emit(keep, 0, (a, b, c))
-    # One bisection: the halves keep the parent's outer edges as their
-    # refinement edges, with the midpoint as the newest vertex.
-    only = case == 1
-    emit(only, 0, (c, a, m2))
-    emit(only, 1, (b, c, m2))
-    # Refinement edge plus the edge opposite vertex 1: the first child is
-    # bisected again through that edge.
-    left = case == 2
-    emit(left, 0, (m2, c, m1))
-    emit(left, 1, (a, m2, m1))
-    emit(left, 2, (b, c, m2))
-    right = case == 3
-    emit(right, 0, (c, a, m2))
-    emit(right, 1, (m2, b, m0))
-    emit(right, 2, (c, m2, m0))
-    both = case == 4
-    emit(both, 0, (m2, c, m1))
-    emit(both, 1, (a, m2, m1))
-    emit(both, 2, (m2, b, m0))
-    emit(both, 3, (c, m2, m0))
-
-    return Triangulation(coords, out, new_vertex_parents=pairs)
+    # each triangle's children, in table order, by one flat gather from its
+    # six corners (a, b, c, mid0, mid1, mid2)
+    corners = np.concatenate([mesh.triangle_vertices, midpoint_of[mesh.triangle_edges]],
+                             axis=1)
+    slots = _CHILD_SLOTS[code] + 6 * np.arange(nt)[:, None, None]
+    children = corners.reshape(-1)[slots][_CHILD_KEPT[code]]
+    return Triangulation(coords, children, new_vertex_parents=pairs)
 
 
 def conformity_errors(mesh: Triangulation) -> list[str]:

@@ -7,8 +7,10 @@ check; ``brute_conformity_errors`` tests every vertex against every edge.
 ``integrate`` and ``min_angle_degrees`` are measurements that only
 the tests need.  ``two_product_refine``, ``per_scalar_ascii``,
 ``pair_jump_residuals``, ``row_major_mesh_arrays``,
-``argmax_product_hessian_operator`` and the row-major kernels (``einsum_gradients``,
-``row_sum_l2_norm``, ``outer_diffusion_tensor``, ``bincount_fe_hessian``,
+``argmax_product_hessian_operator``, the per-case mesh builds
+(``quarter_loop_initial_mesh``, ``any_edge_closure``, ``five_case_bisect``)
+and the row-major kernels (``einsum_gradients``, ``row_sum_l2_norm``,
+``outer_diffusion_tensor``, ``bincount_fe_hessian``,
 ``bincount_assemble_step``) are earlier forms of package code, kept as
 references for their faster or narrower replacements.
 """
@@ -98,6 +100,117 @@ def bit_oracle_meshes():
     """``kernel_meshes()`` and ``oracle_meshes()`` together, by test id."""
     return {**kernel_meshes(), **dict(zip(["oracle-uniform", "oracle-local", "oracle-graded"],
                                           oracle_meshes()))}
+
+
+def quarter_loop_initial_mesh(n):
+    """``build_initial_mesh(n)`` with each quarter of the squares written by a strided loop."""
+    ticks = np.linspace(-1.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(ticks, ticks, indexing="xy")
+    corners = np.column_stack([gx.ravel(), gy.ravel()])
+    mids = 0.5 * (ticks[:-1] + ticks[1:])
+    cx, cy = np.meshgrid(mids, mids, indexing="xy")
+    centers = np.column_stack([cx.ravel(), cy.ravel()])
+    coords = np.vstack([corners, centers])
+
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    i = i.ravel()
+    j = j.ravel()
+    c00 = j * (n + 1) + i
+    c10 = c00 + 1
+    c01 = c00 + (n + 1)
+    c11 = c01 + 1
+    center = (n + 1) ** 2 + j * n + i
+    quarters = [(c00, c10, center), (c10, c11, center),
+                (c11, c01, center), (c01, c00, center)]
+    tris = np.empty((4 * n * n, 3), dtype=np.int64)
+    for q, (u, v, w) in enumerate(quarters):
+        tris[q::4, 0] = u
+        tris[q::4, 1] = v
+        tris[q::4, 2] = w
+    return Triangulation(coords, tris)
+
+
+def any_edge_closure(mesh, marked):
+    """The edges ``refine`` bisects for the triangle ids ``marked``.
+
+    Marks the refinement edge of every marked triangle, then of every
+    triangle with any marked edge, until nothing changes.
+    """
+    edge_marked = np.zeros(mesh.edge_count, dtype=bool)
+    ref_edge = mesh.triangle_edges[:, 2]
+    edge_marked[ref_edge[np.asarray(marked, dtype=np.int64)]] = True
+    while True:
+        needs = edge_marked[mesh.triangle_edges].any(axis=1) & ~edge_marked[ref_edge]
+        if not needs.any():
+            break
+        edge_marked[ref_edge[needs]] = True
+    return edge_marked
+
+
+def five_case_bisect(mesh, edge_marked):
+    """The refined mesh for a closed edge marking, one hand-written case at a time.
+
+    Each triangle falls in one of five cases (kept, refinement edge only,
+    with the edge opposite vertex 1, with the edge opposite vertex 0, all
+    three edges), and each child of each case is emitted by its own call.
+    """
+    tris = mesh.triangle_vertices
+    te = mesh.triangle_edges
+    nt = mesh.triangle_count
+    nv = mesh.vertex_count
+
+    split = np.flatnonzero(edge_marked)
+    midpoint_of = np.full(mesh.edge_count, -1, dtype=np.int64)
+    midpoint_of[split] = nv + np.arange(len(split))
+    pairs = mesh.edge_vertices[split]
+    mids = 0.5 * (mesh.vertex_coords[pairs[:, 0]] + mesh.vertex_coords[pairs[:, 1]])
+    coords = np.vstack([mesh.vertex_coords, mids])
+
+    m = edge_marked[te]
+    assert not np.any((m[:, 0] | m[:, 1]) & ~m[:, 2]), "marking is not closed"
+    case = np.zeros(nt, dtype=np.int64)
+    case[m[:, 2] & ~m[:, 1] & ~m[:, 0]] = 1
+    case[m[:, 2] & m[:, 1] & ~m[:, 0]] = 2
+    case[m[:, 2] & ~m[:, 1] & m[:, 0]] = 3
+    case[m[:, 2] & m[:, 1] & m[:, 0]] = 4
+    n_children = np.array([1, 2, 3, 3, 4])[case]
+    start = np.concatenate([[0], np.cumsum(n_children)])
+    out = np.empty((start[-1], 3), dtype=np.int64)
+
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    m0 = midpoint_of[te[:, 0]]
+    m1 = midpoint_of[te[:, 1]]
+    m2 = midpoint_of[te[:, 2]]
+
+    def emit(mask, slot, cols):
+        rows = start[:-1][mask] + slot
+        out[rows, 0] = cols[0][mask]
+        out[rows, 1] = cols[1][mask]
+        out[rows, 2] = cols[2][mask]
+
+    emit(case == 0, 0, (a, b, c))
+    only = case == 1
+    emit(only, 0, (c, a, m2))
+    emit(only, 1, (b, c, m2))
+    left = case == 2
+    emit(left, 0, (m2, c, m1))
+    emit(left, 1, (a, m2, m1))
+    emit(left, 2, (b, c, m2))
+    right = case == 3
+    emit(right, 0, (c, a, m2))
+    emit(right, 1, (m2, b, m0))
+    emit(right, 2, (c, m2, m0))
+    both = case == 4
+    emit(both, 0, (m2, c, m1))
+    emit(both, 1, (a, m2, m1))
+    emit(both, 2, (m2, b, m0))
+    emit(both, 3, (c, m2, m0))
+    return Triangulation(coords, out, new_vertex_parents=pairs)
+
+
+def operator_stencil(operator):
+    """(nt, 6) stencil vertices of a ``HessianOperator``, read from its pattern."""
+    return operator.indices[operator.slots[:, 0, :]]
 
 
 def assert_bit_identical(ours, reference, name=""):
@@ -584,7 +697,7 @@ def argmax_product_hessian_operator(mesh):
                              pattern.indptr), shape=pattern.shape)
     slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
                      np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(stencil, blocks, pattern.indptr, pattern.indices,
+    return HessianOperator(blocks, pattern.indptr, pattern.indices,
                            slots.astype(np.int32).reshape(nt, 3, 6))
 
 

@@ -365,6 +365,27 @@ def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, caps
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
+def test_cli_adapt_failure_keeps_the_finished_cycles(tmp_path, monkeypatch, capsys):
+    real_solve = inflap.adapt.fixed_point_solve
+    solves = []
+
+    def failing_on_third_cycle(*args, **kwargs):
+        solves.append(args[0])
+        if len(solves) == 3:
+            raise SolverFailure("linear solve failed: stub")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(inflap.adapt, "fixed_point_solve", failing_on_third_cycle)
+    assert main(["adapt", "--problem", "aronsson", "--tol", "1e-6",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: linear solve failed")
+    with open(tmp_path / "aronsson_adapt_history.csv", newline="") as stream:
+        rows = list(csv.DictReader(stream))
+    assert [(row["cycle"], row["dofs"]) for row in rows] == \
+        [("0", str(solves[0].vertex_count)), ("1", str(solves[1].vertex_count))]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["aronsson_adapt_history.csv"]
+
+
 @pytest.mark.parametrize("argv", [["solve", "--problem", "classical", "--levels", "2"],
                                   ["adapt", "--problem", "aronsson", "--tol", "0.5"]],
                          ids=["solve", "adapt"])

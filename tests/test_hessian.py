@@ -8,8 +8,8 @@ from inflap import (FEFunction, build_initial_mesh, fe_hessian, gradients,
 from inflap.hessian import hessian_trace
 from conftest import (argmax_product_hessian_operator, assert_bit_identical,
                       bincount_fe_hessian, bit_oracle_meshes, edge_dictionary, hat_gradients,
-                      integrate, kernel_functions, kernel_meshes, oracle_meshes,
-                      outward_normal, perturbed_mesh, tri_area)
+                      integrate, kernel_functions, kernel_meshes, operator_stencil,
+                      oracle_meshes, outward_normal, perturbed_mesh, tri_area)
 
 
 def meshes_for_affine_check():
@@ -85,7 +85,7 @@ def test_hessian_trace_is_bit_identical_to_fe_hessian_trace(name):
 
 def _apply(operator, coefficients):
     """(nt, 2, 2) tensors of the operator's blocks applied to vertex values."""
-    values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator.stencil])
+    values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator_stencil(operator)])
     return values.reshape(-1, 2, 2)
 
 
@@ -108,6 +108,7 @@ def test_operator_row_locality():
     # the element's own vertex opposite that edge
     mesh = refine(build_initial_mesh(2), {1, 6})
     operator = hessian_operator(mesh)
+    stencil = operator_stencil(operator)
     neighbor = {}
     for (a, b), adjacent in edge_dictionary(mesh).items():
         if len(adjacent) == 2:
@@ -115,22 +116,23 @@ def test_operator_row_locality():
             neighbor[(adjacent[1], a, b)] = adjacent[0]
     for k, verts in enumerate(mesh.triangle_vertices):
         verts = [int(v) for v in verts]
-        assert list(operator.stencil[k, :3]) == verts
+        assert list(stencil[k, :3]) == verts
         for m in range(3):
             a, b = sorted(verts[j] for j in range(3) if j != m)
             column = operator.blocks[:, k, 3 + m]
             if (k, a, b) in neighbor:
                 far = set(mesh.triangle_vertices[neighbor[(k, a, b)]]) - {a, b}
-                assert {operator.stencil[k, 3 + m]} == far
+                assert {stencil[k, 3 + m]} == far
                 assert np.any(column != 0.0)
             else:
-                assert operator.stencil[k, 3 + m] == verts[m]
+                assert stencil[k, 3 + m] == verts[m]
                 assert np.all(column == 0.0)
 
 
 def test_step_pattern_and_slots():
     # the pattern is sorted, duplicate-free and structurally symmetric, and
-    # slot (K, a, s) is the entry (vertex a of K, stencil vertex s)
+    # slot (K, a, s) is the entry (vertex a of K, stencil vertex s), with the
+    # stencil read from the slots of vertex 0
     for mesh in [refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})] \
             + oracle_meshes() + [perturbed_mesh()]:
         operator = hessian_operator(mesh)
@@ -143,7 +145,7 @@ def test_step_pattern_and_slots():
         assert np.array_equal(rows[slots], np.broadcast_to(
             mesh.triangle_vertices[:, :, None], slots.shape))
         assert np.array_equal(indices[slots], np.broadcast_to(
-            operator.stencil[:, None, :], slots.shape))
+            operator_stencil(operator)[:, None, :], slots.shape))
         assert np.array_equal(np.unique(slots), np.arange(len(indices)))
 
         transpose = sp.csr_array((np.ones(len(indices)), indices, indptr)).T.tocsr()
@@ -161,7 +163,7 @@ def test_operator_is_bit_identical_to_argmax_product_oracle(name):
     mesh = bit_oracle_meshes()[name]
     ours = hessian_operator(mesh)
     reference = argmax_product_hessian_operator(mesh)
-    for attribute in ("stencil", "blocks", "indptr", "indices", "slots"):
+    for attribute in ("blocks", "indptr", "indices", "slots"):
         assert_bit_identical(getattr(ours, attribute), getattr(reference, attribute),
                              attribute)
 

@@ -3,9 +3,22 @@ import pytest
 
 from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
                     conformity_errors, refine, uniform_refine)
-from conftest import (assert_bit_identical, bit_oracle_meshes, brute_conformity_errors,
-                      edge_dictionary, min_angle_degrees, perturbed_mesh,
+from inflap.mesh import _bisect
+from conftest import (any_edge_closure, assert_bit_identical, bit_oracle_meshes,
+                      brute_conformity_errors, edge_dictionary, five_case_bisect,
+                      min_angle_degrees, perturbed_mesh, quarter_loop_initial_mesh,
                       row_major_mesh_arrays)
+
+
+def assert_same_mesh(ours, reference):
+    """Every array of two meshes bit-identical, the bisection genealogy included."""
+    for name in row_major_mesh_arrays(reference):
+        assert_bit_identical(getattr(ours, name), getattr(reference, name), name)
+    if reference.new_vertex_parents is None:
+        assert ours.new_vertex_parents is None
+    else:
+        assert_bit_identical(ours.new_vertex_parents, reference.new_vertex_parents,
+                             "new_vertex_parents")
 
 
 def test_initial_mesh_counts_n1():
@@ -27,6 +40,11 @@ def test_initial_mesh_covers_square(n):
     mesh = build_initial_mesh(n)
     assert mesh.areas.sum() == pytest.approx(4.0, abs=1e-10)
     assert not brute_conformity_errors(mesh)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_initial_mesh_is_bit_identical_to_quarter_loop_oracle(n):
+    assert_same_mesh(build_initial_mesh(n), quarter_loop_initial_mesh(n))
 
 
 def test_initial_mesh_rejects_bad_n():
@@ -137,6 +155,42 @@ def test_uniform_refine_quadruples_and_halves():
     local = refine(mesh, {0})
     fine2 = uniform_refine(local)
     assert fine2.triangle_count == 4 * local.triangle_count
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_is_bit_identical_to_five_case_oracle(seed):
+    # 20 % random marking reaches every code of bisected edges
+    # (m0 + 2 m1 + 4 m2: kept, the refinement edge alone, with edge 1,
+    # with edge 0, all three)
+    rng = np.random.default_rng(seed)
+    mesh = build_initial_mesh(2)
+    codes = set()
+    for _ in range(8):
+        marked = rng.choice(mesh.triangle_count, max(1, mesh.triangle_count // 5),
+                            replace=False)
+        edge_marked = any_edge_closure(mesh, marked)
+        codes.update((edge_marked[mesh.triangle_edges] @ [1, 2, 4]).tolist())
+        refined = refine(mesh, marked)
+        assert_same_mesh(refined, five_case_bisect(mesh, edge_marked))
+        mesh = refined
+    assert codes == {0b000, 0b100, 0b110, 0b101, 0b111}
+
+
+@pytest.mark.parametrize("name", list(bit_oracle_meshes()))
+def test_uniform_refine_is_bit_identical_to_five_case_oracle(name):
+    mesh = bit_oracle_meshes()[name]
+    assert_same_mesh(uniform_refine(mesh),
+                     five_case_bisect(mesh, np.ones(mesh.edge_count, dtype=bool)))
+
+
+@pytest.mark.parametrize("code", [0b001, 0b010, 0b011])
+def test_bisect_rejects_a_marking_without_closure(code):
+    # a bisected edge without the refinement edge leaves a hanging vertex
+    mesh = build_initial_mesh(2)
+    edge_marked = np.zeros(mesh.edge_count, dtype=bool)
+    edge_marked[mesh.triangle_edges[5, [m for m in range(3) if code >> m & 1]]] = True
+    with pytest.raises(RuntimeError, match="closure"):
+        _bisect(mesh, edge_marked)
 
 
 def test_min_angle_across_generations():

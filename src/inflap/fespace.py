@@ -130,9 +130,13 @@ def gradients(u: FEFunction) -> np.ndarray:
 
 
 def physical_points(mesh: Triangulation, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature nodes mapped to every element, shape (nt, nq, 2)."""
-    corners = mesh.vertex_coords[mesh.triangle_vertices]
-    return rule.points @ corners
+    """Quadrature nodes mapped to every element, shape (nt, nq, 2).
+
+    Each coordinate is one (nt, 3) @ (3, nq) product of the corner values
+    with the barycentric nodes.
+    """
+    coords, tris = mesh.vertex_coords, mesh.triangle_vertices
+    return np.stack([coords[:, c][tris] @ rule.points.T for c in range(2)], axis=-1)
 
 
 def values_at(u: FEFunction, rule: QuadratureRule) -> np.ndarray:

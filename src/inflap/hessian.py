@@ -130,10 +130,12 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
 
     The neighbor across edge m and the slot of that edge in it come from
     the mesh's edge table (``edge_triangles``, ``edge_local``).  The
-    pattern is built with int32 temporaries: the entries are grouped by
-    row with one counting sort, ordered within each row by
-    ``sort_indices``, and numbered by a running count of the distinct
-    columns, which also gives ``slots``.
+    pattern is built with int32 temporaries from the 12 nt queries that
+    are not known duplicates: they are grouped by row with one counting
+    sort, ordered within each row by ``sort_indices``, and numbered by a
+    running count of the distinct columns, which gives their ``slots``;
+    the other 6 nt slots are gathered from the own-vertex slots they
+    repeat.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
@@ -187,17 +189,26 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
                                              tris.T).T], axis=1)
 
     # step-matrix pattern: vertex i reaches the stencil of every element at
-    # i.  The queries (vertex a of K, stencil[K, s]) are numbered
-    # 6 (3 K + a) + s; tocsc's counting sort groups the corners 3 K + a by
-    # vertex, sort_indices orders each vertex's queries by column, and a
-    # running count of the distinct columns gives every query its position.
+    # i.  Only 4 of the 6 queries (vertex a of K, stencil[K, s]) per corner
+    # are sorted: the own vertices and the far vertex across edge a.  The
+    # far vertex across edge m != a is an own vertex of the neighbor, which
+    # also has vertex a, and a boundary edge's slot repeats own vertex m, so
+    # those 6 nt queries are gathered below.  Each query carries its index
+    # 18 K + 6 a + s in ``slots``; tocsc's counting sort groups the corners
+    # 3 K + a by vertex, sort_indices orders each vertex's queries by
+    # column, and a running count of the distinct columns gives every query
+    # its position.
     by_vertex = sp.csr_array((np.ones(3 * nt, dtype=np.int8), tris.reshape(-1),
                               np.arange(3 * nt + 1)), shape=(3 * nt, nv)).tocsc()
     corners = by_vertex.indices.astype(np.int32)
+    reach = np.empty((nt, 3, 4), dtype=np.int32)
+    reach[:, :, :3] = tris[:, None]
+    reach[:, :, 3] = stencil[:, 3:]
+    targets = 6 * corners[:, None] + np.arange(4, dtype=np.int32)
+    targets[:, 3] += corners % 3
     queries = sp.csr_array(
-        ((6 * corners[:, None] + np.arange(6, dtype=np.int32)).reshape(-1),
-         np.take(stencil.astype(np.int32), corners // 3, axis=0).reshape(-1),
-         6 * by_vertex.indptr.astype(np.int32)), shape=(nv, nv))
+        (targets.reshape(-1), np.take(reach.reshape(3 * nt, 4), corners, axis=0).reshape(-1),
+         4 * by_vertex.indptr.astype(np.int32)), shape=(nv, nv))
     queries.sort_indices()
     columns = queries.indices
     new = np.zeros(len(columns) + 1, dtype=bool)      # the spare marks the end
@@ -206,6 +217,14 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     distinct = np.cumsum(new, dtype=np.int32)
     slots = np.empty(18 * nt, dtype=np.int32)
     slots[queries.data] = distinct[:-1] - 1
+    # vertex m + step of K is vertex far - step of the neighbor across edge
+    # m; on a boundary edge the query is (vertex m + step, own vertex m)
+    gathered = slots.reshape(nt, 3, 6)
+    for m in range(3):
+        for step in (1, 2):
+            row = np.where(interior[m], (far[m] - step) % 3, (m + step) % 3)
+            gathered[:, (m + step) % 3, 3 + m] = np.take(
+                slots, 18 * neighbor[m] + 6 * row + far[m])
     indptr = (distinct[queries.indptr] - 1).astype(np.int64)
     return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int64),
                            slots.reshape(nt, 3, 6))

@@ -10,8 +10,8 @@ the tests need.  ``two_product_refine``, ``per_scalar_ascii``,
 ``argmax_product_hessian_operator``, the per-case mesh builds
 (``quarter_loop_initial_mesh``, ``any_edge_closure``, ``five_case_bisect``)
 and the row-major kernels (``einsum_gradients``, ``row_sum_l2_norm``,
-``outer_diffusion_tensor``, ``bincount_fe_hessian``,
-``bincount_assemble_step``) are earlier forms of package code, kept as
+``outer_diffusion_tensor``, ``batched_physical_points``,
+``bincount_fe_hessian``, ``bincount_assemble_step``) are earlier forms of package code, kept as
 references for their faster or narrower replacements.
 """
 
@@ -735,6 +735,11 @@ def pair_jump_residuals(u_prev, u_next, tau):
 
 # Row-major forms of the per-step kernels.  The package computes the same
 # numbers component by component on contiguous vectors, bit for bit.
+
+def batched_physical_points(mesh, rule):
+    """Quadrature nodes (nt, nq, 2) by one batched product over (nt, 3, 2) corner rows."""
+    return rule.points @ mesh.vertex_coords[mesh.triangle_vertices]
+
 
 def einsum_gradients(u):
     """Elementwise gradients (nt, 2) by one einsum over the (nt, 3, 2) basis."""

@@ -6,8 +6,10 @@ import pytest
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
                     build_initial_mesh, gradients, h1_semi_error, interpolate,
                     l2_error, l2_norm, refine, triangle_rule, uniform_refine)
-from conftest import (affine_gradient, einsum_gradients, integrate, kernel_functions,
-                      kernel_meshes, row_sum_l2_norm)
+from inflap.fespace import physical_points
+from conftest import (affine_gradient, batched_physical_points, bit_oracle_meshes,
+                      einsum_gradients, integrate, kernel_functions, kernel_meshes,
+                      row_sum_l2_norm)
 
 
 # ------------------------------------------------------------------ quadrature
@@ -121,12 +123,22 @@ def test_component_kernels_are_bit_identical_to_row_major_oracles(name):
         assert l2_norm(u) == row_sum_l2_norm(u)
 
 
+@pytest.mark.parametrize("name", list(bit_oracle_meshes()))
+def test_physical_points_are_bit_identical_to_batched_corner_product(name):
+    mesh = bit_oracle_meshes()[name]
+    for order in (4, 6):
+        rule = triangle_rule(order)
+        points = physical_points(mesh, rule)
+        assert points.flags.c_contiguous
+        assert np.array_equal(points, batched_physical_points(mesh, rule))
+
+
 def test_affine_reproduction_at_quadrature_points():
     mesh = uniform_refine(build_initial_mesh(2))
     g = lambda x, y: 0.3 - 1.7 * x + 0.9 * y
     u = interpolate(mesh, g)
     rule = triangle_rule(6)
-    from inflap.fespace import physical_points, values_at
+    from inflap.fespace import values_at
     pts = physical_points(mesh, rule)
     assert np.abs(values_at(u, rule) - g(pts[..., 0], pts[..., 1])).max() <= 1e-13
 

@@ -133,9 +133,10 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         if problem.exact_gradient is not None:
             record.h1_error = h1_semi_error(report.solution, problem.exact_gradient)
         history.records.append(record)
-        logger.info("cycle %d: %d dofs, estimator %.4e, factorizations %d, "
-                    "refinement LU solves %d", cycle, record.dofs, record.estimator,
-                    report.factorizations, sum(report.linear_iterations))
+        logger.info("cycle %d: %d dofs, estimator %.4e, float64 fallbacks %d, "
+                    "factorizations %d, refinement LU solves %d", cycle, record.dofs,
+                    record.estimator, report.fallbacks, report.factorizations,
+                    sum(report.linear_iterations))
 
         if indicators.eta_total <= config.estimator_tol:
             break

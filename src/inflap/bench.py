@@ -149,9 +149,10 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
             row.estimator_eoc = _eoc(previous_row.estimator, row.estimator,
                                      previous_row.h, row.h)
         table.rows.append(row)
-        logger.info("level %d: h %.4e, dofs %d, iterations %d, factorizations %d, "
-                    "refinement LU solves %d", level, row.h, row.dofs, row.iterations,
-                    report.factorizations, sum(report.linear_iterations))
+        logger.info("level %d: h %.4e, dofs %d, iterations %d, float64 fallbacks %d, "
+                    "factorizations %d, refinement LU solves %d", level, row.h, row.dofs,
+                    row.iterations, report.fallbacks, report.factorizations,
+                    sum(report.linear_iterations))
         if on_level is not None:
             on_level(level, mesh, report, indicators)
         # the next solve holds only the next mesh

@@ -215,16 +215,13 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     new[queries.indptr] = True
     new[1:-1] |= columns[1:] != columns[:-1]
     distinct = np.cumsum(new, dtype=np.int32)
-    slots = np.empty(18 * nt, dtype=np.int32)
-    slots[queries.data] = distinct[:-1] - 1
+    slots = np.empty((nt, 3, 6), dtype=np.int32)
+    slots.reshape(-1)[queries.data] = distinct[:-1] - 1
     # vertex m + step of K is vertex far - step of the neighbor across edge
     # m; on a boundary edge the query is (vertex m + step, own vertex m)
-    gathered = slots.reshape(nt, 3, 6)
     for m in range(3):
         for step in (1, 2):
             row = np.where(interior[m], (far[m] - step) % 3, (m + step) % 3)
-            gathered[:, (m + step) % 3, 3 + m] = np.take(
-                slots, 18 * neighbor[m] + 6 * row + far[m])
+            slots[:, (m + step) % 3, 3 + m] = np.take(slots, 18 * neighbor[m] + 6 * row + far[m])
     indptr = (distinct[queries.indptr] - 1).astype(np.int64)
-    return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int64),
-                           slots.reshape(nt, 3, 6))
+    return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int64), slots)

@@ -34,6 +34,13 @@ refreshed when the previous step needed more than ``REFACTOR_AFTER_SOLVES``
 refinement LU solves or when the refinement stalls: the step matrix is
 factored, and the same loop runs with the new factor from nothing, so its
 first LU solve is the direct solve.
+
+A fresh factor is computed in float32 and refined with float64 residuals
+to the same accept target (Moler's own setting; Carson & Higham 2018),
+which halves the stored L and U and shortens the factorisation.  It falls
+back to float64 when the float32 cast of the matrix is not finite, when
+SuperLU finds it singular, or when the loop from it stalls; the reports
+count these fallbacks.
 """
 
 from __future__ import annotations
@@ -120,12 +127,14 @@ class SolveReport:
     ``iterations`` counts linear solves.  ``linear_residuals`` holds the
     true relative residual of each step's linear solve,
     ``linear_iterations`` its LU solves in iterative refinement, including
-    those of a refinement with the previous factor that stalled but not the
-    direct solve of a fresh factor (0 for a step whose direct solve was
-    accepted), and
+    those of a refinement that stalled but not the direct solve of a fresh
+    factor (a fresh float32 factor usually takes one or two),
     ``factorizations`` the number of LU factorisations of step matrices
-    (the first step's, plus one per stale factor refreshed or refinement
-    stalled).
+    (the first step's, plus one per stale factor refreshed and one per
+    refinement stalled, with the previous factor or a fresh float32 one),
+    and
+    ``fallbacks`` the number of fresh step factors computed in float64
+    instead of float32.
     """
 
     solution: FEFunction
@@ -135,6 +144,7 @@ class SolveReport:
     linear_residuals: list[float] = field(default_factory=list)
     linear_iterations: list[int] = field(default_factory=list)
     factorizations: int = 0
+    fallbacks: int = 0
 
 
 class StepFactor:
@@ -148,8 +158,10 @@ class StepFactor:
     solve, without the direct solve of a fresh ``lu``.  More than
     ``REFACTOR_AFTER_SOLVES`` such LU solves mark ``lu`` as stale: the next
     solve factors its own matrix.
-    ``stalled`` counts the LU solves of the last solve's refinement with the
-    previous factor when that stalled and ``lu`` was refactored, else 0.
+    ``stalled`` counts the LU solves of the last solve's refinements that
+    stalled and were refactored, with the previous factor or with a fresh
+    float32 factor (without its direct solve), else 0.  ``fallbacks``
+    counts the fresh factors computed in float64 instead of float32.
     """
 
     def __init__(self):
@@ -159,6 +171,7 @@ class StepFactor:
         self.residual = None
         self.iterations = 0
         self.stalled = 0
+        self.fallbacks = 0
 
 
 class PermutedLU:
@@ -174,24 +187,41 @@ class PermutedLU:
     smaller than the largest entry of its column.  ``nnz`` counts the
     entries SuperLU stores for L and U.  ``P A P^T`` is one row gather with
     the column indices renamed by the inverse permutation.
+
+    The factor is computed and stored in ``dtype``: float32 by default,
+    which halves the stored L and U and speeds up the factorisation, so a
+    solve is accurate to about float32 precision and ``_refine`` recovers
+    the rest from float64 residuals (Moler's setting; Carson & Higham,
+    SIAM J. Sci. Comput. 40, 2018).  A cast of A to ``dtype`` that is not
+    finite raises ``RuntimeError``, as SuperLU does for a singular matrix.
+    ``solve`` scales its right-hand side by a power of two into [0.5, 1)
+    before the cast and returns float64; the scale is exact, so it only
+    keeps the cast from under- or overflowing.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(self, matrix: sp.spmatrix, dtype=np.float32):
         matrix = sp.csr_matrix(matrix)
         self.perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=False)
         inverse = np.empty_like(self.perm)
         inverse[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
         rows = matrix[self.perm]
-        permuted = sp.csr_matrix((rows.data, inverse[rows.indices], rows.indptr),
+        with np.errstate(over="ignore"):
+            data = rows.data.astype(dtype)
+        if not np.isfinite(data).all():
+            raise RuntimeError(f"{np.dtype(dtype).name} cast of the matrix is not finite")
+        permuted = sp.csr_matrix((data, inverse[rows.indices], rows.indptr),
                                  shape=matrix.shape)
+        self.dtype = np.dtype(dtype)
         self.lu = spla.splu(permuted.tocsc(), permc_spec="MMD_AT_PLUS_A",
                             diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
         self.nnz = self.lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        _, exponent = np.frexp(np.max(np.abs(rhs), initial=0.0))
+        scaled = np.ldexp(rhs[self.perm], -exponent).astype(self.dtype)
         solution = np.empty_like(rhs, dtype=float)
-        solution[self.perm] = self.lu.solve(rhs[self.perm])
-        return solution
+        solution[self.perm] = self.lu.solve(scaled)
+        return np.ldexp(solution, exponent, out=solution)
 
 
 def diffusion_components(grad: np.ndarray, tau: float):
@@ -366,10 +396,13 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     refinement LU solves, the loop starts from the holder's last solution.
     With no such LU, or when that loop stalls (its LU solves go to the
     holder's ``stalled``), the old LU is released, ``matrix`` is factored as
-    a ``PermutedLU`` and the loop starts from nothing, so its first LU solve
-    is the direct solve.  A singular matrix, or a last iterate whose
-    relative residual exceeds ``LINEAR_SOLVER_TOL`` (infinite when it is
-    not finite), raises ``SolverFailure``.
+    a float32 ``PermutedLU`` and the loop starts from nothing, so its first
+    LU solve is the direct solve.  When the float32 cast is not finite,
+    SuperLU finds it singular or its loop stalls, the matrix is factored
+    in float64 instead and the holder's ``fallbacks`` grows by one.  A
+    matrix singular in float64, or a last iterate whose relative residual
+    exceeds ``LINEAR_SOLVER_TOL`` (infinite when it is not finite), raises
+    ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
     holder.stalled = 0
@@ -382,13 +415,23 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
             holder.stalled = solves
     if stalled:
         holder.lu = None        # release the old factor before building a new one
-        try:
-            holder.lu = PermutedLU(matrix)
-        except RuntimeError as singular:
-            raise SolverFailure(f"linear solve failed: {singular}") from singular
-        holder.factorizations += 1
-        solution, solves, relative, _ = _refine(matrix, rhs, holder.lu, None, rhs)
-        solves -= 1             # the direct solve is no refinement
+        # a fresh factor is float32 unless its cast is not finite, SuperLU
+        # finds it singular or the loop from it stalls
+        for dtype in (np.float32, np.float64):
+            try:
+                holder.lu = PermutedLU(matrix, dtype)
+            except RuntimeError as failure:
+                if dtype == np.float64:
+                    raise SolverFailure(f"linear solve failed: {failure}") from failure
+            else:
+                holder.factorizations += 1
+                solution, solves, relative, stalled = _refine(matrix, rhs, holder.lu, None, rhs)
+                solves -= 1     # the direct solve is no refinement
+                if not stalled or dtype == np.float64:
+                    break
+                holder.stalled += solves
+                holder.lu = None
+            holder.fallbacks += 1
     holder.iterations = solves
     holder.residual = relative
     if not relative <= LINEAR_SOLVER_TOL:
@@ -466,7 +509,8 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
             return SolveReport(proposed, iteration, increments, True,
                                linear_residuals=residuals,
                                linear_iterations=linear_iterations,
-                               factorizations=factor.factorizations)
+                               factorizations=factor.factorizations,
+                               fallbacks=factor.fallbacks)
         if iteration >= 6 and increments[-1] > 10.0 * increments[-6] \
                 and all(b > a for a, b in zip(increments[-6:-1], increments[-5:])):
             raise DivergenceError(
@@ -477,4 +521,4 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     return SolveReport(current, config.max_iterations, increments, False,
                        linear_residuals=residuals,
                        linear_iterations=linear_iterations,
-                       factorizations=factor.factorizations)
+                       factorizations=factor.factorizations, fallbacks=factor.fallbacks)

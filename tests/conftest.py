@@ -11,8 +11,9 @@ the tests need.  ``two_product_refine``, ``per_scalar_ascii``,
 (``quarter_loop_initial_mesh``, ``any_edge_closure``, ``five_case_bisect``)
 and the row-major kernels (``einsum_gradients``, ``row_sum_l2_norm``,
 ``outer_diffusion_tensor``, ``batched_physical_points``,
-``bincount_fe_hessian``, ``bincount_assemble_step``) are earlier forms of package code, kept as
-references for their faster or narrower replacements.
+``bincount_fe_hessian``, ``bincount_assemble_step``) are earlier forms of
+package code, kept as references for their faster or narrower
+replacements.
 """
 
 import functools

@@ -176,8 +176,9 @@ def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, c
     assert len(lines) == len(reports) == 4
     assert max(sum(report.linear_iterations) for report in reports) > 0
     for line, report in zip(lines, reports):
-        assert line.endswith(f"factorizations {report.factorizations}, refinement LU "
-                             f"solves {sum(report.linear_iterations)}")
+        assert line.endswith(f"float64 fallbacks {report.fallbacks}, factorizations "
+                             f"{report.factorizations}, refinement LU solves "
+                             f"{sum(report.linear_iterations)}")
     assert [line.split(":")[0] for line in lines] == ["level 0", "level 1",
                                                       "cycle 0", "cycle 1"]
 

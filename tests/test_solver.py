@@ -297,6 +297,9 @@ def _corner_graded_mesh():
 
 @pytest.mark.parametrize("kind", ["uniform", "corner-graded"])
 def test_factor_fills_less_than_colamd_and_meets_the_gate(kind):
+    # the benchmark problems' first step matrices (classical at tau 1000,
+    # Aronsson at tau 1 and at the adaptive runs' tau 0.1): the float32
+    # factor's loop meets the accept target without a float64 fallback
     mesh = build_initial_mesh(4)
     if kind == "uniform":
         for _ in range(4):
@@ -304,18 +307,21 @@ def test_factor_fills_less_than_colamd_and_meets_the_gate(kind):
         assert mesh.vertex_count == 8321
     else:
         mesh = _corner_graded_mesh()
-    for problem in (replace(CLASSICAL, tau=1000.0), ARONSSON):
+    for problem in (replace(CLASSICAL, tau=1000.0), ARONSSON, replace(ARONSSON, tau=0.1)):
         matrix, rhs = _step_system(mesh, problem)
         holder = StepFactor()
         solve_linear(matrix, rhs, factor=holder)
-        assert holder.residual <= LINEAR_SOLVER_TOL
+        assert holder.lu.dtype == np.float32
+        assert holder.fallbacks == holder.stalled == 0 and holder.factorizations == 1
+        assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
         assert holder.lu.nnz < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
 
 
 @pytest.mark.parametrize("kind", ["uniform", "corner-graded"])
 def test_permuted_lu_factors_the_two_index_permutation(monkeypatch, kind):
-    # SuperLU receives exactly the CSC of matrix[perm][:, perm], so the
-    # one-gather permutation leaves the factors unchanged
+    # SuperLU receives exactly the float32 CSC of matrix[perm][:, perm], so
+    # the one-gather permutation and the cast before it leave the factors
+    # unchanged
     mesh = uniform_refine(build_initial_mesh(4)) if kind == "uniform" else _corner_graded_mesh()
     handed = []
     real_splu = inflap.solver.spla.splu
@@ -328,11 +334,63 @@ def test_permuted_lu_factors_the_two_index_permutation(monkeypatch, kind):
     for problem in (replace(CLASSICAL, tau=1000.0), ARONSSON):
         matrix, _ = _step_system(mesh, problem)
         lu = PermutedLU(matrix)
-        expected = sp.csr_matrix(matrix)[lu.perm][:, lu.perm].tocsc()
+        expected = sp.csr_matrix(matrix)[lu.perm][:, lu.perm].tocsc().astype(np.float32)
         ours = handed[-1]
         assert ours.format == "csc" and ours.shape == expected.shape
+        assert ours.dtype == np.float32 and lu.dtype == np.float32
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(ours, name), getattr(expected, name))
+
+
+def test_float32_overflow_falls_back_to_float64():
+    matrix, rhs = _step_system(uniform_refine(build_initial_mesh(4)), ARONSSON)
+    huge = 1e39 * matrix
+    with pytest.raises(RuntimeError, match="not finite"):
+        PermutedLU(huge)
+    holder = StepFactor()
+    solution = solve_linear(huge, rhs, factor=holder)
+    assert holder.fallbacks == 1 and holder.factorizations == 1
+    assert holder.lu.dtype == np.float64
+    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+    assert np.array_equal(solution, holder.solution)
+
+
+def test_matrix_singular_in_float32_falls_back_to_float64():
+    # 1 + 2**-30 rounds to 1 in float32, where the matrix is exactly singular
+    matrix = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -30]]))
+    with pytest.raises(RuntimeError, match="singular"):
+        PermutedLU(matrix)
+    holder = StepFactor()
+    solution = solve_linear(matrix, matrix @ np.array([1.0, 2.0]), factor=holder)
+    assert holder.fallbacks == 1 and holder.factorizations == 1
+    assert holder.lu.dtype == np.float64
+    assert np.allclose(solution, [1.0, 2.0], rtol=0.0, atol=1e-6)
+
+
+def test_ill_conditioned_system_meets_the_gate_through_the_float64_fallback():
+    # condition about 1.6e8: float32 refinement contracts only about 0.77 per
+    # LU solve, so the loop stalls and the matrix is factored in float64
+    n = 20_000
+    laplacian = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                         format="csr")
+    rhs = laplacian @ np.random.default_rng(0).standard_normal(n)
+    holder = StepFactor()
+    solve_linear(laplacian, rhs, factor=holder)
+    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.stalled > 0
+    assert holder.lu.dtype == np.float64
+    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+
+
+def test_tiny_right_hand_side_does_not_underflow_the_float32_solve():
+    # 2**-133 (about 9e-41) is below float32's smallest normal number; the
+    # power-of-two scale before the cast is exact, so the solve of the
+    # scaled system is the scaled solve
+    matrix, rhs = _step_system(uniform_refine(build_initial_mesh(4)), ARONSSON)
+    holder = StepFactor()
+    tiny = solve_linear(matrix, np.ldexp(rhs, -133), factor=holder)
+    assert holder.fallbacks == 0 and holder.lu.dtype == np.float32
+    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+    assert np.array_equal(tiny, np.ldexp(solve_linear(matrix, rhs), -133))
 
 
 def test_fresh_factor_is_polished_by_refinement(monkeypatch):
@@ -359,8 +417,9 @@ def test_fresh_factor_is_polished_by_refinement(monkeypatch):
 
 
 def test_stalled_refinement_of_a_fresh_factor_fails_the_gate(monkeypatch):
-    # the LU of twice the matrix halves each residual: the refinement stalls
-    # at its second LU solve, and the gate judges that last iterate
+    # the LU of twice the matrix halves each residual: the float32 factor's
+    # loop stalls at its second LU solve, so does the float64 fallback's,
+    # and the gate judges that last iterate
     matrix, rhs = _step_system(uniform_refine(build_initial_mesh(4)), ARONSSON)
     real_splu = inflap.solver.spla.splu
 
@@ -376,9 +435,13 @@ def test_stalled_refinement_of_a_fresh_factor_fails_the_gate(monkeypatch):
 
     monkeypatch.setattr(inflap.solver.spla, "splu", doubled_splu)
     monkeypatch.setattr(inflap.solver, "_refine", recording_refine)
+    holder = StepFactor()
     with pytest.raises(SolverFailure) as info:
-        solve_linear(matrix, rhs)
-    [(solution, solves, relative, stalled)] = outcomes
+        solve_linear(matrix, rhs, factor=holder)
+    [single, (solution, solves, relative, stalled)] = outcomes
+    assert single[3] and single[1] == 2
+    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.stalled == 1
+    assert holder.lu.dtype == np.float64
     assert stalled and solves == 2
     assert relative == pytest.approx(0.25)
     assert info.value.residual == relative
@@ -404,19 +467,34 @@ def test_initializer_has_usable_gradient():
 
 @pytest.mark.parametrize("base, levels, rel", [(2, 3, 0.0), (4, 3, 0.0), (6, 2, 1e-14)],
                          ids=["initial-2", "initial-4", "initial-6"])
-def test_poisson_start_matches_coo_stiffness_oracle(base, levels, rel):
+def test_poisson_start_matches_coo_stiffness_oracle(monkeypatch, base, levels, rel):
     # the stiffness filled into the step pattern sums each entry in element
     # order; scipy's COO conversion sums the duplicates in another order,
-    # which only shows where build_initial_mesh(6) has non-dyadic vertices
+    # which only shows where build_initial_mesh(6) has non-dyadic vertices.
+    # Both lifted systems are then solved to the accept target.
+    systems = []
+    real_solve = inflap.solver.solve_linear
+
+    def recording(matrix, rhs, factor=None):
+        systems.append((matrix, rhs))
+        return real_solve(matrix, rhs, factor)
+
+    monkeypatch.setattr(inflap.solver, "solve_linear", recording)
+    accept = 1e-2 * LINEAR_SOLVER_TOL
     mesh = build_initial_mesh(base)
     for _ in range(levels + 1):
         for problem in (CLASSICAL, ARONSSON):
             disc = Discretisation(mesh, problem)
             ours = default_initializer(disc).coefficients
-            matrix, rhs = sparse_product_dirichlet(coo_poisson_stiffness(mesh), -disc.load,
-                                                   mesh, problem.g)
-            theirs = solve_linear(matrix, rhs)
-            assert np.abs(ours - theirs).max() <= rel * np.abs(theirs).max()
+            [(matrix, rhs)] = systems
+            systems.clear()
+            their_matrix, their_rhs = sparse_product_dirichlet(
+                coo_poisson_stiffness(mesh), -disc.load, mesh, problem.g)
+            assert abs(matrix - their_matrix).max() <= rel * abs(their_matrix).max()
+            assert np.abs(rhs - their_rhs).max() <= rel * np.abs(their_rhs).max()
+            theirs = real_solve(their_matrix, their_rhs)
+            for a, b, x in ((matrix, rhs, ours), (their_matrix, their_rhs, theirs)):
+                assert np.linalg.norm(b - a @ x) <= accept * np.linalg.norm(b)
         mesh = uniform_refine(mesh)
 
 
@@ -597,9 +675,10 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
     steps = iter(factored)
     for (mesh, report), row in zip(levels, table.rows):
         assert max(report.linear_residuals) <= 1e-2 * LINEAR_SOLVER_TOL
-        # a step takes no refinement LU solves exactly when it was factored
+        # a step takes one refinement LU solve exactly when it was factored
+        # (in float32); a reused factor takes at least three
         assert len(report.linear_iterations) == report.iterations
-        assert [n == 0 for n in report.linear_iterations] == \
+        assert [n == 1 for n in report.linear_iterations] == \
             [next(steps) for _ in range(report.iterations)]
         direct, iterations = _direct_fixed_point(mesh, ARONSSON, config)
         assert iterations == report.iterations
@@ -610,6 +689,7 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
 def test_stalled_refinement_lu_solves_are_counted(monkeypatch):
     # step 2 of every level after the first tries step 1's factor, stalls
     # after 2 LU solves and is refactored; the step reports those 2 solves
+    # and the 2 refinement LU solves of its fresh float32 factor
     solves = []
     real_solve = inflap.solver.PermutedLU.solve
 
@@ -618,6 +698,16 @@ def test_stalled_refinement_lu_solves_are_counted(monkeypatch):
         return real_solve(lu, rhs)
 
     monkeypatch.setattr(inflap.solver.PermutedLU, "solve", counting)
+    starts = []
+    real_initializer = inflap.solver.default_initializer
+
+    def initializer(disc):
+        before = len(solves)
+        start = real_initializer(disc)
+        starts.append(len(solves) - before)
+        return start
+
+    monkeypatch.setattr(inflap.solver, "default_initializer", initializer)
     levels = []
 
     def on_level(level, mesh, report, _):
@@ -625,12 +715,14 @@ def test_stalled_refinement_lu_solves_are_counted(monkeypatch):
         solves.clear()
 
     convergence_study("classical", 4, tau=1000.0, on_level=on_level)
-    assert [report.linear_iterations for report, _ in levels] == [[0], [0, 2], [0, 2], [0, 2]]
+    assert [report.linear_iterations for report, _ in levels] == [[1], [2, 4], [2, 4], [2, 4]]
     assert [report.factorizations for report, _ in levels] == [1, 2, 2, 2]
+    assert [report.fallbacks for report, _ in levels] == [0, 0, 0, 0]
     # every LU solve is reported: the Poisson start's, the direct solve of
     # each factorisation and the refinements'
-    for report, counted in levels:
-        assert counted == 1 + report.factorizations + sum(report.linear_iterations)
+    assert len(starts) == len(levels)
+    for (report, counted), start in zip(levels, starts):
+        assert counted == start + report.factorizations + sum(report.linear_iterations)
 
 
 def test_refinement_starts_from_the_last_solution():
@@ -641,7 +733,7 @@ def test_refinement_starts_from_the_last_solution():
     matrix, rhs = apply_dirichlet(disc, matrix, rhs)
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
-    assert holder.iterations == 0 and holder.factorizations == 1
+    assert holder.iterations == 1 and holder.factorizations == 1
     assert np.array_equal(holder.solution, first)
 
     # a nearby system: the first LU solve corrects the last solution's residual
@@ -671,7 +763,7 @@ def test_stale_factor_is_refreshed_before_refining():
     nudged = matrix + 3e-2 * interior
     solution = solve_linear(nudged, rhs, factor=holder)
     assert stale.solved == []
-    assert holder.factorizations == 2 and holder.iterations == 0
+    assert holder.factorizations == 2 and holder.iterations == 1
     assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, solve_linear(nudged, rhs))
 
@@ -707,8 +799,9 @@ def test_refinement_computes_one_residual_per_lu_solve():
         assert relative == np.linalg.norm(nudged @ solution - rhs) / np.linalg.norm(rhs)
 
     # from nothing the first iterate is the direct solve itself, signed zeros
-    # included: with the LU of its own matrix it is accepted at once
-    exact = PermutedLU(nudged)
+    # included: with the float64 LU of its own matrix (the fallback's
+    # factor) it is accepted at once
+    exact = PermutedLU(nudged, np.float64)
     solution, solves, _, stalled = inflap.solver._refine(nudged, rhs, exact, None, rhs)
     assert solves == 1 and not stalled
     direct = exact.solve(rhs)
@@ -767,8 +860,8 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     solution = solve_linear(matrix, rhs, factor=holder)
     assert factor_calls == [True]
     assert len(stale_solves) == 2       # the refinement stalls at its first check
-    assert holder.stalled == 2 and holder.iterations == 0
-    assert holder.factorizations == 1
+    assert holder.stalled == 2 and holder.iterations == 1
+    assert holder.factorizations == 1 and holder.fallbacks == 0
     assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, solve_linear(matrix, rhs))
 

@@ -1,12 +1,14 @@
 """Benchmark registry, uniform convergence studies and file output.
 
 CSV files carry full double precision (17 significant digits) so repeated
-runs are bit-comparable; VTU output is plain ASCII XML readable by the
-usual VTK-based viewers.
+runs are bit-comparable.  VTU output is VTK's XML format with every array
+stored as base64-encoded binary data, so it is lossless too, and ParaView
+and VTK read it.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import logging
 from dataclasses import dataclass, field, fields, replace
@@ -197,30 +199,51 @@ def write_csv(table, path) -> None:
 
 # ----------------------------------------------------------------- VTU output
 
-def _ascii(values, per_line=6):
-    # one %-template formats the whole array from Python ints and floats
-    values = np.asarray(values).reshape(-1)
-    spec = "%d" if values.dtype.kind in "iu" else "%.17g"
-    full, rest = divmod(len(values), per_line)
-    lines = [" ".join([spec] * per_line)] * full + ([" ".join([spec] * rest)] if rest else [])
-    return "\n          ".join(lines) % tuple(values.tolist())
+def _binary(values, dtype) -> str:
+    """One inline binary array: base64 of a UInt32 byte count and the raw bytes.
+
+    ``dtype`` is the little-endian type the ``DataArray`` declares; the
+    header and the data are encoded as one base64 string, as VTK reads
+    uncompressed arrays.
+    """
+    data = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return base64.b64encode(len(data).to_bytes(4, "little") + data).decode("ascii")
+
+
+def _attribute(text) -> str:
+    """``text`` escaped for a double-quoted XML attribute."""
+    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
 
 
 def write_vtu(mesh: Triangulation, fields, path) -> None:
-    """ASCII XML unstructured-grid file with triangle cells.
+    """XML unstructured-grid file with triangle cells and binary arrays.
+
+    Every ``DataArray`` is ``format="binary"``: one base64 string of a
+    little-endian UInt32 byte count followed by the array's raw
+    little-endian bytes in its declared type (``Float64`` points and
+    fields, ``Int64`` connectivity and offsets, ``UInt8`` cell types), so
+    the decoded arrays are bit for bit the ones in memory.
 
     P1 functions and (nv,) arrays become point data.  Indicator fields
     and arrays whose first axis has one entry per triangle become cell
     data with one component per remaining entry, so an (nt, 2, 2)
-    recovered Hessian writes as four-component cell data.
+    recovered Hessian writes as four-component cell data.  A P1 function
+    on another mesh, an indicator field of another length or an array
+    matching neither count raises ``InvalidArgumentError``.
     """
     point_data: list[tuple[str, np.ndarray, int]] = []
     cell_data: list[tuple[str, np.ndarray, int]] = []
     nv, nt = mesh.vertex_count, mesh.triangle_count
     for name, value in dict(fields or {}).items():
         if isinstance(value, FEFunction):
+            if value.mesh is not mesh:
+                raise InvalidArgumentError(f"field {name!r} lives on another mesh")
             point_data.append((name, value.coefficients, 1))
         elif isinstance(value, IndicatorField):
+            if len(value.eta) != nt:
+                raise InvalidArgumentError(
+                    f"field {name!r} has {len(value.eta)} indicators for {nt} triangles")
             cell_data.append((name, value.eta, 1))
         else:
             array = np.asarray(value, dtype=float)
@@ -239,19 +262,19 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
         '  <UnstructuredGrid>',
         f'    <Piece NumberOfPoints="{nv}" NumberOfCells="{nt}">',
         '      <Points>',
-        '        <DataArray type="Float64" NumberOfComponents="3" format="ascii">',
-        '          ' + _ascii(points),
+        '        <DataArray type="Float64" NumberOfComponents="3" format="binary">',
+        '          ' + _binary(points, "<f8"),
         '        </DataArray>',
         '      </Points>',
         '      <Cells>',
-        '        <DataArray type="Int64" Name="connectivity" format="ascii">',
-        '          ' + _ascii(mesh.triangle_vertices),
+        '        <DataArray type="Int64" Name="connectivity" format="binary">',
+        '          ' + _binary(mesh.triangle_vertices, "<i8"),
         '        </DataArray>',
-        '        <DataArray type="Int64" Name="offsets" format="ascii">',
-        '          ' + _ascii(3 * np.arange(1, nt + 1)),
+        '        <DataArray type="Int64" Name="offsets" format="binary">',
+        '          ' + _binary(3 * np.arange(1, nt + 1), "<i8"),
         '        </DataArray>',
-        '        <DataArray type="UInt8" Name="types" format="ascii">',
-        '          ' + _ascii(np.full(nt, 5, dtype=np.int64)),
+        '        <DataArray type="UInt8" Name="types" format="binary">',
+        '          ' + _binary(np.full(nt, 5, dtype=np.uint8), "u1"),
         '        </DataArray>',
         '      </Cells>',
     ]
@@ -261,9 +284,9 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
             return [f'      <{tag}>', f'      </{tag}>']
         block = [f'      <{tag}>']
         for name, array, comps in entries:
-            block.append(f'        <DataArray type="Float64" Name="{name}" '
-                         f'NumberOfComponents="{comps}" format="ascii">')
-            block.append('          ' + _ascii(array))
+            block.append(f'        <DataArray type="Float64" Name="{_attribute(name)}" '
+                         f'NumberOfComponents="{comps}" format="binary">')
+            block.append('          ' + _binary(array, "<f8"))
             block.append('        </DataArray>')
         block.append(f'      </{tag}>')
         return block

@@ -98,9 +98,11 @@ class HessianOperator:
     vertex m; on a boundary edge that slot repeats vertex m with zero
     weights.
 
-    ``indptr``/``indices`` are the CSR pattern (sorted, no duplicates) of
-    the vertex-by-vertex step matrix, whose row i gathers every element
-    with vertex i.  ``slots[K, a, s]`` is the position in that pattern of
+    ``indptr``/``indices`` are the int32 CSR pattern (sorted, no
+    duplicates) of the vertex-by-vertex step matrix, whose row i gathers
+    every element with vertex i; int32 is scipy's own index type for these
+    sizes, so a ``csr_matrix`` built on them shares them instead of
+    casting copies.  ``slots[K, a, s]`` is the position in that pattern of
     the entry (vertex a of K, stencil vertex s of K), so the stencil is
     ``indices[slots[:, 0, :]]``.
     """
@@ -135,7 +137,7 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     sort, ordered within each row by ``sort_indices``, and numbered by a
     running count of the distinct columns, which gives their ``slots``;
     the other 6 nt slots are gathered from the own-vertex slots they
-    repeat.
+    repeat.  ``indptr``, ``indices`` and ``slots`` are returned as int32.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
@@ -223,5 +225,5 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
         for step in (1, 2):
             row = np.where(interior[m], (far[m] - step) % 3, (m + step) % 3)
             slots[:, (m + step) % 3, 3 + m] = np.take(slots, 18 * neighbor[m] + 6 * row + far[m])
-    indptr = (distinct[queries.indptr] - 1).astype(np.int64)
-    return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int64), slots)
+    indptr = (distinct[queries.indptr] - 1).astype(np.int32)
+    return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int32), slots)

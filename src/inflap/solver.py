@@ -253,9 +253,9 @@ class Discretisation:
 
     ``lifted`` is g on the boundary vertices and zero inside.  The
     Dirichlet lift keeps the step-pattern positions ``kept`` (interior by
-    interior, and the diagonal of each boundary row), whose CSR pattern is
-    ``lift_indptr``/``lift_indices``; ``pins`` are its boundary diagonals.
-    ``factor`` carries the LU that later steps reuse.
+    interior, and the diagonal of each boundary row), whose int32 CSR
+    pattern is ``lift_indptr``/``lift_indices``; ``pins`` are its boundary
+    diagonals.  ``factor`` carries the LU that later steps reuse.
     """
 
     def __init__(self, mesh: Triangulation, problem: ProblemData):
@@ -269,8 +269,9 @@ class Discretisation:
 
         indptr, indices = self.operator.indptr, self.operator.indices
         rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
-        self.kept = np.flatnonzero((rows == indices) | ~(boundary[rows] | boundary[indices]))
-        self.lift_indptr = np.searchsorted(self.kept, indptr)
+        self.kept = np.flatnonzero(
+            (rows == indices) | ~(boundary[rows] | boundary[indices])).astype(np.int32)
+        self.lift_indptr = np.searchsorted(self.kept, indptr).astype(np.int32)
         self.lift_indices = indices[self.kept]
         self.pins = np.flatnonzero(boundary[self.lift_indices])
         self.factor = StepFactor()

@@ -3,19 +3,20 @@
 The oracles recompute geometry from scratch (affine solves, explicit edge
 dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
-check; ``brute_conformity_errors`` tests every vertex against every edge.
+check; ``brute_conformity_errors`` tests every vertex against every edge,
+and ``decode_vtu_array`` reads a VTU array by the file format alone.
 ``integrate`` and ``min_angle_degrees`` are measurements that only
-the tests need.  ``two_product_refine``, ``per_scalar_ascii``,
-``pair_jump_residuals``, ``row_major_mesh_arrays``,
-``argmax_product_hessian_operator``, the per-case mesh builds
-(``quarter_loop_initial_mesh``, ``any_edge_closure``, ``five_case_bisect``)
-and the row-major kernels (``einsum_gradients``, ``row_sum_l2_norm``,
-``outer_diffusion_tensor``, ``batched_physical_points``,
+the tests need.  ``two_product_refine``, ``pair_jump_residuals``,
+``row_major_mesh_arrays``, ``argmax_product_hessian_operator``, the
+per-case mesh builds (``quarter_loop_initial_mesh``, ``any_edge_closure``,
+``five_case_bisect``) and the row-major kernels (``einsum_gradients``,
+``row_sum_l2_norm``, ``outer_diffusion_tensor``, ``batched_physical_points``,
 ``bincount_fe_hessian``, ``bincount_assemble_step``) are earlier forms of
 package code, kept as references for their faster or narrower
 replacements.
 """
 
+import base64
 import functools
 
 import numpy as np
@@ -698,19 +699,28 @@ def argmax_product_hessian_operator(mesh):
                              pattern.indptr), shape=pattern.shape)
     slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
                      np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(blocks, pattern.indptr, pattern.indices,
+    return HessianOperator(blocks, pattern.indptr.astype(np.int32),
+                           pattern.indices.astype(np.int32),
                            slots.astype(np.int32).reshape(nt, 3, 6))
 
 
-def per_scalar_ascii(values, per_line=6):
-    """VTU ASCII text of an array, formatting one numpy scalar at a time."""
-    values = np.asarray(values).reshape(-1)
-    if values.dtype.kind in "iu":
-        parts = [str(int(v)) for v in values]
-    else:
-        parts = [format(float(v), ".17g") for v in values]
-    lines = [" ".join(parts[i:i + per_line]) for i in range(0, len(parts), per_line)]
-    return "\n          ".join(lines)
+VTK_TYPES = {"Float64": "<f8", "Int64": "<i8", "UInt8": "u1"}
+
+
+def decode_vtu_array(element):
+    """Array of a binary VTU ``DataArray`` element, read as VTK's XML format defines it.
+
+    The text, stripped of the whitespace around it, is one strict base64
+    string: a little-endian UInt32 byte count, then exactly that many bytes
+    of the declared type.  Arrays with more than one component come back
+    with one row per tuple.
+    """
+    assert element.get("format") == "binary"
+    raw = base64.b64decode(element.text.strip(), validate=True)
+    assert int.from_bytes(raw[:4], "little") == len(raw) - 4
+    values = np.frombuffer(raw[4:], dtype=VTK_TYPES[element.get("type")])
+    components = int(element.get("NumberOfComponents", "1"))
+    return values if components == 1 else values.reshape(-1, components)
 
 
 def pair_jump_residuals(u_prev, u_next, tau):

@@ -18,7 +18,7 @@ import inflap.adapt
 import inflap.bench
 import inflap.solver
 
-from conftest import oracle_meshes, per_scalar_ascii
+from conftest import VTK_TYPES, decode_vtu_array, oracle_meshes
 
 
 # -------------------------------------------------------------------- registry
@@ -199,14 +199,15 @@ def test_vtu_geometry_roundtrip(tmp_path):
     assert int(piece.get("NumberOfPoints")) == mesh.vertex_count
     assert int(piece.get("NumberOfCells")) == mesh.triangle_count
 
-    points = np.fromstring(piece.find("./Points/DataArray").text.replace("\n", " "),
-                           sep=" ").reshape(-1, 3)
+    points = decode_vtu_array(piece.find("./Points/DataArray"))
     assert np.array_equal(points[:, :2], mesh.vertex_coords)
     arrays = {a.get("Name"): a for a in piece.find("./Cells")}
-    connectivity = np.fromstring(arrays["connectivity"].text.replace("\n", " "),
-                                 sep=" ", dtype=np.int64).reshape(-1, 3)
+    connectivity = decode_vtu_array(arrays["connectivity"]).reshape(-1, 3)
     assert np.array_equal(connectivity, mesh.triangle_vertices)
-    types = np.fromstring(arrays["types"].text.replace("\n", " "), sep=" ")
+    offsets = decode_vtu_array(arrays["offsets"])
+    assert np.array_equal(offsets, 3 * np.arange(1, mesh.triangle_count + 1))
+    types = decode_vtu_array(arrays["types"])
+    assert types.dtype == np.uint8 and len(types) == mesh.triangle_count
     assert np.all(types == 5)
 
 
@@ -221,36 +222,72 @@ def test_vtu_field_lengths(tmp_path):
     piece = ET.parse(path).getroot().find(".//Piece")
     point_arrays = {a.get("Name"): a for a in piece.find("./PointData")}
     cell_arrays = {a.get("Name"): a for a in piece.find("./CellData")}
-    solution = np.fromstring(point_arrays["solution"].text.replace("\n", " "), sep=" ")
+    solution = decode_vtu_array(point_arrays["solution"])
     assert len(solution) == mesh.vertex_count
     assert np.array_equal(solution, u.coefficients)
-    hess = np.fromstring(cell_arrays["hess"].text.replace("\n", " "), sep=" ")
-    assert np.array_equal(hess, tensor.reshape(-1))
+    hess = decode_vtu_array(cell_arrays["hess"])
     assert int(cell_arrays["hess"].get("NumberOfComponents")) == 4
-    eta = np.fromstring(cell_arrays["eta"].text.replace("\n", " "), sep=" ")
+    assert np.array_equal(hess, tensor.reshape(-1, 4))
+    eta = decode_vtu_array(cell_arrays["eta"])
     assert len(eta) == mesh.triangle_count
+    assert np.array_equal(eta, indicator.eta)
 
 
-def test_vtu_text_is_byte_identical_to_per_scalar_oracle(tmp_path, monkeypatch):
-    values = [np.array([0.0, -0.0, 1e-300, -2.5e300, np.pi, 1.0 / 3.0, np.inf, np.nan]),
-              np.arange(-7, 20, dtype=np.int64), np.arange(13, dtype=np.int32),
-              np.full(5, 5, dtype=np.uint8), np.zeros((0,)),
-              # full lines only, a short last line, a lone negative zero
-              np.linspace(-1.0, 1.0, 12), -np.zeros(13), np.array([-0.0]),
-              np.arange(-3, 4, dtype=np.int64).reshape(7, 1)]
-    for array in values:
-        assert inflap.bench._ascii(array) == per_scalar_ascii(array)
+SPECIAL_VALUES = np.array([0.0, -0.0, 1e-300, -2.5e300, np.pi, 1.0 / 3.0, np.inf, -np.inf,
+                           np.nan, 5e-324, -5e-324])
+
+
+def assert_same_bits(decoded, expected):
+    assert (decoded.dtype, decoded.shape) == (expected.dtype, expected.shape)
+    assert decoded.tobytes() == expected.tobytes()
+
+
+def test_vtu_arrays_decode_bit_for_bit(tmp_path):
+    # special, empty and single-entry arrays through the array encoder alone
+    for values, vtk_type in [(SPECIAL_VALUES, "Float64"), (np.zeros(0), "Float64"),
+                             (np.array([-0.0]), "Float64"), (np.array([5e-324]), "Float64"),
+                             (np.arange(-7, 20), "Int64"), (np.zeros(0, dtype=np.int64), "Int64"),
+                             (np.array([255], dtype=np.uint8), "UInt8")]:
+        element = ET.Element("DataArray", type=vtk_type, format="binary")
+        element.text = inflap.bench._binary(values, VTK_TYPES[vtk_type])
+        assert_same_bits(decode_vtu_array(element), values)
 
     for k, mesh in enumerate(oracle_meshes()):
+        nv, nt = mesh.vertex_count, mesh.triangle_count
         u = interpolate(mesh, lambda x, y: np.sin(3.0 * x) * y - 0.0)
-        fields = {"solution": u, "hess": fe_hessian(u), "zero": -np.zeros(mesh.vertex_count),
-                  "eta": estimate(u, lambda x, y: np.ones(np.shape(x)), tau=1.0)}
-        write_vtu(mesh, fields, tmp_path / f"fast{k}.vtu")
-        with monkeypatch.context() as patch:
-            patch.setattr(inflap.bench, "_ascii", per_scalar_ascii)
-            write_vtu(mesh, fields, tmp_path / f"oracle{k}.vtu")
-        assert (tmp_path / f"fast{k}.vtu").read_bytes() == \
-            (tmp_path / f"oracle{k}.vtu").read_bytes()
+        hess = fe_hessian(u)
+        eta = estimate(u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
+        fields = {"solution": u, "zero": -np.zeros(nv), "special": np.resize(SPECIAL_VALUES, nv),
+                  "hess": hess, "eta": eta,
+                  "special cells": np.resize(SPECIAL_VALUES[::-1], (nt, 3))}
+        expected = {"PointData": {"solution": u.coefficients, "zero": fields["zero"],
+                                  "special": fields["special"]},
+                    "CellData": {"hess": hess.reshape(nt, 4), "eta": eta.eta,
+                                 "special cells": fields["special cells"]}}
+        path = tmp_path / f"mesh{k}.vtu"
+        write_vtu(mesh, fields, path)
+
+        piece = ET.parse(path).getroot().find(".//Piece")
+        points = decode_vtu_array(piece.find("./Points/DataArray"))
+        assert_same_bits(points, np.column_stack([mesh.vertex_coords, np.zeros(nv)]))
+        cells = {a.get("Name"): decode_vtu_array(a) for a in piece.find("./Cells")}
+        assert_same_bits(cells["connectivity"], mesh.triangle_vertices.reshape(-1))
+        assert_same_bits(cells["offsets"], 3 * np.arange(1, nt + 1, dtype=np.int64))
+        assert_same_bits(cells["types"], np.full(nt, 5, dtype=np.uint8))
+        for tag, arrays in expected.items():
+            decoded = {a.get("Name"): decode_vtu_array(a) for a in piece.find(tag)}
+            assert decoded.keys() == arrays.keys()
+            for name, values in arrays.items():
+                assert_same_bits(decoded[name], values)
+
+
+def test_vtu_field_names_are_escaped(tmp_path):
+    mesh = build_initial_mesh(1)
+    names = ['a"b', "u<0", "x&y", "<&'>"]
+    path = tmp_path / "names.vtu"
+    write_vtu(mesh, {name: np.arange(mesh.vertex_count, dtype=float) for name in names}, path)
+    arrays = ET.parse(path).getroot().find(".//PointData")
+    assert [a.get("Name") for a in arrays] == names
 
 
 def test_vtu_rejects_odd_field_length(tmp_path):
@@ -259,6 +296,14 @@ def test_vtu_rejects_odd_field_length(tmp_path):
         write_vtu(mesh, {"bad": np.zeros(17)}, tmp_path / "bad.vtu")
     with pytest.raises(InvalidArgumentError):
         write_vtu(mesh, {"bad": np.zeros((mesh.vertex_count, 2))}, tmp_path / "bad.vtu")
+    # a P1 function or indicator field of another mesh
+    other = interpolate(build_initial_mesh(2), lambda x, y: x + y)
+    with pytest.raises(InvalidArgumentError):
+        write_vtu(mesh, {"u": other}, tmp_path / "bad.vtu")
+    with pytest.raises(InvalidArgumentError):
+        write_vtu(mesh, {"eta": estimate(other, lambda x, y: np.ones(np.shape(x)), tau=1.0)},
+                  tmp_path / "bad.vtu")
+    assert not (tmp_path / "bad.vtu").exists()
 
 
 # ------------------------------------------------------------------------- CLI
@@ -409,8 +454,10 @@ def test_cli_solve_produces_outputs(tmp_path):
                  "--tau", "1000", "--out", str(out)])
     assert code == 0
     assert (out / "classical_eoc.csv").exists()
-    assert (out / "classical_level0.vtu").exists()
-    assert (out / "classical_level1.vtu").exists()
+    for level in (0, 1):
+        piece = ET.parse(out / f"classical_level{level}.vtu").getroot().find(".//Piece")
+        solution = decode_vtu_array(piece.find("./PointData/DataArray"))
+        assert len(solution) == int(piece.get("NumberOfPoints"))
 
 
 def test_cli_adapt_produces_outputs(tmp_path):
@@ -425,7 +472,7 @@ def test_cli_adapt_produces_outputs(tmp_path):
     # the final VTU indicator comes from the same pair as the history
     piece = ET.parse(out / "aronsson_adapt_final.vtu").getroot().find(".//Piece")
     cell_arrays = {a.get("Name"): a for a in piece.find("./CellData")}
-    eta = np.fromstring(cell_arrays["indicator"].text.replace("\n", " "), sep=" ")
+    eta = decode_vtu_array(cell_arrays["indicator"])
     assert np.sqrt((eta ** 2).sum()) == pytest.approx(final_estimate, rel=1e-13)
 
 

@@ -157,6 +157,9 @@ def test_assemble_step_is_bit_identical_to_row_major_assembly(name):
         for u in kernel_functions(mesh):
             matrix, rhs = assemble_step(disc, u)
             data, oracle_rhs = bincount_assemble_step(disc, u)
+            # the matrix holds the operator's int32 pattern, not cast copies
+            assert np.shares_memory(matrix.indices, disc.operator.indices)
+            assert np.shares_memory(matrix.indptr, disc.operator.indptr)
             assert np.array_equal(matrix.data, data)
             assert np.array_equal(rhs, oracle_rhs)
             assert np.array_equal(_tensors(u, problem.tau),

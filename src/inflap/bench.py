@@ -229,21 +229,18 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
     and arrays whose first axis has one entry per triangle become cell
     data with one component per remaining entry, so an (nt, 2, 2)
     recovered Hessian writes as four-component cell data.  A P1 function
-    on another mesh, an indicator field of another length or an array
-    matching neither count raises ``InvalidArgumentError``.
+    or indicator field of another mesh, or an array matching neither
+    count, raises ``InvalidArgumentError``.
     """
     point_data: list[tuple[str, np.ndarray, int]] = []
     cell_data: list[tuple[str, np.ndarray, int]] = []
     nv, nt = mesh.vertex_count, mesh.triangle_count
     for name, value in dict(fields or {}).items():
+        if isinstance(value, (FEFunction, IndicatorField)) and value.mesh is not mesh:
+            raise InvalidArgumentError(f"field {name!r} lives on another mesh")
         if isinstance(value, FEFunction):
-            if value.mesh is not mesh:
-                raise InvalidArgumentError(f"field {name!r} lives on another mesh")
             point_data.append((name, value.coefficients, 1))
         elif isinstance(value, IndicatorField):
-            if len(value.eta) != nt:
-                raise InvalidArgumentError(
-                    f"field {name!r} has {len(value.eta)} indicators for {nt} triangles")
             cell_data.append((name, value.eta, 1))
         else:
             array = np.asarray(value, dtype=float)

@@ -49,11 +49,13 @@ from .solver import diffusion_components
 class IndicatorField:
     """Per-entity residual indicators and their aggregates.
 
-    ``eta`` holds the per-element marking indicators, ``interior`` the
-    weighted element residuals h_K ||R||_K, ``jumps`` the weighted edge
-    residuals h_e^(1/2) ||J||_e ordered like ``mesh.interior_edge_ids``.
+    ``mesh`` is the mesh the indicators belong to, ``eta`` holds the
+    per-element marking indicators, ``interior`` the weighted element
+    residuals h_K ||R||_K, ``jumps`` the weighted edge residuals
+    h_e^(1/2) ||J||_e ordered like ``mesh.interior_edge_ids``.
     """
 
+    mesh: Triangulation
     eta: np.ndarray
     interior: np.ndarray
     jumps: np.ndarray
@@ -117,7 +119,8 @@ def estimate(u: FEFunction, f, tau: float) -> IndicatorField:
     eta_sq = np.bincount(np.concatenate([np.arange(mesh.triangle_count), sides]),
                          weights=np.concatenate([interior ** 2, np.tile(0.5 * jumps ** 2, 2)]))
 
-    return IndicatorField(eta=np.sqrt(eta_sq),
+    return IndicatorField(mesh=mesh,
+                          eta=np.sqrt(eta_sq),
                           interior=interior,
                           jumps=jumps,
                           global_estimate=float(interior.sum() + jumps.sum()),

@@ -11,28 +11,15 @@ where gbar_e is the average of the gradients on the one or two elements
 meeting e, n_{K,e} is the unit normal pointing out of K, and (x) is the
 outer product.
 
-Both evaluations of this formula share one per-edge kernel.  Component
-(r, c) of an edge's term is ``(|e| * gbar_r) * n_c`` with n the edge's
-stored normal, which points out of its first neighbor; a boundary edge
-averages its owner's gradient with itself, which is exact.  Each element
-then sums the terms of its three edges as ``(t1 + t2) + t3``, negating
-those of which it is the second neighbor, and divides by |K|.  The
-summation order is a contract: bulk marking has exact ties, so a
-last-bit change gives another adaptive mesh sequence.  The order is the
-one of the ``bincount`` assembly the tests keep as oracle (first-neighbor
-edges, then second-neighbor edges, then boundary edges, each by ascending
-edge id), and the mesh stores each element's edges in that order
-(``Triangulation.signed_element_edges``), so no step rebuilds it.
-
-``fe_hessian`` applies the kernel to all four components and returns the
-(nt, 2, 2) tensor; ``hessian_trace`` applies it to the diagonal only and
-is what each linearised step puts into its right-hand side.
-``hessian_operator`` builds the same map once per mesh as one dense 4x6
-block per element over the element's stencil (its own vertices and the
-vertex across each interior edge), which is what the solver substitutes
-into its linear systems.  The operator also carries the pattern of the
-step matrix those blocks fill and each block entry's position in it
-(whose column is the stencil vertex), so a step only computes new values.
+``hessian_operator`` builds this map once per mesh as one dense 4x6 block
+per element over the element's stencil (its own vertices and the vertex
+across each interior edge).  ``hessian_components`` contracts the blocks
+with the vertex values at the stencil; it is the only evaluation of the
+formula, both for ``fe_hessian``, which returns the (nt, 2, 2) tensor, and
+for the trace each linearised step puts into its right-hand side.  The
+operator also carries the pattern of the step matrix its blocks fill and
+each block entry's position in it (whose column is the stencil vertex),
+so a step only computes new values.
 """
 
 from __future__ import annotations
@@ -40,87 +27,63 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import FEFunction, gradients
+from .fespace import FEFunction
 from .mesh import Triangulation
-
-
-def _weighted_means(mesh: Triangulation, grad: np.ndarray) -> np.ndarray:
-    """|e| * gbar_r on every edge, shape (2, ne), from a (2, nt) gradient."""
-    sources = mesh.edge_sources
-    means = np.take(grad, sources[0], axis=1)
-    means += np.take(grad, sources[1], axis=1)
-    means *= 0.5
-    means *= mesh.edge_lengths
-    return means
-
-
-def _element_sums(mesh: Triangulation, terms: np.ndarray) -> np.ndarray:
-    """Per-edge terms (k, ne) summed over each element's edges, over |K|; (k, nt)."""
-    signed = np.concatenate([terms, -terms], axis=1)
-    t = np.take(signed, mesh.signed_element_edges, axis=1)         # (k, 3, nt)
-    sums = t[:, 0] + t[:, 1]
-    sums += t[:, 2]
-    sums /= mesh.areas
-    return sums
-
-
-def hessian_trace(mesh: Triangulation, grad: np.ndarray) -> np.ndarray:
-    """Trace of the recovered Hessian per element, shape (nt,).
-
-    ``grad`` is the (2, nt) component-major gradient of a P1 function on
-    ``mesh`` (``gradients(u).T``).  Bit for bit the trace of ``fe_hessian``.
-    """
-    terms = _weighted_means(mesh, grad)
-    terms *= mesh.edge_normals.T
-    diagonal = _element_sums(mesh, terms)
-    return diagonal[0] + diagonal[1]
-
-
-def fe_hessian(v: FEFunction) -> np.ndarray:
-    """Elementwise 2x2 Hessian recovered from edge jumps of the gradient.
-
-    Returns an (nt, 2, 2) array, row-major within each element.  The result
-    vanishes identically for globally affine inputs because the
-    length-weighted outward normals of each element sum to zero.
-    """
-    mesh = v.mesh
-    means = _weighted_means(mesh, gradients(v).T)
-    terms = means[:, None] * mesh.edge_normals.T                  # (r, c, ne)
-    return _element_sums(mesh, terms.reshape(4, -1)).T.reshape(-1, 2, 2)
 
 
 class HessianOperator:
     """The recovered-Hessian map of one mesh, element by element.
 
-    ``blocks[2*r + c, K, s]`` is the weight of stencil vertex s of element
-    K in component (r, c) of the recovered Hessian on K.  Stencil slots 0-2
-    are the vertices of K, slot 3 + m the vertex across the edge opposite
-    vertex m; on a boundary edge that slot repeats vertex m with zero
-    weights.
+    ``blocks[2*r + c, K, s]`` is the weight of stencil vertex
+    ``stencil[K, s]`` in component (r, c) of the recovered Hessian on K.
+    Stencil slots 0-2 are the vertices of K, slot 3 + m the vertex across
+    the edge opposite vertex m; on a boundary edge that slot repeats vertex
+    m with zero weights.
 
     ``indptr``/``indices`` are the int32 CSR pattern (sorted, no
     duplicates) of the vertex-by-vertex step matrix, whose row i gathers
     every element with vertex i; int32 is scipy's own index type for these
     sizes, so a ``csr_matrix`` built on them shares them instead of
     casting copies.  ``slots[K, a, s]`` is the position in that pattern of
-    the entry (vertex a of K, stencil vertex s of K), so the stencil is
-    ``indices[slots[:, 0, :]]``.
+    the entry (vertex a of K, stencil vertex s of K), so ``stencil`` (int32,
+    (nt, 6)) is ``indices[slots[:, 0, :]]``.
     """
 
-    def __init__(self, blocks: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-                 slots: np.ndarray):
+    def __init__(self, blocks: np.ndarray, stencil: np.ndarray, indptr: np.ndarray,
+                 indices: np.ndarray, slots: np.ndarray):
         self.blocks = blocks
+        self.stencil = stencil
         self.indptr = indptr
         self.indices = indices
         self.slots = slots
-        for arr in (blocks, indptr, indices, slots):
+        for arr in (blocks, stencil, indptr, indices, slots):
             arr.setflags(write=False)
+
+
+def hessian_components(operator: HessianOperator, coefficients: np.ndarray) -> np.ndarray:
+    """Recovered Hessian of the P1 function with vertex values ``coefficients``.
+
+    Returns the (4, nt) components, row-major within each element: the
+    blocks of ``operator`` contracted with the values at its stencil.
+    """
+    return np.einsum("qts,ts->qt", operator.blocks, np.take(coefficients, operator.stencil))
+
+
+def fe_hessian(v: FEFunction) -> np.ndarray:
+    """Elementwise 2x2 Hessian recovered from edge jumps of the gradient.
+
+    Returns an (nt, 2, 2) array, row-major within each element, from the
+    operator of ``v.mesh``.  In exact arithmetic the result vanishes for
+    globally affine inputs because the length-weighted outward normals of
+    each element sum to zero.
+    """
+    return hessian_components(hessian_operator(v.mesh), v.coefficients).T.reshape(-1, 2, 2)
 
 
 def hessian_operator(mesh: Triangulation) -> HessianOperator:
     """Build the per-element Hessian blocks and the step-matrix pattern.
 
-    Each edge term of ``fe_hessian`` is split by the element whose
+    Each edge term of the recovered Hessian is split by the element whose
     gradient it carries: an interior edge passes half of each neighbor's
     gradient to both neighbors, a boundary edge all of its owner's
     gradient to the owner.  Every term is (weight * |e| / |K| * grad[r]) *
@@ -137,7 +100,8 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     sort, ordered within each row by ``sort_indices``, and numbered by a
     running count of the distinct columns, which gives their ``slots``;
     the other 6 nt slots are gathered from the own-vertex slots they
-    repeat.  ``indptr``, ``indices`` and ``slots`` are returned as int32.
+    repeat.  ``stencil``, ``indptr``, ``indices`` and ``slots`` are
+    returned as int32.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
@@ -188,7 +152,7 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
         term(m, across, their_gradient(m, 0), blocks[3 + m])
     blocks = np.ascontiguousarray(blocks.reshape(6, 4, nt).transpose(1, 2, 0))  # (q, nt, s)
     stencil = np.concatenate([tris, np.where(interior, np.take(tris, 3 * neighbor + far),
-                                             tris.T).T], axis=1)
+                                             tris.T).T], axis=1).astype(np.int32)
 
     # step-matrix pattern: vertex i reaches the stencil of every element at
     # i.  Only 4 of the 6 queries (vertex a of K, stencil[K, s]) per corner
@@ -226,4 +190,4 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
             row = np.where(interior[m], (far[m] - step) % 3, (m + step) % 3)
             slots[:, (m + step) % 3, 3 + m] = np.take(slots, 18 * neighbor[m] + 6 * row + far[m])
     indptr = (distinct[queries.indptr] - 1).astype(np.int32)
-    return HessianOperator(blocks, indptr, columns[new[:-1]].astype(np.int32), slots)
+    return HessianOperator(blocks, stencil, indptr, columns[new[:-1]].astype(np.int32), slots)

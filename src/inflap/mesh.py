@@ -79,14 +79,6 @@ class Triangulation:
     edge_lengths : (ne,) float array
     triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
     interior_edge_ids, boundary_edge_ids : index arrays into the edge table
-    edge_sources : (2, ne) int32 array, the elements whose gradients an edge averages:
-        its two neighbors, or its owner twice on the boundary
-    signed_element_edges : (3, nt) int32 array, each element's edges in the order
-        the recovered Hessian sums them (see ``inflap.hessian``): the edges of which
-        it is the first neighbor, then those of which it is the second, then its
-        boundary edges, each group by ascending edge id; an edge of which the
-        element is the second neighbor (whose normal points into it) is stored
-        as ``ne + edge id``, an index of the negated copy in ``[terms, -terms]``
     new_vertex_parents : (k, 2) int array of endpoint ids (in the parent mesh) of the
         bisected edges that created the k newest vertices, or None for a root mesh
     """
@@ -141,8 +133,7 @@ class Triangulation:
                     self.areas, self.diameters, self.centroids, self.basis_components,
                     self.basis_gradients, self.edge_vertices, self.edge_triangles,
                     self.edge_local, self.edge_normals, self.edge_lengths,
-                    self.triangle_edges, self.interior_edge_ids, self.boundary_edge_ids,
-                    self.edge_sources, self.signed_element_edges):
+                    self.triangle_edges, self.interior_edge_ids, self.boundary_edge_ids):
             arr.setflags(write=False)
         if self.new_vertex_parents is not None:
             self.new_vertex_parents.setflags(write=False)
@@ -195,20 +186,6 @@ class Triangulation:
         outward = (0.5 * (cx[a] + cx[b]) - ox) * nx + (0.5 * (cy[a] + cy[b]) - oy) * ny
         flip = np.where(outward < 0.0, -1.0, 1.0)
         self.edge_normals = np.column_stack([nx * flip, ny * flip])
-
-        # the edge map of the recovered Hessian: each element's keys
-        # group * ne + edge id (group 0 first neighbor, 1 second, 2 boundary)
-        # sort in the order it sums its edge terms, and modulo 2 ne they are
-        # the signed edge ids
-        self.edge_sources = np.stack(
-            [owner, np.where(has_two, self.edge_triangles[:, 1], owner)]).astype(np.int32)
-        group = np.full(3 * nt, 2, dtype=np.int64)
-        group[corners[has_two]] = (0, 1)
-        k0, k1, k2 = (self.triangle_edges + ne * group.reshape(nt, 3)).T
-        low, high = np.minimum(k0, k1), np.maximum(k0, k1)
-        middle, high = np.minimum(high, k2), np.maximum(high, k2)
-        low, middle = np.minimum(low, middle), np.maximum(low, middle)
-        self.signed_element_edges = (np.stack([low, middle, high]) % (2 * ne)).astype(np.int32)
 
     # ------------------------------------------------------------------ sizes
 

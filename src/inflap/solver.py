@@ -12,18 +12,19 @@ constants), so the linear system is of vertex size and generally
 nonsymmetric.
 
 Everything that depends only on the mesh is built once per mesh.  The
-``Triangulation`` holds the component-major hat-function gradients and the
-edge map of the recovered Hessian.  One ``Discretisation`` per
-``fixed_point_solve`` call holds the Hessian operator (per-element Hessian
-blocks plus the sparse pattern of the step matrix), the load vector, the
+``Triangulation`` holds the component-major hat-function gradients.  One
+``Discretisation`` per ``fixed_point_solve`` call holds the Hessian
+operator (per-element Hessian blocks over each element's stencil plus the
+sparse pattern of the step matrix), the load vector, the
 Dirichlet values with the pattern positions the Dirichlet lift keeps, and
 the LU factor of the last factored step matrix, a minimum-degree LU after a
 reverse Cuthill-McKee pre-ordering.  Its ``step`` maps an iterate to
 the next, computing only values: the iterate's gradient once, component by
-component; from it the diffusion tensor's entries, which contract each
-element's block, and the trace of the recovered Hessian for the
-right-hand side; the sums into the fixed pattern; the boundary lift by
-gathering the kept entries; and the solve.
+component, and from it the diffusion tensor's entries, which contract each
+element's block; the recovered Hessian of the iterate, the same blocks
+contracted with its vertex values, whose trace enters the right-hand side;
+the sums into the fixed pattern; the boundary lift by gathering the kept
+entries; and the solve.
 
 Every linear system is solved by one loop of iterative refinement (Moler
 1967) with one matrix-vector product per LU solve and one accept target,
@@ -58,7 +59,7 @@ from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
                      is_positive_integer)
 from .fespace import (FEFunction, evaluate_field, gradients, l2_norm, physical_points,
                       triangle_rule)
-from .hessian import hessian_operator, hessian_trace
+from .hessian import hessian_components, hessian_operator
 from .mesh import Triangulation
 
 logger = logging.getLogger(__name__)
@@ -293,14 +294,15 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction):
     to zero stays stored).  The matrix shares the operator's read-only
     index arrays.  The right-hand side is the load vector plus the
     elementwise constant trace(H[u_prev]) / tau tested with the hat
-    functions, with H[u_prev] the recovered Hessian of ``fe_hessian``.
+    functions, with H[u_prev] the operator's blocks contracted with the
+    values of ``u_prev`` (``hessian_components``).
 
-    What depends only on the mesh is built once: the blocks, pattern and
-    slots of ``disc.operator``, the load vector, and the mesh's edge map of
-    the recovered Hessian.  Per step, only values are computed: the
-    gradient of ``u_prev`` once, component by component, the diffusion
-    tensor's entries and the trace of the recovered Hessian from it, and
-    the two ``bincount`` sums into the fixed pattern and the vertices.
+    What depends only on the mesh is built once: the blocks, stencil,
+    pattern and slots of ``disc.operator`` and the load vector.  Per step,
+    only values are computed: the gradient of ``u_prev`` once, component by
+    component, and the diffusion tensor's entries from it, the recovered
+    Hessian of ``u_prev``, and the two ``bincount`` sums into the fixed
+    pattern and the vertices.
     """
     mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
     if u_prev.mesh is not mesh:
@@ -323,7 +325,8 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction):
                            shape=(mesh.vertex_count, mesh.vertex_count))
 
     # the load first, then each element's relaxation term on its vertices
-    relax = mesh.areas * hessian_trace(mesh, grad) / (3.0 * tau)
+    hessian = hessian_components(operator, u_prev.coefficients)
+    relax = mesh.areas * (hessian[0] + hessian[3]) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
                                       mesh.triangle_vertices.reshape(-1)]),
                       weights=np.concatenate([disc.load, np.repeat(relax, 3)]))

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangle_rule,
                             values_at)
-from inflap.hessian import HessianOperator
+from inflap.hessian import HessianOperator, fe_hessian
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
 from inflap.solver import GRADIENT_FLOOR, REFINE_MIN_RATE
@@ -590,9 +590,9 @@ def row_major_mesh_arrays(mesh):
 
     Geometry is reduced along the corner and coordinate axes, the edge
     table comes from row-sorted endpoint pairs, ``np.unique``, a second
-    stable argsort and ``searchsorted``, each edge's local slots from a
-    compare-and-argmax over its triangles' edges, and the Hessian edge map
-    from a row sort.  Returns a dict of attribute name -> array.
+    stable argsort and ``searchsorted``, and each edge's local slots from a
+    compare-and-argmax over its triangles' edges.  Returns a dict of
+    attribute name -> array.
     """
     coords, tris = mesh.vertex_coords, mesh.triangle_vertices
     nv, nt = len(coords), len(tris)
@@ -626,10 +626,6 @@ def row_major_mesh_arrays(mesh):
     edge_normals = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / edge_lengths[:, None]
     outward = ((0.5 * (a + b) - centroids[edge_triangles[:, 0]]) * edge_normals).sum(axis=1)
     edge_normals[outward < 0.0] *= -1.0
-
-    owner = edge_triangles[:, 0]
-    second = edge_triangles[triangle_edges, 1] == np.arange(nt)[:, None]
-    keys = np.sort(triangle_edges + ne * np.where(has_two[triangle_edges], second, 2), axis=1)
     return {
         "vertex_coords": coords, "triangle_vertices": tris,
         "vertex_on_boundary": np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL,
@@ -641,9 +637,6 @@ def row_major_mesh_arrays(mesh):
         "edge_lengths": edge_lengths, "triangle_edges": triangle_edges,
         "interior_edge_ids": np.flatnonzero(has_two),
         "boundary_edge_ids": np.flatnonzero(counts == 1),
-        "edge_sources": np.stack([owner, np.where(has_two, edge_triangles[:, 1],
-                                                  owner)]).astype(np.int32),
-        "signed_element_edges": np.ascontiguousarray((keys % (2 * ne)).T, dtype=np.int32),
     }
 
 
@@ -689,6 +682,7 @@ def argmax_product_hessian_operator(mesh):
         blocks[3 + m] = term(m, across, their_gradient(m, 0))
     blocks = np.ascontiguousarray(blocks.reshape(6, 4, nt).transpose(1, 2, 0))
     stencil = np.concatenate([tris, np.where(interior, tris[neighbor, far], tris.T).T], axis=1)
+    stencil = stencil.astype(np.int32)
 
     incidence = sp.csr_array((np.ones(3 * nt), tris.reshape(-1), 3 * np.arange(nt + 1)),
                              shape=(nt, nv))
@@ -699,7 +693,7 @@ def argmax_product_hessian_operator(mesh):
                              pattern.indptr), shape=pattern.shape)
     slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
                      np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(blocks, pattern.indptr.astype(np.int32),
+    return HessianOperator(blocks, stencil, pattern.indptr.astype(np.int32),
                            pattern.indices.astype(np.int32),
                            slots.astype(np.int32).reshape(nt, 3, 6))
 
@@ -807,7 +801,11 @@ def bincount_fe_hessian(v):
 
 
 def bincount_assemble_step(disc, u_prev):
-    """Step-matrix data and right-hand side from (nt, 2, 2) tensors and Hessians."""
+    """Step-matrix data and right-hand side from (nt, 2, 2) tensors and Hessians.
+
+    The relaxation term reads the trace of ``fe_hessian``, so the matrix
+    data and the vertex scatter are checked bit for bit.
+    """
     mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
     tensors = outer_diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
     blocks = operator.blocks
@@ -816,7 +814,7 @@ def bincount_assemble_step(disc, u_prev):
     weights *= (mesh.areas / 3.0)[:, None]
     data = np.bincount(operator.slots.reshape(-1), minlength=len(operator.indices),
                        weights=np.broadcast_to(weights[:, None], operator.slots.shape).reshape(-1))
-    hessian = bincount_fe_hessian(u_prev)
+    hessian = fe_hessian(u_prev)
     relax = mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
                                       mesh.triangle_vertices.reshape(-1)]),

@@ -15,8 +15,9 @@ ARONSSON = registry()["aronsson"].data
 
 
 def indicator_stub(eta):
+    # marking reads the indicators alone, so the stub has no mesh
     eta = np.asarray(eta, dtype=float)
-    return IndicatorField(eta=eta, interior=eta.copy(), jumps=np.zeros(0),
+    return IndicatorField(mesh=None, eta=eta, interior=eta.copy(), jumps=np.zeros(0),
                           global_estimate=float(eta.sum()),
                           eta_total=float(np.sqrt((eta ** 2).sum())))
 
@@ -128,7 +129,8 @@ def test_adaptive_trajectory_is_pinned():
     # operator and sparse-product assembly of conftest.py, which the block
     # assembly reproduces bit for bit, and the final L2 error with the
     # float32 reverse Cuthill-McKee + minimum-degree LU of solve_linear,
-    # refined in float64
+    # refined in float64, and the relaxation trace contracted from the
+    # Hessian operator
     config = AdaptiveConfig(estimator_tol=0.1, theta=0.5, tau=0.1, max_cycles=80,
                             solver=SolverConfig(increment_tol_factor=10.0))
     report, mesh, history = adaptive_solve(ARONSSON, build_initial_mesh(4), config)
@@ -136,7 +138,7 @@ def test_adaptive_trajectory_is_pinned():
         41, 47, 50, 55, 69, 81, 95, 103, 112, 118, 143, 167, 198, 231, 239, 278,
         328, 369, 464, 513, 618, 725, 855, 985, 1104, 1273, 1456, 1753, 2022,
         2373, 2725, 3081, 3609]
-    assert history.records[-1].l2_error == 0.020875503733811713
+    assert history.records[-1].l2_error == 0.02087550373379527
 
 
 def test_adaptive_estimator_monotone_from_resolved_base():

@@ -11,8 +11,8 @@ import pytest
 from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, DivergenceError,
                     EOCTable, InvalidArgumentError, SolverConfig, SolverFailure,
                     adaptive_solve, build_initial_mesh, convergence_study,
-                    estimate, fe_hessian, interpolate, registry, write_csv,
-                    write_vtu)
+                    estimate, fe_hessian, interpolate, refine, registry,
+                    write_csv, write_vtu)
 from inflap.cli import main
 import inflap.adapt
 import inflap.bench
@@ -300,9 +300,15 @@ def test_vtu_rejects_odd_field_length(tmp_path):
     other = interpolate(build_initial_mesh(2), lambda x, y: x + y)
     with pytest.raises(InvalidArgumentError):
         write_vtu(mesh, {"u": other}, tmp_path / "bad.vtu")
+    ones = lambda x, y: np.ones(np.shape(x))
     with pytest.raises(InvalidArgumentError):
-        write_vtu(mesh, {"eta": estimate(other, lambda x, y: np.ones(np.shape(x)), tau=1.0)},
-                  tmp_path / "bad.vtu")
+        write_vtu(mesh, {"eta": estimate(other, ones, tau=1.0)}, tmp_path / "bad.vtu")
+    # indicators of another mesh with the same triangle count (17 each)
+    left, right = refine(build_initial_mesh(2), {3}), refine(build_initial_mesh(2), {0})
+    assert left.triangle_count == right.triangle_count
+    foreign = estimate(interpolate(left, lambda x, y: x + y), ones, tau=1.0)
+    with pytest.raises(InvalidArgumentError, match="another mesh"):
+        write_vtu(right, {"eta": foreign}, tmp_path / "bad.vtu")
     assert not (tmp_path / "bad.vtu").exists()
 
 

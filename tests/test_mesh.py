@@ -5,9 +5,8 @@ from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
                     conformity_errors, refine, uniform_refine)
 from inflap.mesh import _bisect
 from conftest import (any_edge_closure, assert_bit_identical, bit_oracle_meshes,
-                      brute_conformity_errors, edge_dictionary, five_case_bisect,
-                      min_angle_degrees, perturbed_mesh, quarter_loop_initial_mesh,
-                      row_major_mesh_arrays)
+                      brute_conformity_errors, five_case_bisect, min_angle_degrees,
+                      quarter_loop_initial_mesh, row_major_mesh_arrays)
 
 
 def assert_same_mesh(ours, reference):
@@ -340,41 +339,3 @@ def test_constructor_raises_the_first_conformity_problem(coords, tris):
     with pytest.raises(InvalidArgumentError) as info:
         Triangulation(coords, tris)
     assert str(info.value) == problems[0]
-
-
-@pytest.mark.parametrize("mesh", [build_initial_mesh(1), refine(build_initial_mesh(3), {2, 7, 20}),
-                                  perturbed_mesh()], ids=["coarse", "local", "perturbed"])
-def test_hessian_edge_map_follows_the_summation_order(mesh):
-    # per element: edges where it is the first neighbor, then the second
-    # (stored as ne + id), then boundary edges, each by ascending edge id;
-    # sources are the two neighbors, or the owner twice
-    ids = {(int(a), int(b)): e for e, (a, b) in enumerate(mesh.edge_vertices)}
-    groups = {k: ([], [], []) for k in range(mesh.triangle_count)}
-    sources = np.empty((2, mesh.edge_count), dtype=int)
-    for pair, adjacent in sorted(edge_dictionary(mesh).items(), key=lambda item: ids[item[0]]):
-        e = ids[pair]
-        sources[:, e] = adjacent if len(adjacent) == 2 else adjacent * 2
-        if len(adjacent) == 2:
-            groups[adjacent[0]][0].append(e)
-            groups[adjacent[1]][1].append(mesh.edge_count + e)
-        else:
-            groups[adjacent[0]][2].append(e)
-    expected = np.array([first + second + boundary
-                         for first, second, boundary in groups.values()]).T
-    assert np.array_equal(mesh.signed_element_edges, expected)
-    assert np.array_equal(mesh.edge_sources, sources)
-
-
-def test_hessian_edge_map_is_read_only_int32_and_built_once():
-    mesh = refine(uniform_refine(build_initial_mesh(2)), {0, 9})
-    for name in ("signed_element_edges", "edge_sources"):
-        first = getattr(mesh, name)
-        assert getattr(mesh, name) is first
-        assert first.dtype == np.int32 and first.flags.c_contiguous
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 0
-    assert mesh.signed_element_edges.shape == (3, mesh.triangle_count)
-    assert mesh.edge_sources.shape == (2, mesh.edge_count)
-    assert not mesh.basis_components.flags.writeable
-    assert not mesh.basis_gradients.flags.writeable

@@ -582,15 +582,16 @@ def test_growing_increments_raise_divergence_error(monkeypatch):
                                     SolverConfig(increment_tol_factor=1e-12, max_iterations=3)],
                          ids=["converged", "iteration-limit"])
 def test_fixed_point_solve_evaluates_one_hessian_per_iteration(monkeypatch, config):
-    # each step needs the Hessian trace of its previous iterate and nothing more
+    # each step needs the recovered Hessian of its previous iterate and
+    # nothing more
     calls = []
-    real_hessian_trace = inflap.solver.hessian_trace
+    real_hessian_components = inflap.solver.hessian_components
 
-    def counting(mesh, grad):
-        calls.append(grad)
-        return real_hessian_trace(mesh, grad)
+    def counting(operator, coefficients):
+        calls.append(coefficients)
+        return real_hessian_components(operator, coefficients)
 
-    monkeypatch.setattr(inflap.solver, "hessian_trace", counting)
+    monkeypatch.setattr(inflap.solver, "hessian_components", counting)
     report = fixed_point_solve(uniform_refine(build_initial_mesh(2)), ARONSSON, config)
     assert report.iterations > 1
     assert len(calls) == report.iterations

@@ -123,7 +123,7 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         if not report.converged:
             logger.warning("cycle %d: fixed-point solve did not converge in %d iterations",
                            cycle, report.iterations)
-        indicators = estimate(report.solution, problem.f, problem.tau)
+        indicators = estimate(report.solution, problem.f)
         record = CycleRecord(
             cycle=cycle, dofs=mesh.vertex_count, triangles=mesh.triangle_count,
             estimator=indicators.eta_total, estimator_l1=indicators.global_estimate,

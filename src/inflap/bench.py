@@ -134,7 +134,7 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
         except SolverFailure as failure:
             failure.partial_table = table
             raise
-        indicators = estimate(report.solution, data.f, data.tau)
+        indicators = estimate(report.solution, data.f)
         if not report.converged:
             logger.warning("level %d: fixed-point solve did not converge in %d iterations",
                            level, report.iterations)

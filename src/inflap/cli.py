@@ -37,8 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--problem", required=True, choices=sorted(registry()))
     shared.add_argument("--tau", type=float, default=None,
-                        help="relaxation parameter (defaults to the problem's, "
-                             "for adapt its adaptive value)")
+                        help="relaxation parameter of the plain fixed-point step "
+                             "(defaults to the problem's, for adapt its adaptive "
+                             "value); the estimator does not read it")
     shared.add_argument("--tol-factor", type=float,
                         default=SolverConfig.increment_tol_factor,
                         help="stop the linearisation at tol-factor * h^2")
@@ -135,7 +136,7 @@ def _run_adapt(args) -> int:
         return 1
 
     write_csv(history, csv_path)
-    indicators = estimate(report.solution, problem.data.f, tau)
+    indicators = estimate(report.solution, problem.data.f)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
     write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
               vtu_path)

@@ -1,26 +1,23 @@
 """Residual a posteriori indicators at the discrete solution.
 
-The linearised step maps an iterate u_prev to u_next; its residual is
-measured at the self-consistent pair u_prev = u_next = u, where u is the
-solution a fixed-point solve returns.  The indicator then measures the
-residual of that solution, not the (tolerance-sized) last linearisation
-step.  The element residual
+The indicators measure the residual of the solution u a fixed-point
+solve returns, evaluated at the self-consistent pair u_prev = u_next = u,
+not the (tolerance-sized) last linearisation step.  There the two
+relaxation terms of the step cancel, and with P[u] = (p (x) p) / |p|^2,
+p = grad u, the element residual
 
-    R = f + laplace(u) / tau - A[u] : D^2 u
+    R = f - P[u] : D^2 u
 
 uses broken (elementwise) second derivatives, which vanish identically
 for piecewise-affine functions, so R reduces to f.  The information sits
 in the interior-edge residual
 
-    J = jump(grad u . n) / tau - avg(A[u]) : tensor_jump(grad u)
+    J = -avg(P[u]) : tensor_jump(grad u)
 
 where the tensor jump of a vector field xi is xi+ (x) n+ + xi- (x) n-.
 Both residuals are elementwise respectively edgewise constant here, so
-their L2 norms are exact.  With A = (p (x) p) / |p|^2 + I / tau, the two
-1/tau terms of J cancel in exact arithmetic.  Both are still computed:
-the tau-free formula rounds differently, and bulk marking has exact ties,
-so it would change the adaptive mesh sequence.  It waits for a change
-that moves the solver's numbers anyway.
+their L2 norms are exact.  P is the tensor of the solver's tau-free step
+matrix, so the estimator does not depend on the relaxation parameter.
 
 Two aggregates are reported: ``global_estimate`` is the plain sum
 sum_K h_K ||R||_K + sum_e h_e^(1/2) ||J||_e with constant one, and
@@ -75,15 +72,15 @@ def interior_residual_norms(mesh: Triangulation, f) -> np.ndarray:
     return np.sqrt(mesh.areas * ((vals ** 2) @ rule.weights))
 
 
-def jump_residuals(u: FEFunction, tau: float) -> np.ndarray:
+def jump_residuals(u: FEFunction) -> np.ndarray:
     """Edgewise constant jump residual on every interior edge of ``u.mesh``.
 
-    Ordered like ``mesh.interior_edge_ids``.  The diffusion tensor is
-    elementwise constant and therefore double valued on edges; its edge
-    value is the arithmetic average of the two neighbors.  The contraction
-    avg(A) : tensor_jump sums its four products as (00 + 10) + (01 + 11),
-    the order of the einsum the tests keep as reference; bulk marking has
-    exact ties, so another order would change the adaptive mesh sequence.
+    Ordered like ``mesh.interior_edge_ids``.  P is elementwise constant
+    and therefore double valued on edges; its edge value is the arithmetic
+    average of the two neighbors.  The contraction avg(P) : tensor_jump
+    sums its four products as (00 + 10) + (01 + 11), the order of the
+    einsum the tests keep as reference; bulk marking has exact ties, so
+    another order could change the adaptive mesh sequence.
     """
     mesh = u.mesh
     interior = mesh.interior_edge_ids
@@ -92,21 +89,21 @@ def jump_residuals(u: FEFunction, tau: float) -> np.ndarray:
     n0, n1 = mesh.edge_normals[interior].T
 
     grad = gradients(u).T
-    t00, t01, t11 = diffusion_components(grad, tau)
+    p00, p01, p11 = diffusion_components(grad)
 
     d0 = grad[0, plus] - grad[0, minus]
     d1 = grad[1, plus] - grad[1, minus]
     j00, j01, j10, j11 = d0 * n0, d0 * n1, d1 * n0, d1 * n1
-    a00 = 0.5 * (t00[plus] + t00[minus])
-    a01 = 0.5 * (t01[plus] + t01[minus])
-    a11 = 0.5 * (t11[plus] + t11[minus])
-    return (j00 + j11) / tau - ((a00 * j00 + a01 * j10) + (a01 * j01 + a11 * j11))
+    a00 = 0.5 * (p00[plus] + p00[minus])
+    a01 = 0.5 * (p01[plus] + p01[minus])
+    a11 = 0.5 * (p11[plus] + p11[minus])
+    return -((a00 * j00 + a01 * j10) + (a01 * j01 + a11 * j11))
 
 
-def estimate(u: FEFunction, f, tau: float) -> IndicatorField:
+def estimate(u: FEFunction, f) -> IndicatorField:
     """Assemble the indicator field of ``u`` on its mesh."""
     mesh = u.mesh
-    jump_values = jump_residuals(u, tau)
+    jump_values = jump_residuals(u)
     residual_norms = interior_residual_norms(mesh, f)
 
     interior = mesh.diameters * residual_norms

@@ -15,11 +15,12 @@ outer product.
 per element over the element's stencil (its own vertices and the vertex
 across each interior edge).  ``hessian_components`` contracts the blocks
 with the vertex values at the stencil; it is the only evaluation of the
-formula, both for ``fe_hessian``, which returns the (nt, 2, 2) tensor, and
-for the trace each linearised step puts into its right-hand side.  The
-operator also carries the pattern of the step matrix its blocks fill and
-each block entry's position in it (whose column is the stencil vertex),
-so a step only computes new values.
+formula, and ``fe_hessian`` returns it as the (nt, 2, 2) tensor.  The
+solver tests the trace of the blocks with the hat functions once per mesh
+(its relaxation matrix), so no linearised step contracts them with an
+iterate.  The operator also carries the pattern of the step matrix its
+blocks fill and each block entry's position in it (whose column is the
+stencil vertex), so a step only computes new values.
 """
 
 from __future__ import annotations

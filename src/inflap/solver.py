@@ -1,30 +1,30 @@
 """Linearised steps and the relaxed fixed-point loop.
 
-Each step freezes the gradient direction of the previous iterate in the
-diffusion tensor
+Each step freezes the gradient direction p of the previous iterate u in
+P = (p (x) p) / |p|^2, relaxes it by I / tau, and tests (P + I / tau) :
+H[next iterate] with the P1 hat functions against the load plus
+trace(H[u]) / tau.  The tensor-valued unknown is eliminated locally (its
+mass matrix is diagonal for elementwise constants), so the step solves
+the nonsymmetric vertex-sized system
 
-    A = (p (x) p) / |p|^2 + I / tau,      p = grad of the previous iterate,
+    (M_P[u] + T / tau) u_next = load + T u / tau,
 
-tests A : H[next iterate] with the P1 hat functions, and augments the
-right-hand side with trace(H[previous]) / tau.  The tensor-valued unknown
-is eliminated locally (its mass matrix is diagonal for elementwise
-constants), so the linear system is of vertex size and generally
-nonsymmetric.
+with M_P[u] the step matrix of P alone and T the hat-function test of
+trace(H[.]), which depends on the mesh only.  At a fixed point the two
+1/tau terms cancel, leaving M_P[u] u = load.
 
 Everything that depends only on the mesh is built once per mesh.  The
 ``Triangulation`` holds the component-major hat-function gradients.  One
 ``Discretisation`` per ``fixed_point_solve`` call holds the Hessian
 operator (per-element Hessian blocks over each element's stencil plus the
-sparse pattern of the step matrix), the load vector, the
-Dirichlet values with the pattern positions the Dirichlet lift keeps, and
-the LU factor of the last factored step matrix, a minimum-degree LU after a
-reverse Cuthill-McKee pre-ordering.  Its ``step`` maps an iterate to
-the next, computing only values: the iterate's gradient once, component by
-component, and from it the diffusion tensor's entries, which contract each
-element's block; the recovered Hessian of the iterate, the same blocks
-contracted with its vertex values, whose trace enters the right-hand side;
-the sums into the fixed pattern; the boundary lift by gathering the kept
-entries; and the solve.
+sparse pattern of the step matrix), T in that pattern, the load vector,
+the Dirichlet values with the pattern positions the Dirichlet lift keeps,
+and the LU factor of the last factored step matrix, a minimum-degree LU
+after a reverse Cuthill-McKee pre-ordering.  Its ``step`` computes only
+values: the iterate's gradient once, component by component, P's entries,
+which contract each element's block, the sums into the fixed pattern plus
+T / tau, the load plus T u / tau, the boundary lift by gathering the kept
+entries, and the solve.
 
 Every linear system is solved by one loop of iterative refinement (Moler
 1967) with one matrix-vector product per LU solve and one accept target,
@@ -59,7 +59,7 @@ from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
                      is_positive_integer)
 from .fespace import (FEFunction, evaluate_field, gradients, l2_norm, physical_points,
                       triangle_rule)
-from .hessian import hessian_components, hessian_operator
+from .hessian import HessianOperator, hessian_operator
 from .mesh import Triangulation
 
 logger = logging.getLogger(__name__)
@@ -225,18 +225,29 @@ class PermutedLU:
         return np.ldexp(solution, exponent, out=solution)
 
 
-def diffusion_components(grad: np.ndarray, tau: float):
-    """Entries t00, t01, t11 of the diffusion tensor per element (t10 == t01).
+def diffusion_components(grad: np.ndarray):
+    """Entries p00, p01, p11 of P = (p (x) p) / |p|^2 per element (p10 == p01).
 
     ``grad`` is the (2, nt) component-major gradient p of the frozen
-    iterate; t_rc = (p_r p_c) / max(|p|^2, GRADIENT_FLOOR), plus 1/tau on
-    the diagonal.
+    iterate; p_rc = (p_r p_c) / max(|p|^2, GRADIENT_FLOOR).
     """
-    if not 0.0 < tau < np.inf:
-        raise InvalidArgumentError("tau must be positive and finite")
     g0, g1 = grad
     denom = np.maximum(g0 * g0 + g1 * g1, GRADIENT_FLOOR)
-    return g0 * g0 / denom + 1.0 / tau, g0 * g1 / denom, g1 * g1 / denom + 1.0 / tau
+    return g0 * g0 / denom, g0 * g1 / denom, g1 * g1 / denom
+
+
+def _fill_pattern(operator: HessianOperator, slots: np.ndarray,
+                  weights: np.ndarray) -> sp.csr_matrix:
+    """The matrix in ``operator``'s step pattern with ``weights`` summed into ``slots``.
+
+    ``bincount`` adds the weights of each entry in their order, and an
+    entry that sums to zero stays stored.  The matrix shares the operator's
+    read-only index arrays.
+    """
+    data = np.bincount(slots.reshape(-1), weights=weights.reshape(-1),
+                       minlength=len(operator.indices))
+    n = len(operator.indptr) - 1
+    return sp.csr_matrix((data, operator.indices, operator.indptr), shape=(n, n))
 
 
 def load_vector(mesh: Triangulation, f) -> np.ndarray:
@@ -252,6 +263,8 @@ def load_vector(mesh: Triangulation, f) -> np.ndarray:
 class Discretisation:
     """What every linearised step of ``problem`` on ``mesh`` shares.
 
+    ``relaxation`` is T in the step pattern: each element adds |K|/3 *
+    (B_00 + B_11) over its stencil to the rows of its three vertices.
     ``lifted`` is g on the boundary vertices and zero inside.  The
     Dirichlet lift keeps the step-pattern positions ``kept`` (interior by
     interior, and the diagonal of each boundary row), whose int32 CSR
@@ -262,13 +275,15 @@ class Discretisation:
     def __init__(self, mesh: Triangulation, problem: ProblemData):
         self.mesh = mesh
         self.problem = problem
-        self.operator = hessian_operator(mesh)
+        self.operator = operator = hessian_operator(mesh)
         self.load = load_vector(mesh, problem.f)
+        trace = (operator.blocks[0] + operator.blocks[3]) * (mesh.areas / 3.0)[:, None]
+        self.relaxation = _fill_pattern(operator, operator.slots, np.repeat(trace, 3, axis=0))
         boundary = mesh.vertex_on_boundary
         self.lifted = np.zeros(mesh.vertex_count)
         self.lifted[boundary] = evaluate_field(problem.g, *mesh.vertex_coords[boundary].T)
 
-        indptr, indices = self.operator.indptr, self.operator.indices
+        indptr, indices = operator.indptr, operator.indices
         rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
         self.kept = np.flatnonzero(
             (rows == indices) | ~(boundary[rows] | boundary[indices])).astype(np.int32)
@@ -277,60 +292,44 @@ class Discretisation:
         self.pins = np.flatnonzero(boundary[self.lift_indices])
         self.factor = StepFactor()
 
+    def system(self, u: FEFunction):
+        """Matrix M_P[u] + T / tau and right-hand side load + T u / tau of the step from ``u``."""
+        matrix = assemble_step(self, u)
+        tau = self.problem.tau
+        matrix.data += self.relaxation.data / tau
+        return matrix, self.load + (self.relaxation @ u.coefficients) / tau
+
     def step(self, u: FEFunction) -> FEFunction:
         """The next iterate: one linearised step from ``u``, solved with ``factor``."""
-        matrix, rhs = assemble_step(self, u)
-        matrix, rhs = apply_dirichlet(self, matrix, rhs)
+        matrix, rhs = apply_dirichlet(self, *self.system(u))
         return FEFunction(self.mesh, solve_linear(matrix, rhs, self.factor))
 
 
-def assemble_step(disc: Discretisation, u_prev: FEFunction):
-    """Matrix and right-hand side of one linearised step.
+def assemble_step(disc: Discretisation, u_prev: FEFunction) -> sp.csr_matrix:
+    """The tau-free step matrix M_P[u_prev].
 
-    The matrix applies the hat-function test of A[u_prev] : H[.] with the
-    tensor unknown eliminated through the recovered-Hessian operator: each
-    element adds |K|/3 * (A_K : B_K) over its stencil to the rows of its
-    three vertices, in the operator's fixed CSR pattern (an entry that sums
-    to zero stays stored).  The matrix shares the operator's read-only
-    index arrays.  The right-hand side is the load vector plus the
-    elementwise constant trace(H[u_prev]) / tau tested with the hat
-    functions, with H[u_prev] the operator's blocks contracted with the
-    values of ``u_prev`` (``hessian_components``).
-
-    What depends only on the mesh is built once: the blocks, stencil,
-    pattern and slots of ``disc.operator`` and the load vector.  Per step,
-    only values are computed: the gradient of ``u_prev`` once, component by
-    component, and the diffusion tensor's entries from it, the recovered
-    Hessian of ``u_prev``, and the two ``bincount`` sums into the fixed
-    pattern and the vertices.
+    It applies the hat-function test of P[u_prev] : H[.] with the tensor
+    unknown eliminated through the recovered-Hessian operator: each element
+    adds |K|/3 * (P_K : B_K) over its stencil to the rows of its three
+    vertices, in the operator's fixed CSR pattern.  Per step, only values
+    are computed: the gradient of ``u_prev`` once, component by component,
+    P's entries from it, and one ``bincount`` into the fixed pattern.
     """
-    mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
+    mesh, operator = disc.mesh, disc.operator
     if u_prev.mesh is not mesh:
         raise InvalidArgumentError("u_prev must live on the discretisation's mesh")
-    grad = gradients(u_prev).T
 
-    # A : B per element and stencil slot, summed in row-major component
+    # P : B per element and stencil slot, summed in row-major component
     # order and scaled by the hat-function integral |K|/3; bincount adds the
     # elements of each matrix entry in ascending element order
-    t00, t01, t11 = (t[:, None] for t in diffusion_components(grad, tau))
+    p00, p01, p11 = (p[:, None] for p in diffusion_components(gradients(u_prev).T))
     blocks = operator.blocks
-    weights = t00 * blocks[0]
-    weights += t01 * blocks[1]
-    weights += t01 * blocks[2]
-    weights += t11 * blocks[3]
+    weights = p00 * blocks[0]
+    weights += p01 * blocks[1]
+    weights += p01 * blocks[2]
+    weights += p11 * blocks[3]
     weights *= (mesh.areas / 3.0)[:, None]
-    data = np.bincount(operator.slots.reshape(-1), minlength=len(operator.indices),
-                       weights=np.repeat(weights, 3, axis=0).reshape(-1))
-    matrix = sp.csr_matrix((data, operator.indices, operator.indptr),
-                           shape=(mesh.vertex_count, mesh.vertex_count))
-
-    # the load first, then each element's relaxation term on its vertices
-    hessian = hessian_components(operator, u_prev.coefficients)
-    relax = mesh.areas * (hessian[0] + hessian[3]) / (3.0 * tau)
-    rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),
-                                      mesh.triangle_vertices.reshape(-1)]),
-                      weights=np.concatenate([disc.load, np.repeat(relax, 3)]))
-    return matrix, rhs
+    return _fill_pattern(operator, operator.slots, np.repeat(weights, 3, axis=0))
 
 
 def apply_dirichlet(disc: Discretisation, matrix: sp.csr_matrix, rhs: np.ndarray):
@@ -457,10 +456,7 @@ def default_initializer(disc: Discretisation) -> FEFunction:
     mesh, operator = disc.mesh, disc.operator
     local = mesh.areas[:, None, None] * np.einsum(
         "tid,tjd->tij", mesh.basis_gradients, mesh.basis_gradients)
-    stiffness = np.bincount(operator.slots[:, :, :3].reshape(-1),
-                            weights=local.reshape(-1), minlength=len(operator.indices))
-    stiffness = sp.csr_matrix((stiffness, operator.indices, operator.indptr),
-                              shape=(mesh.vertex_count, mesh.vertex_count))
+    stiffness = _fill_pattern(operator, operator.slots[:, :, :3], local)
     matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
     return FEFunction(mesh, solve_linear(matrix, rhs))
 

@@ -541,12 +541,12 @@ def add_at_load_vector(mesh, f):
     return out
 
 
-def add_at_step_rhs(mesh, h_prev, problem):
-    """Load vector plus |K| trace(h_prev) / (3 tau) on each vertex of K."""
-    rhs = add_at_load_vector(mesh, problem.f)
-    relax = mesh.areas * (h_prev[:, 0, 0] + h_prev[:, 1, 1]) / (3.0 * problem.tau)
-    np.add.at(rhs, mesh.triangle_vertices, relax[:, None])
-    return rhs
+def add_at_trace_test(mesh, hessian):
+    """|K| trace(hessian_K) / 3 on each vertex of K: the hat-function test of the trace."""
+    out = np.zeros(mesh.vertex_count)
+    np.add.at(out, mesh.triangle_vertices,
+              (mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / 3.0)[:, None])
+    return out
 
 
 def add_at_squared_indicators(mesh, interior, jumps):
@@ -721,8 +721,9 @@ def pair_jump_residuals(u_prev, u_next, tau):
     """Jump residual of the step from ``u_prev`` to ``u_next`` on every interior edge.
 
     The diffusion tensor and the 1/tau gradient jump come from ``u_prev``,
-    the tensor jump from ``u_next``; the package evaluates the pair
-    ``(u, u)``.
+    the tensor jump from ``u_next``.  At the pair ``(u, u)`` the two 1/tau
+    terms cancel, which leaves the package's tau-free residual; at
+    ``tau=np.inf`` they are zero.
     """
     mesh = u_prev.mesh
     interior = mesh.interior_edge_ids
@@ -761,7 +762,7 @@ def row_sum_l2_norm(u):
 
 
 def outer_diffusion_tensor(u, tau):
-    """(nt, 2, 2) tensors (p (x) p) / max(|p|^2, GRADIENT_FLOOR) + I / tau."""
+    """(nt, 2, 2) tensors (p (x) p) / max(|p|^2, GRADIENT_FLOOR) + I / tau (P at np.inf)."""
     grad = einsum_gradients(u)
     denom = np.maximum((grad ** 2).sum(axis=1), GRADIENT_FLOOR)
     out = grad[:, :, None] * grad[:, None, :] / denom[:, None, None]
@@ -800,13 +801,16 @@ def bincount_fe_hessian(v):
     return out.reshape(-1, 2, 2) / mesh.areas[:, None, None]
 
 
-def bincount_assemble_step(disc, u_prev):
+def bincount_assemble_step(disc, u_prev, tau=None):
     """Step-matrix data and right-hand side from (nt, 2, 2) tensors and Hessians.
 
-    The relaxation term reads the trace of ``fe_hessian``, so the matrix
-    data and the vertex scatter are checked bit for bit.
+    The combined relaxed step at ``tau`` (the problem's by default): the
+    tensors are P + I / tau, and the right-hand side adds the trace of
+    ``fe_hessian`` over tau to the load.  At ``tau=np.inf`` the matrix data
+    are those of the tau-free M_P.
     """
-    mesh, operator, tau = disc.mesh, disc.operator, disc.problem.tau
+    mesh, operator = disc.mesh, disc.operator
+    tau = disc.problem.tau if tau is None else tau
     tensors = outer_diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
     blocks = operator.blocks
     weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])

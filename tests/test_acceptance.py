@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from inflap import (AdaptiveConfig, Discretisation, FEFunction, adaptive_solve,
-                    apply_dirichlet, assemble_step, build_initial_mesh,
+                    apply_dirichlet, build_initial_mesh,
                     convergence_study, estimate, fe_hessian, gradients,
                     interpolate, refine, registry, solve_linear, uniform_refine)
 from inflap.cli import main
@@ -131,8 +131,7 @@ def test_criterion_6_hessian_property_suite():
         assert small.triangle_count <= 32
         disc = Discretisation(small, CLASSICAL)
         u = interpolate(small, lambda x, y: x * x + y * y)
-        matrix, rhs_vec = assemble_step(disc, u)
-        matrix, rhs_vec = apply_dirichlet(disc, matrix, rhs_vec)
+        matrix, rhs_vec = apply_dirichlet(disc, *disc.system(u))
         eliminated = solve_linear(matrix, rhs_vec)
         saddle, rhs_for, _ = brute_saddle(small, u.coefficients, CLASSICAL.f,
                                           CLASSICAL.g, CLASSICAL.tau)
@@ -151,7 +150,7 @@ def test_criterion_6_hessian_property_suite():
 def test_criterion_7_estimator_property_suite(classical_table):
     mesh = build_initial_mesh(2)
     affine = interpolate(mesh, lambda x, y: 1.0 + x - 2.0 * y)
-    zero_field = estimate(affine, lambda x, y: np.zeros(np.shape(x)), tau=1.0)
+    zero_field = estimate(affine, lambda x, y: np.zeros(np.shape(x)))
     zero_ok = zero_field.eta_total <= 1e-12
 
     eoc = classical_table.rows[-1].estimator_eoc
@@ -159,7 +158,7 @@ def test_criterion_7_estimator_property_suite(classical_table):
 
     rng = np.random.default_rng(7)
     u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
-    field = estimate(u, lambda x, y: np.full(np.shape(x), 2.0), tau=0.5)
+    field = estimate(u, lambda x, y: np.full(np.shape(x), 2.0))
     partition_gap = abs(np.sum(field.eta ** 2) - np.sum(field.interior ** 2)
                         - np.sum(field.jumps ** 2))
     partition_ok = partition_gap <= 1e-13 * np.sum(field.eta ** 2)

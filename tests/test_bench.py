@@ -215,7 +215,7 @@ def test_vtu_field_lengths(tmp_path):
     mesh = build_initial_mesh(2)
     u = interpolate(mesh, lambda x, y: x * y)
     tensor = fe_hessian(u)
-    indicator = estimate(u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
+    indicator = estimate(u, lambda x, y: np.ones(np.shape(x)))
     path = tmp_path / "fields.vtu"
     write_vtu(mesh, {"solution": u, "hess": tensor, "eta": indicator}, path)
 
@@ -256,7 +256,7 @@ def test_vtu_arrays_decode_bit_for_bit(tmp_path):
         nv, nt = mesh.vertex_count, mesh.triangle_count
         u = interpolate(mesh, lambda x, y: np.sin(3.0 * x) * y - 0.0)
         hess = fe_hessian(u)
-        eta = estimate(u, lambda x, y: np.ones(np.shape(x)), tau=1.0)
+        eta = estimate(u, lambda x, y: np.ones(np.shape(x)))
         fields = {"solution": u, "zero": -np.zeros(nv), "special": np.resize(SPECIAL_VALUES, nv),
                   "hess": hess, "eta": eta,
                   "special cells": np.resize(SPECIAL_VALUES[::-1], (nt, 3))}
@@ -302,11 +302,11 @@ def test_vtu_rejects_odd_field_length(tmp_path):
         write_vtu(mesh, {"u": other}, tmp_path / "bad.vtu")
     ones = lambda x, y: np.ones(np.shape(x))
     with pytest.raises(InvalidArgumentError):
-        write_vtu(mesh, {"eta": estimate(other, ones, tau=1.0)}, tmp_path / "bad.vtu")
+        write_vtu(mesh, {"eta": estimate(other, ones)}, tmp_path / "bad.vtu")
     # indicators of another mesh with the same triangle count (17 each)
     left, right = refine(build_initial_mesh(2), {3}), refine(build_initial_mesh(2), {0})
     assert left.triangle_count == right.triangle_count
-    foreign = estimate(interpolate(left, lambda x, y: x + y), ones, tau=1.0)
+    foreign = estimate(interpolate(left, lambda x, y: x + y), ones)
     with pytest.raises(InvalidArgumentError, match="another mesh"):
         write_vtu(right, {"eta": foreign}, tmp_path / "bad.vtu")
     assert not (tmp_path / "bad.vtu").exists()

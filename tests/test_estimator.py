@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from inflap import (FEFunction, InvalidArgumentError, build_initial_mesh,
-                    estimate, interpolate, jump_residuals, refine,
-                    uniform_refine)
+from inflap import (FEFunction, build_initial_mesh, estimate, interpolate,
+                    jump_residuals, refine, uniform_refine)
 from inflap.estimator import interior_residual_norms
 from conftest import outer_diffusion_tensor, oracle_meshes, pair_jump_residuals
 
@@ -28,7 +27,7 @@ def test_interior_residual_for_constant_f():
 def test_jump_residual_vanishes_for_affine():
     mesh = uniform_refine(build_initial_mesh(2))
     u = interpolate(mesh, lambda x, y: 3.0 * x - 2.0 * y + 0.5)
-    assert np.abs(jump_residuals(u, tau=1.0)).max() <= 1e-13
+    assert np.abs(jump_residuals(u)).max() <= 1e-13
 
 
 def test_jump_residual_hand_value_on_unit_mesh():
@@ -37,23 +36,28 @@ def test_jump_residual_hand_value_on_unit_mesh():
     # and tensor jumps by hand gives J = sqrt(2) on every interior edge
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    values = jump_residuals(u, tau=1.0)
+    values = jump_residuals(u)
     assert np.allclose(values, np.sqrt(2.0), rtol=1e-13)
 
 
 @pytest.mark.parametrize("mesh", oracle_meshes(), ids=["uniform", "random-local", "axis-graded"])
 def test_jump_residual_is_bit_identical_to_the_pair_formula_at_one_function(mesh):
-    # the 1/tau terms are kept although they cancel, so the residual rounds
-    # like the two-iterate formula evaluated at the pair (u, u)
+    # at the pair (u, u) the two 1/tau terms of the relaxed formula cancel:
+    # the tau-free residual is that formula at tau = inf bit for bit, and
+    # agrees with it at finite tau to rounding
     rng = np.random.default_rng(mesh.triangle_count)
     u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3))
     u = FEFunction(mesh, u.coefficients + 1e-3 * rng.standard_normal(mesh.vertex_count))
+    values = jump_residuals(u)
+    assert np.array_equal(values, pair_jump_residuals(u, u, np.inf))
     for tau in (0.1, 1.0, 1000.0):
-        assert np.array_equal(jump_residuals(u, tau), pair_jump_residuals(u, u, tau))
+        relaxed = pair_jump_residuals(u, u, tau)
+        assert np.abs(values - relaxed).max() <= 1e-14 * np.abs(relaxed).max()
 
 
 def test_jump_residual_large_tau_limit():
-    # for tau -> infinity only the tensor-jump pairing survives
+    # the residual is the tensor-jump pairing with P alone, which the
+    # relaxed formula approaches as tau -> infinity
     mesh = uniform_refine(build_initial_mesh(1))
     rng = np.random.default_rng(4)
     u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
@@ -64,37 +68,29 @@ def test_jump_residual_large_tau_limit():
     minus = mesh.edge_triangles[interior, 1]
     normals = mesh.edge_normals[interior]
     grad = gradients(u)
-    tau = 1e12
-    tensors = outer_diffusion_tensor(u, tau)
+    tensors = outer_diffusion_tensor(u, np.inf)
     averaged = 0.5 * (tensors[plus] + tensors[minus])
     tensor_jump = (grad[plus] - grad[minus])[:, :, None] * normals[:, None, :]
-    second_term = -np.einsum("erc,erc->e", averaged, tensor_jump)
+    tau_free = -np.einsum("erc,erc->e", averaged, tensor_jump)
 
-    assert np.allclose(jump_residuals(u, tau), second_term,
-                       rtol=1e-10, atol=1e-10)
+    assert np.allclose(jump_residuals(u), tau_free, rtol=1e-13, atol=1e-13)
+    assert np.allclose(pair_jump_residuals(u, u, 1e12), tau_free, rtol=1e-10, atol=1e-10)
 
 
 def test_estimate_zero_case():
     mesh = refine(build_initial_mesh(2), {0, 4})
     u = interpolate(mesh, lambda x, y: 2.0 - x + 0.25 * y)
-    field = estimate(u, ZERO, tau=1.0)
+    field = estimate(u, ZERO)
     assert field.global_estimate <= 1e-12
     assert field.eta_total <= 1e-12
     assert np.abs(field.eta).max() <= 1e-12
-
-
-def test_estimate_rejects_non_finite_tau():
-    mesh = build_initial_mesh(2)
-    u = interpolate(mesh, lambda x, y: x * x + y * y)
-    with pytest.raises(InvalidArgumentError):
-        estimate(u, TWO, tau=np.nan)
 
 
 def test_estimate_is_nonnegative_and_aggregates_match():
     mesh = refine(build_initial_mesh(2), {1, 6, 10})
     rng = np.random.default_rng(12)
     u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
-    field = estimate(u, TWO, tau=0.7)
+    field = estimate(u, TWO)
     assert field.interior.min() >= 0.0
     assert field.jumps.min() >= 0.0
     assert field.eta.min() >= 0.0
@@ -109,7 +105,7 @@ def test_edge_partition_identity():
     rng = np.random.default_rng(21)
     for _ in range(5):
         u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
-        field = estimate(u, TWO, tau=2.0)
+        field = estimate(u, TWO)
         lhs = np.sum(field.eta ** 2)
         rhs = np.sum(field.interior ** 2) + np.sum(field.jumps ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-13)

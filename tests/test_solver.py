@@ -19,8 +19,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (add_at_load_vector, add_at_squared_indicators,
-                      add_at_step_rhs, bincount_assemble_step, brute_saddle,
-                      coo_hessian_matrix, coo_poisson_stiffness, kernel_functions,
+                      add_at_trace_test, bincount_assemble_step, bincount_fe_hessian,
+                      brute_saddle, coo_hessian_matrix, coo_poisson_stiffness, kernel_functions,
                       kernel_meshes, oracle_meshes, outer_diffusion_tensor, perturbed_mesh,
                       schur_eliminate, sparse_product_dirichlet,
                       sparse_product_step_matrix, two_product_refine)
@@ -31,44 +31,43 @@ ARONSSON = registry()["aronsson"].data
 
 # ------------------------------------------------------------ diffusion tensor
 
-def _tensors(u, tau):
-    """The (nt, 2, 2) diffusion tensors of ``u`` from their entries t00, t01, t11."""
-    t00, t01, t11 = diffusion_components(gradients(u).T, tau)
-    return np.stack([t00, t01, t01, t11], axis=-1).reshape(-1, 2, 2)
+def _tensors(u):
+    """The (nt, 2, 2) tensors P of ``u`` from their entries p00, p01, p11."""
+    p00, p01, p11 = diffusion_components(gradients(u).T)
+    return np.stack([p00, p01, p01, p11], axis=-1).reshape(-1, 2, 2)
 
 
 def test_diffusion_tensor_formula():
     mesh = build_initial_mesh(1)
     # gradient (1, 0) on every element
     u = interpolate(mesh, lambda x, y: x + 0.0 * y)
-    assert np.allclose(_tensors(u, tau=2.0), [[1.5, 0.0], [0.0, 0.5]])
+    assert np.allclose(_tensors(u), [[1.0, 0.0], [0.0, 0.0]])
 
-    # degenerate gradient: only the relaxation part survives
+    # degenerate gradient: the floor keeps P at zero
     flat = FEFunction(mesh, np.zeros(mesh.vertex_count))
-    assert np.allclose(_tensors(flat, tau=4.0), 0.25 * np.eye(2))
+    assert np.all(_tensors(flat) == 0.0)
 
     diag = interpolate(mesh, lambda x, y: x + y)
-    assert np.allclose(_tensors(diag, tau=1.0), [[1.5, 0.5], [0.5, 1.5]])
+    assert np.allclose(_tensors(diag), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_diffusion_tensor_eigenvalue_bounds():
-    # the projection part has eigenvalues {0, 1} when |p|^2 >= GRADIENT_FLOOR
-    # and smaller ones below, so the spectrum sits inside [1/tau, 1 + 1/tau]
+    # P has eigenvalues {0, 1} when |p|^2 >= GRADIENT_FLOOR and smaller
+    # ones below, so its spectrum sits inside [0, 1]
     mesh = refine(build_initial_mesh(2), {0, 3, 9})
     rng = np.random.default_rng(2)
-    for tau in (0.1, 1.0, 1000.0):
-        u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
-        eigs = np.linalg.eigvalsh(_tensors(u, tau))
-        assert eigs.min() >= 1.0 / tau - 1e-12
-        assert eigs.max() <= 1.0 + 1.0 / tau + 1e-12
+    for scale in (1e-6, 1.0, 1e3):
+        u = FEFunction(mesh, scale * rng.standard_normal(mesh.vertex_count))
+        eigs = np.linalg.eigvalsh(_tensors(u))
+        assert eigs.min() >= -1e-12
+        assert eigs.max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
-def test_diffusion_tensor_rejects_bad_parameters(tau):
-    mesh = build_initial_mesh(1)
-    u = interpolate(mesh, lambda x, y: x)
+def test_problem_data_rejects_bad_tau(tau):
+    # the step divides by tau, and ProblemData is where it is checked
     with pytest.raises(InvalidArgumentError):
-        diffusion_components(gradients(u).T, tau=tau)
+        replace(ARONSSON, tau=tau)
 
 
 # -------------------------------------------------------------------- assembly
@@ -77,7 +76,7 @@ def test_step_matrix_sparsity_stencil():
     # rows may reach the vertex patch plus the patches of edge neighbors
     mesh = build_initial_mesh(2)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u)
+    matrix, _ = Discretisation(mesh, CLASSICAL).system(u)
 
     patches = {i: set() for i in range(mesh.vertex_count)}
     for k, verts in enumerate(mesh.triangle_vertices):
@@ -105,7 +104,7 @@ def test_rhs_vanishes_for_affine_previous_iterate_and_zero_f():
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: x, tau=5.0)
     u = interpolate(mesh, lambda x, y: 2.0 * x - y)
-    _, rhs = assemble_step(Discretisation(mesh, problem), u)
+    _, rhs = Discretisation(mesh, problem).system(u)
     interior = ~mesh.vertex_on_boundary
     assert np.abs(rhs[interior]).max() <= 1e-13
 
@@ -114,7 +113,7 @@ def test_assembly_against_coupled_saddle_oracle():
     # brute-force coupled system, Schur-eliminated onto the vertex block
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, rhs = assemble_step(Discretisation(mesh, CLASSICAL), u)
+    matrix, rhs = Discretisation(mesh, CLASSICAL).system(u)
 
     saddle, rhs_for, _ = brute_saddle(mesh, u.coefficients, CLASSICAL.f,
                                       CLASSICAL.g, CLASSICAL.tau, dirichlet=False)
@@ -129,19 +128,20 @@ def test_assembly_against_coupled_saddle_oracle():
                          ids=["uniform", "random-local", "axis-graded"])
 def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     # the blocks refilled into the fixed pattern give exactly the sums of
-    # the COO-assembled operator and its two sparse products, before and
-    # after the Dirichlet lift; the gathered lift drops the explicit zeros
-    # the fixed pattern keeps, as the diagonal products do
+    # the COO-assembled operator and its two sparse products with the
+    # tau-free tensors P, before and after the Dirichlet lift; the gathered
+    # lift drops the explicit zeros the fixed pattern keeps, as the diagonal
+    # products do
     disc = Discretisation(mesh, ARONSSON)
     u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
-    matrix, rhs = assemble_step(disc, u)
-    oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, ARONSSON.tau),
+    matrix = assemble_step(disc, u)
+    oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, np.inf),
                                         coo_hessian_matrix(mesh))
     assert np.array_equal(matrix.toarray(), oracle.toarray())
 
-    ours, ours_rhs = apply_dirichlet(disc, matrix, rhs)
-    theirs, theirs_rhs = sparse_product_dirichlet(oracle, rhs, mesh, ARONSSON.g)
+    ours, ours_rhs = apply_dirichlet(disc, matrix, disc.load)
+    theirs, theirs_rhs = sparse_product_dirichlet(oracle, disc.load, mesh, ARONSSON.g)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ours, name), getattr(theirs, name))
     assert np.array_equal(ours_rhs, theirs_rhs)
@@ -149,21 +149,50 @@ def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
 
 @pytest.mark.parametrize("name", list(kernel_meshes()))
 def test_assemble_step_is_bit_identical_to_row_major_assembly(name):
-    # one component-major gradient per step feeds the tensor entries and the
-    # Hessian trace; the sums are those of the (nt, 2, 2) assembly
+    # one component-major gradient per step feeds the entries of P; the
+    # sums are those of the (nt, 2, 2) assembly with the tau-free tensors
     mesh = kernel_meshes()[name]
-    for problem in (ARONSSON, replace(CLASSICAL, tau=0.3)):
-        disc = Discretisation(mesh, problem)
+    disc = Discretisation(mesh, ARONSSON)
+    for u in kernel_functions(mesh):
+        matrix = assemble_step(disc, u)
+        data, _ = bincount_assemble_step(disc, u, tau=np.inf)
+        # the matrix holds the operator's int32 pattern, not cast copies
+        assert np.shares_memory(matrix.indices, disc.operator.indices)
+        assert np.shares_memory(matrix.indptr, disc.operator.indptr)
+        assert np.array_equal(matrix.data, data)
+        assert np.array_equal(_tensors(u), outer_diffusion_tensor(u, np.inf))
+
+
+@pytest.mark.parametrize("name", list(kernel_meshes()))
+def test_relaxation_matrix_tests_the_hessian_trace(name):
+    # T is the hat-function test of trace(H[.]): it annihilates affine
+    # functions on every row, and T u is the vertex sum of |K| trace(H_K) / 3
+    mesh = kernel_meshes()[name]
+    relaxation = Discretisation(mesh, ARONSSON).relaxation
+    scale = np.abs(relaxation.data).max()
+    for affine in (lambda x, y: 1.0 + 0.0 * x, lambda x, y: x, lambda x, y: y):
+        assert np.abs(relaxation @ interpolate(mesh, affine).coefficients).max() <= 1e-15 * scale
+    # the terms are of size max|T| max|u| and cancel down to trace(H)
+    for u in kernel_functions(mesh):
+        oracle = add_at_trace_test(mesh, bincount_fe_hessian(u))
+        assert np.abs(relaxation @ u.coefficients - oracle).max() <= \
+            1e-15 * scale * np.abs(u.coefficients).max()
+
+
+@pytest.mark.parametrize("name", list(kernel_meshes()))
+def test_step_system_agrees_with_the_relaxed_row_major_assembly(name):
+    # M_P + T / tau and load + T u / tau against the (nt, 2, 2) assembly
+    # with P + I / tau, relative to the size of the terms each one sums
+    mesh = kernel_meshes()[name]
+    for tau in (0.1, 1.0, 1000.0):
+        disc = Discretisation(mesh, replace(ARONSSON, tau=tau))
         for u in kernel_functions(mesh):
-            matrix, rhs = assemble_step(disc, u)
+            matrix, rhs = disc.system(u)
             data, oracle_rhs = bincount_assemble_step(disc, u)
-            # the matrix holds the operator's int32 pattern, not cast copies
-            assert np.shares_memory(matrix.indices, disc.operator.indices)
-            assert np.shares_memory(matrix.indptr, disc.operator.indptr)
-            assert np.array_equal(matrix.data, data)
-            assert np.array_equal(rhs, oracle_rhs)
-            assert np.array_equal(_tensors(u, problem.tau),
-                                  outer_diffusion_tensor(u, problem.tau))
+            assert np.abs(matrix.data - data).max() <= 1e-14 * np.abs(data).max()
+            terms = np.abs(disc.load).max() + \
+                np.abs(disc.relaxation.data).max() * np.abs(u.coefficients).max() / tau
+            assert np.abs(rhs - oracle_rhs).max() <= 1e-14 * terms
 
 
 def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
@@ -171,7 +200,7 @@ def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     # so the two agree to rounding only
     mesh = perturbed_mesh()
     u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
-    matrix, _ = assemble_step(Discretisation(mesh, CLASSICAL), u)
+    matrix, _ = Discretisation(mesh, CLASSICAL).system(u)
     oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -181,17 +210,14 @@ def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
                          ids=["uniform", "random-local", "axis-graded", "perturbed"])
 def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
     # bincount adds each entry's terms in the order np.add.at does, after
-    # the base value (load vector, interior**2) it starts from
+    # the base value (interior**2) it starts from
     problem = ProblemData(f=lambda x, y: np.sin(2.0 * x) + y * y, g=ARONSSON.g, tau=0.3)
     u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
-    h = fe_hessian(u)
     assert np.array_equal(load_vector(mesh, problem.f), add_at_load_vector(mesh, problem.f))
-    _, rhs = assemble_step(Discretisation(mesh, problem), u)
-    assert np.array_equal(rhs, add_at_step_rhs(mesh, h, problem))
 
     v = FEFunction(mesh, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
-    indicators = estimate(v, problem.f, problem.tau)
+    indicators = estimate(v, problem.f)
     eta_sq = add_at_squared_indicators(mesh, indicators.interior, indicators.jumps)
     assert np.array_equal(indicators.eta, np.sqrt(eta_sq))
     assert indicators.eta_total == float(np.sqrt(eta_sq.sum()))
@@ -218,8 +244,7 @@ def test_eliminated_iterates_match_coupled_system(steps):
         u_ours = interpolate(mesh, lambda x, y: x * x + y * y)
         u_oracle = u_ours
         for _ in range(steps):
-            matrix, rhs = assemble_step(disc, u_ours)
-            matrix, rhs = apply_dirichlet(disc, matrix, rhs)
+            matrix, rhs = apply_dirichlet(disc, *disc.system(u_ours))
             u_ours = FEFunction(mesh, solve_linear(matrix, rhs))
 
             saddle, rhs_for, _ = brute_saddle(mesh, u_oracle.coefficients,
@@ -237,7 +262,7 @@ def test_dirichlet_rows_and_values():
     mesh = build_initial_mesh(2)
     disc = Discretisation(mesh, CLASSICAL)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, rhs = assemble_step(disc, u)
+    matrix, rhs = disc.system(u)
 
     homogeneous = Discretisation(mesh, replace(CLASSICAL, g=lambda x, y: np.zeros(np.shape(x))))
     zeroed, zrhs = apply_dirichlet(homogeneous, matrix, rhs)
@@ -286,7 +311,7 @@ def _step_system(mesh, problem):
     """The first step's lifted matrix and right-hand side from the Poisson start."""
     disc = Discretisation(mesh, problem)
     u = default_initializer(disc)
-    return apply_dirichlet(disc, *assemble_step(disc, u))
+    return apply_dirichlet(disc, *disc.system(u))
 
 
 def _corner_graded_mesh():
@@ -558,8 +583,7 @@ def test_exact_solution_residual_under_refinement():
     for _ in range(4):
         disc = Discretisation(mesh, CLASSICAL)
         star = interpolate(mesh, CLASSICAL.exact_solution)
-        matrix, rhs = assemble_step(disc, star)
-        matrix, rhs = apply_dirichlet(disc, matrix, rhs)
+        matrix, rhs = apply_dirichlet(disc, *disc.system(star))
         assert np.linalg.norm(matrix @ star.coefficients - rhs) <= 1e-12
         mesh = uniform_refine(mesh)
 
@@ -581,20 +605,21 @@ def test_growing_increments_raise_divergence_error(monkeypatch):
 @pytest.mark.parametrize("config", [SolverConfig(increment_tol_factor=0.01),
                                     SolverConfig(increment_tol_factor=1e-12, max_iterations=3)],
                          ids=["converged", "iteration-limit"])
-def test_fixed_point_solve_evaluates_one_hessian_per_iteration(monkeypatch, config):
-    # each step needs the recovered Hessian of its previous iterate and
-    # nothing more
-    calls = []
-    real_hessian_components = inflap.solver.hessian_components
+def test_fixed_point_solve_makes_no_hessian_contraction_per_step(monkeypatch, config):
+    # the relaxation matrix T is built once per mesh, so no step contracts
+    # the Hessian blocks with an iterate: that contraction gathers the
+    # iterate's values through the operator's stencil, which is taken away
+    # once the discretisation is built
+    real_init = Discretisation.__init__
 
-    def counting(operator, coefficients):
-        calls.append(coefficients)
-        return real_hessian_components(operator, coefficients)
+    def init(disc, mesh, problem):
+        real_init(disc, mesh, problem)
+        disc.operator.stencil = None
 
-    monkeypatch.setattr(inflap.solver, "hessian_components", counting)
+    monkeypatch.setattr(Discretisation, "__init__", init)
+    assert not hasattr(inflap.solver, "hessian_components")
     report = fixed_point_solve(uniform_refine(build_initial_mesh(2)), ARONSSON, config)
     assert report.iterations > 1
-    assert len(calls) == report.iterations
 
 
 @pytest.mark.parametrize("start", ["poisson", "initial"])
@@ -630,8 +655,7 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
     assert report.iterations == 1 and report.factorizations == 1
 
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = assemble_step(disc, settled)
-    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
+    matrix, rhs = apply_dirichlet(disc, *disc.system(settled))
     direct = solve_linear(matrix, rhs)
     assert np.array_equal(report.solution.coefficients, direct)
     # another ordering and pivoting than spsolve's: the two solutions of a
@@ -646,8 +670,7 @@ def _direct_fixed_point(mesh, problem, config):
     current = default_initializer(disc)
     tolerance = config.increment_tol_factor * mesh.diameters.max() ** 2
     for iteration in range(1, config.max_iterations + 1):
-        matrix, rhs = assemble_step(disc, current)
-        matrix, rhs = apply_dirichlet(disc, matrix, rhs)
+        matrix, rhs = apply_dirichlet(disc, *disc.system(current))
         proposed = FEFunction(mesh, spla.spsolve(matrix.tocsc(), rhs))
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         current = proposed
@@ -733,8 +756,7 @@ def test_refinement_starts_from_the_last_solution():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = assemble_step(disc, u)
-    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
+    matrix, rhs = apply_dirichlet(disc, *disc.system(u))
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     assert holder.iterations == 1 and holder.factorizations == 1
@@ -754,7 +776,7 @@ def test_refinement_starts_from_the_last_solution():
 def test_stale_factor_is_refreshed_before_refining():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *assemble_step(disc, default_initializer(disc)))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc)))
     holder = StepFactor()
     solve_linear(matrix, rhs, factor=holder)
     interior = sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
@@ -787,7 +809,7 @@ class _RecordingMatrix:
 def test_refinement_computes_one_residual_per_lu_solve():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *assemble_step(disc, default_initializer(disc)))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc)))
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     nudged = matrix + 2e-2 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
@@ -842,8 +864,7 @@ class _RecordingFactor:
 def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = assemble_step(disc, u)
-    matrix, rhs = apply_dirichlet(disc, matrix, rhs)
+    matrix, rhs = apply_dirichlet(disc, *disc.system(u))
     rng = np.random.default_rng(5)
     unrelated = sp.random(matrix.shape[0], matrix.shape[0], density=0.01,
                           random_state=rng, format="csc") + 4.0 * sp.identity(

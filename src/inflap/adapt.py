@@ -106,7 +106,8 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     new mesh.  Returns the final solve report, the final mesh, and the
     per-cycle history.  Stops on the estimator tolerance, the cycle
     budget, or the dof budget, whichever comes first.  A solver failure
-    carries the cycles finished before it in its ``partial_history``.
+    carries the history of the cycles finished before it in
+    ``SolverFailure.partial``.
     """
     if config.tau is not None:
         problem = replace(problem, tau=config.tau)
@@ -118,7 +119,7 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         try:
             report = fixed_point_solve(mesh, problem, config.solver, initial=guess)
         except SolverFailure as failure:
-            failure.partial_history = history
+            failure.partial = history
             raise
         if not report.converged:
             logger.warning("cycle %d: fixed-point solve did not converge in %d iterations",

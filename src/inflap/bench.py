@@ -115,8 +115,8 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
     uniformly between levels; every level is solved from the Poisson
     initial guess so iteration counts are comparable across levels.
     ``on_level(level, mesh, report, indicators)`` is called after each
-    solve.  A solver failure aborts the study and carries the rows
-    finished so far in its ``partial_table`` attribute.
+    solve.  A solver failure aborts the study and carries the table of
+    the levels finished so far in ``SolverFailure.partial``.
     """
     if not is_positive_integer(levels):
         raise InvalidArgumentError("levels must be a positive integer")
@@ -132,7 +132,7 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
         try:
             report = fixed_point_solve(mesh, data, solver_config)
         except SolverFailure as failure:
-            failure.partial_table = table
+            failure.partial = table
             raise
         indicators = estimate(report.solution, data.f)
         if not report.converged:
@@ -252,6 +252,16 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
                 raise InvalidArgumentError(
                     f"field {name!r} matches neither vertex nor triangle count")
 
+    def data_array(vtk_type, values, dtype, name=None, components=None):
+        attributes = f'type="{vtk_type}"'
+        if name is not None:
+            attributes += f' Name="{_attribute(name)}"'
+        if components is not None:
+            attributes += f' NumberOfComponents="{components}"'
+        return [f'        <DataArray {attributes} format="binary">',
+                '          ' + _binary(values, dtype),
+                '        </DataArray>']
+
     points = np.column_stack([mesh.vertex_coords, np.zeros(nv)])
     chunks = [
         '<?xml version="1.0"?>',
@@ -259,37 +269,19 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
         '  <UnstructuredGrid>',
         f'    <Piece NumberOfPoints="{nv}" NumberOfCells="{nt}">',
         '      <Points>',
-        '        <DataArray type="Float64" NumberOfComponents="3" format="binary">',
-        '          ' + _binary(points, "<f8"),
-        '        </DataArray>',
+        *data_array("Float64", points, "<f8", components=3),
         '      </Points>',
         '      <Cells>',
-        '        <DataArray type="Int64" Name="connectivity" format="binary">',
-        '          ' + _binary(mesh.triangle_vertices, "<i8"),
-        '        </DataArray>',
-        '        <DataArray type="Int64" Name="offsets" format="binary">',
-        '          ' + _binary(3 * np.arange(1, nt + 1), "<i8"),
-        '        </DataArray>',
-        '        <DataArray type="UInt8" Name="types" format="binary">',
-        '          ' + _binary(np.full(nt, 5, dtype=np.uint8), "u1"),
-        '        </DataArray>',
+        *data_array("Int64", mesh.triangle_vertices, "<i8", "connectivity"),
+        *data_array("Int64", 3 * np.arange(1, nt + 1), "<i8", "offsets"),
+        *data_array("UInt8", np.full(nt, 5, dtype=np.uint8), "u1", "types"),
         '      </Cells>',
     ]
-
-    def data_block(tag, entries):
-        if not entries:
-            return [f'      <{tag}>', f'      </{tag}>']
-        block = [f'      <{tag}>']
-        for name, array, comps in entries:
-            block.append(f'        <DataArray type="Float64" Name="{_attribute(name)}" '
-                         f'NumberOfComponents="{comps}" format="binary">')
-            block.append('          ' + _binary(array, "<f8"))
-            block.append('        </DataArray>')
-        block.append(f'      </{tag}>')
-        return block
-
-    chunks += data_block("PointData", point_data)
-    chunks += data_block("CellData", cell_data)
+    for tag, entries in (("PointData", point_data), ("CellData", cell_data)):
+        chunks.append(f'      <{tag}>')
+        for name, array, components in entries:
+            chunks += data_array("Float64", array, "<f8", name, components)
+        chunks.append(f'      </{tag}>')
     chunks += ['    </Piece>', '  </UnstructuredGrid>', '</VTKFile>', '']
     try:
         with open(path, "w") as stream:

@@ -97,9 +97,8 @@ def _run_solve(args) -> int:
                                   solver_config=_solver_config(args),
                                   initial_n=args.initial_n, on_level=on_level)
     except SolverFailure as failure:
-        partial = getattr(failure, "partial_table", None)
-        if partial is not None and partial.rows:
-            write_csv(partial, csv_path)
+        if failure.partial is not None and failure.partial.rows:
+            write_csv(failure.partial, csv_path)
         print(f"error: {failure}", file=sys.stderr)
         return 1
     write_csv(table, csv_path)
@@ -129,9 +128,8 @@ def _run_adapt(args) -> int:
     try:
         report, final_mesh, history = adaptive_solve(problem.data, mesh, config)
     except SolverFailure as failure:
-        partial = getattr(failure, "partial_history", None)
-        if partial is not None and partial.records:
-            write_csv(partial, csv_path)
+        if failure.partial is not None and failure.partial.records:
+            write_csv(failure.partial, csv_path)
         print(f"error: {failure}", file=sys.stderr)
         return 1
 

@@ -17,12 +17,19 @@ class EvaluationError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """A solve failed; raised as such when a linear solve misses its residual contract."""
+    """A solve failed; raised as such when a linear solve misses its residual contract.
+
+    ``iteration`` is the fixed-point iteration that failed.  ``partial`` is
+    None, unless a driver set it on the way out: then it holds the
+    ``EOCTable`` or ``AdaptiveHistory`` of the levels or cycles that
+    finished before the failure.
+    """
 
     def __init__(self, message, residual=None, iteration=None):
         super().__init__(message)
         self.residual = residual
         self.iteration = iteration
+        self.partial = None
 
 
 class DivergenceError(SolverFailure):

@@ -129,14 +129,9 @@ class Triangulation:
             problems = conformity_errors(self)
             if problems:
                 raise InvalidArgumentError(problems[0])
-        for arr in (self.vertex_coords, self.vertex_on_boundary, self.triangle_vertices,
-                    self.areas, self.diameters, self.centroids, self.basis_components,
-                    self.basis_gradients, self.edge_vertices, self.edge_triangles,
-                    self.edge_local, self.edge_normals, self.edge_lengths,
-                    self.triangle_edges, self.interior_edge_ids, self.boundary_edge_ids):
-            arr.setflags(write=False)
-        if self.new_vertex_parents is not None:
-            self.new_vertex_parents.setflags(write=False)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     # ------------------------------------------------------------------ build
 

@@ -123,19 +123,18 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of a fixed-point solve.
+    """Outcome of a fixed-point solve, filled in place step by step.
 
-    ``iterations`` counts linear solves.  ``linear_residuals`` holds the
-    true relative residual of each step's linear solve,
-    ``linear_iterations`` its LU solves in iterative refinement, including
-    those of a refinement that stalled but not the direct solve of a fresh
-    factor (a fresh float32 factor usually takes one or two),
-    ``factorizations`` the number of LU factorisations of step matrices
-    (the first step's, plus one per stale factor refreshed and one per
-    refinement stalled, with the previous factor or a fresh float32 one),
-    and
-    ``fallbacks`` the number of fresh step factors computed in float64
-    instead of float32.
+    ``solution`` is the last iterate and ``iterations`` counts linear
+    solves.  ``linear_residuals`` holds the true relative residual of each
+    step's linear solve, ``linear_iterations`` its LU solves in iterative
+    refinement, including those of a refinement that stalled but not the
+    direct solve of a fresh factor (a fresh float32 factor usually takes
+    one or two), ``factorizations`` the number of LU factorisations of step
+    matrices (the first step's, plus one per stale factor refreshed and one
+    per refinement stalled, with the previous factor or a fresh float32
+    one), and ``fallbacks`` the number of fresh step factors computed in
+    float64 instead of float32.
     """
 
     solution: FEFunction
@@ -483,11 +482,9 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     current = default_initializer(disc) if initial is None else initial
 
     factor = disc.factor
-    residuals: list[float] = []
-    linear_iterations: list[int] = []
+    report = SolveReport(current, 0)
     h = float(mesh.diameters.max())
     tolerance = config.increment_tol_factor * h * h
-    increments: list[float] = []
 
     for iteration in range(1, config.max_iterations + 1):
         try:
@@ -495,30 +492,26 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         except SolverFailure as failure:
             failure.iteration = iteration
             raise
-        residuals.append(factor.residual)
         lu_solves = factor.iterations + factor.stalled
-        linear_iterations.append(lu_solves)
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
-        increments.append(increment)
+        report.solution, report.iterations = proposed, iteration
+        report.linear_residuals.append(factor.residual)
+        report.linear_iterations.append(lu_solves)
+        report.increments.append(increment)
+        report.factorizations, report.fallbacks = factor.factorizations, factor.fallbacks
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
                          "linear residual %.2e, LU solves %d, factorizations %d, "
                          "L+U fill %d", iteration, increment, tolerance, factor.residual,
                          lu_solves, factor.factorizations, factor.lu.nnz)
         if increment <= tolerance:
-            return SolveReport(proposed, iteration, increments, True,
-                               linear_residuals=residuals,
-                               linear_iterations=linear_iterations,
-                               factorizations=factor.factorizations,
-                               fallbacks=factor.fallbacks)
-        if iteration >= 6 and increments[-1] > 10.0 * increments[-6] \
-                and all(b > a for a, b in zip(increments[-6:-1], increments[-5:])):
+            report.converged = True
+            return report
+        last = report.increments[-6:]
+        if iteration >= 6 and last[-1] > 10.0 * last[0] \
+                and all(b > a for a, b in zip(last, last[1:])):
             raise DivergenceError(
                 f"increments grew tenfold over five iterations "
                 f"(last {increment:.3e}); try a smaller tau", iteration=iteration)
         current = proposed
-
-    return SolveReport(current, config.max_iterations, increments, False,
-                       linear_residuals=residuals,
-                       linear_iterations=linear_iterations,
-                       factorizations=factor.factorizations, fallbacks=factor.fallbacks)
+    return report

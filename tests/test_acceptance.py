@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
 The heavy studies are shared through session fixtures; the adaptive
-efficiency comparison is the long pole at a few minutes.
+efficiency comparison is the long pole at about 16 s (2 vCPU, BLAS on one
+thread).
 """
 
 import time

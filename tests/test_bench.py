@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import logging
 import re
 import weakref
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, DivergenceError,
-                    EOCTable, InvalidArgumentError, SolverConfig, SolverFailure,
-                    adaptive_solve, build_initial_mesh, convergence_study,
-                    estimate, fe_hessian, interpolate, refine, registry,
-                    write_csv, write_vtu)
+                    EOCTable, IndicatorField, InvalidArgumentError, SolverConfig,
+                    SolverFailure, adaptive_solve, build_initial_mesh, convergence_study,
+                    estimate, fe_hessian, fixed_point_solve, interpolate, refine,
+                    registry, write_csv, write_vtu)
 from inflap.cli import main
 import inflap.adapt
 import inflap.bench
@@ -290,6 +291,26 @@ def test_vtu_field_names_are_escaped(tmp_path):
     assert [a.get("Name") for a in arrays] == names
 
 
+# sha256 of the file below; the decode tests read by name, so only this pins
+# the header layout (element and attribute order, indentation)
+PINNED_VTU_SHA256 = "0657297df5ee0e61ed9bda38f12062f84ae03225f5350050a6812b7ceca38662"
+
+
+def test_vtu_layout_is_pinned(tmp_path):
+    # every field kind, with exactly representable values only
+    mesh = build_initial_mesh(2)
+    nv, nt = mesh.vertex_count, mesh.triangle_count
+    eta = np.arange(nt) / 4.0
+    indicators = IndicatorField(mesh, eta, eta / 2.0, np.zeros(len(mesh.interior_edge_ids)),
+                                float(eta.sum()), 1.0)
+    fields = {"solution": interpolate(mesh, lambda x, y: x + 2.0 * y), "indicator": indicators,
+              "hessian": np.arange(4 * nt).reshape(nt, 2, 2) / 8.0,
+              "vertex ids": np.arange(nv), 'u<0 & "v"': -np.arange(nv) / 2.0}
+    path = tmp_path / "pinned.vtu"
+    write_vtu(mesh, fields, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_VTU_SHA256
+
+
 def test_vtu_rejects_odd_field_length(tmp_path):
     mesh = build_initial_mesh(1)
     with pytest.raises(InvalidArgumentError):
@@ -398,17 +419,59 @@ def test_cli_unwritable_csv_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write CSV")
 
 
-def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, capsys):
-    real_solve = inflap.bench.fixed_point_solve
+def fail_on_third_solve(monkeypatch, module):
+    """Make ``module``'s ``fixed_point_solve`` raise on its third call.
+
+    Returns the list of the meshes it was called with.
+    """
+    real_solve = module.fixed_point_solve
     solves = []
 
-    def failing_on_third_level(*args, **kwargs):
+    def failing_on_third_solve(*args, **kwargs):
         solves.append(args[0])
         if len(solves) == 3:
             raise SolverFailure("linear solve failed: stub")
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(inflap.bench, "fixed_point_solve", failing_on_third_level)
+    monkeypatch.setattr(module, "fixed_point_solve", failing_on_third_solve)
+    return solves
+
+
+def test_study_failure_carries_the_finished_levels(monkeypatch):
+    solves = fail_on_third_solve(monkeypatch, inflap.bench)
+    with pytest.raises(SolverFailure) as info:
+        convergence_study("classical", 4, tau=1000.0)
+    partial = info.value.partial
+    assert isinstance(partial, EOCTable) and partial.problem == "classical"
+    assert [(row.level, row.dofs) for row in partial.rows] == \
+        [(0, solves[0].vertex_count), (1, solves[1].vertex_count)]
+
+
+def test_adaptive_failure_carries_the_finished_cycles(monkeypatch):
+    solves = fail_on_third_solve(monkeypatch, inflap.adapt)
+    with pytest.raises(SolverFailure) as info:
+        adaptive_solve(registry()["aronsson"].data, build_initial_mesh(4),
+                       AdaptiveConfig(estimator_tol=1e-6, tau=0.1))
+    partial = info.value.partial
+    assert isinstance(partial, AdaptiveHistory)
+    assert [(record.cycle, record.dofs) for record in partial.records] == \
+        [(0, solves[0].vertex_count), (1, solves[1].vertex_count)]
+
+
+def test_failure_outside_a_driver_carries_nothing(monkeypatch):
+    def poisoned(lu, rhs):
+        return np.full_like(rhs, np.nan)
+
+    mesh = build_initial_mesh(2)
+    start = interpolate(mesh, lambda x, y: x + y)
+    monkeypatch.setattr(inflap.solver.PermutedLU, "solve", poisoned)
+    with pytest.raises(SolverFailure) as info:
+        fixed_point_solve(mesh, registry()["classical"].data, initial=start)
+    assert info.value.iteration == 1 and info.value.partial is None
+
+
+def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, capsys):
+    fail_on_third_solve(monkeypatch, inflap.bench)
     assert main(["solve", "--problem", "classical", "--levels", "4", "--tau", "1000",
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: linear solve failed")
@@ -418,16 +481,7 @@ def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, caps
 
 
 def test_cli_adapt_failure_keeps_the_finished_cycles(tmp_path, monkeypatch, capsys):
-    real_solve = inflap.adapt.fixed_point_solve
-    solves = []
-
-    def failing_on_third_cycle(*args, **kwargs):
-        solves.append(args[0])
-        if len(solves) == 3:
-            raise SolverFailure("linear solve failed: stub")
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(inflap.adapt, "fixed_point_solve", failing_on_third_cycle)
+    solves = fail_on_third_solve(monkeypatch, inflap.adapt)
     assert main(["adapt", "--problem", "aronsson", "--tol", "1e-6",
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: linear solve failed")
@@ -496,16 +550,6 @@ def test_cli_respects_environment_output_dir(tmp_path, monkeypatch):
     assert main(["solve", "--problem", "classical", "--levels", "1",
                  "--tau", "1000"]) == 0
     assert (tmp_path / "envout" / "classical_eoc.csv").exists()
-
-
-def test_cli_determinism(tmp_path):
-    args = ["solve", "--problem", "classical", "--levels", "3", "--tau", "1000"]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(out_a)]) == 0
-    assert main(args + ["--out", str(out_b)]) == 0
-    csv_a = (out_a / "classical_eoc.csv").read_bytes()
-    csv_b = (out_b / "classical_eoc.csv").read_bytes()
-    assert csv_a == csv_b
 
 
 def test_cli_log_level_shows_iterations(tmp_path, caplog):

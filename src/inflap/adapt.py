@@ -21,9 +21,11 @@ logger = logging.getLogger(__name__)
 class AdaptiveConfig:
     """Knobs of the adaptive loop.
 
-    ``tau`` overrides the problem's relaxation parameter when set.  The
-    dof budget bounds runaway refinement independently of the estimator
-    tolerance.
+    ``tau`` overrides the problem's relaxation parameter when set.  Left
+    None, the run uses ``ProblemData.tau`` (1000 for classical), not
+    ``BenchmarkProblem.adaptive_tau`` (1; 0.1 for aronsson) as ``inflap
+    adapt`` does, and on classical refines far more slowly.  The dof budget
+    bounds runaway refinement independently of the estimator tolerance.
     """
 
     estimator_tol: float
@@ -98,6 +100,39 @@ def transfer(u: FEFunction, fine: Triangulation) -> FEFunction:
     return FEFunction(fine, coefficients)
 
 
+def solve_and_measure(mesh: Triangulation, problem: ProblemData,
+                      solver_config: Optional[SolverConfig], initial: Optional[FEFunction],
+                      partial, where: str):
+    """Solve, estimate, measure and log one mesh: the pass of both drivers.
+
+    A ``SolverFailure`` gets ``partial``, the driver's finished records;
+    ``where`` prefixes the unconverged WARNING and the INFO line.  Returns
+    the report, its indicators and the fields ``EOCRow`` and ``CycleRecord``
+    share, with None errors where the problem has no exact solution or gradient.
+    """
+    try:
+        report = fixed_point_solve(mesh, problem, solver_config, initial=initial)
+    except SolverFailure as failure:
+        failure.partial = partial
+        raise
+    if not report.converged:
+        logger.warning("%s: fixed-point solve did not converge in %d iterations",
+                       where, report.iterations)
+    indicators = estimate(report.solution, problem.f)
+    measured = dict(dofs=mesh.vertex_count, estimator=indicators.eta_total,
+                    iterations=report.iterations, converged=report.converged,
+                    l2_error=None, h1_error=None)
+    if problem.exact_solution is not None:
+        measured["l2_error"] = l2_error(report.solution, problem.exact_solution)
+    if problem.exact_gradient is not None:
+        measured["h1_error"] = h1_semi_error(report.solution, problem.exact_gradient)
+    logger.info("%s: %d dofs, estimator %.4e, iterations %d, float64 fallbacks %d, "
+                "factorizations %d, refinement LU solves %d", where, mesh.vertex_count,
+                indicators.eta_total, report.iterations, report.fallbacks,
+                report.factorizations, sum(report.linear_iterations))
+    return report, indicators, measured
+
+
 def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
                    config: AdaptiveConfig):
     """Loop solve, estimate, mark, refine until the estimator tolerance.
@@ -105,9 +140,9 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     Each solve warm-starts from the previous solution prolonged onto the
     new mesh.  Returns the final solve report, the final mesh, and the
     per-cycle history.  Stops on the estimator tolerance, the cycle
-    budget, or the dof budget, whichever comes first.  A solver failure
-    carries the history of the cycles finished before it in
-    ``SolverFailure.partial``.
+    budget, or the dof budget, whichever comes first.  Each cycle is one
+    ``solve_and_measure`` pass, which logs it and, on a solver failure,
+    hands the history of the finished cycles to ``SolverFailure.partial``.
     """
     if config.tau is not None:
         problem = replace(problem, tau=config.tau)
@@ -116,28 +151,11 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     guess = None
     history = AdaptiveHistory()
     for cycle in range(config.max_cycles):
-        try:
-            report = fixed_point_solve(mesh, problem, config.solver, initial=guess)
-        except SolverFailure as failure:
-            failure.partial = history
-            raise
-        if not report.converged:
-            logger.warning("cycle %d: fixed-point solve did not converge in %d iterations",
-                           cycle, report.iterations)
-        indicators = estimate(report.solution, problem.f)
-        record = CycleRecord(
-            cycle=cycle, dofs=mesh.vertex_count, triangles=mesh.triangle_count,
-            estimator=indicators.eta_total, estimator_l1=indicators.global_estimate,
-            iterations=report.iterations, converged=report.converged)
-        if problem.exact_solution is not None:
-            record.l2_error = l2_error(report.solution, problem.exact_solution)
-        if problem.exact_gradient is not None:
-            record.h1_error = h1_semi_error(report.solution, problem.exact_gradient)
-        history.records.append(record)
-        logger.info("cycle %d: %d dofs, estimator %.4e, float64 fallbacks %d, "
-                    "factorizations %d, refinement LU solves %d", cycle, record.dofs,
-                    record.estimator, report.fallbacks, report.factorizations,
-                    sum(report.linear_iterations))
+        report, indicators, measured = solve_and_measure(
+            mesh, problem, config.solver, guess, history, f"cycle {cycle}")
+        history.records.append(CycleRecord(
+            cycle=cycle, triangles=mesh.triangle_count,
+            estimator_l1=indicators.global_estimate, **measured))
 
         if indicators.eta_total <= config.estimator_tol:
             break

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import base64
 import csv
-import logging
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .adapt import AdaptiveHistory, CycleRecord
-from .errors import InvalidArgumentError, SolverFailure, is_positive_integer
-from .estimator import IndicatorField, estimate
-from .fespace import FEFunction, h1_semi_error, l2_error
+from .adapt import AdaptiveHistory, CycleRecord, solve_and_measure
+from .errors import InvalidArgumentError, is_positive_integer
+from .estimator import IndicatorField
+from .fespace import FEFunction
 from .mesh import Triangulation, build_initial_mesh, uniform_refine
-from .solver import ProblemData, SolverConfig, fixed_point_solve
-
-logger = logging.getLogger(__name__)
+from .solver import ProblemData, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,9 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
     uniformly between levels; every level is solved from the Poisson
     initial guess so iteration counts are comparable across levels.
     ``on_level(level, mesh, report, indicators)`` is called after each
-    solve.  A solver failure aborts the study and carries the table of
-    the levels finished so far in ``SolverFailure.partial``.
+    solve.  Each level is one ``adapt.solve_and_measure`` pass, which logs
+    it and, on a solver failure, hands the table of the finished levels to
+    ``SolverFailure.partial``.
     """
     if not is_positive_integer(levels):
         raise InvalidArgumentError("levels must be a positive integer")
@@ -129,32 +127,15 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
     mesh = build_initial_mesh(initial_n)
     previous_row = None
     for level in range(levels):
-        try:
-            report = fixed_point_solve(mesh, data, solver_config)
-        except SolverFailure as failure:
-            failure.partial = table
-            raise
-        indicators = estimate(report.solution, data.f)
-        if not report.converged:
-            logger.warning("level %d: fixed-point solve did not converge in %d iterations",
-                           level, report.iterations)
-        row = EOCRow(level=level, h=float(mesh.diameters.max()),
-                     dofs=mesh.vertex_count, iterations=report.iterations,
-                     converged=report.converged, estimator=indicators.eta_total)
-        if data.exact_solution is not None:
-            row.l2_error = l2_error(report.solution, data.exact_solution)
-        if data.exact_gradient is not None:
-            row.h1_error = h1_semi_error(report.solution, data.exact_gradient)
+        report, indicators, measured = solve_and_measure(
+            mesh, data, solver_config, None, table, f"level {level}")
+        row = EOCRow(level=level, h=float(mesh.diameters.max()), **measured)
         if previous_row is not None:
             row.l2_eoc = _eoc(previous_row.l2_error, row.l2_error, previous_row.h, row.h)
             row.h1_eoc = _eoc(previous_row.h1_error, row.h1_error, previous_row.h, row.h)
             row.estimator_eoc = _eoc(previous_row.estimator, row.estimator,
                                      previous_row.h, row.h)
         table.rows.append(row)
-        logger.info("level %d: h %.4e, dofs %d, iterations %d, float64 fallbacks %d, "
-                    "factorizations %d, refinement LU solves %d", level, row.h, row.dofs,
-                    row.iterations, report.fallbacks, report.factorizations,
-                    sum(report.linear_iterations))
         if on_level is not None:
             on_level(level, mesh, report, indicators)
         # the next solve holds only the next mesh

@@ -169,8 +169,7 @@ def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, c
     monkeypatch.setattr(inflap.adapt, "fixed_point_solve", recording)
     solver = SolverConfig(increment_tol_factor=0.01)
     with caplog.at_level(logging.INFO, logger="inflap"):
-        convergence_study("aronsson", 2, solver_config=solver,
-                          on_level=lambda level, mesh, report, _: reports.append(report))
+        convergence_study("aronsson", 2, solver_config=solver)
         adaptive_solve(registry()["aronsson"].data, build_initial_mesh(4),
                        AdaptiveConfig(estimator_tol=1e-9, max_cycles=2, solver=solver))
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
@@ -182,6 +181,21 @@ def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, c
                              f"{sum(report.linear_iterations)}")
     assert [line.split(":")[0] for line in lines] == ["level 0", "level 1",
                                                       "cycle 0", "cycle 1"]
+
+
+def test_levels_and_cycles_share_one_measurement(caplog):
+    # level 0 and cycle 0 solve the same mesh from the same Poisson start
+    with caplog.at_level(logging.INFO, logger="inflap"):
+        table = convergence_study("aronsson", 1, tau=0.1)
+        _, _, history = adaptive_solve(registry()["aronsson"].data, build_initial_mesh(4),
+                                       AdaptiveConfig(estimator_tol=1e9, tau=0.1))
+    row, record = table.rows[0], history.records[0]
+    for name in ("dofs", "estimator", "iterations", "converged", "l2_error", "h1_error"):
+        assert getattr(row, name) == getattr(record, name), name
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(lines) == 2
+    assert lines[0].startswith("level 0: ") and lines[1].startswith("cycle 0: ")
+    assert lines[0].removeprefix("level 0: ") == lines[1].removeprefix("cycle 0: ")
 
 
 def test_csv_rejects_unknown_payload(tmp_path):
@@ -438,7 +452,7 @@ def fail_on_third_solve(monkeypatch, module):
 
 
 def test_study_failure_carries_the_finished_levels(monkeypatch):
-    solves = fail_on_third_solve(monkeypatch, inflap.bench)
+    solves = fail_on_third_solve(monkeypatch, inflap.adapt)
     with pytest.raises(SolverFailure) as info:
         convergence_study("classical", 4, tau=1000.0)
     partial = info.value.partial
@@ -471,7 +485,7 @@ def test_failure_outside_a_driver_carries_nothing(monkeypatch):
 
 
 def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, capsys):
-    fail_on_third_solve(monkeypatch, inflap.bench)
+    fail_on_third_solve(monkeypatch, inflap.adapt)
     assert main(["solve", "--problem", "classical", "--levels", "4", "--tau", "1000",
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: linear solve failed")
@@ -501,11 +515,31 @@ def test_cli_divergence_exits_1(tmp_path, monkeypatch, capsys, argv):
         raise DivergenceError("increments grew tenfold over five iterations (stub)",
                               iteration=6)
 
-    monkeypatch.setattr(inflap.bench, "fixed_point_solve", diverging)
     monkeypatch.setattr(inflap.adapt, "fixed_point_solve", diverging)
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: increments grew tenfold")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, tau", [
+    (["solve", "--problem", "classical", "--levels", "1"], 1000.0),
+    (["solve", "--problem", "aronsson", "--levels", "1"], 1.0),
+    (["adapt", "--problem", "classical", "--tol", "1e9"], 1.0),
+    (["adapt", "--problem", "aronsson", "--tol", "1e9"], 0.1)],
+    ids=["solve-classical", "solve-aronsson", "adapt-classical", "adapt-aronsson"])
+def test_cli_tau_defaults(tmp_path, monkeypatch, argv, tau):
+    # without --tau, solve runs with ProblemData.tau and adapt with
+    # BenchmarkProblem.adaptive_tau
+    taus = []
+    real_solve = inflap.adapt.fixed_point_solve
+
+    def recording(mesh, problem, *args, **kwargs):
+        taus.append(problem.tau)
+        return real_solve(mesh, problem, *args, **kwargs)
+
+    monkeypatch.setattr(inflap.adapt, "fixed_point_solve", recording)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert taus == [tau]
 
 
 def test_cli_solve_produces_outputs(tmp_path):
@@ -562,6 +596,6 @@ def test_cli_log_level_shows_iterations(tmp_path, caplog):
     assert lines and lines[0].startswith("iteration 1: increment")
     assert "linear residual" in lines[0] and "factorizations 1" in lines[0]
     assert re.search(r"L\+U fill [1-9]\d*$", lines[0])
-    assert any(r.name == "inflap.bench" and r.levelno == logging.INFO
+    assert any(r.name == "inflap.adapt" and r.levelno == logging.INFO
                for r in caplog.records)
 

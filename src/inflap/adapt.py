@@ -62,6 +62,7 @@ class CycleRecord:
 @dataclass
 class AdaptiveHistory:
     records: list[CycleRecord] = field(default_factory=list)
+    indicators: Optional[IndicatorField] = None     # the last cycle's, once the loop ends
 
 
 def mark(indicators: IndicatorField, theta: float) -> np.ndarray:
@@ -139,8 +140,9 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
 
     Each solve warm-starts from the previous solution prolonged onto the
     new mesh.  Returns the final solve report, the final mesh, and the
-    per-cycle history.  Stops on the estimator tolerance, the cycle
-    budget, or the dof budget, whichever comes first.  Each cycle is one
+    per-cycle history with the final mesh's indicators.  Stops on the
+    estimator tolerance, the cycle budget, or the dof budget, whichever
+    comes first.  Each cycle is one
     ``solve_and_measure`` pass, which logs it and, on a solver failure,
     hands the history of the finished cycles to ``SolverFailure.partial``.
     """
@@ -169,4 +171,5 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         # the next solve holds only the new mesh; every exit from the loop
         # is a break above, so the returned report is the last solve's
         del report, indicators, marked
+    history.indicators = indicators
     return report, mesh, history

@@ -18,7 +18,6 @@ import sys
 from .adapt import AdaptiveConfig, adaptive_solve
 from .bench import convergence_study, registry, write_csv, write_vtu
 from .errors import InvalidArgumentError, SolverFailure
-from .estimator import estimate
 from .mesh import build_initial_mesh
 from .solver import SolverConfig
 
@@ -134,9 +133,8 @@ def _run_adapt(args) -> int:
         return 1
 
     write_csv(history, csv_path)
-    indicators = estimate(report.solution, problem.data.f)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")
-    write_vtu(final_mesh, {"solution": report.solution, "indicator": indicators},
+    write_vtu(final_mesh, {"solution": report.solution, "indicator": history.indicators},
               vtu_path)
     last = history.records[-1]
     print(f"wrote {csv_path} and {vtu_path}")

@@ -39,7 +39,10 @@ import numpy as np
 from .fespace import (FEFunction, evaluate_field, gradients, physical_points,
                       triangle_rule)
 from .mesh import Triangulation
-from .solver import diffusion_components
+
+# Floor on |p|^2 in the diffusion tensor; it only guards the exact 0/0 case
+# of an element where the frozen gradient vanishes.
+GRADIENT_FLOOR = 1e-10
 
 
 @dataclass
@@ -58,6 +61,17 @@ class IndicatorField:
     jumps: np.ndarray
     global_estimate: float
     eta_total: float
+
+
+def diffusion_components(grad: np.ndarray):
+    """Entries p00, p01, p11 of P = (p (x) p) / |p|^2 per element (p10 == p01).
+
+    ``grad`` is the (2, nt) component-major gradient p of the frozen
+    iterate; p_rc = (p_r p_c) / max(|p|^2, GRADIENT_FLOOR).
+    """
+    g0, g1 = grad
+    denom = np.maximum(g0 * g0 + g1 * g1, GRADIENT_FLOOR)
+    return g0 * g0 / denom, g0 * g1 / denom, g1 * g1 / denom
 
 
 def interior_residual_norms(mesh: Triangulation, f) -> np.ndarray:

@@ -72,9 +72,8 @@ class Triangulation:
     edge_vertices : (ne, 2) int array, endpoint ids with the smaller one first
     edge_triangles : (ne, 2) int array, adjacent triangle ids, the smaller one first
         (-1 in slot 1 on the boundary)
-    edge_local : (ne, 2) int array, the edge's local slot in each adjacent triangle,
-        ``triangle_edges[edge_triangles[e, s], edge_local[e, s]] == e`` (-1 where
-        ``edge_triangles`` is -1)
+    corner_across : (nt, 3) int array, the flat corner 3 K' + m' across edge m of K
+        (K' the neighbor, m' the edge's slot in it), or -1 on the boundary
     edge_normals : (ne, 2) unit normals pointing out of the first adjacent triangle
     edge_lengths : (ne,) float array
     triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
@@ -166,7 +165,8 @@ class Triangulation:
         corners[has_two, 0] = np.minimum(one, other)
         corners[has_two, 1] = np.maximum(one, other)
         self.edge_triangles = corners // 3                  # -1 // 3 == -1
-        self.edge_local = np.where(corners >= 0, corners % 3, -1)
+        self.corner_across = np.full((nt, 3), -1, dtype=np.int64)
+        self.corner_across.reshape(-1)[corners[has_two]] = corners[has_two, ::-1]
         self.edge_vertices = np.column_stack([keys[first] // nv, keys[first] % nv])
         self.interior_edge_ids = np.flatnonzero(has_two)
         self.boundary_edge_ids = np.flatnonzero(counts == 1)

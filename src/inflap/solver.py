@@ -16,15 +16,15 @@ trace(H[.]), which depends on the mesh only.  At a fixed point the two
 Everything that depends only on the mesh is built once per mesh.  The
 ``Triangulation`` holds the component-major hat-function gradients.  One
 ``Discretisation`` per ``fixed_point_solve`` call holds the Hessian
-operator (per-element Hessian blocks over each element's stencil plus the
-sparse pattern of the step matrix), T in that pattern, the load vector,
-the Dirichlet values with the pattern positions the Dirichlet lift keeps,
-and the LU factor of the last factored step matrix, a minimum-degree LU
-after a reverse Cuthill-McKee pre-ordering.  Its ``step`` computes only
-values: the iterate's gradient once, component by component, P's entries,
-which contract each element's block, the sums into the fixed pattern plus
-T / tau, the load plus T u / tau, the boundary lift by gathering the kept
-entries, and the solve.
+operator (per-element Hessian blocks over each element's stencil), the
+step matrix's sparse pattern with each block entry's position in it, T in
+that pattern, the load vector, the Dirichlet values with the pattern
+positions the Dirichlet lift keeps, and the LU factor of the last factored
+step matrix, a minimum-degree LU after a reverse Cuthill-McKee
+pre-ordering.  Its ``step`` computes only values: the iterate's gradient
+once, component by component, P's entries, which contract each element's
+block, the sums into the fixed pattern plus T / tau, the load plus T u /
+tau, the boundary lift by gathering the kept entries, and the solve.
 
 Every linear system is solved by one loop of iterative refinement (Moler
 1967) with one matrix-vector product per LU solve and one accept target,
@@ -57,9 +57,10 @@ import scipy.sparse.linalg as spla
 
 from .errors import (DivergenceError, InvalidArgumentError, SolverFailure,
                      is_positive_integer)
+from .estimator import diffusion_components
 from .fespace import (FEFunction, evaluate_field, gradients, l2_norm, physical_points,
                       triangle_rule)
-from .hessian import HessianOperator, hessian_operator
+from .hessian import hessian_operator
 from .mesh import Triangulation
 
 logger = logging.getLogger(__name__)
@@ -79,10 +80,6 @@ REFINE_MIN_RATE = 0.3
 # and the whole study took 2.8, 2.6 and 2.7 s (median of three runs, 2 vCPU):
 # a lower limit refactors more often than it saves solves.
 REFACTOR_AFTER_SOLVES = 5
-
-# Floor on |p|^2 in the diffusion tensor; it only guards the exact 0/0 case
-# of an element where the frozen gradient vanishes.
-GRADIENT_FLOOR = 1e-10
 
 # Largest relative residual a linear solve may return; the refinement loop
 # stops only at 1e-2 of it.
@@ -224,29 +221,71 @@ class PermutedLU:
         return np.ldexp(solution, exponent, out=solution)
 
 
-def diffusion_components(grad: np.ndarray):
-    """Entries p00, p01, p11 of P = (p (x) p) / |p|^2 per element (p10 == p01).
+def step_pattern(mesh: Triangulation, stencil: np.ndarray):
+    """The step matrix's int32 CSR pattern and each block entry's position in it.
 
-    ``grad`` is the (2, nt) component-major gradient p of the frozen
-    iterate; p_rc = (p_r p_c) / max(|p|^2, GRADIENT_FLOOR).
+    Row i gathers the ``stencil`` of every element with vertex i.  Returns
+    read-only ``indptr``, ``indices`` (sorted, no duplicates; scipy's own
+    index type, so a ``csr_matrix`` on them shares them) and ``slots``,
+    whose ``[K, a, s]`` is the position of the entry (vertex a of K,
+    ``stencil[K, s]``).  The 12 nt queries (vertex a of K, own vertex or
+    the far vertex across edge a) carry their index 18 K + 6 a + s; tocsc's
+    counting sort groups them by row, sort_indices orders each row, and a
+    running count of the distinct columns numbers them.  The other 6 nt
+    repeat queries of the neighbor across edge m != a, whose own vertices
+    these are (on the boundary, of vertex m of K), and are gathered.
     """
-    g0, g1 = grad
-    denom = np.maximum(g0 * g0 + g1 * g1, GRADIENT_FLOOR)
-    return g0 * g0 / denom, g0 * g1 / denom, g1 * g1 / denom
+    tris = mesh.triangle_vertices
+    nt, nv = mesh.triangle_count, mesh.vertex_count
+    across = np.ascontiguousarray(mesh.corner_across.T)            # (m, nt)
+    interior = across >= 0
+    neighbor = np.where(interior, across // 3, np.arange(nt))
+    far = np.where(interior, across % 3, np.arange(3)[:, None])
+
+    by_vertex = sp.csr_array((np.ones(3 * nt, dtype=np.int8), tris.reshape(-1),
+                              np.arange(3 * nt + 1)), shape=(3 * nt, nv)).tocsc()
+    corners = by_vertex.indices.astype(np.int32)
+    reach = np.empty((nt, 3, 4), dtype=np.int32)
+    reach[:, :, :3] = tris[:, None]
+    reach[:, :, 3] = stencil[:, 3:]
+    targets = 6 * corners[:, None] + np.arange(4, dtype=np.int32)
+    targets[:, 3] += corners % 3
+    queries = sp.csr_array(
+        (targets.reshape(-1), np.take(reach.reshape(3 * nt, 4), corners, axis=0).reshape(-1),
+         4 * by_vertex.indptr.astype(np.int32)), shape=(nv, nv))
+    queries.sort_indices()
+    columns = queries.indices
+    new = np.zeros(len(columns) + 1, dtype=bool)      # the spare marks the end
+    new[queries.indptr] = True
+    new[1:-1] |= columns[1:] != columns[:-1]
+    distinct = np.cumsum(new, dtype=np.int32)
+    slots = np.empty((nt, 3, 6), dtype=np.int32)
+    slots.reshape(-1)[queries.data] = distinct[:-1] - 1
+    # vertex m + step of K is vertex far - step of the neighbor across edge
+    # m; on a boundary edge the query is (vertex m + step, own vertex m)
+    for m in range(3):
+        for step in (1, 2):
+            row = np.where(interior[m], (far[m] - step) % 3, (m + step) % 3)
+            slots[:, (m + step) % 3, 3 + m] = np.take(slots, 18 * neighbor[m] + 6 * row + far[m])
+    indptr = (distinct[queries.indptr] - 1).astype(np.int32)
+    indices = columns[new[:-1]].astype(np.int32)
+    for arr in (indptr, indices, slots):
+        arr.setflags(write=False)
+    return indptr, indices, slots
 
 
-def _fill_pattern(operator: HessianOperator, slots: np.ndarray,
+def _fill_pattern(disc: Discretisation, slots: np.ndarray,
                   weights: np.ndarray) -> sp.csr_matrix:
-    """The matrix in ``operator``'s step pattern with ``weights`` summed into ``slots``.
+    """The matrix in ``disc``'s step pattern with ``weights`` summed into ``slots``.
 
     ``bincount`` adds the weights of each entry in their order, and an
-    entry that sums to zero stays stored.  The matrix shares the operator's
+    entry that sums to zero stays stored.  The matrix shares the pattern's
     read-only index arrays.
     """
     data = np.bincount(slots.reshape(-1), weights=weights.reshape(-1),
-                       minlength=len(operator.indices))
-    n = len(operator.indptr) - 1
-    return sp.csr_matrix((data, operator.indices, operator.indptr), shape=(n, n))
+                       minlength=len(disc.indices))
+    n = len(disc.indptr) - 1
+    return sp.csr_matrix((data, disc.indices, disc.indptr), shape=(n, n))
 
 
 def load_vector(mesh: Triangulation, f) -> np.ndarray:
@@ -262,11 +301,12 @@ def load_vector(mesh: Triangulation, f) -> np.ndarray:
 class Discretisation:
     """What every linearised step of ``problem`` on ``mesh`` shares.
 
-    ``relaxation`` is T in the step pattern: each element adds |K|/3 *
-    (B_00 + B_11) over its stencil to the rows of its three vertices.
-    ``lifted`` is g on the boundary vertices and zero inside.  The
-    Dirichlet lift keeps the step-pattern positions ``kept`` (interior by
-    interior, and the diagonal of each boundary row), whose int32 CSR
+    ``relaxation`` is T in the step pattern ``indptr``/``indices``, whose
+    ``slots`` place the operator's blocks (``step_pattern``): each element
+    adds |K|/3 * (B_00 + B_11) over its stencil to the rows of its three
+    vertices.  ``lifted`` is g on the boundary vertices and zero inside.
+    The Dirichlet lift keeps the step-pattern positions ``kept`` (interior
+    by interior, and the diagonal of each boundary row), whose int32 CSR
     pattern is ``lift_indptr``/``lift_indices``; ``pins`` are its boundary
     diagonals.  ``factor`` carries the LU that later steps reuse.
     """
@@ -275,14 +315,15 @@ class Discretisation:
         self.mesh = mesh
         self.problem = problem
         self.operator = operator = hessian_operator(mesh)
+        self.indptr, self.indices, self.slots = step_pattern(mesh, operator.stencil)
         self.load = load_vector(mesh, problem.f)
         trace = (operator.blocks[0] + operator.blocks[3]) * (mesh.areas / 3.0)[:, None]
-        self.relaxation = _fill_pattern(operator, operator.slots, np.repeat(trace, 3, axis=0))
+        self.relaxation = _fill_pattern(self, self.slots, np.repeat(trace, 3, axis=0))
         boundary = mesh.vertex_on_boundary
         self.lifted = np.zeros(mesh.vertex_count)
         self.lifted[boundary] = evaluate_field(problem.g, *mesh.vertex_coords[boundary].T)
 
-        indptr, indices = operator.indptr, operator.indices
+        indptr, indices = self.indptr, self.indices
         rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
         self.kept = np.flatnonzero(
             (rows == indices) | ~(boundary[rows] | boundary[indices])).astype(np.int32)
@@ -310,11 +351,11 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction) -> sp.csr_matrix:
     It applies the hat-function test of P[u_prev] : H[.] with the tensor
     unknown eliminated through the recovered-Hessian operator: each element
     adds |K|/3 * (P_K : B_K) over its stencil to the rows of its three
-    vertices, in the operator's fixed CSR pattern.  Per step, only values
+    vertices, in the fixed step pattern.  Per step, only values
     are computed: the gradient of ``u_prev`` once, component by component,
     P's entries from it, and one ``bincount`` into the fixed pattern.
     """
-    mesh, operator = disc.mesh, disc.operator
+    mesh = disc.mesh
     if u_prev.mesh is not mesh:
         raise InvalidArgumentError("u_prev must live on the discretisation's mesh")
 
@@ -322,23 +363,29 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction) -> sp.csr_matrix:
     # order and scaled by the hat-function integral |K|/3; bincount adds the
     # elements of each matrix entry in ascending element order
     p00, p01, p11 = (p[:, None] for p in diffusion_components(gradients(u_prev).T))
-    blocks = operator.blocks
+    blocks = disc.operator.blocks
     weights = p00 * blocks[0]
     weights += p01 * blocks[1]
     weights += p01 * blocks[2]
     weights += p11 * blocks[3]
     weights *= (mesh.areas / 3.0)[:, None]
-    return _fill_pattern(operator, operator.slots, np.repeat(weights, 3, axis=0))
+    return _fill_pattern(disc, disc.slots, np.repeat(weights, 3, axis=0))
 
 
 def apply_dirichlet(disc: Discretisation, matrix: sp.csr_matrix, rhs: np.ndarray):
     """Impose g by row replacement with a right-hand side lift.
 
-    ``matrix`` must hold the step pattern.  Boundary rows become identity
-    rows with g(vertex) on the right, the boundary columns are folded into
-    the right-hand side of the interior rows, and entries that are exactly
-    zero are dropped.  Returns new objects.
+    ``matrix`` must be a CSR matrix in the step pattern (a sparse sum drops
+    the entries that cancel), else ``InvalidArgumentError``; a step's matrix
+    holds views of ``disc``'s index arrays, which is checked first, in O(1).
+    Boundary rows become identity rows with g(vertex) on the right, the
+    boundary columns are folded into the right-hand side of the interior
+    rows, and entries that are exactly zero are dropped.  Returns new objects.
     """
+    if matrix.format != "csr" or not all(
+            held.__array_interface__ == ours.__array_interface__ or np.array_equal(held, ours)
+            for held, ours in ((matrix.indptr, disc.indptr), (matrix.indices, disc.indices))):
+        raise InvalidArgumentError("matrix must be a CSR matrix in the step pattern")
     boundary = disc.mesh.vertex_on_boundary
     new_rhs = np.where(boundary, disc.lifted, rhs - matrix @ disc.lifted)
     data = matrix.data[disc.kept]
@@ -449,13 +496,13 @@ def default_initializer(disc: Discretisation) -> FEFunction:
 
     Away from its critical points the guess has a usable gradient
     direction, which keeps the first diffusion tensor well defined.  The
-    stiffness matrix fills the step pattern through the operator's slots
-    of each element's own vertices.
+    stiffness matrix fills the step pattern through the slots of each
+    element's own vertices.
     """
-    mesh, operator = disc.mesh, disc.operator
+    mesh = disc.mesh
     local = mesh.areas[:, None, None] * np.einsum(
         "tid,tjd->tij", mesh.basis_gradients, mesh.basis_gradients)
-    stiffness = _fill_pattern(operator, operator.slots[:, :, :3], local)
+    stiffness = _fill_pattern(disc, disc.slots[:, :, :3], local)
     matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
     return FEFunction(mesh, solve_linear(matrix, rhs))
 

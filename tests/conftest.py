@@ -7,7 +7,7 @@ check; ``brute_conformity_errors`` tests every vertex against every edge,
 and ``decode_vtu_array`` reads a VTU array by the file format alone.
 ``integrate`` and ``min_angle_degrees`` are measurements that only
 the tests need.  ``two_product_refine``, ``pair_jump_residuals``,
-``row_major_mesh_arrays``, ``argmax_product_hessian_operator``, the
+``row_major_mesh_arrays``, ``argmax_product_operator_and_pattern``, the
 per-case mesh builds (``quarter_loop_initial_mesh``, ``any_edge_closure``,
 ``five_case_bisect``) and the row-major kernels (``einsum_gradients``,
 ``row_sum_l2_norm``, ``outer_diffusion_tensor``, ``batched_physical_points``,
@@ -27,7 +27,8 @@ from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangl
 from inflap.hessian import HessianOperator, fe_hessian
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
-from inflap.solver import GRADIENT_FLOOR, REFINE_MIN_RATE
+from inflap.estimator import GRADIENT_FLOOR
+from inflap.solver import REFINE_MIN_RATE
 
 
 def integrate(field, mesh):
@@ -208,11 +209,6 @@ def five_case_bisect(mesh, edge_marked):
     emit(both, 2, (m2, b, m0))
     emit(both, 3, (c, m2, m0))
     return Triangulation(coords, out, new_vertex_parents=pairs)
-
-
-def operator_stencil(operator):
-    """(nt, 6) stencil vertices of a ``HessianOperator``, read from its pattern."""
-    return operator.indices[operator.slots[:, 0, :]]
 
 
 def assert_bit_identical(ours, reference, name=""):
@@ -590,9 +586,9 @@ def row_major_mesh_arrays(mesh):
 
     Geometry is reduced along the corner and coordinate axes, the edge
     table comes from row-sorted endpoint pairs, ``np.unique``, a second
-    stable argsort and ``searchsorted``, and each edge's local slots from a
-    compare-and-argmax over its triangles' edges.  Returns a dict of
-    attribute name -> array.
+    stable argsort and ``searchsorted``, and the corner across each edge of
+    a triangle from the other triangle of that edge and a compare-and-argmax
+    over its edges.  Returns a dict of attribute name -> array.
     """
     coords, tris = mesh.vertex_coords, mesh.triangle_vertices
     nv, nt = len(coords), len(tris)
@@ -616,9 +612,10 @@ def row_major_mesh_arrays(mesh):
     edge_triangles[:, 0] = flat_tri[first]
     has_two = counts == 2
     edge_triangles[has_two, 1] = flat_tri[first[has_two] + 1]
-    adjacent = np.maximum(edge_triangles, 0)
-    edge_local = np.where(edge_triangles >= 0, np.argmax(
-        triangle_edges[adjacent] == np.arange(ne)[:, None, None], axis=2), -1)
+    sides = edge_triangles[triangle_edges]                          # (nt, 3, 2)
+    other = np.where(sides[..., 0] == np.arange(nt)[:, None], sides[..., 1], sides[..., 0])
+    slot = np.argmax(triangle_edges[np.maximum(other, 0)] == triangle_edges[..., None], axis=2)
+    corner_across = np.where(other >= 0, 3 * other + slot, -1)
 
     a, b = coords[edge_vertices[:, 0]], coords[edge_vertices[:, 1]]
     tangent = b - a
@@ -633,19 +630,20 @@ def row_major_mesh_arrays(mesh):
         "centroids": centroids, "basis_components": basis_components,
         "basis_gradients": basis_components.transpose(2, 1, 0),
         "edge_vertices": edge_vertices, "edge_triangles": edge_triangles,
-        "edge_local": edge_local, "edge_normals": edge_normals,
+        "corner_across": corner_across, "edge_normals": edge_normals,
         "edge_lengths": edge_lengths, "triangle_edges": triangle_edges,
         "interior_edge_ids": np.flatnonzero(has_two),
         "boundary_edge_ids": np.flatnonzero(counts == 1),
     }
 
 
-def argmax_product_hessian_operator(mesh):
-    """The Hessian operator with each neighbor's far slot found by argmax.
+def argmax_product_operator_and_pattern(mesh):
+    """The Hessian operator and step pattern with each far slot found by argmax.
 
     The far slot is the position of the shared edge among the neighbor's
     edges, the step pattern is the sparse product incidence^T @ reach and
-    the slots are read back by fancy indexing into it.
+    the slots are read back by fancy indexing into it.  Returns the
+    operator and the int32 ``(indptr, indices, slots)``.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
@@ -693,9 +691,9 @@ def argmax_product_hessian_operator(mesh):
                              pattern.indptr), shape=pattern.shape)
     slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
                      np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(blocks, stencil, pattern.indptr.astype(np.int32),
-                           pattern.indices.astype(np.int32),
-                           slots.astype(np.int32).reshape(nt, 3, 6))
+    return HessianOperator(blocks, stencil), (pattern.indptr.astype(np.int32),
+                                              pattern.indices.astype(np.int32),
+                                              slots.astype(np.int32).reshape(nt, 3, 6))
 
 
 VTK_TYPES = {"Float64": "<f8", "Int64": "<i8", "UInt8": "u1"}
@@ -809,15 +807,15 @@ def bincount_assemble_step(disc, u_prev, tau=None):
     ``fe_hessian`` over tau to the load.  At ``tau=np.inf`` the matrix data
     are those of the tau-free M_P.
     """
-    mesh, operator = disc.mesh, disc.operator
+    mesh = disc.mesh
     tau = disc.problem.tau if tau is None else tau
     tensors = outer_diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
-    blocks = operator.blocks
+    blocks = disc.operator.blocks
     weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])
                 + tensors[:, 2] * blocks[2]) + tensors[:, 3] * blocks[3])
     weights *= (mesh.areas / 3.0)[:, None]
-    data = np.bincount(operator.slots.reshape(-1), minlength=len(operator.indices),
-                       weights=np.broadcast_to(weights[:, None], operator.slots.shape).reshape(-1))
+    data = np.bincount(disc.slots.reshape(-1), minlength=len(disc.indices),
+                       weights=np.broadcast_to(weights[:, None], disc.slots.shape).reshape(-1))
     hessian = fe_hessian(u_prev)
     relax = mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / (3.0 * tau)
     rhs = np.bincount(np.concatenate([np.arange(mesh.vertex_count),

@@ -96,6 +96,9 @@ def test_adaptive_aronsson_run():
                                             config)
     records = history.records
     assert records[-1].estimator <= 0.3
+    # the history keeps the last cycle's indicators, on the final mesh
+    assert history.indicators.mesh is final
+    assert history.indicators.eta_total == records[-1].estimator
     # dof counts never decrease and the final mesh is conforming
     assert all(a.dofs <= b.dofs for a, b in zip(records, records[1:]))
     assert not brute_conformity_errors(final)

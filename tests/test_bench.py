@@ -15,8 +15,11 @@ from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, DivergenceErro
                     estimate, fe_hessian, fixed_point_solve, interpolate, refine,
                     registry, write_csv, write_vtu)
 from inflap.cli import main
+import inflap
 import inflap.adapt
 import inflap.bench
+import inflap.cli
+import inflap.estimator
 import inflap.solver
 
 from conftest import VTK_TYPES, decode_vtu_array, oracle_meshes
@@ -568,6 +571,31 @@ def test_cli_adapt_produces_outputs(tmp_path):
     cell_arrays = {a.get("Name"): a for a in piece.find("./CellData")}
     eta = decode_vtu_array(cell_arrays["indicator"])
     assert np.sqrt((eta ** 2).sum()) == pytest.approx(final_estimate, rel=1e-13)
+
+
+# sha256 of ``inflap adapt --problem aronsson --tol 0.3 --tau 0.1``'s final VTU
+PINNED_ADAPT_VTU_SHA256 = "009260be2bad0023b349e8911739c143044691f379378a9270cef409f0c18bb6"
+
+
+def test_cli_adapt_estimates_once_per_cycle(tmp_path, monkeypatch):
+    # the final VTU takes the last cycle's indicators from the history
+    # instead of estimating the final solution again
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    for module in (inflap, inflap.estimator, inflap.adapt, inflap.bench, inflap.cli):
+        for name, value in list(vars(module).items()):
+            if value is estimate:
+                monkeypatch.setattr(module, name, counting)
+    assert main(["adapt", "--problem", "aronsson", "--tol", "0.3", "--tau", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    cycles = len((tmp_path / "aronsson_adapt_history.csv").read_text().splitlines()) - 1
+    assert cycles == len(calls) == 18
+    final = tmp_path / "aronsson_adapt_final.vtu"
+    assert hashlib.sha256(final.read_bytes()).hexdigest() == PINNED_ADAPT_VTU_SHA256
 
 
 def test_cli_estimator_trace_flag(tmp_path):

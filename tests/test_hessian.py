@@ -4,11 +4,13 @@ import pytest
 import scipy.sparse as sp
 
 from inflap import (FEFunction, build_initial_mesh, fe_hessian, gradients,
-                    hessian_operator, interpolate, refine, uniform_refine)
-from conftest import (argmax_product_hessian_operator, assert_bit_identical,
+                    hessian_operator, interpolate, refine, registry, uniform_refine)
+import inflap.solver
+from inflap.solver import Discretisation, step_pattern
+from conftest import (argmax_product_operator_and_pattern, assert_bit_identical,
                       bincount_fe_hessian, bit_oracle_meshes, edge_dictionary, hat_gradients,
-                      integrate, kernel_functions, kernel_meshes, operator_stencil,
-                      oracle_meshes, outward_normal, perturbed_mesh, tri_area)
+                      integrate, kernel_functions, kernel_meshes, oracle_meshes,
+                      outward_normal, perturbed_mesh, tri_area)
 
 
 def meshes_for_affine_check():
@@ -77,7 +79,7 @@ def test_fe_hessian_is_bit_identical_to_bincount_oracle(name):
 
 def _apply(operator, coefficients):
     """(nt, 2, 2) tensors of the operator's blocks applied to vertex values."""
-    values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator_stencil(operator)])
+    values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator.stencil])
     return values.reshape(-1, 2, 2)
 
 
@@ -100,7 +102,7 @@ def test_operator_row_locality():
     # the element's own vertex opposite that edge
     mesh = refine(build_initial_mesh(2), {1, 6})
     operator = hessian_operator(mesh)
-    stencil = operator_stencil(operator)
+    stencil = operator.stencil
     neighbor = {}
     for (a, b), adjacent in edge_dictionary(mesh).items():
         if len(adjacent) == 2:
@@ -122,26 +124,27 @@ def test_operator_row_locality():
 
 
 def test_step_pattern_and_slots():
-    # the pattern is sorted, duplicate-free and structurally symmetric, and
-    # slot (K, a, s) is the entry (vertex a of K, stencil vertex s), with the
-    # stencil read from the slots of vertex 0; the operator stores that
-    # stencil as a read-only int32 array
+    # the solver's pattern is sorted, duplicate-free and structurally
+    # symmetric, and slot (K, a, s) is the entry (vertex a of K, stencil
+    # vertex s), so the slots of vertex 0 give back the stencil; the
+    # operator stores that stencil as a read-only int32 array
     for mesh in [refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})] \
             + oracle_meshes() + [perturbed_mesh()]:
         operator = hessian_operator(mesh)
-        assert_bit_identical(operator.stencil, operator_stencil(operator), "stencil")
+        indptr, indices, slots = step_pattern(mesh, operator.stencil)
+        assert_bit_identical(operator.stencil, indices[slots[:, 0, :]], "stencil")
         assert operator.stencil.dtype == np.int32
         assert not operator.stencil.flags.writeable
-        indptr, indices = operator.indptr, operator.indices
+        for arr in (indptr, indices, slots):
+            assert arr.dtype == np.int32 and not arr.flags.writeable
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         for i in range(mesh.vertex_count):
             assert np.all(np.diff(indices[indptr[i]:indptr[i + 1]]) > 0)
         rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
-        slots = operator.slots
         assert np.array_equal(rows[slots], np.broadcast_to(
             mesh.triangle_vertices[:, :, None], slots.shape))
         assert np.array_equal(indices[slots], np.broadcast_to(
-            operator_stencil(operator)[:, None, :], slots.shape))
+            operator.stencil[:, None, :], slots.shape))
         assert np.array_equal(np.unique(slots), np.arange(len(indices)))
 
         transpose = sp.csr_array((np.ones(len(indices)), indices, indptr)).T.tocsr()
@@ -152,16 +155,34 @@ def test_step_pattern_and_slots():
 
 @pytest.mark.parametrize("name", list(bit_oracle_meshes()))
 def test_operator_is_bit_identical_to_argmax_product_oracle(name):
-    # far slots read from edge_local (boundary edges keep slot m, so their
-    # zero-weight terms keep their signed zeros) and the pattern built by
-    # one counting sort give the arrays of the argmax search and the
-    # sparse product
+    # neighbors and far slots read from corner_across (boundary edges keep
+    # slot m, so their zero-weight terms keep their signed zeros) and the
+    # pattern built by one counting sort give the arrays of the argmax
+    # search and the sparse product
     mesh = bit_oracle_meshes()[name]
     ours = hessian_operator(mesh)
-    reference = argmax_product_hessian_operator(mesh)
-    for attribute in ("blocks", "stencil", "indptr", "indices", "slots"):
+    reference, reference_pattern = argmax_product_operator_and_pattern(mesh)
+    assert vars(ours).keys() == {"blocks", "stencil"}
+    for attribute in ("blocks", "stencil"):
         assert_bit_identical(getattr(ours, attribute), getattr(reference, attribute),
                              attribute)
+    for attribute, array, expected in zip(("indptr", "indices", "slots"),
+                                          step_pattern(mesh, ours.stencil), reference_pattern):
+        assert_bit_identical(array, expected, attribute)
+
+
+def test_hessian_builds_no_step_pattern(monkeypatch):
+    # the operator and fe_hessian stand alone: only the solver's
+    # discretisation builds the step pattern
+    def refuse(*args):
+        raise AssertionError("step pattern built")
+
+    monkeypatch.setattr(inflap.solver, "step_pattern", refuse)
+    mesh = refine(uniform_refine(build_initial_mesh(2)), {3, 17})
+    u = interpolate(mesh, lambda x, y: x * x - x * y)
+    assert np.array_equal(fe_hessian(u), _apply(hessian_operator(mesh), u.coefficients))
+    with pytest.raises(AssertionError, match="step pattern built"):
+        Discretisation(mesh, registry()["aronsson"].data)
 
 
 def test_linearity():

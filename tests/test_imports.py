@@ -30,3 +30,41 @@ def test_the_walk_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# each module may import only the modules before it
+LAYERS = ["errors", "mesh", "fespace", "hessian", "estimator", "solver", "adapt", "bench", "cli"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``inflap`` modules a module imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name != "inflap" and not name.startswith("inflap."):
+                    continue
+                name = name.removeprefix("inflap").removeprefix(".")
+            found.update([name] if name else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("inflap.") for alias in node.names
+                         if alias.name.startswith("inflap."))
+    return found
+
+
+def test_the_walk_finds_package_imports():
+    assert package_imports("import os\nimport inflap.mesh\nfrom .solver import a\n"
+                           "from inflap.adapt import b\nfrom . import cli\n"
+                           "from inflap import bench\nfrom numpy import linalg\n") == \
+        {"mesh", "solver", "adapt", "cli", "bench"}
+
+
+def test_every_module_has_a_layer():
+    assert sorted(path.stem for path in MODULES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_imports_only_lower_layers(path):
+    below = set(LAYERS[:LAYERS.index(path.stem)])
+    assert package_imports(path.read_text()) <= below

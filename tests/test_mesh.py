@@ -254,12 +254,16 @@ def test_mesh_arrays_are_bit_identical_to_row_major_oracle(name):
     mesh = bit_oracle_meshes()[name]
     for attribute, expected in row_major_mesh_arrays(mesh).items():
         assert_bit_identical(getattr(mesh, attribute), expected, attribute)
-    # each side of an edge names the edge's slot in that triangle
-    sides = mesh.edge_triangles >= 0
-    assert np.array_equal(mesh.triangle_edges[mesh.edge_triangles[sides],
-                                              mesh.edge_local[sides]],
-                          np.nonzero(sides)[0])
-    assert np.array_equal(mesh.edge_local == -1, ~sides)
+    # the corner across an interior edge holds the same edge and faces back,
+    # and the smaller triangle id, which the normal points out of, comes first
+    across = mesh.corner_across
+    inner = across >= 0
+    assert np.array_equal(mesh.triangle_edges.reshape(-1)[across[inner]],
+                          mesh.triangle_edges[inner])
+    assert np.array_equal(across.reshape(-1)[across[inner]], np.flatnonzero(inner))
+    assert np.array_equal(~inner, np.isin(mesh.triangle_edges, mesh.boundary_edge_ids))
+    sides = mesh.edge_triangles[mesh.interior_edge_ids]
+    assert np.all(sides[:, 0] < sides[:, 1])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

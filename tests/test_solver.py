@@ -12,8 +12,8 @@ from inflap import (Discretisation, DivergenceError, FEFunction,
                     l2_norm, load_vector, refine, registry, solve_linear,
                     uniform_refine)
 from inflap.bench import convergence_study
-from inflap.solver import (LINEAR_SOLVER_TOL, PermutedLU, ProblemData, StepFactor,
-                           diffusion_components)
+from inflap.estimator import diffusion_components
+from inflap.solver import LINEAR_SOLVER_TOL, PermutedLU, ProblemData, StepFactor
 import inflap.solver
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -156,9 +156,9 @@ def test_assemble_step_is_bit_identical_to_row_major_assembly(name):
     for u in kernel_functions(mesh):
         matrix = assemble_step(disc, u)
         data, _ = bincount_assemble_step(disc, u, tau=np.inf)
-        # the matrix holds the operator's int32 pattern, not cast copies
-        assert np.shares_memory(matrix.indices, disc.operator.indices)
-        assert np.shares_memory(matrix.indptr, disc.operator.indptr)
+        # the matrix holds the discretisation's int32 pattern, not cast copies
+        assert np.shares_memory(matrix.indices, disc.indices)
+        assert np.shares_memory(matrix.indptr, disc.indptr)
         assert np.array_equal(matrix.data, data)
         assert np.array_equal(_tensors(u), outer_diffusion_tensor(u, np.inf))
 
@@ -276,6 +276,19 @@ def test_dirichlet_rows_and_values():
         (coords ** 2).sum(axis=1), abs=1e-12)
     corner = np.flatnonzero((mesh.vertex_coords == [1.0, 1.0]).all(axis=1))[0]
     assert solution[corner] == pytest.approx(2.0)
+
+
+def test_dirichlet_rejects_a_matrix_outside_the_step_pattern():
+    # a sparse sum drops the entries that cancel exactly, so it leaves the
+    # pattern whose positions the lift gathers
+    mesh = uniform_refine(build_initial_mesh(4))
+    disc = Discretisation(mesh, ARONSSON)
+    u = interpolate(mesh, ARONSSON.g)
+    partial = assemble_step(disc, u) + disc.relaxation * 0.5
+    assert 0 < partial.nnz < len(disc.indices)
+    for matrix in (partial, disc.relaxation - disc.relaxation, disc.relaxation.tocsc()):
+        with pytest.raises(InvalidArgumentError, match="step pattern"):
+            apply_dirichlet(disc, matrix, disc.load)
 
 
 # ---------------------------------------------------------------- linear solve
@@ -624,8 +637,8 @@ def test_fixed_point_solve_makes_no_hessian_contraction_per_step(monkeypatch, co
 
 @pytest.mark.parametrize("start", ["poisson", "initial"])
 def test_fixed_point_solve_builds_one_discretisation(monkeypatch, start):
-    # the operator and the load vector are built once per solve and shared
-    # by the Poisson start and every step
+    # the operator, the step pattern and the load vector are built once per
+    # solve and shared by the Poisson start and every step
     calls = []
 
     def counting(name):
@@ -636,14 +649,14 @@ def test_fixed_point_solve_builds_one_discretisation(monkeypatch, start):
             return real(*args)
         return wrapper
 
-    for name in ("hessian_operator", "load_vector"):
+    for name in ("hessian_operator", "step_pattern", "load_vector"):
         monkeypatch.setattr(inflap.solver, name, counting(name))
     mesh = uniform_refine(build_initial_mesh(2))
     initial = interpolate(mesh, ARONSSON.g) if start == "initial" else None
     config = SolverConfig(increment_tol_factor=0.01)
     report = fixed_point_solve(mesh, ARONSSON, config, initial=initial)
     assert report.iterations > 1
-    assert sorted(calls) == ["hessian_operator", "load_vector"]
+    assert sorted(calls) == ["hessian_operator", "load_vector", "step_pattern"]
 
 
 # ------------------------------------------------------- factor reuse on a mesh

@@ -210,8 +210,9 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
     and arrays whose first axis has one entry per triangle become cell
     data with one component per remaining entry, so an (nt, 2, 2)
     recovered Hessian writes as four-component cell data.  A P1 function
-    or indicator field of another mesh, or an array matching neither
-    count, raises ``InvalidArgumentError``.
+    or indicator field of another mesh, an array matching neither count,
+    or an (n,) array on a mesh with n vertices and n triangles, raises
+    ``InvalidArgumentError``.
     """
     point_data: list[tuple[str, np.ndarray, int]] = []
     cell_data: list[tuple[str, np.ndarray, int]] = []
@@ -225,6 +226,10 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
             cell_data.append((name, value.eta, 1))
         else:
             array = np.asarray(value, dtype=float)
+            if array.shape == (nt,) and nt == nv:
+                raise InvalidArgumentError(
+                    f"field {name!r} could be vertex or triangle data: pass an FEFunction "
+                    "for point data or an (nt, 1) array for cell data")
             if array.ndim and len(array) == nt:
                 cell_data.append((name, array, array.size // nt))
             elif array.shape == (nv,):

@@ -228,47 +228,31 @@ def step_pattern(mesh: Triangulation, stencil: np.ndarray):
     read-only ``indptr``, ``indices`` (sorted, no duplicates; scipy's own
     index type, so a ``csr_matrix`` on them shares them) and ``slots``,
     whose ``[K, a, s]`` is the position of the entry (vertex a of K,
-    ``stencil[K, s]``).  The 12 nt queries (vertex a of K, own vertex or
-    the far vertex across edge a) carry their index 18 K + 6 a + s; tocsc's
-    counting sort groups them by row, sort_indices orders each row, and a
-    running count of the distinct columns numbers them.  The other 6 nt
-    repeat queries of the neighbor across edge m != a, whose own vertices
-    these are (on the boundary, of vertex m of K), and are gathered.
+    ``stencil[K, s]``).  Each of the 18 nt queries carries its index
+    18 K + 6 a + s; tocsc's counting sort groups the corners by vertex,
+    sort_indices orders each row, and every query takes the number of the
+    run of equal columns within its row that it falls in.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
-    across = np.ascontiguousarray(mesh.corner_across.T)            # (m, nt)
-    interior = across >= 0
-    neighbor = np.where(interior, across // 3, np.arange(nt))
-    far = np.where(interior, across % 3, np.arange(3)[:, None])
-
     by_vertex = sp.csr_array((np.ones(3 * nt, dtype=np.int8), tris.reshape(-1),
                               np.arange(3 * nt + 1)), shape=(3 * nt, nv)).tocsc()
-    corners = by_vertex.indices.astype(np.int32)
-    reach = np.empty((nt, 3, 4), dtype=np.int32)
-    reach[:, :, :3] = tris[:, None]
-    reach[:, :, 3] = stencil[:, 3:]
-    targets = 6 * corners[:, None] + np.arange(4, dtype=np.int32)
-    targets[:, 3] += corners % 3
+    corners = by_vertex.indices.astype(np.int32)                   # 3 K + a, by vertex
+    targets = 6 * corners[:, None] + np.arange(6, dtype=np.int32)
     queries = sp.csr_array(
-        (targets.reshape(-1), np.take(reach.reshape(3 * nt, 4), corners, axis=0).reshape(-1),
-         4 * by_vertex.indptr.astype(np.int32)), shape=(nv, nv))
+        (targets.reshape(-1), np.take(stencil, corners // 3, axis=0).reshape(-1),
+         6 * by_vertex.indptr.astype(np.int32)), shape=(nv, nv))
     queries.sort_indices()
     columns = queries.indices
-    new = np.zeros(len(columns) + 1, dtype=bool)      # the spare marks the end
-    new[queries.indptr] = True
-    new[1:-1] |= columns[1:] != columns[:-1]
-    distinct = np.cumsum(new, dtype=np.int32)
+    new = np.ones(len(columns), dtype=bool)
+    np.not_equal(columns[1:], columns[:-1], out=new[1:])
+    new[queries.indptr[:-1][np.diff(queries.indptr) > 0]] = True   # each row's first
+    starts = np.flatnonzero(new)
     slots = np.empty((nt, 3, 6), dtype=np.int32)
-    slots.reshape(-1)[queries.data] = distinct[:-1] - 1
-    # vertex m + step of K is vertex far - step of the neighbor across edge
-    # m; on a boundary edge the query is (vertex m + step, own vertex m)
-    for m in range(3):
-        for step in (1, 2):
-            row = np.where(interior[m], (far[m] - step) % 3, (m + step) % 3)
-            slots[:, (m + step) % 3, 3 + m] = np.take(slots, 18 * neighbor[m] + 6 * row + far[m])
-    indptr = (distinct[queries.indptr] - 1).astype(np.int32)
-    indices = columns[new[:-1]].astype(np.int32)
+    slots.reshape(-1)[queries.data] = np.repeat(
+        np.arange(len(starts), dtype=np.int32), np.diff(starts, append=len(columns)))
+    indptr = np.searchsorted(starts, queries.indptr).astype(np.int32)
+    indices = columns[starts].astype(np.int32)
     for arr in (indptr, indices, slots):
         arr.setflags(write=False)
     return indptr, indices, slots
@@ -376,15 +360,13 @@ def apply_dirichlet(disc: Discretisation, matrix: sp.csr_matrix, rhs: np.ndarray
     """Impose g by row replacement with a right-hand side lift.
 
     ``matrix`` must be a CSR matrix in the step pattern (a sparse sum drops
-    the entries that cancel), else ``InvalidArgumentError``; a step's matrix
-    holds views of ``disc``'s index arrays, which is checked first, in O(1).
-    Boundary rows become identity rows with g(vertex) on the right, the
-    boundary columns are folded into the right-hand side of the interior
-    rows, and entries that are exactly zero are dropped.  Returns new objects.
+    the entries that cancel), else ``InvalidArgumentError``.  Boundary rows
+    become identity rows with g(vertex) on the right, the boundary columns
+    are folded into the right-hand side of the interior rows, and entries
+    that are exactly zero are dropped.  Returns new objects.
     """
-    if matrix.format != "csr" or not all(
-            held.__array_interface__ == ours.__array_interface__ or np.array_equal(held, ours)
-            for held, ours in ((matrix.indptr, disc.indptr), (matrix.indices, disc.indices))):
+    if not (matrix.format == "csr" and np.array_equal(matrix.indptr, disc.indptr)
+            and np.array_equal(matrix.indices, disc.indices)):
         raise InvalidArgumentError("matrix must be a CSR matrix in the step pattern")
     boundary = disc.mesh.vertex_on_boundary
     new_rhs = np.where(boundary, disc.lifted, rhs - matrix @ disc.lifted)

@@ -350,6 +350,29 @@ def test_vtu_rejects_odd_field_length(tmp_path):
     assert not (tmp_path / "bad.vtu").exists()
 
 
+def test_vtu_rejects_a_flat_array_when_vertices_and_triangles_tie(tmp_path):
+    # 8 vertices and 8 triangles: a flat raw array could be either, so it is
+    # refused, while the typed fields and an (nt, 1) array keep their place
+    mesh = refine(refine(build_initial_mesh(1), [0]), [0])
+    assert mesh.vertex_count == mesh.triangle_count == 8
+    with pytest.raises(InvalidArgumentError, match=r"FEFunction.*\(nt, 1\)"):
+        write_vtu(mesh, {"v": np.arange(8.0)}, tmp_path / "bad.vtu")
+    assert not (tmp_path / "bad.vtu").exists()
+
+    u = interpolate(mesh, lambda x, y: x - 2.0 * y)
+    indicator = estimate(u, lambda x, y: np.ones(np.shape(x)))
+    column = np.arange(8.0)[:, None]
+    path = tmp_path / "tie.vtu"
+    write_vtu(mesh, {"u": u, "eta": indicator, "column": column}, path)
+    piece = ET.parse(path).getroot().find(".//Piece")
+    point_arrays = {a.get("Name"): a for a in piece.find("./PointData")}
+    cell_arrays = {a.get("Name"): a for a in piece.find("./CellData")}
+    assert point_arrays.keys() == {"u"} and cell_arrays.keys() == {"eta", "column"}
+    assert np.array_equal(decode_vtu_array(point_arrays["u"]), u.coefficients)
+    assert np.array_equal(decode_vtu_array(cell_arrays["eta"]), indicator.eta)
+    assert np.array_equal(decode_vtu_array(cell_arrays["column"]), column.ravel())
+
+
 # ------------------------------------------------------------------------- CLI
 
 def test_cli_unknown_problem_exits_2(tmp_path, capsys):

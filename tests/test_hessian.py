@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -127,11 +129,16 @@ def test_step_pattern_and_slots():
     # the solver's pattern is sorted, duplicate-free and structurally
     # symmetric, and slot (K, a, s) is the entry (vertex a of K, stencil
     # vertex s), so the slots of vertex 0 give back the stencil; the
-    # operator stores that stencil as a read-only int32 array
+    # operator stores that stencil as a read-only int32 array.  The pattern
+    # reads only the triangles' vertices and the stencil: the operator is
+    # the only reader of the mesh's edge adjacency
     for mesh in [refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})] \
             + oracle_meshes() + [perturbed_mesh()]:
         operator = hessian_operator(mesh)
-        indptr, indices, slots = step_pattern(mesh, operator.stencil)
+        triangles = SimpleNamespace(triangle_vertices=mesh.triangle_vertices,
+                                    triangle_count=mesh.triangle_count,
+                                    vertex_count=mesh.vertex_count)
+        indptr, indices, slots = step_pattern(triangles, operator.stencil)
         assert_bit_identical(operator.stencil, indices[slots[:, 0, :]], "stencil")
         assert operator.stencil.dtype == np.int32
         assert not operator.stencil.flags.writeable

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -191,10 +192,19 @@ def _binary(values, dtype) -> str:
     return base64.b64encode(len(data).to_bytes(4, "little") + data).decode("ascii")
 
 
+# the characters XML 1.0 cannot hold; a parser reads a literal tab, newline
+# or carriage return in an attribute as a space, so those are escaped
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                          "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
+
+
 def _attribute(text) -> str:
-    """``text`` escaped for a double-quoted XML attribute."""
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+    """``text`` escaped for a double-quoted XML attribute (see ``write_vtu``)."""
+    text = str(text)
+    if _NOT_XML.search(text):
+        raise InvalidArgumentError(f"{text!r} holds a character XML cannot store")
+    return text.translate(_ESCAPES)
 
 
 def write_vtu(mesh: Triangulation, fields, path) -> None:
@@ -211,8 +221,9 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
     data with one component per remaining entry, so an (nt, 2, 2)
     recovered Hessian writes as four-component cell data.  A P1 function
     or indicator field of another mesh, an array matching neither count,
-    or an (n,) array on a mesh with n vertices and n triangles, raises
-    ``InvalidArgumentError``.
+    an (n,) array on a mesh with n vertices and n triangles, or a field
+    name with a character XML 1.0 cannot hold raises
+    ``InvalidArgumentError``, before the file is opened.
     """
     point_data: list[tuple[str, np.ndarray, int]] = []
     cell_data: list[tuple[str, np.ndarray, int]] = []

@@ -3,13 +3,17 @@
 The second derivative of a piecewise-affine function only exists
 distributionally.  Testing it against the indicator of an element and
 integrating by parts twice leaves pure edge terms (the volume term dies
-because the test function is constant), which gives the closed form
+because the test function is constant): the recovered Hessian of Lakkis
+& Pryer (SIAM J. Sci. Comput. 33, 2011) is
 
     H_K = (1/|K|) * sum over the edges e of K of |e| * gbar_e (x) n_{K,e}
 
-where gbar_e is the average of the gradients on the one or two elements
-meeting e, n_{K,e} is the unit normal pointing out of K, and (x) is the
-outer product.
+with gbar_e the average of the gradients on the one or two elements
+meeting e, n_{K,e} the unit normal pointing out of K and (x) the outer
+product.  The edge opposite vertex m has |e_m| n_{K,m} = -2 |K| grad
+phi_m^K, and the hat gradients of K sum to zero, so a boundary edge drops
+out and H_K is the sum over the interior edges m of K of
+(grad u_K - grad u_{K'_m}) (x) grad phi_m^K, K'_m the neighbor across m.
 
 ``hessian_operator`` builds this map once per mesh as one dense 4x6 block
 per element over the element's stencil (its own vertices and the vertex
@@ -58,8 +62,8 @@ def fe_hessian(v: FEFunction) -> np.ndarray:
 
     Returns an (nt, 2, 2) array, row-major within each element, from the
     operator of ``v.mesh``.  In exact arithmetic the result vanishes for
-    globally affine inputs because the length-weighted outward normals of
-    each element sum to zero.
+    globally affine inputs because every gradient jump across an edge is
+    zero.
     """
     return hessian_components(hessian_operator(v.mesh), v.coefficients).T.reshape(-1, 2, 2)
 
@@ -67,64 +71,42 @@ def fe_hessian(v: FEFunction) -> np.ndarray:
 def hessian_operator(mesh: Triangulation) -> HessianOperator:
     """Build the per-element Hessian blocks over each element's stencil.
 
-    Each edge term of the recovered Hessian is split by the element whose
-    gradient it carries: an interior edge passes half of each neighbor's
-    gradient to both neighbors, a boundary edge all of its owner's
-    gradient to the owner.  Every term is (weight * |e| / |K| * grad[r]) *
-    n[c] with n pointing out of the receiver K.  The weight of own vertex a
-    sums K's three edge terms, then the terms of the neighbors across edges
-    a + 1 and a + 2.  On the meshes ``build_initial_mesh`` and ``refine``
-    make, the sums equal bit for bit those of the COO assembly the tests
-    keep as oracle, whose duplicates are summed in another order.
-
-    The neighbor across edge m and the slot of that edge in it come from
-    the mesh's ``corner_across``.  ``edge_normals`` point out of the
-    smaller of the two triangle ids, so K receives them with sign +1 when
-    its neighbor's id is larger.  ``stencil`` is returned as int32.
+    Reads only the triangles, ``corner_across`` and the hat gradients.  With
+    hat_m the gradient of K's hat function m on an interior edge m and zero
+    on a boundary edge, own vertex a weighs grad phi_a (x) (hat_0 + hat_1 +
+    hat_2), and the gradients on the neighbor across edge m are subtracted
+    (x) hat_m.  On the dyadic meshes ``build_initial_mesh`` and ``refine``
+    make, the blocks equal by value those of the edge formula the tests
+    keep as oracle (only signs of zeros differ); on a perturbed mesh they
+    agree to a few ulps.  ``stencil`` is returned as int32.
     """
     tris = mesh.triangle_vertices
     nt = mesh.triangle_count
     # arrays are (..., nt) so every term below is a contiguous vector
     # operation; np.take gathers rows far faster than fancy indexing
-    edges = np.ascontiguousarray(mesh.triangle_edges.T)            # edge m is opposite vertex m
-    own = np.arange(nt)
     corner = np.ascontiguousarray(mesh.corner_across.T)            # (m, nt)
     interior = corner >= 0
-    neighbor = np.where(interior, corner // 3, own)
+    neighbor = np.where(interior, corner // 3, np.arange(nt))
     # local index in the neighbor of the shared edge, i.e. of its far vertex;
     # both elements are counterclockwise, so the neighbor's next vertex after
     # that is vertex m + 2 of K and the one after it vertex m + 1.  A boundary
     # edge keeps its own slot m, so its zero-weight terms read K's gradients.
     far = np.where(interior, corner % 3, np.arange(3)[:, None])
-
-    sign = np.where(neighbor >= own, 1.0, -1.0)
-    scale = np.where(interior, 0.5, 1.0) * mesh.edge_lengths[edges] / mesh.areas * sign
-    across = np.where(interior, scale, 0.0)
-    normals = np.take(mesh.edge_normals.T, edges, axis=1)          # (c, m, nt)
     basis = mesh.basis_components                                   # (r, vertex, K)
     corner_basis = basis.reshape(2, 3 * nt)                         # (r, vertex * nt + K)
-
-    def term(m, weights, gradient, out):
-        """(2, 2, nt) terms (weights * gradient[r]) * normal[c] of edge m."""
-        return np.multiply((weights[m] * gradient)[:, None], normals[:, m], out=out)
+    hats = np.where(interior, basis, 0.0)                           # (c, m, K)
 
     def their_gradient(m, local):
         """Gradient on the neighbor across edge m of its vertex far + local."""
         return np.take(corner_basis, (far[m] + local) % 3 * nt + neighbor[m], axis=1)
 
-    # vertex a is the far + 1 of the neighbor across edge a + 1 and the
-    # far + 2 of the one across edge a + 2
     blocks = np.empty((6, 2, 2, nt))
-    spare = np.empty((2, 2, nt))
-    for a in range(3):
-        gradient = basis[:, a]
-        term(0, scale, gradient, blocks[a])
-        blocks[a] += term(1, scale, gradient, spare)
-        blocks[a] += term(2, scale, gradient, spare)
-        blocks[a] += term((a + 1) % 3, across, their_gradient((a + 1) % 3, 1), spare)
-        blocks[a] += term((a + 2) % 3, across, their_gradient((a + 2) % 3, 2), spare)
+    np.multiply(basis.transpose(1, 0, 2)[:, :, None], hats.sum(axis=1), out=blocks[:3])
     for m in range(3):
-        term(m, across, their_gradient(m, 0), blocks[3 + m])
+        hat = hats[:, m]
+        blocks[(m + 2) % 3] -= their_gradient(m, 1)[:, None] * hat
+        blocks[(m + 1) % 3] -= their_gradient(m, 2)[:, None] * hat
+        np.multiply(their_gradient(m, 0)[:, None], -hat, out=blocks[3 + m])
     blocks = np.ascontiguousarray(blocks.reshape(6, 4, nt).transpose(1, 2, 0))  # (q, nt, s)
     stencil = np.concatenate([tris, np.where(interior, np.take(tris, 3 * neighbor + far),
                                              tris.T).T], axis=1).astype(np.int32)

@@ -65,7 +65,7 @@ class Triangulation:
     vertex_coords : (nv, 2) float array
     vertex_on_boundary : (nv,) bool array
     triangle_vertices : (nt, 3) int array
-    areas, diameters, centroids : per-triangle geometry
+    areas, diameters : per-triangle geometry
     basis_components : (2, 3, nt) float array, component d of the gradient of hat
         function i on element K at [d, i, K]
     basis_gradients : (nt, 3, 2) view of ``basis_components`` indexed [K, i, d]
@@ -118,8 +118,6 @@ class Triangulation:
         if self.areas.min() <= 0.0:
             raise InvalidArgumentError("triangles must be counterclockwise with positive area")
         self.diameters = np.sqrt(ex * ex + ey * ey).max(axis=0)
-        self.centroids = np.column_stack([((x[0] + x[1]) + x[2]) / 3,
-                                          ((y[0] + y[1]) + y[2]) / 3])
         self.basis_components = np.stack([-ey, ex]) / (2.0 * self.areas)
         self.basis_gradients = self.basis_components.transpose(2, 1, 0)
 
@@ -176,10 +174,11 @@ class Triangulation:
         tx, ty = cx[b] - cx[a], cy[b] - cy[a]
         self.edge_lengths = np.sqrt(tx * tx + ty * ty)
         nx, ny = -ty / self.edge_lengths, tx / self.edge_lengths
-        owner = self.edge_triangles[:, 0]
-        ox, oy = np.take(self.centroids, owner, axis=0).T
-        outward = (0.5 * (cx[a] + cx[b]) - ox) * nx + (0.5 * (cy[a] + cy[b]) - oy) * ny
-        flip = np.where(outward < 0.0, -1.0, 1.0)
+        # (-ty, tx) points into the counterclockwise owner exactly when its
+        # edge runs from a to b, i.e. its vertex after the edge's slot is a
+        owner = corners[:, 0]
+        after = np.take(tris.reshape(-1), owner - owner % 3 + (owner + 1) % 3)
+        flip = np.where(after == a, -1.0, 1.0)
         self.edge_normals = np.column_stack([nx * flip, ny * flip])
 
     # ------------------------------------------------------------------ sizes

@@ -5,8 +5,8 @@ dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
 check; ``brute_conformity_errors`` tests every vertex against every edge,
 and ``decode_vtu_array`` reads a VTU array by the file format alone.
-``integrate`` and ``min_angle_degrees`` are measurements that only
-the tests need.  ``two_product_refine``, ``pair_jump_residuals``,
+``integrate``, ``min_angle_degrees`` and ``centroids`` are measurements
+that only the tests need.  ``two_product_refine``, ``pair_jump_residuals``,
 ``row_major_mesh_arrays``, ``argmax_product_operator_and_pattern``, the
 per-case mesh builds (``quarter_loop_initial_mesh``, ``any_edge_closure``,
 ``five_case_bisect``) and the row-major kernels (``einsum_gradients``,
@@ -63,6 +63,12 @@ def min_angle_degrees(mesh):
     return float(small)
 
 
+def centroids(mesh):
+    """(nt, 2) triangle centroids, each coordinate summed as ((x0 + x1) + x2) / 3."""
+    p = mesh.vertex_coords[mesh.triangle_vertices]
+    return ((p[:, 0] + p[:, 1]) + p[:, 2]) / 3
+
+
 def oracle_meshes():
     """A uniform, a randomly refined and an axis-graded mesh."""
     rng = np.random.default_rng(17)
@@ -73,7 +79,7 @@ def oracle_meshes():
                                          local.triangle_count // 5, replace=False))
     graded = build_initial_mesh(2)
     for _ in range(8):
-        graded = refine(graded, np.flatnonzero(np.abs(graded.centroids[:, 0]) < 0.25))
+        graded = refine(graded, np.flatnonzero(np.abs(centroids(graded)[:, 0]) < 0.25))
     return [uniform, local, graded]
 
 
@@ -597,7 +603,7 @@ def row_major_mesh_arrays(mesh):
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     areas = 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     basis_components = np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / (2.0 * areas)
-    centroids = p.mean(axis=1)
+    centers = p.mean(axis=1)
 
     pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
     keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
@@ -621,13 +627,13 @@ def row_major_mesh_arrays(mesh):
     tangent = b - a
     edge_lengths = np.sqrt((tangent ** 2).sum(axis=1))
     edge_normals = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / edge_lengths[:, None]
-    outward = ((0.5 * (a + b) - centroids[edge_triangles[:, 0]]) * edge_normals).sum(axis=1)
+    outward = ((0.5 * (a + b) - centers[edge_triangles[:, 0]]) * edge_normals).sum(axis=1)
     edge_normals[outward < 0.0] *= -1.0
     return {
         "vertex_coords": coords, "triangle_vertices": tris,
         "vertex_on_boundary": np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL,
         "areas": areas, "diameters": np.sqrt((edge_vec ** 2).sum(axis=2)).max(axis=1),
-        "centroids": centroids, "basis_components": basis_components,
+        "basis_components": basis_components,
         "basis_gradients": basis_components.transpose(2, 1, 0),
         "edge_vertices": edge_vertices, "edge_triangles": edge_triangles,
         "corner_across": corner_across, "edge_normals": edge_normals,

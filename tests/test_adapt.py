@@ -9,7 +9,7 @@ from inflap import (AdaptiveConfig, InvalidArgumentError, SolverConfig,
                     fixed_point_solve, interpolate, mark, refine, registry,
                     transfer)
 from inflap.estimator import IndicatorField
-from conftest import brute_conformity_errors
+from conftest import brute_conformity_errors, centroids
 
 ARONSSON = registry()["aronsson"].data
 
@@ -192,8 +192,8 @@ def test_final_adaptive_mesh_grades_toward_axes():
     config = AdaptiveConfig(estimator_tol=0.1, theta=0.5, tau=0.1,
                             max_cycles=60)
     _, final, _ = adaptive_solve(ARONSSON, build_initial_mesh(4), config)
-    centroids = final.centroids
-    distance = np.minimum(np.abs(centroids[:, 0]), np.abs(centroids[:, 1]))
+    centers = centroids(final)
+    distance = np.minimum(np.abs(centers[:, 0]), np.abs(centers[:, 1]))
     near = final.diameters[distance < 0.1]
     far = final.diameters[distance > 0.5]
     assert near.mean() < 0.75 * far.mean()

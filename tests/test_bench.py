@@ -308,6 +308,22 @@ def test_vtu_field_names_are_escaped(tmp_path):
     assert [a.get("Name") for a in arrays] == names
 
 
+def test_vtu_field_names_keep_whitespace_and_reject_what_xml_cannot_hold(tmp_path):
+    # a parser reads a literal tab, newline or CR in an attribute as a space
+    mesh = build_initial_mesh(1)
+    values = np.arange(mesh.vertex_count, dtype=float)
+    names = ["a\tb", "a\nb", "a\rb", "\r\n"]
+    path = tmp_path / "whitespace.vtu"
+    write_vtu(mesh, {name: values for name in names}, path)
+    arrays = ET.parse(path).getroot().find(".//PointData")
+    assert [a.get("Name") for a in arrays] == names
+    for name in ["a\x01b", "\x00", "a\x0bb", "\x1f", "\ud800", "\ufffe"]:
+        refused = tmp_path / "refused.vtu"
+        with pytest.raises(InvalidArgumentError):
+            write_vtu(mesh, {"ok": values, name: values}, refused)
+        assert not refused.exists()
+
+
 # sha256 of the file below; the decode tests read by name, so only this pins
 # the header layout (element and attribute order, indentation)
 PINNED_VTU_SHA256 = "0657297df5ee0e61ed9bda38f12062f84ae03225f5350050a6812b7ceca38662"

@@ -68,3 +68,33 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_lower_layers(path):
     below = set(LAYERS[:LAYERS.index(path.stem)])
     assert package_imports(path.read_text()) <= below
+
+
+def unread_attributes(sources: list[str], class_name: str) -> list[str]:
+    """Attributes a class assigns on ``self`` that no code outside the class reads."""
+    assigned, read = set(), set()
+    for tree in map(ast.parse, sources):
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                for sub in ast.walk(node):
+                    inside.add(id(sub))
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        assigned.add(sub.attr)
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load) and id(node) not in inside)
+    return sorted(assigned - read)
+
+
+def test_the_walk_finds_an_unread_attribute():
+    source = ("class Mesh:\n    def __init__(self):\n        self.a = self.b = 1\n"
+              "        self.c = self.a\n\n"
+              "def area(mesh):\n    return mesh.b\n")
+    assert unread_attributes([source, "x = y.a.b\n"], "Mesh") == ["c"]
+    assert unread_attributes([source], "Mesh") == ["a", "c"]
+
+
+def test_the_package_reads_every_mesh_attribute():
+    # API that only the tests use is deleted
+    assert unread_attributes([path.read_text() for path in MODULES], "Triangulation") == []

@@ -5,8 +5,8 @@ from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
                     conformity_errors, refine, uniform_refine)
 from inflap.mesh import _bisect
 from conftest import (any_edge_closure, assert_bit_identical, bit_oracle_meshes,
-                      brute_conformity_errors, five_case_bisect, min_angle_degrees,
-                      quarter_loop_initial_mesh, row_major_mesh_arrays)
+                      brute_conformity_errors, centroids, five_case_bisect,
+                      min_angle_degrees, quarter_loop_initial_mesh, row_major_mesh_arrays)
 
 
 def assert_same_mesh(ours, reference):
@@ -139,7 +139,7 @@ def test_refine_records_genealogy():
     corners = mesh.vertex_coords[mesh.triangle_vertices[0]]
     vander = np.column_stack([np.ones(3), corners])
     barycentric = np.column_stack([np.ones(refined.triangle_count),
-                                   refined.centroids]) @ np.linalg.inv(vander)
+                                   centroids(refined)]) @ np.linalg.inv(vander)
     children = np.flatnonzero((barycentric > 0.0).all(axis=1))
     assert len(children) >= 2
 

@@ -20,9 +20,9 @@ import scipy.sparse.linalg as spla
 
 from conftest import (add_at_load_vector, add_at_squared_indicators,
                       add_at_trace_test, bincount_assemble_step, bincount_fe_hessian,
-                      brute_saddle, coo_hessian_matrix, coo_poisson_stiffness, kernel_functions,
-                      kernel_meshes, oracle_meshes, outer_diffusion_tensor, perturbed_mesh,
-                      schur_eliminate, sparse_product_dirichlet,
+                      brute_saddle, centroids, coo_hessian_matrix, coo_poisson_stiffness,
+                      kernel_functions, kernel_meshes, oracle_meshes, outer_diffusion_tensor,
+                      perturbed_mesh, schur_eliminate, sparse_product_dirichlet,
                       sparse_product_step_matrix, two_product_refine)
 
 CLASSICAL = registry()["classical"].data
@@ -331,7 +331,7 @@ def _corner_graded_mesh():
     """About 5,000 dofs graded toward the corner (1, 1) down to diameter 8e-6."""
     mesh = uniform_refine(build_initial_mesh(4))
     for _ in range(30):
-        distance = np.hypot(*(mesh.centroids - 1.0).T)
+        distance = np.hypot(*(centroids(mesh) - 1.0).T)
         mesh = refine(mesh, np.flatnonzero(mesh.diameters > 0.1 * distance))
     return mesh
 

@@ -52,7 +52,8 @@ class IndicatorField:
     ``mesh`` is the mesh the indicators belong to, ``eta`` holds the
     per-element marking indicators, ``interior`` the weighted element
     residuals h_K ||R||_K, ``jumps`` the weighted edge residuals
-    h_e^(1/2) ||J||_e ordered like ``mesh.interior_edge_ids``.
+    h_e^(1/2) ||J||_e = |J| h_e, one per interior edge, ordered by the
+    corner (K, m) of the edge in its lower-numbered triangle K.
     """
 
     mesh: Triangulation
@@ -81,26 +82,39 @@ def interior_residual_norms(mesh: Triangulation, f) -> np.ndarray:
     f itself.
     """
     rule = triangle_rule(4)
-    pts = physical_points(mesh, rule)
-    vals = evaluate_field(f, pts[..., 0], pts[..., 1])
+    vals = evaluate_field(f, *physical_points(mesh, rule))
     return np.sqrt(mesh.areas * ((vals ** 2) @ rule.weights))
 
 
-def jump_residuals(u: FEFunction) -> np.ndarray:
-    """Edgewise constant jump residual on every interior edge of ``u.mesh``.
+def _interior_edges(mesh: Triangulation):
+    """Each interior edge once, from its lower-numbered triangle.
 
-    Ordered like ``mesh.interior_edge_ids``.  P is elementwise constant
-    and therefore double valued on edges; its edge value is the arithmetic
-    average of the two neighbors.  The contraction avg(P) : tensor_jump
-    sums its four products as (00 + 10) + (01 + 11), the order of the
-    einsum the tests keep as reference; bulk marking has exact ties, so
-    another order could change the adaptive mesh sequence.
+    Returns ``(plus, slot, minus)``: the edge is local edge ``slot`` of
+    triangle ``plus`` and lies across from ``minus > plus``, listed in
+    ``np.nonzero`` order of the corners (K, m) of ``mesh.corner_across``.
+    """
+    across = mesh.corner_across
+    plus, slot = np.nonzero(across // 3 > np.arange(mesh.triangle_count)[:, None])
+    return plus, slot, across[plus, slot] // 3
+
+
+def jump_residuals(u: FEFunction) -> np.ndarray:
+    """Edgewise constant jump residual J times |e| on every interior edge of ``u.mesh``.
+
+    Ordered like ``IndicatorField.jumps``.  The edge normal out of the plus side,
+    scaled by the edge length, is |e| n = -2 |K| grad phi_m^K, so no edge
+    geometry is needed.  P is elementwise constant and therefore double
+    valued on edges; its edge value is the arithmetic average of the two
+    neighbors.  The contraction avg(P) : tensor_jump sums its four
+    products as (00 + 10) + (01 + 11), the order of the einsum the tests
+    keep as reference; bulk marking has exact ties, so another order could
+    change the adaptive mesh sequence.
     """
     mesh = u.mesh
-    interior = mesh.interior_edge_ids
-    plus = mesh.edge_triangles[interior, 0]
-    minus = mesh.edge_triangles[interior, 1]
-    n0, n1 = mesh.edge_normals[interior].T
+    plus, slot, minus = _interior_edges(mesh)
+    scale = -2.0 * mesh.areas[plus]
+    n0 = scale * mesh.basis_components[0, slot, plus]
+    n1 = scale * mesh.basis_components[1, slot, plus]
 
     grad = gradients(u).T
     p00, p01, p11 = diffusion_components(grad)
@@ -117,17 +131,13 @@ def jump_residuals(u: FEFunction) -> np.ndarray:
 def estimate(u: FEFunction, f) -> IndicatorField:
     """Assemble the indicator field of ``u`` on its mesh."""
     mesh = u.mesh
-    jump_values = jump_residuals(u)
-    residual_norms = interior_residual_norms(mesh, f)
-
-    interior = mesh.diameters * residual_norms
-    edge_lengths = mesh.edge_lengths[mesh.interior_edge_ids]
+    interior = mesh.diameters * interior_residual_norms(mesh, f)
     # ||J||_L2(e) = |J| sqrt(h_e), so the weighted edge part is |J| h_e
-    jumps = np.abs(jump_values) * edge_lengths
+    jumps = np.abs(jump_residuals(u))
 
     # interior**2 first, then the edge halves on the plus and minus sides
-    sides = mesh.edge_triangles[mesh.interior_edge_ids].T.reshape(-1)
-    eta_sq = np.bincount(np.concatenate([np.arange(mesh.triangle_count), sides]),
+    plus, _, minus = _interior_edges(mesh)
+    eta_sq = np.bincount(np.concatenate([np.arange(mesh.triangle_count), plus, minus]),
                          weights=np.concatenate([interior ** 2, np.tile(0.5 * jumps ** 2, 2)]))
 
     return IndicatorField(mesh=mesh,

@@ -129,14 +129,14 @@ def gradients(u: FEFunction) -> np.ndarray:
     return ((b[:, 0] * v[0] + b[:, 1] * v[1]) + b[:, 2] * v[2]).T
 
 
-def physical_points(mesh: Triangulation, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature nodes mapped to every element, shape (nt, nq, 2).
+def physical_points(mesh: Triangulation, rule: QuadratureRule):
+    """Quadrature nodes mapped to every element, as the pair of (nt, nq) arrays (x, y).
 
     Each coordinate is one (nt, 3) @ (3, nq) product of the corner values
     with the barycentric nodes.
     """
     coords, tris = mesh.vertex_coords, mesh.triangle_vertices
-    return np.stack([coords[:, c][tris] @ rule.points.T for c in range(2)], axis=-1)
+    return tuple(coords[:, c][tris] @ rule.points.T for c in range(2))
 
 
 def values_at(u: FEFunction, rule: QuadratureRule) -> np.ndarray:
@@ -149,8 +149,7 @@ def l2_error(u: FEFunction, exact) -> float:
     """Elementwise quadrature (order 6) of ||u - exact|| in the L2 norm."""
     rule = triangle_rule(6)
     mesh = u.mesh
-    pts = physical_points(mesh, rule)
-    diff = values_at(u, rule) - evaluate_field(exact, pts[..., 0], pts[..., 1])
+    diff = values_at(u, rule) - evaluate_field(exact, *physical_points(mesh, rule))
     return float(np.sqrt(mesh.areas @ ((diff ** 2) @ rule.weights)))
 
 
@@ -158,10 +157,10 @@ def h1_semi_error(u: FEFunction, exact_gradient) -> float:
     """L2 norm of the elementwise gradient error (order-6 quadrature)."""
     rule = triangle_rule(6)
     mesh = u.mesh
-    pts = physical_points(mesh, rule)
-    gx, gy = exact_gradient(pts[..., 0], pts[..., 1])
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), pts[..., 0].shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), pts[..., 0].shape)
+    x, y = physical_points(mesh, rule)
+    gx, gy = exact_gradient(x, y)
+    gx = np.broadcast_to(np.asarray(gx, dtype=float), x.shape)
+    gy = np.broadcast_to(np.asarray(gy, dtype=float), x.shape)
     if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
         raise EvaluationError("gradient field evaluated to a non-finite value")
     grad = gradients(u)

@@ -67,17 +67,12 @@ class Triangulation:
     triangle_vertices : (nt, 3) int array
     areas, diameters : per-triangle geometry
     basis_components : (2, 3, nt) float array, component d of the gradient of hat
-        function i on element K at [d, i, K]
-    basis_gradients : (nt, 3, 2) view of ``basis_components`` indexed [K, i, d]
+        function m on element K at [d, m, K]; the edge e_m opposite vertex m has
+        |e_m| n_{K,m} = -2 |K| grad phi_m^K, n_{K,m} its unit normal out of K
     edge_vertices : (ne, 2) int array, endpoint ids with the smaller one first
-    edge_triangles : (ne, 2) int array, adjacent triangle ids, the smaller one first
-        (-1 in slot 1 on the boundary)
+    triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
     corner_across : (nt, 3) int array, the flat corner 3 K' + m' across edge m of K
         (K' the neighbor, m' the edge's slot in it), or -1 on the boundary
-    edge_normals : (ne, 2) unit normals pointing out of the first adjacent triangle
-    edge_lengths : (ne,) float array
-    triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
-    interior_edge_ids, boundary_edge_ids : index arrays into the edge table
     new_vertex_parents : (k, 2) int array of endpoint ids (in the parent mesh) of the
         bisected edges that created the k newest vertices, or None for a root mesh
     """
@@ -119,7 +114,6 @@ class Triangulation:
             raise InvalidArgumentError("triangles must be counterclockwise with positive area")
         self.diameters = np.sqrt(ex * ex + ey * ey).max(axis=0)
         self.basis_components = np.stack([-ey, ex]) / (2.0 * self.areas)
-        self.basis_gradients = self.basis_components.transpose(2, 1, 0)
 
         self._build_edge_table()
         if validate:
@@ -146,7 +140,6 @@ class Triangulation:
         new[0] = True
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         first = np.flatnonzero(new)
-        ne = len(first)
         counts = np.diff(first, append=3 * nt)
         if counts.max() > 2:
             raise InvalidArgumentError("an edge is shared by more than two triangles")
@@ -154,32 +147,15 @@ class Triangulation:
         triangle_edges = np.empty(3 * nt, dtype=np.int64)
         triangle_edges[order] = np.cumsum(new) - 1
         self.triangle_edges = triangle_edges.reshape(nt, 3)
-        has_two = counts == 2
-        # each side of an edge as the flat position 3 * triangle + local
-        # slot, the smaller triangle id first
-        corners = np.full((ne, 2), -1, dtype=np.int64)
-        corners[:, 0] = order[first]
-        one, other = corners[has_two, 0], order[first[has_two] + 1]
-        corners[has_two, 0] = np.minimum(one, other)
-        corners[has_two, 1] = np.maximum(one, other)
-        self.edge_triangles = corners // 3                  # -1 // 3 == -1
-        self.corner_across = np.full((nt, 3), -1, dtype=np.int64)
-        self.corner_across.reshape(-1)[corners[has_two]] = corners[has_two, ::-1]
+        # the two sides of an interior edge as flat corners 3 * triangle +
+        # local slot, each pointing at the other
+        shared = first[counts == 2]
+        one, other = order[shared], order[shared + 1]
+        across = np.full(3 * nt, -1, dtype=np.int64)
+        across[one] = other
+        across[other] = one
+        self.corner_across = across.reshape(nt, 3)
         self.edge_vertices = np.column_stack([keys[first] // nv, keys[first] % nv])
-        self.interior_edge_ids = np.flatnonzero(has_two)
-        self.boundary_edge_ids = np.flatnonzero(counts == 1)
-
-        cx, cy = self.vertex_coords.T
-        a, b = self.edge_vertices.T
-        tx, ty = cx[b] - cx[a], cy[b] - cy[a]
-        self.edge_lengths = np.sqrt(tx * tx + ty * ty)
-        nx, ny = -ty / self.edge_lengths, tx / self.edge_lengths
-        # (-ty, tx) points into the counterclockwise owner exactly when its
-        # edge runs from a to b, i.e. its vertex after the edge's slot is a
-        owner = corners[:, 0]
-        after = np.take(tris.reshape(-1), owner - owner % 3 + (owner + 1) % 3)
-        flip = np.where(after == a, -1.0, 1.0)
-        self.edge_normals = np.column_stack([nx * flip, ny * flip])
 
     # ------------------------------------------------------------------ sizes
 
@@ -302,7 +278,7 @@ def _bisect(mesh, edge_marked):
 def conformity_errors(mesh: Triangulation) -> list[str]:
     """What keeps ``mesh`` from being a conforming triangulation of [-1, 1]^2.
 
-    Linear in the mesh size, read from the mesh's own edge table.  The
+    Linear in the mesh size, read from the mesh's ``corner_across``.  The
     constructor already rejects triangles without positive area and edges
     shared by more than two triangles.  Given those, the mesh conforms
     exactly when its vertices lie in the square and belong to triangles,
@@ -320,10 +296,13 @@ def conformity_errors(mesh: Triangulation) -> list[str]:
         problems.append(f"{int(unused.sum())} vertices belong to no triangle")
     if abs(mesh.areas.sum() - 4.0) > COVERAGE_TOL:
         problems.append("triangle areas do not cover the square")
-    ev = mesh.edge_vertices[mesh.boundary_edge_ids]
-    pa = coords[ev[:, 0]]
-    pb = coords[ev[:, 1]]
-    on_side = np.zeros(len(ev), dtype=bool)
+    # edge m of K, one-sided where nothing lies across it, joins K's
+    # vertices after m
+    k, m = np.nonzero(mesh.corner_across < 0)
+    tris = mesh.triangle_vertices
+    pa = coords[tris[k, (m + 1) % 3]]
+    pb = coords[tris[k, (m + 2) % 3]]
+    on_side = np.zeros(len(k), dtype=bool)
     for axis in (0, 1):
         for side in (-1.0, 1.0):
             on_side |= ((np.abs(pa[:, axis] - side) <= BOUNDARY_TOL)

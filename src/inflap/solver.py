@@ -275,8 +275,7 @@ def _fill_pattern(disc: Discretisation, slots: np.ndarray,
 def load_vector(mesh: Triangulation, f) -> np.ndarray:
     """Vertex vector of integrals of f against the hat functions (order 4)."""
     rule = triangle_rule(4)
-    pts = physical_points(mesh, rule)
-    vals = evaluate_field(f, pts[..., 0], pts[..., 1])
+    vals = evaluate_field(f, *physical_points(mesh, rule))
     per_vertex = vals @ (rule.weights[:, None] * rule.points)   # (nt, 3)
     return np.bincount(mesh.triangle_vertices.reshape(-1), minlength=mesh.vertex_count,
                        weights=(mesh.areas[:, None] * per_vertex).reshape(-1))
@@ -483,7 +482,7 @@ def default_initializer(disc: Discretisation) -> FEFunction:
     """
     mesh = disc.mesh
     local = mesh.areas[:, None, None] * np.einsum(
-        "tid,tjd->tij", mesh.basis_gradients, mesh.basis_gradients)
+        "dit,djt->tij", mesh.basis_components, mesh.basis_components)
     stiffness = _fill_pattern(disc, disc.slots[:, :, :3], local)
     matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
     return FEFunction(mesh, solve_linear(matrix, rhs))

@@ -6,8 +6,10 @@ they stay independent of the vectorised code paths they are used to
 check; ``brute_conformity_errors`` tests every vertex against every edge,
 and ``decode_vtu_array`` reads a VTU array by the file format alone.
 ``integrate``, ``min_angle_degrees`` and ``centroids`` are measurements
-that only the tests need.  ``two_product_refine``, ``pair_jump_residuals``,
-``row_major_mesh_arrays``, ``argmax_product_operator_and_pattern``, the
+that only the tests need, as are the edge normals, lengths and per-edge
+triangles of ``row_major_edge_table``.  ``two_product_refine``,
+``pair_jump_residuals``, ``row_major_mesh_arrays``,
+``argmax_product_operator_and_pattern``, the
 per-case mesh builds (``quarter_loop_initial_mesh``, ``any_edge_closure``,
 ``five_case_bisect``) and the row-major kernels (``einsum_gradients``,
 ``row_sum_l2_norm``, ``outer_diffusion_tensor``, ``batched_physical_points``,
@@ -43,8 +45,7 @@ def integrate(field, mesh):
         return np.einsum("t,trc->rc", mesh.areas, field)
     if isinstance(field, FEFunction):
         return float(mesh.areas @ (values_at(field, rule) @ rule.weights))
-    pts = physical_points(mesh, rule)
-    vals = evaluate_field(field, pts[..., 0], pts[..., 1])
+    vals = evaluate_field(field, *physical_points(mesh, rule))
     return float(mesh.areas @ (vals @ rule.weights))
 
 
@@ -437,7 +438,7 @@ def schur_eliminate(matrix, nv):
     return matrix[:nv, :nv] + coupling @ (to_u / diag[:, None])
 
 
-def _edge_terms(mesh, receiver, source, edge_ids, weight, rows, cols, vals):
+def _edge_terms(mesh, table, receiver, source, edge_ids, weight, rows, cols, vals):
     """Write COO entries of blocks of edge terms into (block, i, r, c, edge) views.
 
     ``receiver`` and ``source`` are (blocks, edges) element ids.  Each
@@ -445,10 +446,10 @@ def _edge_terms(mesh, receiver, source, edge_ids, weight, rows, cols, vals):
     with n the normal of e pointing out of the receiver, to component
     (r, c) of the receiver and the column of the source's vertex i.
     """
-    normals = mesh.edge_normals[edge_ids].T                         # (2, edges)
-    sign = np.where(mesh.edge_triangles[edge_ids, 0] == receiver, 1.0, -1.0)
-    scale = weight * mesh.edge_lengths[edge_ids] / mesh.areas[receiver] * sign
-    basis = mesh.basis_gradients[source].transpose(0, 2, 3, 1)      # (blocks, 3, 2, edges)
+    normals = table["edge_normals"][edge_ids].T                     # (2, edges)
+    sign = np.where(table["edge_triangles"][edge_ids, 0] == receiver, 1.0, -1.0)
+    scale = weight * table["edge_lengths"][edge_ids] / mesh.areas[receiver] * sign
+    basis = mesh.basis_components[:, :, source].transpose(2, 1, 0, 3)   # (blocks, 3, 2, edges)
     np.multiply(scale[:, None, None, None, :] * basis[:, :, :, None, :], normals, out=vals)
     rows[...] = 4 * receiver[:, None, None, None, :] + np.arange(4).reshape(2, 2, 1)
     cols[...] = mesh.triangle_vertices[source].transpose(0, 2, 1)[:, :, None, None, :]
@@ -460,21 +461,21 @@ def coo_hessian_matrix(mesh):
     Row 4*K + 2*r + c gives component (r, c) on element K.  ``tocsr`` sums
     the duplicate entries of each (row, vertex) pair.
     """
-    interior = mesh.interior_edge_ids
-    boundary = mesh.boundary_edge_ids
-    plus = mesh.edge_triangles[interior, 0]
-    minus = mesh.edge_triangles[interior, 1]
-    owner = mesh.edge_triangles[boundary, 0][None]
+    table = row_major_edge_table(mesh)
+    interior = table["interior_edge_ids"]
+    boundary = table["boundary_edge_ids"]
+    plus, minus = table["edge_triangles"][interior].T
+    owner = table["edge_triangles"][boundary, 0][None]
     split = 48 * len(interior)
     rows = np.empty(split + 12 * len(boundary), dtype=np.int32)
     cols = np.empty_like(rows)
     vals = np.empty(len(rows))
     inner = (4, 3, 2, 2, len(interior))
     outer = (1, 3, 2, 2, len(boundary))
-    _edge_terms(mesh, np.stack([plus, plus, minus, minus]),
+    _edge_terms(mesh, table, np.stack([plus, plus, minus, minus]),
                 np.stack([plus, minus, plus, minus]), interior, 0.5,
                 *(a[:split].reshape(inner) for a in (rows, cols, vals)))
-    _edge_terms(mesh, owner, owner, boundary, 1.0,
+    _edge_terms(mesh, table, owner, owner, boundary, 1.0,
                 *(a[split:].reshape(outer) for a in (rows, cols, vals)))
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(4 * mesh.triangle_count, mesh.vertex_count)).tocsr()
@@ -520,8 +521,8 @@ def sparse_product_dirichlet(matrix, rhs, mesh, g):
 
 def coo_poisson_stiffness(mesh):
     """P1 stiffness matrix, element matrices summed by COO to CSR conversion."""
-    local = mesh.areas[:, None, None] * np.einsum(
-        "tid,tjd->tij", mesh.basis_gradients, mesh.basis_gradients)
+    basis = mesh.basis_components.transpose(2, 1, 0)
+    local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", basis, basis)
     verts = mesh.triangle_vertices
     rows = np.repeat(verts, 3, axis=1).reshape(-1)
     cols = np.tile(verts, (1, 3)).reshape(-1)
@@ -535,8 +536,7 @@ def coo_poisson_stiffness(mesh):
 def add_at_load_vector(mesh, f):
     """Integrals of f against the hat functions (order-4 quadrature)."""
     rule = triangle_rule(4)
-    pts = physical_points(mesh, rule)
-    vals = evaluate_field(f, pts[..., 0], pts[..., 1])
+    vals = evaluate_field(f, *physical_points(mesh, rule))
     per_vertex = vals @ (rule.weights[:, None] * rule.points)
     out = np.zeros(mesh.vertex_count)
     np.add.at(out, mesh.triangle_vertices, mesh.areas[:, None] * per_vertex)
@@ -552,11 +552,16 @@ def add_at_trace_test(mesh, hessian):
 
 
 def add_at_squared_indicators(mesh, interior, jumps):
-    """interior**2 plus half of each interior edge's jumps**2 on both sides."""
+    """interior**2 plus half of each interior edge's jumps**2 on both sides.
+
+    ``jumps`` is ordered like ``lower_corner_order``.
+    """
+    table = row_major_edge_table(mesh)
+    plus, minus = table["edge_triangles"][lower_corner_order(table)].T
     eta_sq = interior ** 2
     half = 0.5 * jumps ** 2
-    np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 0], half)
-    np.add.at(eta_sq, mesh.edge_triangles[mesh.interior_edge_ids, 1], half)
+    np.add.at(eta_sq, plus, half)
+    np.add.at(eta_sq, minus, half)
     return eta_sq
 
 
@@ -587,24 +592,18 @@ def two_product_refine(matrix, rhs, lu, start, accept):
     return solution, solves
 
 
-def row_major_mesh_arrays(mesh):
-    """Every array of ``mesh`` recomputed from (nt, 3, 2) corner rows and ``np.unique``.
+def row_major_edge_table(mesh):
+    """The edge table of ``mesh`` from row-sorted endpoint pairs and ``np.unique``.
 
-    Geometry is reduced along the corner and coordinate axes, the edge
-    table comes from row-sorted endpoint pairs, ``np.unique``, a second
-    stable argsort and ``searchsorted``, and the corner across each edge of
-    a triangle from the other triangle of that edge and a compare-and-argmax
-    over its edges.  Returns a dict of attribute name -> array.
+    A second stable argsort and ``searchsorted`` give each edge's
+    triangles, the smaller id first (-1 in slot 1 on the boundary), and a
+    compare-and-argmax over the other triangle's edges the corner across
+    each edge of a triangle.  ``scaled_normals`` is the edge vector turned
+    to point out of the edge's first triangle (|e| n) and ``edge_normals``
+    the unit normal.  Returns a dict of name -> array.
     """
     coords, tris = mesh.vertex_coords, mesh.triangle_vertices
     nv, nt = len(coords), len(tris)
-    p = coords[tris]
-    edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    areas = 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    basis_components = np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / (2.0 * areas)
-    centers = p.mean(axis=1)
-
     pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
     keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
     edge_vertices = np.column_stack([keys // nv, keys % nv])
@@ -621,25 +620,48 @@ def row_major_mesh_arrays(mesh):
     sides = edge_triangles[triangle_edges]                          # (nt, 3, 2)
     other = np.where(sides[..., 0] == np.arange(nt)[:, None], sides[..., 1], sides[..., 0])
     slot = np.argmax(triangle_edges[np.maximum(other, 0)] == triangle_edges[..., None], axis=2)
-    corner_across = np.where(other >= 0, 3 * other + slot, -1)
 
     a, b = coords[edge_vertices[:, 0]], coords[edge_vertices[:, 1]]
     tangent = b - a
     edge_lengths = np.sqrt((tangent ** 2).sum(axis=1))
-    edge_normals = np.column_stack([-tangent[:, 1], tangent[:, 0]]) / edge_lengths[:, None]
-    outward = ((0.5 * (a + b) - centers[edge_triangles[:, 0]]) * edge_normals).sum(axis=1)
-    edge_normals[outward < 0.0] *= -1.0
+    scaled_normals = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    center = coords[tris].mean(axis=1)[edge_triangles[:, 0]]
+    scaled_normals[((0.5 * (a + b) - center) * scaled_normals).sum(axis=1) < 0.0] *= -1.0
+    return {
+        "edge_vertices": edge_vertices, "triangle_edges": triangle_edges,
+        "corner_across": np.where(other >= 0, 3 * other + slot, -1),
+        "edge_triangles": edge_triangles, "interior_edge_ids": np.flatnonzero(has_two),
+        "boundary_edge_ids": np.flatnonzero(counts == 1), "edge_lengths": edge_lengths,
+        "scaled_normals": scaled_normals, "edge_normals": scaled_normals / edge_lengths[:, None],
+    }
+
+
+def lower_corner_order(table):
+    """Interior edge ids of ``table`` by the flat corner 3 K + m of the edge in its first triangle K."""
+    interior = table["interior_edge_ids"]
+    plus = table["edge_triangles"][interior, 0]
+    slot = np.argmax(table["triangle_edges"][plus] == interior[:, None], axis=1)
+    return interior[np.argsort(3 * plus + slot)]
+
+
+def row_major_mesh_arrays(mesh):
+    """Every array of ``mesh`` recomputed from (nt, 3, 2) corner rows and ``row_major_edge_table``.
+
+    Geometry is reduced along the corner and coordinate axes.  Returns a
+    dict of attribute name -> array.
+    """
+    coords, tris = mesh.vertex_coords, mesh.triangle_vertices
+    p = coords[tris]
+    edge_vec = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    table = row_major_edge_table(mesh)
     return {
         "vertex_coords": coords, "triangle_vertices": tris,
         "vertex_on_boundary": np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL,
         "areas": areas, "diameters": np.sqrt((edge_vec ** 2).sum(axis=2)).max(axis=1),
-        "basis_components": basis_components,
-        "basis_gradients": basis_components.transpose(2, 1, 0),
-        "edge_vertices": edge_vertices, "edge_triangles": edge_triangles,
-        "corner_across": corner_across, "edge_normals": edge_normals,
-        "edge_lengths": edge_lengths, "triangle_edges": triangle_edges,
-        "interior_edge_ids": np.flatnonzero(has_two),
-        "boundary_edge_ids": np.flatnonzero(counts == 1),
+        "basis_components": np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / (2.0 * areas),
+        **{name: table[name] for name in ("edge_vertices", "triangle_edges", "corner_across")},
     }
 
 
@@ -653,9 +675,10 @@ def argmax_product_operator_and_pattern(mesh):
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
+    table = row_major_edge_table(mesh)
     edges = np.ascontiguousarray(mesh.triangle_edges.T)
     own = np.arange(nt)
-    adjacent = mesh.edge_triangles[edges]
+    adjacent = table["edge_triangles"][edges]
     is_plus = adjacent[..., 0] == own
     neighbor = np.where(is_plus, adjacent[..., 1], adjacent[..., 0])
     interior = neighbor >= 0
@@ -663,9 +686,9 @@ def argmax_product_operator_and_pattern(mesh):
     far = np.argmax(mesh.triangle_edges[neighbor] == edges[..., None], axis=2)
 
     sign = np.where(is_plus, 1.0, -1.0)
-    scale = np.where(interior, 0.5, 1.0) * mesh.edge_lengths[edges] / mesh.areas * sign
+    scale = np.where(interior, 0.5, 1.0) * table["edge_lengths"][edges] / mesh.areas * sign
     across = np.where(interior, scale, 0.0)
-    normals = np.ascontiguousarray(mesh.edge_normals[edges].transpose(0, 2, 1))[:, None]
+    normals = np.ascontiguousarray(table["edge_normals"][edges].transpose(0, 2, 1))[:, None]
     basis = mesh.basis_components
 
     def term(m, weights, gradient):
@@ -722,18 +745,19 @@ def decode_vtu_array(element):
 
 
 def pair_jump_residuals(u_prev, u_next, tau):
-    """Jump residual of the step from ``u_prev`` to ``u_next`` on every interior edge.
+    """Jump residual times |e| of the step from ``u_prev`` to ``u_next`` on every interior edge.
 
-    The diffusion tensor and the 1/tau gradient jump come from ``u_prev``,
-    the tensor jump from ``u_next``.  At the pair ``(u, u)`` the two 1/tau
-    terms cancel, which leaves the package's tau-free residual; at
-    ``tau=np.inf`` they are zero.
+    Edges come in ``lower_corner_order`` with the normal |e| n out of the
+    first triangle taken from the turned edge vector.  The diffusion
+    tensor and the 1/tau gradient jump come from ``u_prev``, the tensor
+    jump from ``u_next``.  At the pair ``(u, u)`` the two 1/tau terms
+    cancel, which leaves the package's tau-free residual; at ``tau=np.inf``
+    they are zero.
     """
-    mesh = u_prev.mesh
-    interior = mesh.interior_edge_ids
-    plus = mesh.edge_triangles[interior, 0]
-    minus = mesh.edge_triangles[interior, 1]
-    normals = mesh.edge_normals[interior]
+    table = row_major_edge_table(u_prev.mesh)
+    interior = lower_corner_order(table)
+    plus, minus = table["edge_triangles"][interior].T
+    normals = table["scaled_normals"][interior]
     grad_prev = einsum_gradients(u_prev)
     grad_next = einsum_gradients(u_next)
     tensors = outer_diffusion_tensor(u_prev, tau)
@@ -754,7 +778,7 @@ def batched_physical_points(mesh, rule):
 def einsum_gradients(u):
     """Elementwise gradients (nt, 2) by one einsum over the (nt, 3, 2) basis."""
     values = u.coefficients[u.mesh.triangle_vertices]
-    basis = np.ascontiguousarray(u.mesh.basis_gradients)
+    basis = np.ascontiguousarray(u.mesh.basis_components.transpose(2, 1, 0))
     return np.einsum("tid,ti->td", basis, values)
 
 
@@ -784,19 +808,18 @@ def bincount_fe_hessian(v):
     """
     mesh = v.mesh
     grad = einsum_gradients(v)
+    table = row_major_edge_table(mesh)
+    lengths, unit = table["edge_lengths"], table["edge_normals"]
 
-    interior = mesh.interior_edge_ids
-    plus = mesh.edge_triangles[interior, 0]
-    minus = mesh.edge_triangles[interior, 1]
-    normals = mesh.edge_normals[interior]
-    weighted = mesh.edge_lengths[interior, None, None] * \
-        (0.5 * (grad[plus] + grad[minus]))[:, :, None] * normals[:, None, :]
+    interior = table["interior_edge_ids"]
+    plus, minus = table["edge_triangles"][interior].T
+    weighted = lengths[interior, None, None] * \
+        (0.5 * (grad[plus] + grad[minus]))[:, :, None] * unit[interior, None, :]
 
-    boundary = mesh.boundary_edge_ids
-    owner = mesh.edge_triangles[boundary, 0]
-    normals = mesh.edge_normals[boundary]
-    weighted_boundary = mesh.edge_lengths[boundary, None, None] * \
-        grad[owner][:, :, None] * normals[:, None, :]
+    boundary = table["boundary_edge_ids"]
+    owner = table["edge_triangles"][boundary, 0]
+    weighted_boundary = lengths[boundary, None, None] * \
+        grad[owner][:, :, None] * unit[boundary, None, :]
 
     receivers = np.concatenate([plus, minus, owner])
     terms = np.concatenate([weighted, -weighted, weighted_boundary])

@@ -16,7 +16,8 @@ from inflap import (AdaptiveConfig, Discretisation, FEFunction, adaptive_solve,
                     convergence_study, estimate, fe_hessian, gradients,
                     interpolate, refine, registry, solve_linear, uniform_refine)
 from inflap.cli import main
-from conftest import brute_conformity_errors, brute_saddle, integrate, min_angle_degrees
+from conftest import (brute_conformity_errors, brute_saddle, integrate, min_angle_degrees,
+                      row_major_edge_table)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -120,10 +121,11 @@ def test_criterion_6_hessian_property_suite():
         lhs = integrate(fe_hessian(v), mesh)
         grad = gradients(v)
         rhs = np.zeros((2, 2))
-        for e in mesh.boundary_edge_ids:
-            owner = mesh.edge_triangles[e, 0]
-            rhs += mesh.edge_lengths[e] * np.outer(grad[owner],
-                                                   mesh.edge_normals[e])
+        table = row_major_edge_table(mesh)
+        for e in table["boundary_edge_ids"]:
+            owner = table["edge_triangles"][e, 0]
+            rhs += table["edge_lengths"][e] * np.outer(grad[owner],
+                                                       table["edge_normals"][e])
         worst_consistency = max(worst_consistency, np.abs(lhs - rhs).max())
 
     worst_iterate = 0.0

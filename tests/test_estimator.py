@@ -3,8 +3,9 @@ import pytest
 
 from inflap import (FEFunction, build_initial_mesh, estimate, interpolate,
                     jump_residuals, refine, uniform_refine)
-from inflap.estimator import interior_residual_norms
-from conftest import outer_diffusion_tensor, oracle_meshes, pair_jump_residuals
+from inflap.estimator import _interior_edges, interior_residual_norms
+from conftest import (lower_corner_order, outer_diffusion_tensor, oracle_meshes,
+                      pair_jump_residuals, row_major_edge_table)
 
 ZERO = lambda x, y: np.zeros(np.shape(x))
 TWO = lambda x, y: np.full(np.shape(x), 2.0)
@@ -33,11 +34,28 @@ def test_jump_residual_vanishes_for_affine():
 def test_jump_residual_hand_value_on_unit_mesh():
     # U = interpolate(|x|^2) on the 4-triangle mesh: element gradients are
     # (0,-2), (2,0), (0,2), (-2,0); working through the averages, normals
-    # and tensor jumps by hand gives J = sqrt(2) on every interior edge
+    # and tensor jumps by hand gives J = sqrt(2) on every interior edge,
+    # each of length sqrt(2), so J |e| = 2
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
     values = jump_residuals(u)
-    assert np.allclose(values, np.sqrt(2.0), rtol=1e-13)
+    assert len(values) == 4
+    assert np.allclose(values, 2.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("mesh", oracle_meshes(), ids=["uniform", "random-local", "axis-graded"])
+def test_interior_edges_visit_every_oracle_edge_once(mesh):
+    plus, slot, minus = _interior_edges(mesh)
+    assert np.all(plus < minus)
+    visited = sorted(zip(plus.tolist(), minus.tolist()))
+    table = row_major_edge_table(mesh)
+    expected = sorted(map(tuple, table["edge_triangles"][table["interior_edge_ids"]].tolist()))
+    assert visited == expected
+    # local edge slot of plus is the edge the two share, listed in the
+    # order of the corners (plus, slot)
+    edges = table["triangle_edges"][plus, slot]
+    assert np.array_equal(table["edge_triangles"][edges], np.column_stack([plus, minus]))
+    assert np.array_equal(edges, lower_corner_order(table))
 
 
 @pytest.mark.parametrize("mesh", oracle_meshes(), ids=["uniform", "random-local", "axis-graded"])
@@ -63,10 +81,10 @@ def test_jump_residual_large_tau_limit():
     u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
 
     from inflap.fespace import gradients
-    interior = mesh.interior_edge_ids
-    plus = mesh.edge_triangles[interior, 0]
-    minus = mesh.edge_triangles[interior, 1]
-    normals = mesh.edge_normals[interior]
+    table = row_major_edge_table(mesh)
+    interior = lower_corner_order(table)
+    plus, minus = table["edge_triangles"][interior].T
+    normals = table["edge_lengths"][interior, None] * table["edge_normals"][interior]
     grad = gradients(u)
     tensors = outer_diffusion_tensor(u, np.inf)
     averaged = 0.5 * (tensors[plus] + tensors[minus])

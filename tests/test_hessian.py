@@ -12,7 +12,7 @@ from inflap.solver import Discretisation, assemble_step, step_pattern
 from conftest import (argmax_product_operator_and_pattern, assert_bit_identical,
                       bincount_fe_hessian, bit_oracle_meshes, edge_dictionary, hat_gradients,
                       integrate, kernel_functions, kernel_meshes, oracle_meshes,
-                      outward_normal, perturbed_mesh, tri_area)
+                      outward_normal, perturbed_mesh, row_major_edge_table, tri_area)
 
 
 def meshes_for_affine_check():
@@ -238,9 +238,10 @@ def test_global_consistency_identity(seed):
     lhs = integrate(fe_hessian(v), mesh)
     grad = gradients(v)
     rhs = np.zeros((2, 2))
-    for e in mesh.boundary_edge_ids:
-        owner = mesh.edge_triangles[e, 0]
-        rhs += mesh.edge_lengths[e] * np.outer(grad[owner], mesh.edge_normals[e])
+    table = row_major_edge_table(mesh)
+    for e in table["boundary_edge_ids"]:
+        owner = table["edge_triangles"][e, 0]
+        rhs += table["edge_lengths"][e] * np.outer(grad[owner], table["edge_normals"][e])
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 

@@ -6,7 +6,8 @@ from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
 from inflap.mesh import _bisect
 from conftest import (any_edge_closure, assert_bit_identical, bit_oracle_meshes,
                       brute_conformity_errors, centroids, five_case_bisect,
-                      min_angle_degrees, quarter_loop_initial_mesh, row_major_mesh_arrays)
+                      min_angle_degrees, oracle_meshes, perturbed_mesh,
+                      quarter_loop_initial_mesh, row_major_edge_table, row_major_mesh_arrays)
 
 
 def assert_same_mesh(ours, reference):
@@ -24,8 +25,9 @@ def test_initial_mesh_counts_n1():
     mesh = build_initial_mesh(1)
     assert mesh.triangle_count == 4
     assert mesh.vertex_count == 5
-    assert len(mesh.interior_edge_ids) == 4
-    assert len(mesh.boundary_edge_ids) == 4
+    # four interior edges, each seen from both sides, and four boundary edges
+    assert (mesh.corner_across >= 0).sum() == 8
+    assert (mesh.corner_across == -1).sum() == 4
 
 
 def test_initial_mesh_counts_n2():
@@ -64,7 +66,9 @@ def test_diameters_and_edge_lengths():
     tiny = Triangulation([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
                          validate=False)
     assert tiny.diameters == pytest.approx([np.sqrt(2.0)])
-    assert sorted(tiny.edge_lengths) == pytest.approx([1.0, 1.0, np.sqrt(2.0)])
+    # |e_m| = 2 |K| |grad phi_m|, edge 0 the hypotenuse
+    lengths = 2.0 * tiny.areas * np.hypot(*tiny.basis_components[:, :, 0])
+    assert lengths == pytest.approx([np.sqrt(2.0), 1.0, 1.0])
 
     mesh = build_initial_mesh(1)
     assert np.allclose(mesh.diameters, 2.0)
@@ -77,12 +81,13 @@ def test_entity_views():
     # the refinement edge, opposite slot 2, is the longest edge of each
     # right isosceles triangle, also after local refinement
     for tested in (mesh, refine(build_initial_mesh(2), {1, 6})):
-        assert np.array_equal(tested.edge_lengths[tested.triangle_edges[:, 2]],
-                              tested.diameters)
-    one_sided = np.flatnonzero(mesh.edge_triangles[:, 1] == -1)
-    assert np.array_equal(one_sided, mesh.boundary_edge_ids)
-    assert np.all(mesh.edge_triangles[mesh.interior_edge_ids] >= 0)
-    assert np.linalg.norm(mesh.edge_normals, axis=1) == pytest.approx(1.0, abs=1e-12)
+        p = tested.vertex_coords[tested.triangle_vertices]
+        ex, ey = (p[:, 1] - p[:, 0]).T
+        assert np.array_equal(np.sqrt(ex * ex + ey * ey), tested.diameters)
+    # the one-sided edges are the sides of the square
+    k, m = np.nonzero(mesh.corner_across == -1)
+    ends = mesh.triangle_vertices[k[:, None], (m[:, None] + [1, 2]) % 3]
+    assert len(k) == 4 and mesh.vertex_on_boundary[ends].all()
 
 
 def test_refine_empty_marking_is_noop():
@@ -235,7 +240,10 @@ def test_edge_table_matches_row_unique_oracle():
             edge_triangles[e, int(edge_triangles[e, 0] >= 0)] = k
     assert np.array_equal(mesh.edge_vertices, edge_vertices)
     assert np.array_equal(mesh.triangle_edges, inverse)
-    assert np.array_equal(mesh.edge_triangles, edge_triangles)
+    # the triangle across each edge of each triangle, -1 on the boundary
+    sides = edge_triangles[inverse]
+    other = np.where(sides[..., 0] == np.arange(nt)[:, None], sides[..., 1], sides[..., 0])
+    assert np.array_equal(mesh.corner_across // 3, other)
 
 
 def test_mesh_arrays_are_frozen():
@@ -254,16 +262,46 @@ def test_mesh_arrays_are_bit_identical_to_row_major_oracle(name):
     mesh = bit_oracle_meshes()[name]
     for attribute, expected in row_major_mesh_arrays(mesh).items():
         assert_bit_identical(getattr(mesh, attribute), expected, attribute)
-    # the corner across an interior edge holds the same edge and faces back,
-    # and the smaller triangle id, which the normal points out of, comes first
+    # the corner across an interior edge holds the same edge and faces back
     across = mesh.corner_across
     inner = across >= 0
     assert np.array_equal(mesh.triangle_edges.reshape(-1)[across[inner]],
                           mesh.triangle_edges[inner])
     assert np.array_equal(across.reshape(-1)[across[inner]], np.flatnonzero(inner))
-    assert np.array_equal(~inner, np.isin(mesh.triangle_edges, mesh.boundary_edge_ids))
-    sides = mesh.edge_triangles[mesh.interior_edge_ids]
-    assert np.all(sides[:, 0] < sides[:, 1])
+    boundary = row_major_edge_table(mesh)["boundary_edge_ids"]
+    assert np.array_equal(~inner, np.isin(mesh.triangle_edges, boundary))
+
+
+def turned_edge_vectors(mesh, m):
+    """(ey_m, -ex_m) for the edge vector (ex_m, ey_m) from vertex m + 1 to vertex m + 2."""
+    coords, tris = mesh.vertex_coords, mesh.triangle_vertices
+    ex, ey = (coords[tris[:, (m + 2) % 3]] - coords[tris[:, (m + 1) % 3]]).T
+    return np.stack([ey, -ex])
+
+
+def dyadic_chain():
+    """``build_initial_mesh(4)``, then one uniform and two local refinements."""
+    rng = np.random.default_rng(5)
+    meshes = [build_initial_mesh(4)]
+    meshes.append(uniform_refine(meshes[-1]))
+    for _ in range(2):
+        mesh = meshes[-1]
+        meshes.append(refine(mesh, rng.choice(mesh.triangle_count, mesh.triangle_count // 5,
+                                              replace=False)))
+    return meshes
+
+
+@pytest.mark.parametrize("mesh, ulps", [(mesh, 0) for mesh in oracle_meshes() + dyadic_chain()]
+                         + [(perturbed_mesh(), 4)],
+                         ids=["uniform", "random-local", "axis-graded", "chain0", "chain1",
+                              "chain2", "chain3", "perturbed"])
+def test_scaled_hat_gradient_is_the_turned_edge_vector(mesh, ulps):
+    # |e_m| n_{K,m} = -2 |K| grad phi_m^K; every area of a dyadic mesh is a
+    # power of two, so there both sides agree bit for bit
+    for m in range(3):
+        turned = turned_edge_vectors(mesh, m)
+        scaled = -2.0 * mesh.areas * mesh.basis_components[:, m, :]
+        assert np.all(np.abs(scaled - turned) <= ulps * np.spacing(np.abs(turned)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

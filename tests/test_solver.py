@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from conftest import (add_at_load_vector, add_at_squared_indicators,
                       add_at_trace_test, bincount_assemble_step, bincount_fe_hessian,
                       brute_saddle, centroids, coo_hessian_matrix, coo_poisson_stiffness,
-                      kernel_functions, kernel_meshes, oracle_meshes, outer_diffusion_tensor,
+                      edge_dictionary, kernel_functions, kernel_meshes, oracle_meshes, outer_diffusion_tensor,
                       perturbed_mesh, schur_eliminate, sparse_product_dirichlet,
                       sparse_product_step_matrix, two_product_refine)
 
@@ -83,10 +83,11 @@ def test_step_matrix_sparsity_stencil():
         for i in verts:
             patches[int(i)].add(k)
     neighbors = {}
-    for t0, t1 in mesh.edge_triangles:
-        if t1 >= 0:
-            neighbors.setdefault(int(t0), set()).add(int(t1))
-            neighbors.setdefault(int(t1), set()).add(int(t0))
+    for adjacent in edge_dictionary(mesh).values():
+        if len(adjacent) == 2:
+            t0, t1 = adjacent
+            neighbors.setdefault(t0, set()).add(t1)
+            neighbors.setdefault(t1, set()).add(t0)
     matrix = matrix.tocsr()
     for i in range(mesh.vertex_count):
         allowed = set()

@@ -70,10 +70,12 @@ def mark(indicators: IndicatorField, theta: float) -> np.ndarray:
 
     Elements are taken greedily by descending indicator, ties broken by
     id; the returned ids are sorted.  Nothing is marked when all
-    indicators vanish.
+    indicators vanish; a non-finite indicator raises.
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidArgumentError("theta must lie in (0, 1]")
+    if not np.isfinite(indicators.eta).all():
+        raise InvalidArgumentError("indicators must be finite")
     eta_sq = indicators.eta ** 2
     order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
     cumulative = np.cumsum(eta_sq[order])

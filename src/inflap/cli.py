@@ -71,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(argument):
-    directory = argument or os.environ.get("INFLAP_OUT") or "."
-    os.makedirs(directory, exist_ok=True)
-    return directory
+    return argument or os.environ.get("INFLAP_OUT") or "."
 
 
 def _solver_config(args) -> SolverConfig:
@@ -86,6 +84,8 @@ def _run_solve(args) -> int:
     written = []
 
     def on_level(level, mesh, report, indicators):
+        # the study checks every argument before its first level
+        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"{args.problem}_level{level}.vtu")
         write_vtu(mesh, {"solution": report.solution, "indicator": indicators}, path)
         written.append(path)
@@ -116,13 +116,14 @@ def _run_solve(args) -> int:
 
 
 def _run_adapt(args) -> int:
-    out = _out_dir(args.out)
     problem = registry()[args.problem]
     tau = args.tau if args.tau is not None else problem.adaptive_tau
     config = AdaptiveConfig(estimator_tol=args.tol, theta=args.theta,
                             max_cycles=args.max_cycles, solver=_solver_config(args),
                             tau=tau, dof_budget=args.dof_budget)
     mesh = build_initial_mesh(args.initial_n)
+    out = _out_dir(args.out)
+    os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, f"{args.problem}_adapt_history.csv")
     try:
         report, final_mesh, history = adaptive_solve(problem.data, mesh, config)

@@ -7,8 +7,10 @@ refinement edge to the hypotenuse of a right isosceles triangle, which
 makes the initial edge assignment compatible, so the closure always
 terminates and every descendant is again right isosceles.
 
-A triangle (a, b, c) has its refinement edge ab opposite c and edge m
-opposite vertex m.  Its bisected edges give the code m0 + 2 m1 + 4 m2, and
+A triangle K = (a, b, c) has its refinement edge ab opposite c and edge m
+opposite vertex m, at flat corner 3 K + m; ``corner_across`` pairs the two
+corners of each interior edge.  ``refine`` marks bisected edges at both
+corners, a triangle's marks give the code m0 + 2 m1 + 4 m2, and
 ``_CHILDREN[code]`` lists its children as slots into (a, b, c, mid0, mid1,
 mid2), mid m the midpoint of edge m.  A bisection puts the midpoint in slot
 2 of both halves, whose refinement edges are edge 1 (first half) and edge
@@ -53,8 +55,8 @@ class Triangulation:
     Triangles are stored in the order the caller gives, and that order is
     an input contract: vertices run counterclockwise, and the refinement
     edge joins local vertices 0 and 1, so the vertex opposite it (the
-    newest vertex of the bisection genealogy) sits in slot 2 and
-    ``triangle_edges[:, 2]`` holds the refinement edges.
+    newest vertex of the bisection genealogy) sits in slot 2 and edge 2,
+    opposite vertex 2, is the refinement edge.
     ``build_initial_mesh``, ``refine`` and ``uniform_refine`` emit that
     order.  Coordinates must be finite and vertex ids integers.  With
     ``validate`` the mesh must conform to the square
@@ -69,10 +71,8 @@ class Triangulation:
     basis_components : (2, 3, nt) float array, component d of the gradient of hat
         function m on element K at [d, m, K]; the edge e_m opposite vertex m has
         |e_m| n_{K,m} = -2 |K| grad phi_m^K, n_{K,m} its unit normal out of K
-    edge_vertices : (ne, 2) int array, endpoint ids with the smaller one first
-    triangle_edges : (nt, 3) int array, global edge id of the local edge opposite each vertex
-    corner_across : (nt, 3) int array, the flat corner 3 K' + m' across edge m of K
-        (K' the neighbor, m' the edge's slot in it), or -1 on the boundary
+    corner_across : (nt, 3) int array, the only adjacency: the flat corner 3 K' + m'
+        across edge m of K (K' the neighbor, m' the edge's slot in it), or -1 on the boundary
     new_vertex_parents : (k, 2) int array of endpoint ids (in the parent mesh) of the
         bisected edges that created the k newest vertices, or None for a root mesh
     """
@@ -128,34 +128,24 @@ class Triangulation:
 
     def _build_edge_table(self):
         tris = self.triangle_vertices
-        nt = len(tris)
-        nv = len(self.vertex_coords)
+        nt, nv = len(tris), len(self.vertex_coords)
         # local edge i joins the two vertices after vertex i; its key is
-        # (smaller id) * nv + larger id, listed triangle-major
+        # (smaller id) * nv + larger id, listed triangle-major, so equal
+        # neighbouring keys after one sort are the two sides of an edge
         after, last = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
         keys = (np.minimum(after, last) * nv + np.maximum(after, last)).reshape(-1)
         order = np.argsort(keys)
         keys = keys[order]
-        new = np.empty(3 * nt, dtype=bool)
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        counts = np.diff(first, append=3 * nt)
-        if counts.max() > 2:
+        paired = keys[1:] == keys[:-1]
+        if (paired[1:] & paired[:-1]).any():
             raise InvalidArgumentError("an edge is shared by more than two triangles")
 
-        triangle_edges = np.empty(3 * nt, dtype=np.int64)
-        triangle_edges[order] = np.cumsum(new) - 1
-        self.triangle_edges = triangle_edges.reshape(nt, 3)
-        # the two sides of an interior edge as flat corners 3 * triangle +
-        # local slot, each pointing at the other
-        shared = first[counts == 2]
-        one, other = order[shared], order[shared + 1]
+        # the two corners 3 * triangle + local slot of an edge point at each other
+        one, other = order[:-1][paired], order[1:][paired]
         across = np.full(3 * nt, -1, dtype=np.int64)
         across[one] = other
         across[other] = one
         self.corner_across = across.reshape(nt, 3)
-        self.edge_vertices = np.column_stack([keys[first] // nv, keys[first] % nv])
 
     # ------------------------------------------------------------------ sizes
 
@@ -166,10 +156,6 @@ class Triangulation:
     @property
     def triangle_count(self):
         return len(self.triangle_vertices)
-
-    @property
-    def edge_count(self):
-        return len(self.edge_vertices)
 
     def __repr__(self):
         return f"Triangulation(vertices={self.vertex_count}, triangles={self.triangle_count})"
@@ -210,31 +196,34 @@ def refine(mesh: Triangulation, marked) -> Triangulation:
     Marked triangles are bisected through their refinement edge; any
     neighbor sharing a bisected edge is bisected as well, repeatedly,
     until no hanging vertex remains.  The children's refinement edges
-    follow the newest-vertex rule.  ``marked`` holds integer triangle ids
-    (an array, list, set or range); a boolean mask or float ids raise
-    ``InvalidArgumentError``.  The input mesh is returned unchanged for an
-    empty marking.
+    follow the newest-vertex rule.  ``marked`` is a flat collection of
+    integer triangle ids (an array, list, set or range); anything else
+    raises ``InvalidArgumentError``.  The input mesh is returned unchanged
+    for an empty marking.
     """
-    marked = np.asarray(list(marked))
+    try:
+        marked = np.asarray(list(marked))
+    except (TypeError, ValueError):             # not iterable, or ragged
+        marked = np.empty((0, 0))
+    if marked.ndim != 1 or (marked.size and marked.dtype.kind not in "iu"):
+        raise InvalidArgumentError("marked must be a flat collection of integer triangle ids")
     if marked.size == 0:
         return mesh
-    if marked.dtype.kind not in "iu":
-        raise InvalidArgumentError("marked must hold integer triangle ids")
-    marked = np.unique(marked.astype(np.int64))
     if marked.min() < 0 or marked.max() >= mesh.triangle_count:
         raise InvalidArgumentError("marked set contains an unknown triangle id")
 
-    edge_marked = np.zeros(mesh.edge_count, dtype=bool)
-    ref_edge = mesh.triangle_edges[:, 2]
-    edge_marked[ref_edge[marked]] = True
-    # Closure: bisect the refinement edge of every triangle whose code has
-    # no children.  Marks only grow, so this terminates.
-    while True:
-        childless = _CHILD_COUNTS[_bisection_codes(mesh, edge_marked)] == 0
-        if not childless.any():
-            break
-        edge_marked[ref_edge[childless]] = True
-    return _bisect(mesh, edge_marked)
+    # Closure: mark the refinement edge, corner 3 K + 2, of every marked
+    # triangle K, then of every triangle whose code has no children, at both
+    # its corners.  Marks only grow, so this terminates.
+    across = mesh.corner_across.reshape(-1)
+    corner_marked = np.zeros(len(across), dtype=bool)
+    grow = marked.astype(np.int64)
+    while len(grow):
+        corners = 3 * grow + 2
+        far = across[corners]
+        corner_marked[np.concatenate([corners, far[far >= 0]])] = True
+        grow = np.flatnonzero(_CHILD_COUNTS[_bisection_codes(corner_marked)] == 0)
+    return _bisect(mesh, corner_marked)
 
 
 def uniform_refine(mesh: Triangulation) -> Triangulation:
@@ -245,31 +234,39 @@ def uniform_refine(mesh: Triangulation) -> Triangulation:
     bisected again, so the triangle count exactly quadruples and, on the
     criss-cross family, diameters exactly halve.
     """
-    return _bisect(mesh, np.ones(mesh.edge_count, dtype=bool))
+    return _bisect(mesh, np.ones(3 * mesh.triangle_count, dtype=bool))
 
 
-def _bisection_codes(mesh, edge_marked):
+def _bisection_codes(corner_marked):
     """The code m0 + 2 m1 + 4 m2 of each triangle's bisected edges."""
-    m = edge_marked[mesh.triangle_edges]
-    return m[:, 0] + 2 * m[:, 1] + 4 * m[:, 2]
+    return corner_marked.reshape(-1, 3) @ np.array([1, 2, 4])
 
 
-def _bisect(mesh, edge_marked):
+def _bisect(mesh, corner_marked):
     nt, nv = mesh.triangle_count, mesh.vertex_count
-    split = np.flatnonzero(edge_marked)
-    midpoint_of = np.full(mesh.edge_count, -1, dtype=np.int64)
-    midpoint_of[split] = nv + np.arange(len(split))
-    pairs = mesh.edge_vertices[split]
+    code = _bisection_codes(corner_marked)
+    if not _CHILD_COUNTS[code].all():
+        raise RuntimeError("bisection called without conforming closure")
+    # each bisected edge once, from its corner with the lower across (-1 on
+    # the boundary), numbered by its (smaller, larger) endpoint pair; the
+    # corner across copies the midpoint
+    tris = mesh.triangle_vertices
+    across = mesh.corner_across.reshape(-1)
+    listed = np.flatnonzero(corner_marked & (across < np.arange(3 * nt)))
+    after, last = (tris[:, turn].reshape(-1)[listed] for turn in ([1, 2, 0], [2, 0, 1]))
+    low, high = np.minimum(after, last), np.maximum(after, last)
+    by_key = np.argsort(low * nv + high)
+    listed, pairs = listed[by_key], np.column_stack([low, high])[by_key]
+    midpoint_of = np.full(3 * nt, -1, dtype=np.int64)
+    midpoint_of[listed] = nv + np.arange(len(listed))
+    inner = listed[across[listed] >= 0]
+    midpoint_of[across[inner]] = midpoint_of[inner]
     mids = 0.5 * (mesh.vertex_coords[pairs[:, 0]] + mesh.vertex_coords[pairs[:, 1]])
     coords = np.vstack([mesh.vertex_coords, mids])
 
-    code = _bisection_codes(mesh, edge_marked)
-    if not _CHILD_COUNTS[code].all():
-        raise RuntimeError("bisection called without conforming closure")
     # each triangle's children, in table order, by one flat gather from its
     # six corners (a, b, c, mid0, mid1, mid2)
-    corners = np.concatenate([mesh.triangle_vertices, midpoint_of[mesh.triangle_edges]],
-                             axis=1)
+    corners = np.concatenate([tris, midpoint_of.reshape(nt, 3)], axis=1)
     slots = _CHILD_SLOTS[code] + 6 * np.arange(nt)[:, None, None]
     children = corners.reshape(-1)[slots][_CHILD_KEPT[code]]
     return Triangulation(coords, children, new_vertex_parents=pairs)

@@ -144,13 +144,16 @@ def any_edge_closure(mesh, marked):
     """The edges ``refine`` bisects for the triangle ids ``marked``.
 
     Marks the refinement edge of every marked triangle, then of every
-    triangle with any marked edge, until nothing changes.
+    triangle with any marked edge, until nothing changes.  Edges are the
+    ids of ``row_major_edge_table``.
     """
-    edge_marked = np.zeros(mesh.edge_count, dtype=bool)
-    ref_edge = mesh.triangle_edges[:, 2]
+    table = row_major_edge_table(mesh)
+    triangle_edges = table["triangle_edges"]
+    edge_marked = np.zeros(len(table["edge_vertices"]), dtype=bool)
+    ref_edge = triangle_edges[:, 2]
     edge_marked[ref_edge[np.asarray(marked, dtype=np.int64)]] = True
     while True:
-        needs = edge_marked[mesh.triangle_edges].any(axis=1) & ~edge_marked[ref_edge]
+        needs = edge_marked[triangle_edges].any(axis=1) & ~edge_marked[ref_edge]
         if not needs.any():
             break
         edge_marked[ref_edge[needs]] = True
@@ -163,16 +166,20 @@ def five_case_bisect(mesh, edge_marked):
     Each triangle falls in one of five cases (kept, refinement edge only,
     with the edge opposite vertex 1, with the edge opposite vertex 0, all
     three edges), and each child of each case is emitted by its own call.
+    ``edge_marked`` is indexed by the edge ids of ``row_major_edge_table``,
+    ordered by (smaller, larger) endpoint id, and the midpoints follow
+    that order.
     """
     tris = mesh.triangle_vertices
-    te = mesh.triangle_edges
+    table = row_major_edge_table(mesh)
+    te = table["triangle_edges"]
     nt = mesh.triangle_count
     nv = mesh.vertex_count
 
     split = np.flatnonzero(edge_marked)
-    midpoint_of = np.full(mesh.edge_count, -1, dtype=np.int64)
+    midpoint_of = np.full(len(table["edge_vertices"]), -1, dtype=np.int64)
     midpoint_of[split] = nv + np.arange(len(split))
-    pairs = mesh.edge_vertices[split]
+    pairs = table["edge_vertices"][split]
     mids = 0.5 * (mesh.vertex_coords[pairs[:, 0]] + mesh.vertex_coords[pairs[:, 1]])
     coords = np.vstack([mesh.vertex_coords, mids])
 
@@ -661,7 +668,7 @@ def row_major_mesh_arrays(mesh):
         "vertex_on_boundary": np.abs(np.abs(coords).max(axis=1) - 1.0) <= BOUNDARY_TOL,
         "areas": areas, "diameters": np.sqrt((edge_vec ** 2).sum(axis=2)).max(axis=1),
         "basis_components": np.stack([-edge_vec[..., 1].T, edge_vec[..., 0].T]) / (2.0 * areas),
-        **{name: table[name] for name in ("edge_vertices", "triangle_edges", "corner_across")},
+        "corner_across": table["corner_across"],
     }
 
 
@@ -676,14 +683,15 @@ def argmax_product_operator_and_pattern(mesh):
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
     table = row_major_edge_table(mesh)
-    edges = np.ascontiguousarray(mesh.triangle_edges.T)
+    triangle_edges = table["triangle_edges"]
+    edges = np.ascontiguousarray(triangle_edges.T)
     own = np.arange(nt)
     adjacent = table["edge_triangles"][edges]
     is_plus = adjacent[..., 0] == own
     neighbor = np.where(is_plus, adjacent[..., 1], adjacent[..., 0])
     interior = neighbor >= 0
     neighbor = np.where(interior, neighbor, own)
-    far = np.argmax(mesh.triangle_edges[neighbor] == edges[..., None], axis=2)
+    far = np.argmax(triangle_edges[neighbor] == edges[..., None], axis=2)
 
     sign = np.where(is_plus, 1.0, -1.0)
     scale = np.where(interior, 0.5, 1.0) * table["edge_lengths"][edges] / mesh.areas * sign

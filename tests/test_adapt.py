@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def test_mark_greedy_prefix():
 
 def test_mark_nothing_when_zero():
     assert mark(indicator_stub(np.zeros(6)), theta=0.5).size == 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mark_rejects_non_finite_indicators(value):
+    # a NaN made the cumulative sum NaN, and every element was marked
+    indicators = estimate(interpolate(build_initial_mesh(2), ARONSSON.g), ARONSSON.f)
+    eta = indicators.eta.copy()
+    eta[3] = value
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        mark(replace(indicators, eta=eta), theta=0.5)
 
 
 def test_mark_rejects_bad_theta():

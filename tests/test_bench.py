@@ -451,11 +451,17 @@ def test_counts_must_be_positive_integers(build, value):
 @pytest.mark.parametrize("argv", [["solve", "--levels", "1", "--tol-factor", "nan"],
                                   ["solve", "--levels", "1", "--tau", "nan"],
                                   ["adapt", "--tol", "nan"],
-                                  ["adapt", "--tol", "0.1", "--tau", "inf"]],
-                         ids=["solve-tol-factor", "solve-tau", "adapt-tol", "adapt-tau"])
+                                  ["adapt", "--tol", "0.1", "--tau", "inf"],
+                                  ["solve", "--levels", "0"],
+                                  ["solve", "--levels", "1", "--tau", "-1"],
+                                  ["adapt", "--tol", "0.1", "--theta", "2"]],
+                         ids=["solve-tol-factor", "solve-tau", "adapt-tol", "adapt-tau",
+                              "solve-levels", "solve-negative-tau", "adapt-theta"])
 def test_cli_non_finite_settings_exit_2(tmp_path, argv):
-    assert main(argv + ["--problem", "classical", "--out", str(tmp_path)]) == 2
-    assert list(tmp_path.iterdir()) == []
+    # a rejected argument leaves no output directory behind
+    out = tmp_path / "new"
+    assert main(argv + ["--problem", "classical", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["solve", "--problem", "classical", "--levels", "1"],

@@ -103,10 +103,13 @@ def test_refine_unknown_id():
 
 
 @pytest.mark.parametrize("marked", [np.arange(4) == 3, [False, False, False, True],
-                                    [2.7], np.array([3.0])],
-                         ids=["mask", "mask-list", "float", "float-array"])
+                                    [2.7], np.array([3.0]), [[0, 1]], np.array([[0], [1]]),
+                                    3, [[0], [1, 2]]],
+                         ids=["mask", "mask-list", "float", "float-array", "nested",
+                              "2-d", "scalar", "ragged"])
 def test_refine_rejects_masks_and_float_ids(marked):
-    # a mask would be read as ids 0 and 1, a float id truncated
+    # a mask would be read as ids 0 and 1, a float id truncated, nested
+    # ids flattened
     with pytest.raises(InvalidArgumentError):
         refine(build_initial_mesh(1), marked)
 
@@ -173,7 +176,8 @@ def test_refine_is_bit_identical_to_five_case_oracle(seed):
         marked = rng.choice(mesh.triangle_count, max(1, mesh.triangle_count // 5),
                             replace=False)
         edge_marked = any_edge_closure(mesh, marked)
-        codes.update((edge_marked[mesh.triangle_edges] @ [1, 2, 4]).tolist())
+        triangle_edges = row_major_edge_table(mesh)["triangle_edges"]
+        codes.update((edge_marked[triangle_edges] @ [1, 2, 4]).tolist())
         refined = refine(mesh, marked)
         assert_same_mesh(refined, five_case_bisect(mesh, edge_marked))
         mesh = refined
@@ -183,18 +187,36 @@ def test_refine_is_bit_identical_to_five_case_oracle(seed):
 @pytest.mark.parametrize("name", list(bit_oracle_meshes()))
 def test_uniform_refine_is_bit_identical_to_five_case_oracle(name):
     mesh = bit_oracle_meshes()[name]
+    edge_count = len(row_major_edge_table(mesh)["edge_vertices"])
     assert_same_mesh(uniform_refine(mesh),
-                     five_case_bisect(mesh, np.ones(mesh.edge_count, dtype=bool)))
+                     five_case_bisect(mesh, np.ones(edge_count, dtype=bool)))
+
+
+@pytest.mark.parametrize("grow", [lambda mesh: refine(mesh, [0, 5, 9]), uniform_refine],
+                         ids=["refine", "uniform"])
+def test_new_vertex_parents_ascend_by_endpoint_pair(grow):
+    # midpoints are numbered by their edge's (smaller, larger) endpoint ids,
+    # the order of the edge ids of earlier meshes, on which bit identity rests
+    mesh = build_initial_mesh(2)
+    for _ in range(3):
+        mesh = grow(mesh)
+        parents = mesh.new_vertex_parents
+        assert np.all(parents[:, 0] < parents[:, 1])
+        keys = parents[:, 0] * mesh.vertex_count + parents[:, 1]
+        assert np.all(np.diff(keys) > 0)
 
 
 @pytest.mark.parametrize("code", [0b001, 0b010, 0b011])
 def test_bisect_rejects_a_marking_without_closure(code):
-    # a bisected edge without the refinement edge leaves a hanging vertex
+    # a bisected edge without the refinement edge leaves a hanging vertex;
+    # each edge is marked at its corner in triangle 5 and the corner across
     mesh = build_initial_mesh(2)
-    edge_marked = np.zeros(mesh.edge_count, dtype=bool)
-    edge_marked[mesh.triangle_edges[5, [m for m in range(3) if code >> m & 1]]] = True
+    corners = 3 * 5 + np.array([m for m in range(3) if code >> m & 1])
+    far = mesh.corner_across.reshape(-1)[corners]
+    corner_marked = np.zeros(3 * mesh.triangle_count, dtype=bool)
+    corner_marked[np.concatenate([corners, far[far >= 0]])] = True
     with pytest.raises(RuntimeError, match="closure"):
-        _bisect(mesh, edge_marked)
+        _bisect(mesh, corner_marked)
 
 
 def test_min_angle_across_generations():
@@ -223,7 +245,7 @@ def test_refinement_determinism():
     assert np.array_equal(a.vertex_coords, b.vertex_coords)
     assert np.array_equal(a.triangle_vertices, b.triangle_vertices)
     assert np.array_equal(a.new_vertex_parents, b.new_vertex_parents)
-    assert np.array_equal(a.edge_vertices, b.edge_vertices)
+    assert np.array_equal(a.corner_across, b.corner_across)
 
 
 def test_edge_table_matches_row_unique_oracle():
@@ -238,8 +260,6 @@ def test_edge_table_matches_row_unique_oracle():
     for k in range(nt):
         for e in inverse[k]:
             edge_triangles[e, int(edge_triangles[e, 0] >= 0)] = k
-    assert np.array_equal(mesh.edge_vertices, edge_vertices)
-    assert np.array_equal(mesh.triangle_edges, inverse)
     # the triangle across each edge of each triangle, -1 on the boundary
     sides = edge_triangles[inverse]
     other = np.where(sides[..., 0] == np.arange(nt)[:, None], sides[..., 1], sides[..., 0])
@@ -262,14 +282,15 @@ def test_mesh_arrays_are_bit_identical_to_row_major_oracle(name):
     mesh = bit_oracle_meshes()[name]
     for attribute, expected in row_major_mesh_arrays(mesh).items():
         assert_bit_identical(getattr(mesh, attribute), expected, attribute)
-    # the corner across an interior edge holds the same edge and faces back
+    # the corner across an interior edge holds the same oracle edge and
+    # faces back
+    table = row_major_edge_table(mesh)
+    triangle_edges = table["triangle_edges"]
     across = mesh.corner_across
     inner = across >= 0
-    assert np.array_equal(mesh.triangle_edges.reshape(-1)[across[inner]],
-                          mesh.triangle_edges[inner])
+    assert np.array_equal(triangle_edges.reshape(-1)[across[inner]], triangle_edges[inner])
     assert np.array_equal(across.reshape(-1)[across[inner]], np.flatnonzero(inner))
-    boundary = row_major_edge_table(mesh)["boundary_edge_ids"]
-    assert np.array_equal(~inner, np.isin(mesh.triangle_edges, boundary))
+    assert np.array_equal(~inner, np.isin(triangle_edges, table["boundary_edge_ids"]))
 
 
 def turned_edge_vectors(mesh, m):
@@ -335,6 +356,15 @@ def test_constructor_accepts_integer_vertex_ids(ids):
     assert same.triangle_vertices.dtype == np.int64
     for name, expected in row_major_mesh_arrays(mesh).items():
         assert_bit_identical(getattr(same, name), expected, name)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_constructor_rejects_an_edge_of_three_triangles(validate):
+    # three equal edge keys in a row after the sort
+    coords = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.5)]
+    tris = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+    with pytest.raises(InvalidArgumentError, match="more than two"):
+        Triangulation(coords, tris, validate=validate)
 
 
 def test_conformity_oracle_catches_hanging_vertex():

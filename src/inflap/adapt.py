@@ -77,7 +77,7 @@ def mark(indicators: IndicatorField, theta: float) -> np.ndarray:
     if not np.isfinite(indicators.eta).all():
         raise InvalidArgumentError("indicators must be finite")
     eta_sq = indicators.eta ** 2
-    order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
+    order = np.argsort(-eta_sq, kind="stable")      # ties keep id order
     cumulative = np.cumsum(eta_sq[order])
     total = cumulative[-1]
     if total <= 0.0:

@@ -17,14 +17,14 @@ Everything that depends only on the mesh is built once per mesh.  The
 ``Triangulation`` holds the component-major hat-function gradients.  One
 ``Discretisation`` per ``fixed_point_solve`` call holds the Hessian
 operator (per-element Hessian blocks over each element's stencil), the
-step matrix's sparse pattern with each block entry's position in it, T in
-that pattern, the load vector, the Dirichlet values with the pattern
-positions the Dirichlet lift keeps, and the LU factor of the last factored
-step matrix, a minimum-degree LU after a reverse Cuthill-McKee
-pre-ordering.  Its ``step`` computes only values: the iterate's gradient
-once, component by component, P's entries, which contract each element's
-block, the sums into the fixed pattern plus T / tau, the load plus T u /
-tau, the boundary lift by gathering the kept entries, and the solve.
+step matrix's sparse pattern with each block entry's position in it, T's
+values in that pattern, the load vector, the Dirichlet values with the
+mask of the entries the Dirichlet lift drops, and the LU factor of the
+last factored step matrix, a minimum-degree LU after a reverse
+Cuthill-McKee pre-ordering.  Its ``step`` computes only values: the
+iterate's gradient once, component by component, P's entries, which
+contract each element's block, the sums into the fixed pattern plus T /
+tau, the load plus T u / tau, the masked boundary lift, and the solve.
 
 Every linear system is solved by one loop of iterative refinement (Moler
 1967) with one matrix-vector product per LU solve and one accept target,
@@ -259,17 +259,14 @@ def step_pattern(mesh: Triangulation, stencil: np.ndarray):
 
 
 def _fill_pattern(disc: Discretisation, slots: np.ndarray,
-                  weights: np.ndarray) -> sp.csr_matrix:
-    """The matrix in ``disc``'s step pattern with ``weights`` summed into ``slots``.
+                  weights: np.ndarray) -> np.ndarray:
+    """Values in ``disc``'s step pattern with ``weights`` summed into ``slots``.
 
     ``bincount`` adds the weights of each entry in their order, and an
-    entry that sums to zero stays stored.  The matrix shares the pattern's
-    read-only index arrays.
+    entry that sums to zero keeps its place.
     """
-    data = np.bincount(slots.reshape(-1), weights=weights.reshape(-1),
+    return np.bincount(slots.reshape(-1), weights=weights.reshape(-1),
                        minlength=len(disc.indices))
-    n = len(disc.indptr) - 1
-    return sp.csr_matrix((data, disc.indices, disc.indptr), shape=(n, n))
 
 
 def load_vector(mesh: Triangulation, f) -> np.ndarray:
@@ -284,14 +281,15 @@ def load_vector(mesh: Triangulation, f) -> np.ndarray:
 class Discretisation:
     """What every linearised step of ``problem`` on ``mesh`` shares.
 
-    ``relaxation`` is T in the step pattern ``indptr``/``indices``, whose
-    ``slots`` place the operator's blocks (``step_pattern``): each element
-    adds |K|/3 * (B_00 + B_11) over its stencil to the rows of its three
+    A step system is values, one per entry of the step pattern
+    ``indptr``/``indices`` (so a sum of two cannot drop an entry), and
+    ``matrix`` makes their CSR matrix.  ``slots`` place the operator's
+    blocks (``step_pattern``).  ``relaxation`` is T: each element adds
+    |K|/3 * (B_00 + B_11) over its stencil to the rows of its three
     vertices.  ``lifted`` is g on the boundary vertices and zero inside.
-    The Dirichlet lift keeps the step-pattern positions ``kept`` (interior
-    by interior, and the diagonal of each boundary row), whose int32 CSR
-    pattern is ``lift_indptr``/``lift_indices``; ``pins`` are its boundary
-    diagonals.  ``factor`` carries the LU that later steps reuse.
+    The Dirichlet lift zeroes the entries ``dropped`` (off the diagonal in
+    boundary rows or columns) and sets the boundary diagonals ``pins`` to
+    1.  ``factor`` carries the LU that later steps reuse.
     """
 
     def __init__(self, mesh: Triangulation, problem: ProblemData):
@@ -306,21 +304,23 @@ class Discretisation:
         self.lifted = np.zeros(mesh.vertex_count)
         self.lifted[boundary] = evaluate_field(problem.g, *mesh.vertex_coords[boundary].T)
 
-        indptr, indices = self.indptr, self.indices
-        rows = np.repeat(np.arange(mesh.vertex_count), np.diff(indptr))
-        self.kept = np.flatnonzero(
-            (rows == indices) | ~(boundary[rows] | boundary[indices])).astype(np.int32)
-        self.lift_indptr = np.searchsorted(self.kept, indptr).astype(np.int32)
-        self.lift_indices = indices[self.kept]
-        self.pins = np.flatnonzero(boundary[self.lift_indices])
+        rows = np.repeat(np.arange(mesh.vertex_count), np.diff(self.indptr))
+        diagonal = rows == self.indices
+        self.dropped = (boundary[rows] | boundary[self.indices]) & ~diagonal
+        self.pins = np.flatnonzero(diagonal & boundary[rows])
         self.factor = StepFactor()
 
+    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix of ``values`` in the step pattern, sharing its index arrays."""
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+
     def system(self, u: FEFunction):
-        """Matrix M_P[u] + T / tau and right-hand side load + T u / tau of the step from ``u``."""
-        matrix = assemble_step(self, u)
+        """Values M_P[u] + T / tau and right-hand side load + T u / tau of the step from ``u``."""
+        values = assemble_step(self, u)
         tau = self.problem.tau
-        matrix.data += self.relaxation.data / tau
-        return matrix, self.load + (self.relaxation @ u.coefficients) / tau
+        values += self.relaxation / tau
+        return values, self.load + (self.matrix(self.relaxation) @ u.coefficients) / tau
 
     def step(self, u: FEFunction) -> FEFunction:
         """The next iterate: one linearised step from ``u``, solved with ``factor``."""
@@ -328,15 +328,15 @@ class Discretisation:
         return FEFunction(self.mesh, solve_linear(matrix, rhs, self.factor))
 
 
-def assemble_step(disc: Discretisation, u_prev: FEFunction) -> sp.csr_matrix:
-    """The tau-free step matrix M_P[u_prev].
+def assemble_step(disc: Discretisation, u_prev: FEFunction) -> np.ndarray:
+    """The values of the tau-free step matrix M_P[u_prev] in the step pattern.
 
     It applies the hat-function test of P[u_prev] : H[.] with the tensor
     unknown eliminated through the recovered-Hessian operator: each element
     adds |K|/3 * (P_K : B_K) over its stencil to the rows of its three
-    vertices, in the fixed step pattern.  Per step, only values
-    are computed: the gradient of ``u_prev`` once, component by component,
-    P's entries from it, and one ``bincount`` into the fixed pattern.
+    vertices.  Per step, only values are computed: the gradient of
+    ``u_prev`` once, component by component, P's entries from it, and one
+    ``bincount`` into the fixed pattern.
     """
     mesh = disc.mesh
     if u_prev.mesh is not mesh:
@@ -355,27 +355,24 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction) -> sp.csr_matrix:
     return _fill_pattern(disc, disc.slots, np.repeat(weights, 3, axis=0))
 
 
-def apply_dirichlet(disc: Discretisation, matrix: sp.csr_matrix, rhs: np.ndarray):
+def apply_dirichlet(disc: Discretisation, values: np.ndarray, rhs: np.ndarray):
     """Impose g by row replacement with a right-hand side lift.
 
-    ``matrix`` must be a CSR matrix in the step pattern (a sparse sum drops
-    the entries that cancel), else ``InvalidArgumentError``.  Boundary rows
+    ``values`` must hold one value per step-pattern entry, else
+    ``InvalidArgumentError``; they are left as they are.  Boundary rows
     become identity rows with g(vertex) on the right, the boundary columns
     are folded into the right-hand side of the interior rows, and entries
     that are exactly zero are dropped.  Returns new objects.
     """
-    if not (matrix.format == "csr" and np.array_equal(matrix.indptr, disc.indptr)
-            and np.array_equal(matrix.indices, disc.indices)):
-        raise InvalidArgumentError("matrix must be a CSR matrix in the step pattern")
-    boundary = disc.mesh.vertex_on_boundary
-    new_rhs = np.where(boundary, disc.lifted, rhs - matrix @ disc.lifted)
-    data = matrix.data[disc.kept]
-    data[disc.pins] = 1.0
-    # eliminate_zeros compacts the index arrays in place, so give it copies
-    new_matrix = sp.csr_matrix((data, disc.lift_indices.copy(), disc.lift_indptr.copy()),
-                               shape=matrix.shape)
-    new_matrix.eliminate_zeros()
-    return new_matrix, new_rhs
+    if np.shape(values) != disc.indices.shape:
+        raise InvalidArgumentError("values must hold one entry per step-pattern position")
+    # eliminate_zeros compacts the index arrays in place, so it runs on a copy
+    matrix = disc.matrix(values).copy()
+    new_rhs = np.where(disc.mesh.vertex_on_boundary, disc.lifted, rhs - matrix @ disc.lifted)
+    matrix.data[disc.dropped] = 0.0
+    matrix.data[disc.pins] = 1.0
+    matrix.eliminate_zeros()
+    return matrix, new_rhs
 
 
 def _residual(matrix, solution, rhs):

@@ -76,7 +76,8 @@ def test_step_matrix_sparsity_stencil():
     # rows may reach the vertex patch plus the patches of edge neighbors
     mesh = build_initial_mesh(2)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, _ = Discretisation(mesh, CLASSICAL).system(u)
+    disc = Discretisation(mesh, CLASSICAL)
+    matrix = disc.matrix(disc.system(u)[0])
 
     patches = {i: set() for i in range(mesh.vertex_count)}
     for k, verts in enumerate(mesh.triangle_vertices):
@@ -88,7 +89,6 @@ def test_step_matrix_sparsity_stencil():
             t0, t1 = adjacent
             neighbors.setdefault(t0, set()).add(t1)
             neighbors.setdefault(t1, set()).add(t0)
-    matrix = matrix.tocsr()
     for i in range(mesh.vertex_count):
         allowed = set()
         for k in patches[i]:
@@ -114,14 +114,15 @@ def test_assembly_against_coupled_saddle_oracle():
     # brute-force coupled system, Schur-eliminated onto the vertex block
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, rhs = Discretisation(mesh, CLASSICAL).system(u)
+    disc = Discretisation(mesh, CLASSICAL)
+    values, rhs = disc.system(u)
 
     saddle, rhs_for, _ = brute_saddle(mesh, u.coefficients, CLASSICAL.f,
                                       CLASSICAL.g, CLASSICAL.tau, dirichlet=False)
     oracle_matrix = schur_eliminate(saddle, mesh.vertex_count)
     oracle_rhs = rhs_for(fe_hessian(u))
 
-    assert np.abs(matrix.toarray() - oracle_matrix).max() <= 1e-12
+    assert np.abs(disc.matrix(values).toarray() - oracle_matrix).max() <= 1e-12
     assert np.abs(rhs - oracle_rhs[:mesh.vertex_count]).max() <= 1e-12
 
 
@@ -130,18 +131,18 @@ def test_assembly_against_coupled_saddle_oracle():
 def test_step_matrix_is_bit_identical_to_sparse_product_oracle(mesh):
     # the blocks refilled into the fixed pattern give exactly the sums of
     # the COO-assembled operator and its two sparse products with the
-    # tau-free tensors P, before and after the Dirichlet lift; the gathered
+    # tau-free tensors P, before and after the Dirichlet lift; the masked
     # lift drops the explicit zeros the fixed pattern keeps, as the diagonal
     # products do
     disc = Discretisation(mesh, ARONSSON)
     u = interpolate(mesh, lambda x, y: np.abs(x) ** (4 / 3) - np.abs(y) ** (4 / 3)
                     + 0.1 * np.sin(3.0 * x * y))
-    matrix = assemble_step(disc, u)
+    values = assemble_step(disc, u)
     oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, np.inf),
                                         coo_hessian_matrix(mesh))
-    assert np.array_equal(matrix.toarray(), oracle.toarray())
+    assert np.array_equal(disc.matrix(values).toarray(), oracle.toarray())
 
-    ours, ours_rhs = apply_dirichlet(disc, matrix, disc.load)
+    ours, ours_rhs = apply_dirichlet(disc, values, disc.load)
     theirs, theirs_rhs = sparse_product_dirichlet(oracle, disc.load, mesh, ARONSSON.g)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ours, name), getattr(theirs, name))
@@ -155,9 +156,10 @@ def test_assemble_step_is_bit_identical_to_row_major_assembly(name):
     mesh = kernel_meshes()[name]
     disc = Discretisation(mesh, ARONSSON)
     for u in kernel_functions(mesh):
-        matrix = assemble_step(disc, u)
+        values = assemble_step(disc, u)
         data, _ = bincount_assemble_step(disc, u, tau=np.inf)
         # the matrix holds the discretisation's int32 pattern, not cast copies
+        matrix = disc.matrix(values)
         assert np.shares_memory(matrix.indices, disc.indices)
         assert np.shares_memory(matrix.indptr, disc.indptr)
         assert np.array_equal(matrix.data, data)
@@ -169,8 +171,9 @@ def test_relaxation_matrix_tests_the_hessian_trace(name):
     # T is the hat-function test of trace(H[.]): it annihilates affine
     # functions on every row, and T u is the vertex sum of |K| trace(H_K) / 3
     mesh = kernel_meshes()[name]
-    relaxation = Discretisation(mesh, ARONSSON).relaxation
-    scale = np.abs(relaxation.data).max()
+    disc = Discretisation(mesh, ARONSSON)
+    relaxation = disc.matrix(disc.relaxation)
+    scale = np.abs(disc.relaxation).max()
     for affine in (lambda x, y: 1.0 + 0.0 * x, lambda x, y: x, lambda x, y: y):
         assert np.abs(relaxation @ interpolate(mesh, affine).coefficients).max() <= 1e-15 * scale
     # the terms are of size max|T| max|u| and cancel down to trace(H)
@@ -188,23 +191,31 @@ def test_step_system_agrees_with_the_relaxed_row_major_assembly(name):
     for tau in (0.1, 1.0, 1000.0):
         disc = Discretisation(mesh, replace(ARONSSON, tau=tau))
         for u in kernel_functions(mesh):
-            matrix, rhs = disc.system(u)
+            values, rhs = disc.system(u)
             data, oracle_rhs = bincount_assemble_step(disc, u)
-            assert np.abs(matrix.data - data).max() <= 1e-14 * np.abs(data).max()
+            assert np.abs(values - data).max() <= 1e-14 * np.abs(data).max()
             terms = np.abs(disc.load).max() + \
-                np.abs(disc.relaxation.data).max() * np.abs(u.coefficients).max() / tau
+                np.abs(disc.relaxation).max() * np.abs(u.coefficients).max() / tau
             assert np.abs(rhs - oracle_rhs).max() <= 1e-14 * terms
 
 
 def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     # on general triangles the oracle's duplicate sums run in another order,
-    # so the two agree to rounding only
+    # so the two agree to rounding only; the masked lift of the same values
+    # is still exactly that of the diagonal products
     mesh = perturbed_mesh()
     u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
-    matrix, _ = Discretisation(mesh, CLASSICAL).system(u)
+    disc = Discretisation(mesh, CLASSICAL)
+    values, rhs = disc.system(u)
     oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
-    assert np.abs(matrix.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    assert np.abs(disc.matrix(values).toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    ours, ours_rhs = apply_dirichlet(disc, values, rhs)
+    theirs, theirs_rhs = sparse_product_dirichlet(disc.matrix(values), rhs, mesh, CLASSICAL.g)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+    assert np.array_equal(ours_rhs, theirs_rhs)
 
 
 @pytest.mark.parametrize("mesh", oracle_meshes() + [perturbed_mesh()],
@@ -279,17 +290,24 @@ def test_dirichlet_rows_and_values():
     assert solution[corner] == pytest.approx(2.0)
 
 
-def test_dirichlet_rejects_a_matrix_outside_the_step_pattern():
-    # a sparse sum drops the entries that cancel exactly, so it leaves the
-    # pattern whose positions the lift gathers
-    mesh = uniform_refine(build_initial_mesh(4))
-    disc = Discretisation(mesh, ARONSSON)
-    u = interpolate(mesh, ARONSSON.g)
-    partial = assemble_step(disc, u) + disc.relaxation * 0.5
-    assert 0 < partial.nnz < len(disc.indices)
-    for matrix in (partial, disc.relaxation - disc.relaxation, disc.relaxation.tocsc()):
-        with pytest.raises(InvalidArgumentError, match="step pattern"):
-            apply_dirichlet(disc, matrix, disc.load)
+def test_dirichlet_rejects_values_that_are_not_one_per_pattern_entry():
+    # the lift masks the step pattern's entries, so it takes their values
+    # only, not a shortened or 2-D array nor a matrix passed by mistake
+    disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
+    values = disc.relaxation
+    for wrong in (values[:-1], values[None, :], disc.matrix(values)):
+        with pytest.raises(InvalidArgumentError, match="step-pattern"):
+            apply_dirichlet(disc, wrong, disc.load)
+
+
+def test_dirichlet_leaves_its_values_as_they_are():
+    # the lift writes its own copy: T, passed directly, is reused by every step
+    disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
+    before = disc.relaxation.copy()
+    matrix, _ = apply_dirichlet(disc, disc.relaxation, disc.load)
+    assert matrix.nnz < len(before)
+    assert np.array_equal(disc.relaxation, before)
+    assert not np.shares_memory(matrix.data, disc.relaxation)
 
 
 # ---------------------------------------------------------------- linear solve

@@ -143,8 +143,9 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     Each solve warm-starts from the previous solution prolonged onto the
     new mesh.  Returns the final solve report, the final mesh, and the
     per-cycle history with the final mesh's indicators.  Stops on the
-    estimator tolerance, the cycle budget, or the dof budget, whichever
-    comes first.  Each cycle is one
+    estimator tolerance, the cycle budget, the dof budget or an empty
+    marking, whichever comes first; a stop with the last estimator above
+    the tolerance logs a WARNING.  Each cycle is one
     ``solve_and_measure`` pass, which logs it and, on a solver failure,
     hands the history of the finished cycles to ``SolverFailure.partial``.
     """
@@ -173,5 +174,9 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
         # the next solve holds only the new mesh; every exit from the loop
         # is a break above, so the returned report is the last solve's
         del report, indicators, marked
+    if indicators.eta_total > config.estimator_tol:
+        logger.warning("adaptive run stopped after %d cycles at %d dofs with estimator "
+                       "%.4e above its tolerance %g", len(history.records),
+                       mesh.vertex_count, indicators.eta_total, config.estimator_tol)
     history.indicators = indicators
     return report, mesh, history

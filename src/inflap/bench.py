@@ -23,6 +23,10 @@ from .fespace import FEFunction
 from .mesh import Triangulation, build_initial_mesh, uniform_refine
 from .solver import ProblemData, SolverConfig
 
+# Squares per side of the default criss-cross start mesh of convergence_study
+# and of both CLI subcommands.
+INITIAL_N = 4
+
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
@@ -104,7 +108,7 @@ def _eoc(coarse, fine, h_coarse, h_fine):
 
 def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
                       solver_config: Optional[SolverConfig] = None,
-                      initial_n: int = 4, on_level: Optional[Callable] = None) -> EOCTable:
+                      initial_n: int = INITIAL_N, on_level: Optional[Callable] = None) -> EOCTable:
     """Uniform-refinement study recording errors, estimators and rates.
 
     ``problem`` names an entry of ``registry()``.  Starts from the

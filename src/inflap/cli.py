@@ -10,13 +10,12 @@ fixed-point iteration, ``INFO`` one per level or cycle.
 from __future__ import annotations
 
 import argparse
-import inspect
 import logging
 import os
 import sys
 
 from .adapt import AdaptiveConfig, adaptive_solve
-from .bench import convergence_study, registry, write_csv, write_vtu
+from .bench import INITIAL_N, convergence_study, registry, write_csv, write_vtu
 from .errors import InvalidArgumentError, SolverFailure
 from .mesh import build_initial_mesh
 from .solver import SolverConfig
@@ -44,9 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop the linearisation at tol-factor * h^2")
     shared.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations,
                         help="fixed-point iterations per solve")
-    shared.add_argument("--initial-n", type=int,
-                        default=inspect.signature(convergence_study).parameters[
-                            "initial_n"].default,
+    shared.add_argument("--initial-n", type=int, default=INITIAL_N,
                         help="squares per side of the starting criss-cross mesh")
     shared.add_argument("--out", default=None,
                         help="output directory (None: INFLAP_OUT, then the current one)")

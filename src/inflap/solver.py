@@ -14,17 +14,19 @@ trace(H[.]), which depends on the mesh only.  At a fixed point the two
 1/tau terms cancel, leaving M_P[u] u = load.
 
 Everything that depends only on the mesh is built once per mesh.  The
-``Triangulation`` holds the component-major hat-function gradients.  One
-``Discretisation`` per ``fixed_point_solve`` call holds the Hessian
-operator (per-element Hessian blocks over each element's stencil), the
-step matrix's sparse pattern with each block entry's position in it, T's
-values in that pattern, the load vector, the Dirichlet values with the
-mask of the entries the Dirichlet lift drops, and the LU factor of the
+``Triangulation`` holds the component-major hat-function gradients.  A
+``Discretisation`` is the discrete problem of the mesh and the data f and
+g, with no state of a solve: the Hessian operator (per-element Hessian
+blocks over each element's stencil), the step matrix's sparse pattern with
+each block entry's position in it, T's values in that pattern, the load
+vector, and the Dirichlet values with the mask of the entries the
+Dirichlet lift drops.  ``fixed_point_solve`` builds one per call and holds
+the state of the solve: tau and a ``StepFactor`` with the LU factor of the
 last factored step matrix, a minimum-degree LU after a reverse
-Cuthill-McKee pre-ordering.  Its ``step`` computes only values: the
-iterate's gradient once, component by component, P's entries, which
-contract each element's block, the sums into the fixed pattern plus T /
-tau, the load plus T u / tau, the masked boundary lift, and the solve.
+Cuthill-McKee pre-ordering.  A step computes only values: the iterate's
+gradient once, component by component, P's entries, which contract each
+element's block, the sums into the fixed pattern plus T / tau, the load
+plus T u / tau, the masked boundary lift, and the solve.
 
 Every linear system is solved by one loop of iterative refinement (Moler
 1967) with one matrix-vector product per LU solve and one accept target,
@@ -279,22 +281,23 @@ def load_vector(mesh: Triangulation, f) -> np.ndarray:
 
 
 class Discretisation:
-    """What every linearised step of ``problem`` on ``mesh`` shares.
+    """The discrete problem on ``mesh`` of the PDE data ``f`` and ``g``.
 
-    A step system is values, one per entry of the step pattern
-    ``indptr``/``indices`` (so a sum of two cannot drop an entry), and
-    ``matrix`` makes their CSR matrix.  ``slots`` place the operator's
-    blocks (``step_pattern``).  ``relaxation`` is T: each element adds
-    |K|/3 * (B_00 + B_11) over its stencil to the rows of its three
-    vertices.  ``lifted`` is g on the boundary vertices and zero inside.
-    The Dirichlet lift zeroes the entries ``dropped`` (off the diagonal in
-    boundary rows or columns) and sets the boundary diagonals ``pins`` to
-    1.  ``factor`` carries the LU that later steps reuse.
+    It depends on the mesh and the data only, so it serves every tau and
+    every step of a solve; the solve's own state (tau, the LU factor) is
+    held by ``fixed_point_solve``.  A step system is values, one per entry
+    of the step pattern ``indptr``/``indices`` (so a sum of two cannot drop
+    an entry), and ``matrix`` makes their CSR matrix.  ``slots`` place the
+    operator's blocks (``step_pattern``).  ``relaxation`` is T: each
+    element adds |K|/3 * (B_00 + B_11) over its stencil to the rows of its
+    three vertices.  ``lifted`` is g on the boundary vertices and zero
+    inside.  The Dirichlet lift zeroes the entries ``dropped`` (off the
+    diagonal in boundary rows or columns) and sets the boundary diagonals
+    ``pins`` to 1.
     """
 
     def __init__(self, mesh: Triangulation, problem: ProblemData):
         self.mesh = mesh
-        self.problem = problem
         self.operator = operator = hessian_operator(mesh)
         self.indptr, self.indices, self.slots = step_pattern(mesh, operator.stencil)
         self.load = load_vector(mesh, problem.f)
@@ -308,24 +311,17 @@ class Discretisation:
         diagonal = rows == self.indices
         self.dropped = (boundary[rows] | boundary[self.indices]) & ~diagonal
         self.pins = np.flatnonzero(diagonal & boundary[rows])
-        self.factor = StepFactor()
 
     def matrix(self, values: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix of ``values`` in the step pattern, sharing its index arrays."""
         n = len(self.indptr) - 1
         return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
 
-    def system(self, u: FEFunction):
+    def system(self, u: FEFunction, tau: float):
         """Values M_P[u] + T / tau and right-hand side load + T u / tau of the step from ``u``."""
         values = assemble_step(self, u)
-        tau = self.problem.tau
         values += self.relaxation / tau
         return values, self.load + (self.matrix(self.relaxation) @ u.coefficients) / tau
-
-    def step(self, u: FEFunction) -> FEFunction:
-        """The next iterate: one linearised step from ``u``, solved with ``factor``."""
-        matrix, rhs = apply_dirichlet(self, *self.system(u))
-        return FEFunction(self.mesh, solve_linear(matrix, rhs, self.factor))
 
 
 def assemble_step(disc: Discretisation, u_prev: FEFunction) -> np.ndarray:
@@ -495,9 +491,9 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     that gain a factor ten) raises ``DivergenceError``; a failed linear
     solve propagates with its iteration index attached.
 
-    One ``Discretisation`` of the mesh is built per call, and each
-    iteration is its ``step``.  The first step matrix is factored, and
-    later steps refine iteratively with the last LU, started from the
+    One ``Discretisation`` of the mesh is built per call; the loop alone
+    holds tau and the ``StepFactor``.  The first step matrix is factored,
+    and later steps refine iteratively with the last LU, started from the
     previous step's solution, until ``solve_linear`` refreshes it.
     """
     config = config if config is not None else SolverConfig()
@@ -506,14 +502,15 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     disc = Discretisation(mesh, problem)
     current = default_initializer(disc) if initial is None else initial
 
-    factor = disc.factor
+    tau, factor = problem.tau, StepFactor()
     report = SolveReport(current, 0)
     h = float(mesh.diameters.max())
     tolerance = config.increment_tol_factor * h * h
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            proposed = disc.step(current)
+            matrix, rhs = apply_dirichlet(disc, *disc.system(current, tau))
+            proposed = FEFunction(mesh, solve_linear(matrix, rhs, factor))
         except SolverFailure as failure:
             failure.iteration = iteration
             raise

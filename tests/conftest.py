@@ -836,16 +836,14 @@ def bincount_fe_hessian(v):
     return out.reshape(-1, 2, 2) / mesh.areas[:, None, None]
 
 
-def bincount_assemble_step(disc, u_prev, tau=None):
+def bincount_assemble_step(disc, u_prev, tau):
     """Step-matrix data and right-hand side from (nt, 2, 2) tensors and Hessians.
 
-    The combined relaxed step at ``tau`` (the problem's by default): the
-    tensors are P + I / tau, and the right-hand side adds the trace of
-    ``fe_hessian`` over tau to the load.  At ``tau=np.inf`` the matrix data
-    are those of the tau-free M_P.
+    The combined relaxed step at ``tau``: the tensors are P + I / tau, and
+    the right-hand side adds the trace of ``fe_hessian`` over tau to the
+    load.  At ``tau=np.inf`` the matrix data are those of the tau-free M_P.
     """
     mesh = disc.mesh
-    tau = disc.problem.tau if tau is None else tau
     tensors = outer_diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
     blocks = disc.operator.blocks
     weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])

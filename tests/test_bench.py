@@ -159,6 +159,13 @@ def test_unconverged_solves_reach_the_csvs(tmp_path, caplog):
     for where in ("level 0", "level 1", "cycle 0", "cycle 1"):
         assert any(message.startswith(f"{where}: fixed-point solve did not converge")
                    for message in warnings)
+    # the run ends at its cycle budget above its estimator tolerance, and says so
+    missed = [r.getMessage() for r in caplog.records
+              if r.name == "inflap.adapt" and r.levelno == logging.WARNING
+              and r.getMessage().startswith("adaptive run stopped")]
+    last = history.records[-1]
+    assert missed == [f"adaptive run stopped after 2 cycles at {last.dofs} dofs with "
+                      f"estimator {last.estimator:.4e} above its tolerance 1e-09"]
 
 
 def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, caplog):
@@ -197,6 +204,8 @@ def test_levels_and_cycles_share_one_measurement(caplog):
         assert getattr(row, name) == getattr(record, name), name
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert len(lines) == 2
+    # the adaptive run meets its tolerance, so it warns of nothing
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert lines[0].startswith("level 0: ") and lines[1].startswith("cycle 0: ")
     assert lines[0].removeprefix("level 0: ") == lines[1].removeprefix("cycle 0: ")
 

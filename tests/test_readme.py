@@ -12,5 +12,9 @@ def library_example() -> str:
 
 def test_readme_library_example_writes_its_vtu(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    exec(compile(library_example(), str(README), "exec"), {})
+    namespace = {}
+    exec(compile(library_example(), str(README), "exec"), namespace)
     assert (tmp_path / "solution.vtu").stat().st_size > 0
+    # the example's adaptive run reaches the tolerance it sets
+    config, history = namespace["config"], namespace["history"]
+    assert history.records[-1].estimator <= config.estimator_tol

@@ -77,7 +77,7 @@ def test_step_matrix_sparsity_stencil():
     mesh = build_initial_mesh(2)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
     disc = Discretisation(mesh, CLASSICAL)
-    matrix = disc.matrix(disc.system(u)[0])
+    matrix = disc.matrix(disc.system(u, CLASSICAL.tau)[0])
 
     patches = {i: set() for i in range(mesh.vertex_count)}
     for k, verts in enumerate(mesh.triangle_vertices):
@@ -105,7 +105,7 @@ def test_rhs_vanishes_for_affine_previous_iterate_and_zero_f():
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: x, tau=5.0)
     u = interpolate(mesh, lambda x, y: 2.0 * x - y)
-    _, rhs = Discretisation(mesh, problem).system(u)
+    _, rhs = Discretisation(mesh, problem).system(u, problem.tau)
     interior = ~mesh.vertex_on_boundary
     assert np.abs(rhs[interior]).max() <= 1e-13
 
@@ -115,7 +115,7 @@ def test_assembly_against_coupled_saddle_oracle():
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
     disc = Discretisation(mesh, CLASSICAL)
-    values, rhs = disc.system(u)
+    values, rhs = disc.system(u, CLASSICAL.tau)
 
     saddle, rhs_for, _ = brute_saddle(mesh, u.coefficients, CLASSICAL.f,
                                       CLASSICAL.g, CLASSICAL.tau, dirichlet=False)
@@ -186,13 +186,14 @@ def test_relaxation_matrix_tests_the_hessian_trace(name):
 @pytest.mark.parametrize("name", list(kernel_meshes()))
 def test_step_system_agrees_with_the_relaxed_row_major_assembly(name):
     # M_P + T / tau and load + T u / tau against the (nt, 2, 2) assembly
-    # with P + I / tau, relative to the size of the terms each one sums
+    # with P + I / tau, relative to the size of the terms each one sums; one
+    # discretisation of the mesh serves every tau
     mesh = kernel_meshes()[name]
+    disc = Discretisation(mesh, ARONSSON)
     for tau in (0.1, 1.0, 1000.0):
-        disc = Discretisation(mesh, replace(ARONSSON, tau=tau))
         for u in kernel_functions(mesh):
-            values, rhs = disc.system(u)
-            data, oracle_rhs = bincount_assemble_step(disc, u)
+            values, rhs = disc.system(u, tau)
+            data, oracle_rhs = bincount_assemble_step(disc, u, tau)
             assert np.abs(values - data).max() <= 1e-14 * np.abs(data).max()
             terms = np.abs(disc.load).max() + \
                 np.abs(disc.relaxation).max() * np.abs(u.coefficients).max() / tau
@@ -206,7 +207,7 @@ def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     mesh = perturbed_mesh()
     u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
     disc = Discretisation(mesh, CLASSICAL)
-    values, rhs = disc.system(u)
+    values, rhs = disc.system(u, CLASSICAL.tau)
     oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(disc.matrix(values).toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -256,7 +257,7 @@ def test_eliminated_iterates_match_coupled_system(steps):
         u_ours = interpolate(mesh, lambda x, y: x * x + y * y)
         u_oracle = u_ours
         for _ in range(steps):
-            matrix, rhs = apply_dirichlet(disc, *disc.system(u_ours))
+            matrix, rhs = apply_dirichlet(disc, *disc.system(u_ours, CLASSICAL.tau))
             u_ours = FEFunction(mesh, solve_linear(matrix, rhs))
 
             saddle, rhs_for, _ = brute_saddle(mesh, u_oracle.coefficients,
@@ -274,7 +275,7 @@ def test_dirichlet_rows_and_values():
     mesh = build_initial_mesh(2)
     disc = Discretisation(mesh, CLASSICAL)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, rhs = disc.system(u)
+    matrix, rhs = disc.system(u, CLASSICAL.tau)
 
     homogeneous = Discretisation(mesh, replace(CLASSICAL, g=lambda x, y: np.zeros(np.shape(x))))
     zeroed, zrhs = apply_dirichlet(homogeneous, matrix, rhs)
@@ -343,7 +344,7 @@ def _step_system(mesh, problem):
     """The first step's lifted matrix and right-hand side from the Poisson start."""
     disc = Discretisation(mesh, problem)
     u = default_initializer(disc)
-    return apply_dirichlet(disc, *disc.system(u))
+    return apply_dirichlet(disc, *disc.system(u, problem.tau))
 
 
 def _corner_graded_mesh():
@@ -615,19 +616,27 @@ def test_exact_solution_residual_under_refinement():
     for _ in range(4):
         disc = Discretisation(mesh, CLASSICAL)
         star = interpolate(mesh, CLASSICAL.exact_solution)
-        matrix, rhs = apply_dirichlet(disc, *disc.system(star))
+        matrix, rhs = apply_dirichlet(disc, *disc.system(star, CLASSICAL.tau))
         assert np.linalg.norm(matrix @ star.coefficients - rhs) <= 1e-12
         mesh = uniform_refine(mesh)
 
 
 def test_growing_increments_raise_divergence_error(monkeypatch):
     # the step map u -> 2u + 1 doubles every increment, so five growing
-    # increments in a row gain 2^5 > 10 at iteration 6
-    def doubling(disc, u):
-        disc.factor.residual, disc.factor.iterations = 0.0, 0
-        return FEFunction(disc.mesh, 2.0 * u.coefficients + 1.0)
+    # increments in a row gain 2^5 > 10 at iteration 6; the Poisson start's
+    # solve (no factor holder) runs as it is
+    real_solve = inflap.solver.solve_linear
+    solutions = []
 
-    monkeypatch.setattr(Discretisation, "step", doubling)
+    def doubling(matrix, rhs, factor=None):
+        if factor is None:
+            solutions.append(real_solve(matrix, rhs))
+        else:
+            factor.residual, factor.iterations = 0.0, 0
+            solutions.append(2.0 * solutions[-1] + 1.0)
+        return solutions[-1]
+
+    monkeypatch.setattr(inflap.solver, "solve_linear", doubling)
     with pytest.raises(DivergenceError) as info:
         fixed_point_solve(build_initial_mesh(2), CLASSICAL,
                           SolverConfig(increment_tol_factor=1e-6))
@@ -687,7 +696,7 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
     assert report.iterations == 1 and report.factorizations == 1
 
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(settled))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(settled, ARONSSON.tau))
     direct = solve_linear(matrix, rhs)
     assert np.array_equal(report.solution.coefficients, direct)
     # another ordering and pivoting than spsolve's: the two solutions of a
@@ -702,7 +711,7 @@ def _direct_fixed_point(mesh, problem, config):
     current = default_initializer(disc)
     tolerance = config.increment_tol_factor * mesh.diameters.max() ** 2
     for iteration in range(1, config.max_iterations + 1):
-        matrix, rhs = apply_dirichlet(disc, *disc.system(current))
+        matrix, rhs = apply_dirichlet(disc, *disc.system(current, problem.tau))
         proposed = FEFunction(mesh, spla.spsolve(matrix.tocsc(), rhs))
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         current = proposed
@@ -712,16 +721,20 @@ def _direct_fixed_point(mesh, problem, config):
 
 
 def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
+    # whether each step's solve factored; the Poisson start's solve (no
+    # factor holder) runs as it is
     factored = []
-    real_step = Discretisation.step
+    real_solve = inflap.solver.solve_linear
 
-    def step(disc, u):
-        before = disc.factor.factorizations
-        proposed = real_step(disc, u)
-        factored.append(disc.factor.factorizations > before)
-        return proposed
+    def solve(matrix, rhs, factor=None):
+        if factor is None:
+            return real_solve(matrix, rhs)
+        before = factor.factorizations
+        solution = real_solve(matrix, rhs, factor)
+        factored.append(factor.factorizations > before)
+        return solution
 
-    monkeypatch.setattr(Discretisation, "step", step)
+    monkeypatch.setattr(inflap.solver, "solve_linear", solve)
     config = SolverConfig(increment_tol_factor=0.01)
     levels = []
     table = convergence_study("aronsson", 3, tau=1.0, solver_config=config,
@@ -788,7 +801,7 @@ def test_refinement_starts_from_the_last_solution():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(u))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau))
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     assert holder.iterations == 1 and holder.factorizations == 1
@@ -808,7 +821,7 @@ def test_refinement_starts_from_the_last_solution():
 def test_stale_factor_is_refreshed_before_refining():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc)))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau))
     holder = StepFactor()
     solve_linear(matrix, rhs, factor=holder)
     interior = sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
@@ -841,7 +854,7 @@ class _RecordingMatrix:
 def test_refinement_computes_one_residual_per_lu_solve():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc)))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau))
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     nudged = matrix + 2e-2 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
@@ -896,7 +909,7 @@ class _RecordingFactor:
 def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(u))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau))
     rng = np.random.default_rng(5)
     unrelated = sp.random(matrix.shape[0], matrix.shape[0], density=0.01,
                           random_state=rng, format="csc") + 4.0 * sp.identity(

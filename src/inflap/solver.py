@@ -28,22 +28,12 @@ gradient once, component by component, P's entries, which contract each
 element's block, the sums into the fixed pattern plus T / tau, the load
 plus T u / tau, the masked boundary lift, and the solve.
 
-Every linear system is solved by one loop of iterative refinement (Moler
-1967) with one matrix-vector product per LU solve and one accept target,
-``1e-2 * LINEAR_SOLVER_TOL``.  Later steps on the same mesh differ only
-through the frozen gradient direction, so the loop runs with the last
-factor, started from the previous step's solution.  The factor is
-refreshed when the previous step needed more than ``REFACTOR_AFTER_SOLVES``
-refinement LU solves or when the refinement stalls: the step matrix is
-factored, and the same loop runs with the new factor from nothing, so its
-first LU solve is the direct solve.
-
-A fresh factor is computed in float32 and refined with float64 residuals
-to the same accept target (Moler's own setting; Carson & Higham 2018),
-which halves the stored L and U and shortens the factorisation.  It falls
-back to float64 when the float32 cast of the matrix is not finite, when
-SuperLU finds it singular, or when the loop from it stalls; the reports
-count these fallbacks.
+Every linear system is solved by ``solve_linear``: iterative refinement
+(Moler 1967) with one LU after another, the held factor of an earlier
+step first, then a fresh float32 and a fresh float64 factor (Carson &
+Higham 2018), until one does not stall.  Later steps on a mesh differ
+only through the frozen gradient direction, so the held factor mostly
+serves them.
 """
 
 from __future__ import annotations
@@ -126,14 +116,9 @@ class SolveReport:
 
     ``solution`` is the last iterate and ``iterations`` counts linear
     solves.  ``linear_residuals`` holds the true relative residual of each
-    step's linear solve, ``linear_iterations`` its LU solves in iterative
-    refinement, including those of a refinement that stalled but not the
-    direct solve of a fresh factor (a fresh float32 factor usually takes
-    one or two), ``factorizations`` the number of LU factorisations of step
-    matrices (the first step's, plus one per stale factor refreshed and one
-    per refinement stalled, with the previous factor or a fresh float32
-    one), and ``fallbacks`` the number of fresh step factors computed in
-    float64 instead of float32.
+    step's linear solve and ``linear_iterations`` its ``StepFactor.lu_solves``;
+    ``factorizations`` and ``fallbacks`` are the ``StepFactor``'s counts
+    over the whole solve (``solve_linear`` states what each counts).
     """
 
     solution: FEFunction
@@ -149,18 +134,13 @@ class SolveReport:
 class StepFactor:
     """Holder of the LU factor that ``solve_linear`` reuses across calls.
 
-    ``lu`` is the ``PermutedLU`` of the last matrix factored through this
-    holder (None before the first solve), ``factorizations`` counts the
-    factorisations, ``solution`` is the last solution (the start of the
-    next refinement), and ``residual`` and ``iterations`` are the true
-    relative residual and the refinement LU solves with ``lu`` of the last
-    solve, without the direct solve of a fresh ``lu``.  More than
-    ``REFACTOR_AFTER_SOLVES`` such LU solves mark ``lu`` as stale: the next
-    solve factors its own matrix.
-    ``stalled`` counts the LU solves of the last solve's refinements that
-    stalled and were refactored, with the previous factor or with a fresh
-    float32 factor (without its direct solve), else 0.  ``fallbacks``
-    counts the fresh factors computed in float64 instead of float32.
+    ``lu`` is the LU of the last matrix factored through this holder (None
+    before the first solve), ``solution`` the last solution (the start of
+    the next refinement with ``lu``) and ``residual`` its true relative
+    residual.  ``stale`` says that the last solve's final refinement took
+    more than ``REFACTOR_AFTER_SOLVES`` LU solves, ``lu_solves`` counts the
+    refinement LU solves of the last solve, and ``factorizations`` and
+    ``fallbacks`` count over all solves; ``solve_linear`` states the rule.
     """
 
     def __init__(self):
@@ -168,8 +148,8 @@ class StepFactor:
         self.factorizations = 0
         self.solution = None
         self.residual = None
-        self.iterations = 0
-        self.stalled = 0
+        self.stale = False
+        self.lu_solves = 0
         self.fallbacks = 0
 
 
@@ -195,7 +175,8 @@ class PermutedLU:
     finite raises ``RuntimeError``, as SuperLU does for a singular matrix.
     ``solve`` scales its right-hand side by a power of two into [0.5, 1)
     before the cast and returns float64; the scale is exact, so it only
-    keeps the cast from under- or overflowing.
+    keeps the cast from under- or overflowing.  ``shape`` is A's, as for
+    SuperLU's own factors.
     """
 
     def __init__(self, matrix: sp.spmatrix, dtype=np.float32):
@@ -210,7 +191,7 @@ class PermutedLU:
             raise RuntimeError(f"{np.dtype(dtype).name} cast of the matrix is not finite")
         permuted = sp.csr_matrix((data, inverse[rows.indices], rows.indptr),
                                  shape=matrix.shape)
-        self.dtype = np.dtype(dtype)
+        self.dtype, self.shape = np.dtype(dtype), matrix.shape
         self.lu = spla.splu(permuted.tocsc(), permc_spec="MMD_AT_PLUS_A",
                             diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
         self.nnz = self.lu.nnz
@@ -383,20 +364,21 @@ def _residual(matrix, solution, rhs):
     return residual, norm / scale if scale > 0 else norm
 
 
-def _refine(matrix, rhs, lu, start, residual):
+def _refine(matrix, rhs, lu, start):
     """Iterative refinement (Moler 1967) with ``lu`` from ``start``.
 
-    ``residual`` is ``rhs - matrix @ start``, or ``rhs`` for ``start=None``,
-    whose first iterate is the direct solve ``lu.solve(rhs)`` itself.  Each
-    LU solve corrects the iterate by the LU solve of its residual, and the
-    new iterate's true residual is computed once, one matrix-vector product
-    per LU solve: its norm is the stop test and the vector the next
-    correction's right-hand side.  Returns the last iterate, the LU solves,
-    its relative residual and whether the loop stalled, once that residual
-    is at most ``1e-2 * LINEAR_SOLVER_TOL`` or falls by less than
-    REFINE_MIN_RATE per LU solve on average after the first (a stall).
+    From ``start=None`` the first iterate is the direct solve
+    ``lu.solve(rhs)`` itself.  Each LU solve corrects the iterate by the LU
+    solve of its residual, and the new iterate's true residual is computed
+    once, one matrix-vector product per LU solve (and one for ``start``'s):
+    its norm is the stop test and the vector the next correction's
+    right-hand side.  Returns the last iterate, the LU solves, its relative
+    residual and whether the loop stalled, once that residual is at most
+    ``1e-2 * LINEAR_SOLVER_TOL`` or falls by less than REFINE_MIN_RATE per
+    LU solve on average after the first (a stall).
     """
     solution, solves = start, 0
+    residual = rhs if start is None else rhs - matrix @ start
     while True:
         correction = lu.solve(residual)
         solution = correction if solution is None else solution + correction
@@ -414,48 +396,49 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
                  factor: StepFactor | None = None) -> np.ndarray:
     """Sparse solve by the ``_refine`` loop, gated by the true residual.
 
-    With a ``factor`` holder whose LU (of an earlier, similar matrix) is not
-    stale, that is, whose last solve took at most ``REFACTOR_AFTER_SOLVES``
-    refinement LU solves, the loop starts from the holder's last solution.
-    With no such LU, or when that loop stalls (its LU solves go to the
-    holder's ``stalled``), the old LU is released, ``matrix`` is factored as
-    a float32 ``PermutedLU`` and the loop starts from nothing, so its first
-    LU solve is the direct solve.  When the float32 cast is not finite,
-    SuperLU finds it singular or its loop stalls, the matrix is factored
-    in float64 instead and the holder's ``fallbacks`` grows by one.  A
-    matrix singular in float64, or a last iterate whose relative residual
-    exceeds ``LINEAR_SOLVER_TOL`` (infinite when it is not finite), raises
+    The loop runs with one LU after another and keeps the first whose
+    refinement does not stall, or the float64 one whatever happens:
+
+    1. the ``factor`` holder's LU (of an earlier, similar matrix) from the
+       holder's last solution, if it exists, has ``matrix``'s shape and is
+       not ``stale``;
+    2. a fresh float32 ``PermutedLU`` of ``matrix``;
+    3. a fresh float64 ``PermutedLU`` of ``matrix``.
+
+    A fresh LU replaces the holder's, which is released before the
+    factorisation, and counts one of its ``factorizations``; its loop
+    starts from nothing, so its first LU solve is the direct solve, which
+    is not counted.  The holder's ``lu_solves`` counts every other LU solve
+    of the call, those of stalled loops included, and ``stale`` is set when
+    the kept loop took more than ``REFACTOR_AFTER_SOLVES`` of them.  A
+    float32 LU whose cast is not finite, which SuperLU finds singular or
+    whose loop stalls counts one of the holder's ``fallbacks``.  A matrix
+    singular in float64, or a kept iterate whose relative residual exceeds
+    ``LINEAR_SOLVER_TOL`` (infinite when it is not finite), raises
     ``SolverFailure``.
     """
     holder = factor if factor is not None else StepFactor()
-    holder.stalled = 0
-    stalled = True
-    if holder.lu is not None and holder.iterations <= REFACTOR_AFTER_SOLVES:
-        start = holder.solution
-        solution, solves, relative, stalled = _refine(
-            matrix, rhs, holder.lu, start, rhs if start is None else rhs - matrix @ start)
-        if stalled:
-            holder.stalled = solves
-    if stalled:
-        holder.lu = None        # release the old factor before building a new one
-        # a fresh factor is float32 unless its cast is not finite, SuperLU
-        # finds it singular or the loop from it stalls
-        for dtype in (np.float32, np.float64):
+    held = holder.lu is not None and not holder.stale and holder.lu.shape == matrix.shape
+    holder.lu_solves = 0
+    for dtype in [None] * held + [np.float32, np.float64]:     # None: the held LU
+        start = holder.solution if dtype is None else None
+        if dtype is not None:
+            holder.lu = None        # release the old factor before building a new one
             try:
                 holder.lu = PermutedLU(matrix, dtype)
             except RuntimeError as failure:
-                if dtype == np.float64:
+                if dtype is np.float64:
                     raise SolverFailure(f"linear solve failed: {failure}") from failure
-            else:
-                holder.factorizations += 1
-                solution, solves, relative, stalled = _refine(matrix, rhs, holder.lu, None, rhs)
-                solves -= 1     # the direct solve is no refinement
-                if not stalled or dtype == np.float64:
-                    break
-                holder.stalled += solves
-                holder.lu = None
-            holder.fallbacks += 1
-    holder.iterations = solves
+                holder.fallbacks += 1
+                continue
+            holder.factorizations += 1
+        solution, solves, relative, stalled = _refine(matrix, rhs, holder.lu, start)
+        solves -= dtype is not None     # a fresh LU's direct solve is no refinement
+        holder.lu_solves += solves
+        if not stalled or dtype is np.float64:
+            break
+        holder.fallbacks += dtype is np.float32
+    holder.stale = solves > REFACTOR_AFTER_SOLVES
     holder.residual = relative
     if not relative <= LINEAR_SOLVER_TOL:
         raise SolverFailure(
@@ -514,18 +497,17 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         except SolverFailure as failure:
             failure.iteration = iteration
             raise
-        lu_solves = factor.iterations + factor.stalled
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         report.solution, report.iterations = proposed, iteration
         report.linear_residuals.append(factor.residual)
-        report.linear_iterations.append(lu_solves)
+        report.linear_iterations.append(factor.lu_solves)
         report.increments.append(increment)
         report.factorizations, report.fallbacks = factor.factorizations, factor.fallbacks
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
                          "linear residual %.2e, LU solves %d, factorizations %d, "
                          "L+U fill %d", iteration, increment, tolerance, factor.residual,
-                         lu_solves, factor.factorizations, factor.lu.nnz)
+                         factor.lu_solves, factor.factorizations, factor.lu.nnz)
         if increment <= tolerance:
             report.converged = True
             return report

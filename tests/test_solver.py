@@ -373,7 +373,8 @@ def test_factor_fills_less_than_colamd_and_meets_the_gate(kind):
         holder = StepFactor()
         solve_linear(matrix, rhs, factor=holder)
         assert holder.lu.dtype == np.float32
-        assert holder.fallbacks == holder.stalled == 0 and holder.factorizations == 1
+        # no float32 loop stalled: that would have counted a fallback
+        assert holder.fallbacks == 0 and holder.factorizations == 1 and not holder.stale
         assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
         assert holder.lu.nnz < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
 
@@ -430,14 +431,15 @@ def test_matrix_singular_in_float32_falls_back_to_float64():
 
 def test_ill_conditioned_system_meets_the_gate_through_the_float64_fallback():
     # condition about 1.6e8: float32 refinement contracts only about 0.77 per
-    # LU solve, so the loop stalls and the matrix is factored in float64
+    # LU solve, so the loop stalls after 8 refinement LU solves and the
+    # matrix is factored in float64, whose direct solve is accepted
     n = 20_000
     laplacian = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
                          format="csr")
     rhs = laplacian @ np.random.default_rng(0).standard_normal(n)
     holder = StepFactor()
     solve_linear(laplacian, rhs, factor=holder)
-    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.stalled > 0
+    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.lu_solves == 8
     assert holder.lu.dtype == np.float64
     assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
 
@@ -472,7 +474,7 @@ def test_fresh_factor_is_polished_by_refinement(monkeypatch):
     solution = solve_linear(matrix, rhs, factor=holder)
     direct = holder.lu.solve(rhs)
     assert np.linalg.norm(matrix @ direct - rhs) > LINEAR_SOLVER_TOL * np.linalg.norm(rhs)
-    assert holder.factorizations == 1 and holder.iterations > 0
+    assert holder.factorizations == 1 and holder.lu_solves > 0
     assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
     assert np.array_equal(holder.solution, solution)
 
@@ -501,7 +503,8 @@ def test_stalled_refinement_of_a_fresh_factor_fails_the_gate(monkeypatch):
         solve_linear(matrix, rhs, factor=holder)
     [single, (solution, solves, relative, stalled)] = outcomes
     assert single[3] and single[1] == 2
-    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.stalled == 1
+    # one refinement LU solve of each loop: the float32 stall's and the float64's
+    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.lu_solves == 2
     assert holder.lu.dtype == np.float64
     assert stalled and solves == 2
     assert relative == pytest.approx(0.25)
@@ -632,7 +635,7 @@ def test_growing_increments_raise_divergence_error(monkeypatch):
         if factor is None:
             solutions.append(real_solve(matrix, rhs))
         else:
-            factor.residual, factor.iterations = 0.0, 0
+            factor.residual, factor.lu_solves = 0.0, 0
             solutions.append(2.0 * solutions[-1] + 1.0)
         return solutions[-1]
 
@@ -804,7 +807,7 @@ def test_refinement_starts_from_the_last_solution():
     matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau))
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
-    assert holder.iterations == 1 and holder.factorizations == 1
+    assert holder.lu_solves == 1 and holder.factorizations == 1
     assert np.array_equal(holder.solution, first)
 
     # a nearby system: the first LU solve corrects the last solution's residual
@@ -813,7 +816,7 @@ def test_refinement_starts_from_the_last_solution():
     second = solve_linear(nudged, rhs, factor=holder)
     assert np.array_equal(recording.solved[0], rhs - nudged @ first)
     assert holder.factorizations == 1
-    assert holder.iterations == len(recording.solved) > 0
+    assert holder.lu_solves == len(recording.solved) > 0
     assert np.array_equal(holder.solution, second)
     assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
 
@@ -827,14 +830,14 @@ def test_stale_factor_is_refreshed_before_refining():
     interior = sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
     solve_linear(matrix + 2e-2 * interior, rhs, factor=holder)
     assert holder.factorizations == 1
-    assert holder.iterations > inflap.solver.REFACTOR_AFTER_SOLVES
+    assert holder.stale and holder.lu_solves > inflap.solver.REFACTOR_AFTER_SOLVES
 
     # the next solve factors its own matrix and never touches the stale LU
     holder.lu = stale = _RecordingFactor(holder.lu)
     nudged = matrix + 3e-2 * interior
     solution = solve_linear(nudged, rhs, factor=holder)
     assert stale.solved == []
-    assert holder.factorizations == 2 and holder.iterations == 1
+    assert holder.factorizations == 2 and holder.lu_solves == 1 and not holder.stale
     assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, solve_linear(nudged, rhs))
 
@@ -861,9 +864,10 @@ def test_refinement_computes_one_residual_per_lu_solve():
     accept = 1e-2 * LINEAR_SOLVER_TOL
     for start in (first, None):
         recording, lu = _RecordingMatrix(nudged), _RecordingFactor(holder.lu)
-        solution, solves, relative, stalled = inflap.solver._refine(
-            recording, rhs, lu, start, rhs if start is None else rhs - nudged @ start)
-        assert not stalled and solves > 1 and recording.products == solves == len(lu.solved)
+        solution, solves, relative, stalled = inflap.solver._refine(recording, rhs, lu, start)
+        assert not stalled and solves > 1 and solves == len(lu.solved)
+        # and one product for the residual of a given start
+        assert recording.products == solves + (start is not None)
         assert relative <= accept
         reference, reference_solves = two_product_refine(nudged, rhs, holder.lu, start, accept)
         assert np.array_equal(solution, reference) and solves == reference_solves
@@ -873,7 +877,7 @@ def test_refinement_computes_one_residual_per_lu_solve():
     # included: with the float64 LU of its own matrix (the fallback's
     # factor) it is accepted at once
     exact = PermutedLU(nudged, np.float64)
-    solution, solves, _, stalled = inflap.solver._refine(nudged, rhs, exact, None, rhs)
+    solution, solves, _, stalled = inflap.solver._refine(nudged, rhs, exact, None)
     assert solves == 1 and not stalled
     direct = exact.solve(rhs)
     assert np.array_equal(solution, direct)
@@ -899,6 +903,7 @@ class _RecordingFactor:
 
     def __init__(self, lu):
         self.lu = lu
+        self.shape = lu.shape
         self.solved = []
 
     def solve(self, rhs):
@@ -930,8 +935,17 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     solution = solve_linear(matrix, rhs, factor=holder)
     assert factor_calls == [True]
     assert len(stale_solves) == 2       # the refinement stalls at its first check
-    assert holder.stalled == 2 and holder.iterations == 1
+    assert holder.lu_solves == 3       # the 2 stalled and 1 of the fresh float32 LU
     assert holder.factorizations == 1 and holder.fallbacks == 0
     assert holder.residual <= LINEAR_SOLVER_TOL
     assert np.array_equal(solution, solve_linear(matrix, rhs))
 
+
+def test_held_factor_of_another_size_is_not_tried():
+    holder = StepFactor()
+    solve_linear(2.0 * sp.identity(4, format="csr"), np.ones(4), factor=holder)
+    held = holder.lu = _RecordingFactor(holder.lu)
+    solution = solve_linear(3.0 * sp.identity(6, format="csr"), np.ones(6), factor=holder)
+    assert held.solved == []
+    assert holder.factorizations == 2 and holder.lu.shape == (6, 6)
+    assert np.allclose(solution, 1.0 / 3.0, rtol=1e-15, atol=0.0)

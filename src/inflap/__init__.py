@@ -5,24 +5,20 @@ nonvariational Galerkin method: elementwise constant Hessians are
 recovered from gradient jumps, the quasilinear operator is linearised by
 freezing the gradient direction with a Laplacian relaxation term, and a
 residual estimator drives newest-vertex bisection.
+
+The package namespace holds the user API: the pipeline, its drivers and
+writers, the error norms and the types they take or return.  The steps
+inside a solve or an estimate are imported from their modules.
 """
 
-from .adapt import (AdaptiveConfig, AdaptiveHistory, CycleRecord,
-                    adaptive_solve, mark, transfer)
-from .bench import (BenchmarkProblem, EOCRow, EOCTable, convergence_study,
-                    registry, write_csv, write_vtu)
+from .adapt import AdaptiveConfig, AdaptiveHistory, adaptive_solve, mark, transfer
+from .bench import (BenchmarkProblem, EOCTable, convergence_study, registry, write_csv,
+                    write_vtu)
 from .errors import (DivergenceError, EvaluationError, InvalidArgumentError,
                      SolverFailure)
-from .estimator import (IndicatorField, estimate, interior_residual_norms,
-                        jump_residuals)
-from .fespace import (FEFunction, QuadratureRule, gradients, h1_semi_error,
-                      interpolate, l2_error, l2_norm, triangle_rule)
-from .hessian import HessianOperator, fe_hessian, hessian_operator
-from .mesh import (Triangulation, build_initial_mesh, conformity_errors,
-                   refine, uniform_refine)
-from .solver import (Discretisation, ProblemData, SolveReport, SolverConfig,
-                     StepFactor, apply_dirichlet, assemble_step,
-                     default_initializer, fixed_point_solve,
-                     load_vector, solve_linear)
+from .estimator import IndicatorField, estimate
+from .fespace import FEFunction, h1_semi_error, l2_error
+from .mesh import Triangulation, build_initial_mesh, refine, uniform_refine
+from .solver import ProblemData, SolveReport, SolverConfig, fixed_point_solve
 
 __version__ = "0.1.0"

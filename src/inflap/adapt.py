@@ -90,11 +90,15 @@ def transfer(u: FEFunction, fine: Triangulation) -> FEFunction:
     """Prolong a P1 function onto a mesh produced by refining its own mesh.
 
     Bisection midpoints take the average of their parent edge's values,
-    which reproduces the coarse function exactly.
+    which reproduces the coarse function exactly.  A fine mesh whose
+    vertex count or leading vertex coordinates differ from the coarse
+    mesh's raises ``InvalidArgumentError``.
     """
     coarse = u.mesh
     pairs = fine.new_vertex_parents
-    if pairs is None or coarse.vertex_count + len(pairs) != fine.vertex_count:
+    if (pairs is None or coarse.vertex_count + len(pairs) != fine.vertex_count
+            or not np.array_equal(fine.vertex_coords[:coarse.vertex_count],
+                                  coarse.vertex_coords)):
         raise InvalidArgumentError("fine mesh is not a refinement of the function's mesh")
     coefficients = np.empty(fine.vertex_count)
     coefficients[:coarse.vertex_count] = u.coefficients

@@ -223,7 +223,8 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
     and arrays whose first axis has one entry per triangle become cell
     data with one component per remaining entry, so an (nt, 2, 2)
     recovered Hessian writes as four-component cell data.  A P1 function
-    or indicator field of another mesh, an array matching neither count,
+    or indicator field of another mesh, an indicator field without one
+    ``eta`` per triangle, an array matching neither count,
     an (n,) array on a mesh with n vertices and n triangles, or a field
     name with a character XML 1.0 cannot hold raises
     ``InvalidArgumentError``, before the file is opened.
@@ -237,6 +238,8 @@ def write_vtu(mesh: Triangulation, fields, path) -> None:
         if isinstance(value, FEFunction):
             point_data.append((name, value.coefficients, 1))
         elif isinstance(value, IndicatorField):
+            if np.shape(value.eta) != (nt,):
+                raise InvalidArgumentError(f"field {name!r} needs one eta per triangle")
             cell_data.append((name, value.eta, 1))
         else:
             array = np.asarray(value, dtype=float)

@@ -1,4 +1,4 @@
-"""P1 finite element functions, interpolation, quadrature and norms.
+"""P1 finite element functions, quadrature and norms.
 
 The trial space is continuous piecewise-affine (one degree of freedom per
 vertex); an ``FEFunction`` holds its mesh and its vertex values.
@@ -104,12 +104,6 @@ def evaluate_field(fn, x, y):
     if not np.isfinite(values).all():
         raise EvaluationError("field evaluated to a non-finite value")
     return values
-
-
-def interpolate(mesh: Triangulation, g) -> FEFunction:
-    """Vertex (Lagrange) interpolant of a scalar field."""
-    coords = mesh.vertex_coords
-    return FEFunction(mesh, evaluate_field(g, coords[:, 0], coords[:, 1]))
 
 
 def _corner_values(u: FEFunction) -> np.ndarray:

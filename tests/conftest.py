@@ -5,10 +5,10 @@ dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
 check; ``brute_conformity_errors`` tests every vertex against every edge,
 and ``decode_vtu_array`` reads a VTU array by the file format alone.
-``integrate``, ``min_angle_degrees`` and ``centroids`` are measurements
-that only the tests need, as are the edge normals, lengths and per-edge
-triangles of ``row_major_edge_table``.  ``two_product_refine``,
-``pair_jump_residuals``, ``row_major_mesh_arrays``,
+``interpolate``, ``integrate``, ``min_angle_degrees`` and ``centroids``
+are helpers that only the tests need, as are the edge normals, lengths
+and per-edge triangles of ``row_major_edge_table``.
+``two_product_refine``, ``pair_jump_residuals``, ``row_major_mesh_arrays``,
 ``argmax_product_operator_and_pattern``, the
 per-case mesh builds (``quarter_loop_initial_mesh``, ``any_edge_closure``,
 ``five_case_bisect``) and the row-major kernels (``einsum_gradients``,
@@ -31,6 +31,11 @@ from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initia
                          refine, uniform_refine)
 from inflap.estimator import GRADIENT_FLOOR
 from inflap.solver import REFINE_MIN_RATE
+
+
+def interpolate(mesh, g):
+    """Vertex (Lagrange) interpolant of a scalar field."""
+    return FEFunction(mesh, evaluate_field(g, *mesh.vertex_coords.T))
 
 
 def integrate(field, mesh):

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, Discretisation, FEFunction, adaptive_solve,
-                    apply_dirichlet, build_initial_mesh,
-                    convergence_study, estimate, fe_hessian, gradients,
-                    interpolate, refine, registry, solve_linear, uniform_refine)
+from inflap import (AdaptiveConfig, FEFunction, adaptive_solve, build_initial_mesh,
+                    convergence_study, estimate, refine, registry, uniform_refine)
 from inflap.cli import main
-from conftest import (brute_conformity_errors, brute_saddle, integrate, min_angle_degrees,
-                      row_major_edge_table)
+from inflap.fespace import gradients
+from inflap.hessian import fe_hessian
+from inflap.solver import Discretisation, apply_dirichlet, solve_linear
+from conftest import (brute_conformity_errors, brute_saddle, integrate, interpolate,
+                      min_angle_degrees, row_major_edge_table)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data

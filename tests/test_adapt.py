@@ -7,10 +7,9 @@ import pytest
 import inflap.solver
 from inflap import (AdaptiveConfig, InvalidArgumentError, SolverConfig,
                     adaptive_solve, build_initial_mesh, estimate,
-                    fixed_point_solve, interpolate, mark, refine, registry,
-                    transfer)
+                    fixed_point_solve, mark, refine, registry, transfer)
 from inflap.estimator import IndicatorField
-from conftest import brute_conformity_errors, centroids
+from conftest import brute_conformity_errors, centroids, interpolate
 
 ARONSSON = registry()["aronsson"].data
 
@@ -81,6 +80,19 @@ def test_transfer_rejects_unrelated_mesh():
     u = interpolate(mesh, lambda x, y: x)
     with pytest.raises(InvalidArgumentError):
         transfer(u, build_initial_mesh(3))
+
+
+def test_transfer_rejects_a_refinement_of_another_mesh():
+    # two refinements with 14 vertices and 17 triangles each, apart only at vertex 13
+    a, b = refine(build_initial_mesh(2), {0}), refine(build_initial_mesh(2), {3})
+    assert (a.vertex_count, a.triangle_count) == (b.vertex_count, b.triangle_count)
+    assert np.flatnonzero((a.vertex_coords != b.vertex_coords).any(axis=1)).tolist() == [13]
+    g = lambda x, y: x * x + 3 * y
+    fine = refine(a, {0})
+    exact = interpolate(fine, g).coefficients
+    assert np.abs(transfer(interpolate(a, g), fine).coefficients - exact).max() <= 0.0625
+    with pytest.raises(InvalidArgumentError, match="not a refinement"):
+        transfer(interpolate(b, g), fine)
 
 
 # -------------------------------------------------------------- adaptive driver

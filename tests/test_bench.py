@@ -9,12 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, AdaptiveHistory, CycleRecord, DivergenceError,
-                    EOCTable, IndicatorField, InvalidArgumentError, SolverConfig,
-                    SolverFailure, adaptive_solve, build_initial_mesh, convergence_study,
-                    estimate, fe_hessian, fixed_point_solve, interpolate, refine,
-                    registry, write_csv, write_vtu)
+from inflap import (AdaptiveConfig, AdaptiveHistory, DivergenceError, EOCTable,
+                    IndicatorField, InvalidArgumentError, SolverConfig, SolverFailure,
+                    adaptive_solve, build_initial_mesh, convergence_study, estimate,
+                    fixed_point_solve, refine, registry, write_csv, write_vtu)
+from inflap.adapt import CycleRecord
 from inflap.cli import main
+from inflap.hessian import fe_hessian
 import inflap
 import inflap.adapt
 import inflap.bench
@@ -22,7 +23,7 @@ import inflap.cli
 import inflap.estimator
 import inflap.solver
 
-from conftest import VTK_TYPES, decode_vtu_array, oracle_meshes
+from conftest import VTK_TYPES, decode_vtu_array, interpolate, oracle_meshes
 
 
 # -------------------------------------------------------------------- registry
@@ -372,6 +373,10 @@ def test_vtu_rejects_odd_field_length(tmp_path):
     foreign = estimate(interpolate(left, lambda x, y: x + y), ones)
     with pytest.raises(InvalidArgumentError, match="another mesh"):
         write_vtu(right, {"eta": foreign}, tmp_path / "bad.vtu")
+    # indicators of this mesh with 3 eta values for its 4 triangles
+    short = IndicatorField(mesh, np.ones(3), np.ones(3), np.zeros(0), 1.0, 1.0)
+    with pytest.raises(InvalidArgumentError, match="one eta per triangle"):
+        write_vtu(mesh, {"eta": short}, tmp_path / "bad.vtu")
     assert not (tmp_path / "bad.vtu").exists()
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from inflap import (FEFunction, build_initial_mesh, estimate, interpolate,
-                    jump_residuals, refine, uniform_refine)
-from inflap.estimator import _interior_edges, interior_residual_norms
-from conftest import (lower_corner_order, outer_diffusion_tensor, oracle_meshes,
+from inflap import FEFunction, build_initial_mesh, estimate, refine, uniform_refine
+from inflap.estimator import _interior_edges, interior_residual_norms, jump_residuals
+from conftest import (interpolate, lower_corner_order, outer_diffusion_tensor, oracle_meshes,
                       pair_jump_residuals, row_major_edge_table)
 
 ZERO = lambda x, y: np.zeros(np.shape(x))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from inflap import (EvaluationError, FEFunction, InvalidArgumentError,
-                    build_initial_mesh, gradients, h1_semi_error, interpolate,
-                    l2_error, l2_norm, refine, triangle_rule, uniform_refine)
-from inflap.fespace import physical_points
+                    build_initial_mesh, h1_semi_error, l2_error, refine, uniform_refine)
+from inflap.fespace import gradients, l2_norm, physical_points, triangle_rule
 from conftest import (affine_gradient, batched_physical_points, bit_oracle_meshes,
-                      einsum_gradients, integrate, kernel_functions, kernel_meshes,
-                      row_sum_l2_norm)
+                      einsum_gradients, integrate, interpolate, kernel_functions,
+                      kernel_meshes, row_sum_l2_norm)
 
 
 # ------------------------------------------------------------------ quadrature

@@ -5,13 +5,14 @@ import pytest
 
 import scipy.sparse as sp
 
-from inflap import (FEFunction, build_initial_mesh, fe_hessian, gradients,
-                    hessian_operator, interpolate, refine, registry, uniform_refine)
+from inflap import FEFunction, build_initial_mesh, refine, registry, uniform_refine
+from inflap.fespace import gradients
+from inflap.hessian import fe_hessian, hessian_operator
 import inflap.solver
 from inflap.solver import Discretisation, assemble_step, step_pattern
 from conftest import (argmax_product_operator_and_pattern, assert_bit_identical,
                       bincount_fe_hessian, bit_oracle_meshes, edge_dictionary, hat_gradients,
-                      integrate, kernel_functions, kernel_meshes, oracle_meshes,
+                      integrate, interpolate, kernel_functions, kernel_meshes, oracle_meshes,
                       outward_normal, perturbed_mesh, row_major_edge_table, tri_area)
 
 

@@ -1,4 +1,6 @@
 import ast
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,30 @@ import inflap
 
 MODULES = sorted(path for path in Path(inflap.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")   # __init__.py only re-exports
+
+# the user API; the steps inside a solve or an estimate stay in their modules
+PUBLIC = {
+    "build_initial_mesh", "refine", "uniform_refine", "fixed_point_solve", "estimate", "mark",
+    "transfer",
+    "registry", "convergence_study", "adaptive_solve", "write_csv", "write_vtu",
+    "l2_error", "h1_semi_error",
+    "Triangulation", "FEFunction", "ProblemData", "SolverConfig", "SolveReport",
+    "AdaptiveConfig", "AdaptiveHistory", "EOCTable", "IndicatorField", "BenchmarkProblem",
+    "DivergenceError", "EvaluationError", "InvalidArgumentError", "SolverFailure",
+}
+
+
+def test_the_package_exports_only_the_user_api():
+    exported = {name for name, value in vars(inflap).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC
+
+
+def test_readme_library_use_calls_only_exported_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    used = set(re.findall(r"\bil\.(\w+)", section))
+    assert used and used <= PUBLIC, used - PUBLIC
 
 
 def unused_imports(source: str) -> list[str]:

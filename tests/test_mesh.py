@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh,
-                    conformity_errors, refine, uniform_refine)
-from inflap.mesh import _bisect
+from inflap import (InvalidArgumentError, Triangulation, build_initial_mesh, refine,
+                    uniform_refine)
+from inflap.mesh import _bisect, conformity_errors
 from conftest import (any_edge_closure, assert_bit_identical, bit_oracle_meshes,
                       brute_conformity_errors, centroids, five_case_bisect,
                       min_angle_degrees, oracle_meshes, perturbed_mesh,

@@ -4,16 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inflap import (Discretisation, DivergenceError, FEFunction,
-                    InvalidArgumentError, SolverFailure, SolverConfig,
-                    apply_dirichlet, assemble_step, build_initial_mesh,
-                    default_initializer, estimate, fe_hessian,
-                    fixed_point_solve, gradients, interpolate, l2_error,
-                    l2_norm, load_vector, refine, registry, solve_linear,
-                    uniform_refine)
+from inflap import (DivergenceError, FEFunction, InvalidArgumentError, SolverFailure,
+                    SolverConfig, build_initial_mesh, estimate, fixed_point_solve,
+                    l2_error, refine, registry, uniform_refine)
 from inflap.bench import convergence_study
 from inflap.estimator import diffusion_components
-from inflap.solver import LINEAR_SOLVER_TOL, PermutedLU, ProblemData, StepFactor
+from inflap.fespace import gradients, l2_norm
+from inflap.hessian import fe_hessian
+from inflap.solver import (LINEAR_SOLVER_TOL, Discretisation, PermutedLU, ProblemData,
+                           StepFactor, apply_dirichlet, assemble_step,
+                           default_initializer, load_vector, solve_linear)
 import inflap.solver
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -21,7 +21,8 @@ import scipy.sparse.linalg as spla
 from conftest import (add_at_load_vector, add_at_squared_indicators,
                       add_at_trace_test, bincount_assemble_step, bincount_fe_hessian,
                       brute_saddle, centroids, coo_hessian_matrix, coo_poisson_stiffness,
-                      edge_dictionary, kernel_functions, kernel_meshes, oracle_meshes, outer_diffusion_tensor,
+                      edge_dictionary, interpolate, kernel_functions, kernel_meshes,
+                      oracle_meshes, outer_diffusion_tensor,
                       perturbed_mesh, schur_eliminate, sparse_product_dirichlet,
                       sparse_product_step_matrix, two_product_refine)
 

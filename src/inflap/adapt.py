@@ -57,6 +57,7 @@ class CycleRecord:
     converged: bool
     l2_error: Optional[float] = None
     h1_error: Optional[float] = None
+    residual: Optional[float] = None
 
 
 @dataclass
@@ -115,7 +116,9 @@ def solve_and_measure(mesh: Triangulation, problem: ProblemData,
     A ``SolverFailure`` gets ``partial``, the driver's finished records;
     ``where`` prefixes the unconverged WARNING and the INFO line.  Returns
     the report, its indicators and the fields ``EOCRow`` and ``CycleRecord``
-    share, with None errors where the problem has no exact solution or gradient.
+    share, with None errors where the problem has no exact solution or
+    gradient; ``residual`` is the solution's steady residual, the last of
+    ``SolveReport.residuals``.
     """
     try:
         report = fixed_point_solve(mesh, problem, solver_config, initial=initial)
@@ -128,15 +131,15 @@ def solve_and_measure(mesh: Triangulation, problem: ProblemData,
     indicators = estimate(report.solution, problem.f)
     measured = dict(dofs=mesh.vertex_count, estimator=indicators.eta_total,
                     iterations=report.iterations, converged=report.converged,
-                    l2_error=None, h1_error=None)
+                    l2_error=None, h1_error=None, residual=report.residuals[-1])
     if problem.exact_solution is not None:
         measured["l2_error"] = l2_error(report.solution, problem.exact_solution)
     if problem.exact_gradient is not None:
         measured["h1_error"] = h1_semi_error(report.solution, problem.exact_gradient)
     logger.info("%s: %d dofs, estimator %.4e, iterations %d, float64 fallbacks %d, "
-                "factorizations %d, refinement LU solves %d", where, mesh.vertex_count,
-                indicators.eta_total, report.iterations, report.fallbacks,
-                report.factorizations, sum(report.linear_iterations))
+                "factorizations %d, refinement LU solves %d, residual %.4e", where,
+                mesh.vertex_count, indicators.eta_total, report.iterations, report.fallbacks,
+                report.factorizations, sum(report.linear_iterations), measured["residual"])
     return report, indicators, measured
 
 

@@ -92,6 +92,7 @@ class EOCRow:
     estimator_eoc: Optional[float] = None
     iterations: int = 0
     converged: bool = False
+    residual: Optional[float] = None
 
 
 @dataclass

@@ -15,12 +15,14 @@ phi_m^K, and the hat gradients of K sum to zero, so a boundary edge drops
 out and H_K is the sum over the interior edges m of K of
 (grad u_K - grad u_{K'_m}) (x) grad phi_m^K, K'_m the neighbor across m.
 
-``hessian_operator`` builds this map once per mesh as one dense 4x6 block
-per element over the element's stencil (its own vertices and the vertex
-across each interior edge).  ``hessian_components`` contracts the blocks
-with the vertex values at the stencil; it is the only evaluation of the
-formula, and ``fe_hessian`` returns it as the (nt, 2, 2) tensor.  The
-solver fills the blocks into the pattern of its own linear systems.
+``hessian_operator`` builds this map once per mesh as two read-only
+arrays: one dense 4x6 block per element over the element's stencil (its
+own vertices and the vertex across each interior edge), and the stencil.
+``hessian_components`` contracts the blocks with the vertex values at the
+stencil; it is the only evaluation of the formula, and ``fe_hessian``
+returns it as the (nt, 2, 2) tensor.  The solver's ``Discretisation``
+keeps both arrays and fills the blocks into the pattern of its own linear
+systems.
 """
 
 from __future__ import annotations
@@ -31,45 +33,36 @@ from .fespace import FEFunction
 from .mesh import Triangulation
 
 
-class HessianOperator:
-    """The recovered-Hessian map of one mesh, element by element.
-
-    ``blocks[2*r + c, K, s]`` is the weight of stencil vertex
-    ``stencil[K, s]`` (int32, (nt, 6)) in component (r, c) of the recovered
-    Hessian on K.  Stencil slots 0-2 are the vertices of K, slot 3 + m the
-    vertex across the edge opposite vertex m; on a boundary edge that slot
-    repeats vertex m with zero weights.
-    """
-
-    def __init__(self, blocks: np.ndarray, stencil: np.ndarray):
-        self.blocks = blocks
-        self.stencil = stencil
-        for arr in (blocks, stencil):
-            arr.setflags(write=False)
-
-
-def hessian_components(operator: HessianOperator, coefficients: np.ndarray) -> np.ndarray:
+def hessian_components(blocks: np.ndarray, stencil: np.ndarray,
+                       coefficients: np.ndarray) -> np.ndarray:
     """Recovered Hessian of the P1 function with vertex values ``coefficients``.
 
     Returns the (4, nt) components, row-major within each element: the
-    blocks of ``operator`` contracted with the values at its stencil.
+    ``blocks`` of ``hessian_operator`` contracted with the values at its
+    ``stencil``.
     """
-    return np.einsum("qts,ts->qt", operator.blocks, np.take(coefficients, operator.stencil))
+    return np.einsum("qts,ts->qt", blocks, np.take(coefficients, stencil))
 
 
 def fe_hessian(v: FEFunction) -> np.ndarray:
     """Elementwise 2x2 Hessian recovered from edge jumps of the gradient.
 
     Returns an (nt, 2, 2) array, row-major within each element, from the
-    operator of ``v.mesh``.  In exact arithmetic the result vanishes for
+    blocks of ``v.mesh``.  In exact arithmetic the result vanishes for
     globally affine inputs because every gradient jump across an edge is
     zero.
     """
-    return hessian_components(hessian_operator(v.mesh), v.coefficients).T.reshape(-1, 2, 2)
+    return hessian_components(*hessian_operator(v.mesh), v.coefficients).T.reshape(-1, 2, 2)
 
 
-def hessian_operator(mesh: Triangulation) -> HessianOperator:
-    """Build the per-element Hessian blocks over each element's stencil.
+def hessian_operator(mesh: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only per-element Hessian ``blocks`` over each element's ``stencil``.
+
+    ``blocks[2*r + c, K, s]`` (float64, (4, nt, 6)) is the weight of stencil
+    vertex ``stencil[K, s]`` (int32, (nt, 6)) in component (r, c) of the
+    recovered Hessian on K.  Stencil slots 0-2 are the vertices of K, slot
+    3 + m the vertex across the edge opposite vertex m; on a boundary edge
+    that slot repeats vertex m with zero weights.
 
     Reads only the triangles, ``corner_across`` and the hat gradients.  With
     hat_m the gradient of K's hat function m on an interior edge m and zero
@@ -78,7 +71,7 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     (x) hat_m.  On the dyadic meshes ``build_initial_mesh`` and ``refine``
     make, the blocks equal by value those of the edge formula the tests
     keep as oracle (only signs of zeros differ); on a perturbed mesh they
-    agree to a few ulps.  ``stencil`` is returned as int32.
+    agree to a few ulps.
     """
     tris = mesh.triangle_vertices
     nt = mesh.triangle_count
@@ -110,4 +103,6 @@ def hessian_operator(mesh: Triangulation) -> HessianOperator:
     blocks = np.ascontiguousarray(blocks.reshape(6, 4, nt).transpose(1, 2, 0))  # (q, nt, s)
     stencil = np.concatenate([tris, np.where(interior, np.take(tris, 3 * neighbor + far),
                                              tris.T).T], axis=1).astype(np.int32)
-    return HessianOperator(blocks, stencil)
+    for arr in (blocks, stencil):
+        arr.setflags(write=False)
+    return blocks, stencil

@@ -11,13 +11,15 @@ the nonsymmetric vertex-sized system
 
 with M_P[u] the step matrix of P alone and T the hat-function test of
 trace(H[.]), which depends on the mesh only.  At a fixed point the two
-1/tau terms cancel, leaving M_P[u] u = load.
+1/tau terms cancel, leaving M_P[u] u = load.  The steady residual
+R(u) = M_P[u] u - load on the interior rows measures how far an iterate
+is from that discrete problem; a solve reports its norm for every iterate.
 
 Everything that depends only on the mesh is built once per mesh.  The
 ``Triangulation`` holds the component-major hat-function gradients.  A
 ``Discretisation`` is the discrete problem of the mesh and the data f and
-g, with no state of a solve: the Hessian operator (per-element Hessian
-blocks over each element's stencil), the step matrix's sparse pattern with
+g, with no state of a solve: the Hessian blocks over each element's
+stencil (``hessian_operator``), the step matrix's sparse pattern with
 each block entry's position in it, T's values in that pattern, the load
 vector, and the Dirichlet values with the mask of the entries the
 Dirichlet lift drops.  ``fixed_point_solve`` builds one per call and holds
@@ -115,8 +117,12 @@ class SolveReport:
     """Outcome of a fixed-point solve, filled in place step by step.
 
     ``solution`` is the last iterate and ``iterations`` counts linear
-    solves.  ``linear_residuals`` holds the true relative residual of each
-    step's linear solve and ``linear_iterations`` its ``StepFactor.lu_solves``;
+    solves.  ``residuals`` holds the interior 2-norm of the steady residual
+    R (``Discretisation.residual``), absolute, of the start and of every
+    iterate: ``iterations + 1`` values, the last the solution's.  It says
+    how far an iterate is from solving the discrete problem, unlike
+    ``linear_residuals``, the true relative residual of each step's linear
+    solve.  ``linear_iterations`` holds each step's ``StepFactor.lu_solves``;
     ``factorizations`` and ``fallbacks`` are the ``StepFactor``'s counts
     over the whole solve (``solve_linear`` states what each counts).
     """
@@ -125,6 +131,7 @@ class SolveReport:
     iterations: int
     increments: list[float] = field(default_factory=list)
     converged: bool = False
+    residuals: list[float] = field(default_factory=list)
     linear_residuals: list[float] = field(default_factory=list)
     linear_iterations: list[int] = field(default_factory=list)
     factorizations: int = 0
@@ -269,20 +276,20 @@ class Discretisation:
     held by ``fixed_point_solve``.  A step system is values, one per entry
     of the step pattern ``indptr``/``indices`` (so a sum of two cannot drop
     an entry), and ``matrix`` makes their CSR matrix.  ``slots`` place the
-    operator's blocks (``step_pattern``).  ``relaxation`` is T: each
-    element adds |K|/3 * (B_00 + B_11) over its stencil to the rows of its
-    three vertices.  ``lifted`` is g on the boundary vertices and zero
-    inside.  The Dirichlet lift zeroes the entries ``dropped`` (off the
-    diagonal in boundary rows or columns) and sets the boundary diagonals
-    ``pins`` to 1.
+    ``blocks`` over the ``stencil`` (``hessian_operator``, ``step_pattern``).
+    ``relaxation`` is T: each element adds |K|/3 * (B_00 + B_11) over its
+    stencil to the rows of its three vertices.  ``lifted`` is g on the
+    boundary vertices and zero inside.  The Dirichlet lift zeroes the
+    entries ``dropped`` (off the diagonal in boundary rows or columns) and
+    sets the boundary diagonals ``pins`` to 1.
     """
 
     def __init__(self, mesh: Triangulation, problem: ProblemData):
         self.mesh = mesh
-        self.operator = operator = hessian_operator(mesh)
-        self.indptr, self.indices, self.slots = step_pattern(mesh, operator.stencil)
+        self.blocks, self.stencil = hessian_operator(mesh)
+        self.indptr, self.indices, self.slots = step_pattern(mesh, self.stencil)
         self.load = load_vector(mesh, problem.f)
-        trace = (operator.blocks[0] + operator.blocks[3]) * (mesh.areas / 3.0)[:, None]
+        trace = (self.blocks[0] + self.blocks[3]) * (mesh.areas / 3.0)[:, None]
         self.relaxation = _fill_pattern(self, self.slots, np.repeat(trace, 3, axis=0))
         boundary = mesh.vertex_on_boundary
         self.lifted = np.zeros(mesh.vertex_count)
@@ -298,11 +305,28 @@ class Discretisation:
         n = len(self.indptr) - 1
         return sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
 
+    def residual(self, u: FEFunction, values: np.ndarray) -> np.ndarray:
+        """The steady residual R(u) = M_P[u] u - load, zero on the boundary rows.
+
+        ``values`` are ``assemble_step(self, u)``.  R has no 1/tau terms: a
+        step's own ``matrix @ u - rhs`` equals R only up to the round-off
+        of the two T u / tau terms it cancels, which grows as tau falls.
+        """
+        residual = self.matrix(values) @ u.coefficients - self.load
+        residual[self.mesh.vertex_on_boundary] = 0.0
+        return residual
+
     def system(self, u: FEFunction, tau: float):
-        """Values M_P[u] + T / tau and right-hand side load + T u / tau of the step from ``u``."""
+        """Values, right-hand side and steady residual of the step from ``u``.
+
+        The values are M_P[u] + T / tau, the right-hand side is
+        load + T u / tau, and R(u) is taken from M_P[u] before T / tau is
+        added.
+        """
         values = assemble_step(self, u)
+        residual = self.residual(u, values)
         values += self.relaxation / tau
-        return values, self.load + (self.matrix(self.relaxation) @ u.coefficients) / tau
+        return values, self.load + (self.matrix(self.relaxation) @ u.coefficients) / tau, residual
 
 
 def assemble_step(disc: Discretisation, u_prev: FEFunction) -> np.ndarray:
@@ -323,7 +347,7 @@ def assemble_step(disc: Discretisation, u_prev: FEFunction) -> np.ndarray:
     # order and scaled by the hat-function integral |K|/3; bincount adds the
     # elements of each matrix entry in ascending element order
     p00, p01, p11 = (p[:, None] for p in diffusion_components(gradients(u_prev).T))
-    blocks = disc.operator.blocks
+    blocks = disc.blocks
     weights = p00 * blocks[0]
     weights += p01 * blocks[1]
     weights += p01 * blocks[2]
@@ -477,7 +501,10 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     One ``Discretisation`` of the mesh is built per call; the loop alone
     holds tau and the ``StepFactor``.  The first step matrix is factored,
     and later steps refine iteratively with the last LU, started from the
-    previous step's solution, until ``solve_linear`` refreshes it.
+    previous step's solution, until ``solve_linear`` refreshes it.  Each
+    step's system also gives the steady residual of the iterate it starts
+    from; once the loop ends, the LU is released and one more
+    ``assemble_step`` gives the solution's.
     """
     config = config if config is not None else SolverConfig()
     if initial is not None and initial.mesh is not mesh:
@@ -492,7 +519,10 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            matrix, rhs = apply_dirichlet(disc, *disc.system(current, tau))
+            values, rhs, residual = disc.system(current, tau)
+            report.residuals.append(float(np.linalg.norm(residual)))
+            matrix, rhs = apply_dirichlet(disc, values, rhs)
+            del values, residual        # the solve holds only the lifted copy
             proposed = FEFunction(mesh, solve_linear(matrix, rhs, factor))
         except SolverFailure as failure:
             failure.iteration = iteration
@@ -504,13 +534,14 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         report.increments.append(increment)
         report.factorizations, report.fallbacks = factor.factorizations, factor.fallbacks
         if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("iteration %d: increment %.3e (tolerance %.3e), "
-                         "linear residual %.2e, LU solves %d, factorizations %d, "
-                         "L+U fill %d", iteration, increment, tolerance, factor.residual,
-                         factor.lu_solves, factor.factorizations, factor.lu.nnz)
+            logger.debug("iteration %d: increment %.3e (tolerance %.3e), steady residual "
+                         "of its start %.3e, linear residual %.2e, LU solves %d, "
+                         "factorizations %d, L+U fill %d", iteration, increment, tolerance,
+                         report.residuals[-1], factor.residual, factor.lu_solves,
+                         factor.factorizations, factor.lu.nnz)
         if increment <= tolerance:
             report.converged = True
-            return report
+            break
         last = report.increments[-6:]
         if iteration >= 6 and last[-1] > 10.0 * last[0] \
                 and all(b > a for a, b in zip(last, last[1:])):
@@ -518,4 +549,8 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
                 f"increments grew tenfold over five iterations "
                 f"(last {increment:.3e}); try a smaller tau", iteration=iteration)
         current = proposed
+    factor.lu = None        # release the LU before one more assembly
+    final = report.solution
+    residual = disc.residual(final, assemble_step(disc, final))
+    report.residuals.append(float(np.linalg.norm(residual)))
     return report

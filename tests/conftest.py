@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangle_rule,
                             values_at)
-from inflap.hessian import HessianOperator, fe_hessian
+from inflap.hessian import fe_hessian
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
 from inflap.estimator import GRADIENT_FLOOR
@@ -678,12 +678,12 @@ def row_major_mesh_arrays(mesh):
 
 
 def argmax_product_operator_and_pattern(mesh):
-    """The Hessian operator and step pattern with each far slot found by argmax.
+    """The Hessian blocks and stencil and the step pattern, each far slot found by argmax.
 
     The far slot is the position of the shared edge among the neighbor's
     edges, the step pattern is the sparse product incidence^T @ reach and
-    the slots are read back by fancy indexing into it.  Returns the
-    operator and the int32 ``(indptr, indices, slots)``.
+    the slots are read back by fancy indexing into it.  Returns the pair
+    ``(blocks, stencil)`` and the int32 ``(indptr, indices, slots)``.
     """
     tris = mesh.triangle_vertices
     nt, nv = mesh.triangle_count, mesh.vertex_count
@@ -733,9 +733,9 @@ def argmax_product_operator_and_pattern(mesh):
                              pattern.indptr), shape=pattern.shape)
     slots = position[np.repeat(tris, 6, axis=1).reshape(-1),
                      np.tile(stencil, 3).reshape(-1)]
-    return HessianOperator(blocks, stencil), (pattern.indptr.astype(np.int32),
-                                              pattern.indices.astype(np.int32),
-                                              slots.astype(np.int32).reshape(nt, 3, 6))
+    return (blocks, stencil), (pattern.indptr.astype(np.int32),
+                               pattern.indices.astype(np.int32),
+                               slots.astype(np.int32).reshape(nt, 3, 6))
 
 
 VTK_TYPES = {"Float64": "<f8", "Int64": "<i8", "UInt8": "u1"}
@@ -850,7 +850,7 @@ def bincount_assemble_step(disc, u_prev, tau):
     """
     mesh = disc.mesh
     tensors = outer_diffusion_tensor(u_prev, tau).reshape(-1, 4, 1)
-    blocks = disc.operator.blocks
+    blocks = disc.blocks
     weights = (((tensors[:, 0] * blocks[0] + tensors[:, 1] * blocks[1])
                 + tensors[:, 2] * blocks[2]) + tensors[:, 3] * blocks[3])
     weights *= (mesh.areas / 3.0)[:, None]

@@ -135,7 +135,7 @@ def test_criterion_6_hessian_property_suite():
         assert small.triangle_count <= 32
         disc = Discretisation(small, CLASSICAL)
         u = interpolate(small, lambda x, y: x * x + y * y)
-        matrix, rhs_vec = apply_dirichlet(disc, *disc.system(u, CLASSICAL.tau))
+        matrix, rhs_vec = apply_dirichlet(disc, *disc.system(u, CLASSICAL.tau)[:2])
         eliminated = solve_linear(matrix, rhs_vec)
         saddle, rhs_for, _ = brute_saddle(small, u.coefficients, CLASSICAL.f,
                                           CLASSICAL.g, CLASSICAL.tau)

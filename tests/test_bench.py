@@ -110,7 +110,7 @@ def test_csv_header_only_for_empty_table(tmp_path):
     write_csv(EOCTable(problem="classical"), path)
     text = path.read_text()
     assert text == ("level,h,dofs,l2_error,l2_eoc,h1_error,h1_eoc,"
-                    "estimator,estimator_eoc,iterations,converged\n")
+                    "estimator,estimator_eoc,iterations,converged,residual\n")
 
 
 def test_csv_roundtrip_bit_exact(small_study, tmp_path):
@@ -133,13 +133,13 @@ def test_csv_adaptive_history(tmp_path):
     history = AdaptiveHistory(records=[
         CycleRecord(cycle=0, dofs=41, triangles=64, estimator=1.25,
                     estimator_l1=5.5, iterations=2, converged=True,
-                    l2_error=0.1, h1_error=None)])
+                    l2_error=0.1, h1_error=None, residual=0.5)])
     path = tmp_path / "history.csv"
     write_csv(history, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("cycle,dofs,triangles,estimator,estimator_l1,"
-                        "iterations,converged,l2_error,h1_error")
-    assert lines[1] == "0,41,64,1.25,5.5,2,1,0.10000000000000001,"  # empty h1_error
+                        "iterations,converged,l2_error,h1_error,residual")
+    assert lines[1] == "0,41,64,1.25,5.5,2,1,0.10000000000000001,,0.5"  # empty h1_error
 
 
 def test_unconverged_solves_reach_the_csvs(tmp_path, caplog):
@@ -189,7 +189,9 @@ def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, c
     for line, report in zip(lines, reports):
         assert line.endswith(f"float64 fallbacks {report.fallbacks}, factorizations "
                              f"{report.factorizations}, refinement LU solves "
-                             f"{sum(report.linear_iterations)}")
+                             f"{sum(report.linear_iterations)}, residual "
+                             f"{report.residuals[-1]:.4e}")
+        assert len(report.residuals) == report.iterations + 1
     assert [line.split(":")[0] for line in lines] == ["level 0", "level 1",
                                                       "cycle 0", "cycle 1"]
 
@@ -201,7 +203,8 @@ def test_levels_and_cycles_share_one_measurement(caplog):
         _, _, history = adaptive_solve(registry()["aronsson"].data, build_initial_mesh(4),
                                        AdaptiveConfig(estimator_tol=1e9, tau=0.1))
     row, record = table.rows[0], history.records[0]
-    for name in ("dofs", "estimator", "iterations", "converged", "l2_error", "h1_error"):
+    for name in ("dofs", "estimator", "iterations", "converged", "l2_error", "h1_error",
+                 "residual"):
         assert getattr(row, name) == getattr(record, name), name
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert len(lines) == 2
@@ -682,6 +685,7 @@ def test_cli_log_level_shows_iterations(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "inflap.solver"]
     assert lines and lines[0].startswith("iteration 1: increment")
     assert "linear residual" in lines[0] and "factorizations 1" in lines[0]
+    assert "steady residual of its start" in lines[0]
     assert re.search(r"L\+U fill [1-9]\d*$", lines[0])
     assert any(r.name == "inflap.adapt" and r.levelno == logging.INFO
                for r in caplog.records)

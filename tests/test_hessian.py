@@ -81,8 +81,9 @@ def test_fe_hessian_is_bit_identical_to_bincount_oracle(name):
 
 
 def _apply(operator, coefficients):
-    """(nt, 2, 2) tensors of the operator's blocks applied to vertex values."""
-    values = np.einsum("qts,ts->tq", operator.blocks, coefficients[operator.stencil])
+    """(nt, 2, 2) tensors of the ``(blocks, stencil)`` operator applied to vertex values."""
+    blocks, stencil = operator
+    values = np.einsum("qts,ts->tq", blocks, coefficients[stencil])
     return values.reshape(-1, 2, 2)
 
 
@@ -104,8 +105,7 @@ def test_operator_row_locality():
     # vertex of the neighbor across it, or (boundary edge, zero weights)
     # the element's own vertex opposite that edge
     mesh = refine(build_initial_mesh(2), {1, 6})
-    operator = hessian_operator(mesh)
-    stencil = operator.stencil
+    blocks, stencil = hessian_operator(mesh)
     neighbor = {}
     for (a, b), adjacent in edge_dictionary(mesh).items():
         if len(adjacent) == 2:
@@ -116,7 +116,7 @@ def test_operator_row_locality():
         assert list(stencil[k, :3]) == verts
         for m in range(3):
             a, b = sorted(verts[j] for j in range(3) if j != m)
-            column = operator.blocks[:, k, 3 + m]
+            column = blocks[:, k, 3 + m]
             if (k, a, b) in neighbor:
                 far = set(mesh.triangle_vertices[neighbor[(k, a, b)]]) - {a, b}
                 assert {stencil[k, 3 + m]} == far
@@ -130,19 +130,19 @@ def test_step_pattern_and_slots():
     # the solver's pattern is sorted, duplicate-free and structurally
     # symmetric, and slot (K, a, s) is the entry (vertex a of K, stencil
     # vertex s), so the slots of vertex 0 give back the stencil; the
-    # operator stores that stencil as a read-only int32 array.  The pattern
+    # operator returns its blocks and that stencil (int32) read-only.  The pattern
     # reads only the triangles' vertices and the stencil: the operator is
     # the only reader of the mesh's edge adjacency
     for mesh in [refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30})] \
             + oracle_meshes() + [perturbed_mesh()]:
-        operator = hessian_operator(mesh)
+        blocks, stencil = hessian_operator(mesh)
         triangles = SimpleNamespace(triangle_vertices=mesh.triangle_vertices,
                                     triangle_count=mesh.triangle_count,
                                     vertex_count=mesh.vertex_count)
-        indptr, indices, slots = step_pattern(triangles, operator.stencil)
-        assert_bit_identical(operator.stencil, indices[slots[:, 0, :]], "stencil")
-        assert operator.stencil.dtype == np.int32
-        assert not operator.stencil.flags.writeable
+        indptr, indices, slots = step_pattern(triangles, stencil)
+        assert_bit_identical(stencil, indices[slots[:, 0, :]], "stencil")
+        assert stencil.dtype == np.int32
+        assert not stencil.flags.writeable and not blocks.flags.writeable
         for arr in (indptr, indices, slots):
             assert arr.dtype == np.int32 and not arr.flags.writeable
         assert indptr[0] == 0 and indptr[-1] == len(indices)
@@ -152,7 +152,7 @@ def test_step_pattern_and_slots():
         assert np.array_equal(rows[slots], np.broadcast_to(
             mesh.triangle_vertices[:, :, None], slots.shape))
         assert np.array_equal(indices[slots], np.broadcast_to(
-            operator.stencil[:, None, :], slots.shape))
+            stencil[:, None, :], slots.shape))
         assert np.array_equal(np.unique(slots), np.arange(len(indices)))
 
         transpose = sp.csr_array((np.ones(len(indices)), indices, indptr)).T.tocsr()
@@ -170,18 +170,18 @@ def test_operator_is_bit_identical_to_argmax_product_oracle(name, monkeypatch):
     # from +0, so M_P[u] and T filled from either blocks are bit-identical.
     # On the perturbed mesh the blocks agree to a few ulps
     mesh = bit_oracle_meshes()[name]
-    ours = hessian_operator(mesh)
+    blocks, stencil = hessian_operator(mesh)
     reference, reference_pattern = argmax_product_operator_and_pattern(mesh)
-    assert vars(ours).keys() == {"blocks", "stencil"}
-    assert_bit_identical(ours.stencil, reference.stencil, "stencil")
+    reference_blocks, reference_stencil = reference
+    assert_bit_identical(stencil, reference_stencil, "stencil")
     for attribute, array, expected in zip(("indptr", "indices", "slots"),
-                                          step_pattern(mesh, ours.stencil), reference_pattern):
+                                          step_pattern(mesh, stencil), reference_pattern):
         assert_bit_identical(array, expected, attribute)
     if name == "perturbed":
-        scale = np.abs(reference.blocks).max()
-        assert np.abs(ours.blocks - reference.blocks).max() <= 4 * np.finfo(float).eps * scale
+        scale = np.abs(reference_blocks).max()
+        assert np.abs(blocks - reference_blocks).max() <= 4 * np.finfo(float).eps * scale
         return
-    assert np.array_equal(ours.blocks, reference.blocks)
+    assert np.array_equal(blocks, reference_blocks)
 
     problem = registry()["aronsson"].data
     disc = Discretisation(mesh, problem)
@@ -198,9 +198,9 @@ def test_operator_reads_no_edge_geometry():
     for mesh in [refine(uniform_refine(build_initial_mesh(2)), {2, 5, 30}), perturbed_mesh()]:
         bare = SimpleNamespace(**{name: getattr(mesh, name) for name in (
             "triangle_vertices", "triangle_count", "corner_across", "basis_components")})
-        ours, full = hessian_operator(bare), hessian_operator(mesh)
-        for attribute in ("blocks", "stencil"):
-            assert_bit_identical(getattr(ours, attribute), getattr(full, attribute), attribute)
+        for name, ours, full in zip(("blocks", "stencil"), hessian_operator(bare),
+                                    hessian_operator(mesh)):
+            assert_bit_identical(ours, full, name)
 
 
 def test_hessian_builds_no_step_pattern(monkeypatch):

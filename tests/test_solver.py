@@ -106,7 +106,7 @@ def test_rhs_vanishes_for_affine_previous_iterate_and_zero_f():
     problem = ProblemData(f=lambda x, y: np.zeros(np.shape(x)),
                           g=lambda x, y: x, tau=5.0)
     u = interpolate(mesh, lambda x, y: 2.0 * x - y)
-    _, rhs = Discretisation(mesh, problem).system(u, problem.tau)
+    _, rhs, _ = Discretisation(mesh, problem).system(u, problem.tau)
     interior = ~mesh.vertex_on_boundary
     assert np.abs(rhs[interior]).max() <= 1e-13
 
@@ -116,7 +116,7 @@ def test_assembly_against_coupled_saddle_oracle():
     mesh = build_initial_mesh(1)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
     disc = Discretisation(mesh, CLASSICAL)
-    values, rhs = disc.system(u, CLASSICAL.tau)
+    values, rhs, _ = disc.system(u, CLASSICAL.tau)
 
     saddle, rhs_for, _ = brute_saddle(mesh, u.coefficients, CLASSICAL.f,
                                       CLASSICAL.g, CLASSICAL.tau, dirichlet=False)
@@ -193,7 +193,7 @@ def test_step_system_agrees_with_the_relaxed_row_major_assembly(name):
     disc = Discretisation(mesh, ARONSSON)
     for tau in (0.1, 1.0, 1000.0):
         for u in kernel_functions(mesh):
-            values, rhs = disc.system(u, tau)
+            values, rhs, _ = disc.system(u, tau)
             data, oracle_rhs = bincount_assemble_step(disc, u, tau)
             assert np.abs(values - data).max() <= 1e-14 * np.abs(data).max()
             terms = np.abs(disc.load).max() + \
@@ -208,7 +208,7 @@ def test_step_matrix_matches_oracle_on_a_perturbed_mesh():
     mesh = perturbed_mesh()
     u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
     disc = Discretisation(mesh, CLASSICAL)
-    values, rhs = disc.system(u, CLASSICAL.tau)
+    values, rhs, _ = disc.system(u, CLASSICAL.tau)
     oracle = sparse_product_step_matrix(mesh, outer_diffusion_tensor(u, CLASSICAL.tau),
                                         coo_hessian_matrix(mesh)).toarray()
     assert np.abs(disc.matrix(values).toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -258,7 +258,7 @@ def test_eliminated_iterates_match_coupled_system(steps):
         u_ours = interpolate(mesh, lambda x, y: x * x + y * y)
         u_oracle = u_ours
         for _ in range(steps):
-            matrix, rhs = apply_dirichlet(disc, *disc.system(u_ours, CLASSICAL.tau))
+            matrix, rhs = apply_dirichlet(disc, *disc.system(u_ours, CLASSICAL.tau)[:2])
             u_ours = FEFunction(mesh, solve_linear(matrix, rhs))
 
             saddle, rhs_for, _ = brute_saddle(mesh, u_oracle.coefficients,
@@ -270,13 +270,40 @@ def test_eliminated_iterates_match_coupled_system(steps):
         assert np.abs(u_ours.coefficients - u_oracle.coefficients).max() <= 1e-10
 
 
+def _criterion_6_meshes():
+    """The meshes of acceptance criterion 6 (up to 32 triangles) and a perturbed mesh."""
+    small = uniform_refine(build_initial_mesh(1))
+    return [build_initial_mesh(1), small, refine(small, {0, 5}), perturbed_mesh()]
+
+
+@pytest.mark.parametrize("problem", [CLASSICAL, ARONSSON], ids=["classical", "aronsson"])
+@pytest.mark.parametrize("mesh", _criterion_6_meshes(),
+                         ids=["one-square", "uniform", "local", "perturbed"])
+def test_steady_residual_matches_coupled_system_without_relaxation(mesh, problem):
+    # R(u) = M_P[u] u - load on the interior rows is the residual of the
+    # coupled system at tau = inf, its Hessian block eliminated; the step
+    # system returns the same vector
+    nv = mesh.vertex_count
+    disc = Discretisation(mesh, problem)
+    smooth = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y))
+    noise = FEFunction(mesh, np.random.default_rng(nv).standard_normal(nv))
+    for u in (smooth, noise):
+        residual = disc.residual(u, assemble_step(disc, u))
+        saddle, rhs_for, boundary = brute_saddle(mesh, u.coefficients, problem.f, problem.g,
+                                                 np.inf, dirichlet=False)
+        oracle = schur_eliminate(saddle, nv) @ u.coefficients - rhs_for(fe_hessian(u))[:nv]
+        oracle[boundary] = 0.0
+        assert np.abs(residual - oracle).max() <= 1e-12
+        assert np.array_equal(disc.system(u, 0.1)[2], residual)
+
+
 # ------------------------------------------------------------------- dirichlet
 
 def test_dirichlet_rows_and_values():
     mesh = build_initial_mesh(2)
     disc = Discretisation(mesh, CLASSICAL)
     u = interpolate(mesh, lambda x, y: x * x + y * y)
-    matrix, rhs = disc.system(u, CLASSICAL.tau)
+    matrix, rhs, _ = disc.system(u, CLASSICAL.tau)
 
     homogeneous = Discretisation(mesh, replace(CLASSICAL, g=lambda x, y: np.zeros(np.shape(x))))
     zeroed, zrhs = apply_dirichlet(homogeneous, matrix, rhs)
@@ -345,7 +372,7 @@ def _step_system(mesh, problem):
     """The first step's lifted matrix and right-hand side from the Poisson start."""
     disc = Discretisation(mesh, problem)
     u = default_initializer(disc)
-    return apply_dirichlet(disc, *disc.system(u, problem.tau))
+    return apply_dirichlet(disc, *disc.system(u, problem.tau)[:2])
 
 
 def _corner_graded_mesh():
@@ -571,6 +598,7 @@ def test_classical_converges_quickly():
         assert report.converged
         assert report.iterations <= 5
         assert len(report.increments) == report.iterations
+        assert len(report.residuals) == report.iterations + 1
         assert len(report.linear_residuals) == report.iterations
         assert max(report.linear_residuals) <= LINEAR_SOLVER_TOL
         assert report.factorizations >= 1
@@ -620,9 +648,57 @@ def test_exact_solution_residual_under_refinement():
     for _ in range(4):
         disc = Discretisation(mesh, CLASSICAL)
         star = interpolate(mesh, CLASSICAL.exact_solution)
-        matrix, rhs = apply_dirichlet(disc, *disc.system(star, CLASSICAL.tau))
+        values, rhs, residual = disc.system(star, CLASSICAL.tau)
+        matrix, rhs = apply_dirichlet(disc, values, rhs)
         assert np.linalg.norm(matrix @ star.coefficients - rhs) <= 1e-12
+        assert np.linalg.norm(residual) <= 1e-12
         mesh = uniform_refine(mesh)
+
+
+def _steady_residual(disc, u):
+    return float(np.linalg.norm(disc.residual(u, assemble_step(disc, u))))
+
+
+@pytest.mark.parametrize("config", [SolverConfig(increment_tol_factor=0.01),
+                                    SolverConfig(increment_tol_factor=1e-12, max_iterations=3)],
+                         ids=["converged", "iteration-limit"])
+@pytest.mark.parametrize("start", ["poisson", "initial"])
+def test_solve_reports_the_steady_residual_of_the_start_and_every_iterate(config, start):
+    mesh = uniform_refine(build_initial_mesh(2))
+    disc = Discretisation(mesh, ARONSSON)
+    initial = interpolate(mesh, ARONSSON.g) if start == "initial" else None
+    report = fixed_point_solve(mesh, ARONSSON, config, initial=initial)
+    assert report.iterations > 1 and len(report.residuals) == report.iterations + 1
+    first = default_initializer(disc) if initial is None else initial
+    assert report.residuals[0] == _steady_residual(disc, first)
+    assert report.residuals[-1] == _steady_residual(disc, report.solution)
+    if report.converged:
+        assert report.residuals[-1] < 0.1 * report.residuals[0]
+
+
+def test_solution_residual_is_assembled_after_the_factor_is_released(monkeypatch):
+    # every step assembles M_P of its start; the solution's own assembly
+    # comes once the loop's factor (made after the Poisson start's own
+    # holder) holds no LU
+    factors, held = [], []
+
+    class Recording(StepFactor):
+        def __init__(self):
+            super().__init__()
+            factors.append(self)
+
+    real_assemble = inflap.solver.assemble_step
+
+    def assemble(disc, u):
+        held.append(factors[-1].lu is not None)
+        return real_assemble(disc, u)
+
+    monkeypatch.setattr(inflap.solver, "StepFactor", Recording)
+    monkeypatch.setattr(inflap.solver, "assemble_step", assemble)
+    report = fixed_point_solve(uniform_refine(build_initial_mesh(2)), ARONSSON,
+                               SolverConfig(increment_tol_factor=0.01))
+    assert len(factors) == 2 and report.iterations > 2
+    assert held == [False] + [True] * (report.iterations - 1) + [False]
 
 
 def test_growing_increments_raise_divergence_error(monkeypatch):
@@ -653,13 +729,13 @@ def test_growing_increments_raise_divergence_error(monkeypatch):
 def test_fixed_point_solve_makes_no_hessian_contraction_per_step(monkeypatch, config):
     # the relaxation matrix T is built once per mesh, so no step contracts
     # the Hessian blocks with an iterate: that contraction gathers the
-    # iterate's values through the operator's stencil, which is taken away
-    # once the discretisation is built
+    # iterate's values through the stencil, which is taken away once the
+    # discretisation is built
     real_init = Discretisation.__init__
 
     def init(disc, mesh, problem):
         real_init(disc, mesh, problem)
-        disc.operator.stencil = None
+        disc.stencil = None
 
     monkeypatch.setattr(Discretisation, "__init__", init)
     assert not hasattr(inflap.solver, "hessian_components")
@@ -700,7 +776,7 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
     assert report.iterations == 1 and report.factorizations == 1
 
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(settled, ARONSSON.tau))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(settled, ARONSSON.tau)[:2])
     direct = solve_linear(matrix, rhs)
     assert np.array_equal(report.solution.coefficients, direct)
     # another ordering and pivoting than spsolve's: the two solutions of a
@@ -715,7 +791,7 @@ def _direct_fixed_point(mesh, problem, config):
     current = default_initializer(disc)
     tolerance = config.increment_tol_factor * mesh.diameters.max() ** 2
     for iteration in range(1, config.max_iterations + 1):
-        matrix, rhs = apply_dirichlet(disc, *disc.system(current, problem.tau))
+        matrix, rhs = apply_dirichlet(disc, *disc.system(current, problem.tau)[:2])
         proposed = FEFunction(mesh, spla.spsolve(matrix.tocsc(), rhs))
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         current = proposed
@@ -805,7 +881,7 @@ def test_refinement_starts_from_the_last_solution():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau)[:2])
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     assert holder.lu_solves == 1 and holder.factorizations == 1
@@ -825,7 +901,7 @@ def test_refinement_starts_from_the_last_solution():
 def test_stale_factor_is_refreshed_before_refining():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau)[:2])
     holder = StepFactor()
     solve_linear(matrix, rhs, factor=holder)
     interior = sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
@@ -858,7 +934,7 @@ class _RecordingMatrix:
 def test_refinement_computes_one_residual_per_lu_solve():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau)[:2])
     holder = StepFactor()
     first = solve_linear(matrix, rhs, factor=holder)
     nudged = matrix + 2e-2 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
@@ -915,7 +991,7 @@ class _RecordingFactor:
 def test_unrelated_factor_is_released_and_refactored(monkeypatch):
     disc = Discretisation(uniform_refine(build_initial_mesh(4)), ARONSSON)
     u = default_initializer(disc)
-    matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau))
+    matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau)[:2])
     rng = np.random.default_rng(5)
     unrelated = sp.random(matrix.shape[0], matrix.shape[0], density=0.01,
                           random_state=rng, format="csc") + 4.0 * sp.identity(

@@ -12,7 +12,7 @@ from .errors import InvalidArgumentError, SolverFailure, is_positive_integer
 from .estimator import IndicatorField, estimate
 from .fespace import FEFunction, h1_semi_error, l2_error
 from .mesh import Triangulation, refine
-from .solver import ProblemData, SolverConfig, fixed_point_solve
+from .solver import ProblemData, SolverConfig, fixed_point_solve, timed
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +118,8 @@ def solve_and_measure(mesh: Triangulation, problem: ProblemData,
     the report, its indicators and the fields ``EOCRow`` and ``CycleRecord``
     share, with None errors where the problem has no exact solution or
     gradient; ``residual`` is the solution's steady residual, the last of
-    ``SolveReport.residuals``.
+    ``SolveReport.residuals``.  The INFO line ends with the seconds of each
+    phase: the report's, then ``estimate`` and ``errors``.
     """
     try:
         report = fixed_point_solve(mesh, problem, solver_config, initial=initial)
@@ -128,18 +129,23 @@ def solve_and_measure(mesh: Triangulation, problem: ProblemData,
     if not report.converged:
         logger.warning("%s: fixed-point solve did not converge in %d iterations",
                        where, report.iterations)
-    indicators = estimate(report.solution, problem.f)
+    seconds = dict(report.seconds)
+    with timed(seconds, "estimate"):
+        indicators = estimate(report.solution, problem.f)
     measured = dict(dofs=mesh.vertex_count, estimator=indicators.eta_total,
                     iterations=report.iterations, converged=report.converged,
                     l2_error=None, h1_error=None, residual=report.residuals[-1])
-    if problem.exact_solution is not None:
-        measured["l2_error"] = l2_error(report.solution, problem.exact_solution)
-    if problem.exact_gradient is not None:
-        measured["h1_error"] = h1_semi_error(report.solution, problem.exact_gradient)
+    with timed(seconds, "errors"):
+        if problem.exact_solution is not None:
+            measured["l2_error"] = l2_error(report.solution, problem.exact_solution)
+        if problem.exact_gradient is not None:
+            measured["h1_error"] = h1_semi_error(report.solution, problem.exact_gradient)
     logger.info("%s: %d dofs, estimator %.4e, iterations %d, float64 fallbacks %d, "
-                "factorizations %d, refinement LU solves %d, residual %.4e", where,
-                mesh.vertex_count, indicators.eta_total, report.iterations, report.fallbacks,
-                report.factorizations, sum(report.linear_iterations), measured["residual"])
+                "factorizations %d, refinement LU solves %d, residual %.4e, seconds %s",
+                where, mesh.vertex_count, indicators.eta_total, report.iterations,
+                report.fallbacks, report.factorizations, sum(report.linear_iterations),
+                measured["residual"],
+                " ".join(f"{phase} {value:.4f}" for phase, value in seconds.items()))
     return report, indicators, measured
 
 
@@ -155,6 +161,8 @@ def adaptive_solve(problem: ProblemData, initial_mesh: Triangulation,
     the tolerance logs a WARNING.  Each cycle is one
     ``solve_and_measure`` pass, which logs it and, on a solver failure,
     hands the history of the finished cycles to ``SolverFailure.partial``.
+    A cycle's report and indicators are released before the next mesh is
+    solved, so one mesh generation is alive at a time.
     """
     if config.tau is not None:
         problem = replace(problem, tau=config.tau)

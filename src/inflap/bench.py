@@ -119,7 +119,8 @@ def convergence_study(problem: str, levels: int, tau: Optional[float] = None,
     ``on_level(level, mesh, report, indicators)`` is called after each
     solve.  Each level is one ``adapt.solve_and_measure`` pass, which logs
     it and, on a solver failure, hands the table of the finished levels to
-    ``SolverFailure.partial``.
+    ``SolverFailure.partial``.  A level's report and indicators are released
+    before the next mesh is solved, so one mesh generation is alive at a time.
     """
     if not is_positive_integer(levels):
         raise InvalidArgumentError("levels must be a positive integer")

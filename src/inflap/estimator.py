@@ -47,19 +47,14 @@ GRADIENT_FLOOR = 1e-10
 
 @dataclass
 class IndicatorField:
-    """Per-entity residual indicators and their aggregates.
+    """Per-element marking indicators and their aggregates.
 
-    ``mesh`` is the mesh the indicators belong to, ``eta`` holds the
-    per-element marking indicators, ``interior`` the weighted element
-    residuals h_K ||R||_K, ``jumps`` the weighted edge residuals
-    h_e^(1/2) ||J||_e = |J| h_e, one per interior edge, ordered by the
-    corner (K, m) of the edge in its lower-numbered triangle K.
+    ``mesh`` is the mesh the indicators belong to and ``eta`` holds the
+    per-element marking indicators eta_K.
     """
 
     mesh: Triangulation
     eta: np.ndarray
-    interior: np.ndarray
-    jumps: np.ndarray
     global_estimate: float
     eta_total: float
 
@@ -101,7 +96,7 @@ def _interior_edges(mesh: Triangulation):
 def jump_residuals(u: FEFunction) -> np.ndarray:
     """Edgewise constant jump residual J times |e| on every interior edge of ``u.mesh``.
 
-    Ordered like ``IndicatorField.jumps``.  The edge normal out of the plus side,
+    Ordered like ``_interior_edges``.  The edge normal out of the plus side,
     scaled by the edge length, is |e| n = -2 |K| grad phi_m^K, so no edge
     geometry is needed.  P is elementwise constant and therefore double
     valued on edges; its edge value is the arithmetic average of the two
@@ -129,7 +124,11 @@ def jump_residuals(u: FEFunction) -> np.ndarray:
 
 
 def estimate(u: FEFunction, f) -> IndicatorField:
-    """Assemble the indicator field of ``u`` on its mesh."""
+    """Assemble the indicator field of ``u`` on its mesh.
+
+    The weighted element residuals h_K ||R||_K and edge residuals
+    h_e^(1/2) ||J||_e = |J| h_e give ``eta`` and ``global_estimate``.
+    """
     mesh = u.mesh
     interior = mesh.diameters * interior_residual_norms(mesh, f)
     # ||J||_L2(e) = |J| sqrt(h_e), so the weighted edge part is |J| h_e
@@ -142,7 +141,5 @@ def estimate(u: FEFunction, f) -> IndicatorField:
 
     return IndicatorField(mesh=mesh,
                           eta=np.sqrt(eta_sq),
-                          interior=interior,
-                          jumps=jumps,
                           global_estimate=float(interior.sum() + jumps.sum()),
                           eta_total=float(np.sqrt(eta_sq.sum())))

@@ -23,13 +23,11 @@ class QuadratureRule:
     """Barycentric nodes with weights normalised to sum to one.
 
     An integral over a triangle K is evaluated as
-    ``area(K) * sum_q weights[q] * f(points[q])``, so the rule is exact
-    for polynomials up to degree ``order``.
+    ``area(K) * sum_q weights[q] * f(points[q])``.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def _orbit3(a, w):
@@ -43,7 +41,7 @@ def _orbit6(a, b, w):
     return lam, [w] * 6
 
 
-def _symmetric_rule(order, orbits):
+def _symmetric_rule(orbits):
     points, weights = [], []
     for lam, w in orbits:
         points += lam
@@ -52,17 +50,17 @@ def _symmetric_rule(order, orbits):
     weights = np.array(weights, dtype=float)
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(points, weights, order)
+    return QuadratureRule(points, weights)
 
 
 # Symmetric rules; the degree 4 and 6 constants solve the moment equations
 # of the classical 6 and 12 point rules to well below double precision.
 _RULES = {
-    4: _symmetric_rule(4, [
+    4: _symmetric_rule([
         _orbit3(0.4459484909159648863183, 0.223381589678011465695),
         _orbit3(0.09157621350977074345957, 0.1099517436553218676383),
     ]),
-    6: _symmetric_rule(6, [
+    6: _symmetric_rule([
         _orbit3(0.2492867451709104212916, 0.1167862757263793660253),
         _orbit3(0.06308901449150222834033, 0.05084490637020681692094),
         _orbit6(0.3103524510337844054166, 0.05314504984481694735325,

@@ -71,8 +71,9 @@ class Triangulation:
     basis_components : (2, 3, nt) float array, component d of the gradient of hat
         function m on element K at [d, m, K]; the edge e_m opposite vertex m has
         |e_m| n_{K,m} = -2 |K| grad phi_m^K, n_{K,m} its unit normal out of K
-    corner_across : (nt, 3) int array, the only adjacency: the flat corner 3 K' + m'
-        across edge m of K (K' the neighbor, m' the edge's slot in it), or -1 on the boundary
+    corner_across : (nt, 3) int array, the only adjacency, from one sort of the edge keys:
+        the flat corner 3 K' + m' across edge m of K (K' the neighbor, m' the edge's slot
+        in it), or -1 on the boundary
     new_vertex_parents : (k, 2) int array of endpoint ids (in the parent mesh) of the
         bisected edges that created the k newest vertices, or None for a root mesh
     """
@@ -199,7 +200,9 @@ def refine(mesh: Triangulation, marked) -> Triangulation:
     follow the newest-vertex rule.  ``marked`` is a flat collection of
     integer triangle ids (an array, list, set or range); anything else
     raises ``InvalidArgumentError``.  The input mesh is returned unchanged
-    for an empty marking.
+    for an empty marking.  The mesh keeps no global edge numbering: the new
+    vertices are numbered by the (smaller, larger) endpoint ids of their
+    edges, in the order ``new_vertex_parents`` lists them.
     """
     try:
         marked = np.asarray(list(marked))

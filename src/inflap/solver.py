@@ -41,6 +41,8 @@ serves them.
 from __future__ import annotations
 
 import logging
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -72,12 +74,34 @@ REFINE_MIN_RATE = 0.3
 # where a factorisation costs about 35 LU solves) limits 4, 5 and 6 gave 9,
 # 6 and 4 factorisations with 233, 275 and 383 LU solves on the finest level,
 # and the whole study took 2.8, 2.6 and 2.7 s (median of three runs, 2 vCPU):
-# a lower limit refactors more often than it saves solves.
+# a lower limit refactors more often than it saves solves.  Without the limit,
+# that level took 1 factorisation and 677 LU solves.
 REFACTOR_AFTER_SOLVES = 5
 
 # Largest relative residual a linear solve may return; the refinement loop
 # stops only at 1e-2 of it.
 LINEAR_SOLVER_TOL = 1e-10
+
+# The phases of a solve whose wall time ``SolveReport.seconds`` sums.
+PHASES = ("hessian", "pattern", "setup", "start", "assemble", "dirichlet", "factor", "refine")
+
+
+@contextmanager
+def timed(seconds: dict | None, phase: str):
+    """Add the block's wall time to ``seconds[phase]``, less the phases timed inside it.
+
+    Nested blocks thus split their time, and the phases sum to the wall
+    time of the outermost blocks.  ``seconds`` None times nothing.
+    """
+    if seconds is None:
+        yield
+        return
+    start, inner = time.perf_counter(), sum(seconds.values())
+    try:
+        yield
+    finally:
+        elapsed = time.perf_counter() - start - (sum(seconds.values()) - inner)
+        seconds[phase] = seconds.get(phase, 0.0) + elapsed
 
 
 @dataclass
@@ -125,6 +149,12 @@ class SolveReport:
     solve.  ``linear_iterations`` holds each step's ``StepFactor.lu_solves``;
     ``factorizations`` and ``fallbacks`` are the ``StepFactor``'s counts
     over the whole solve (``solve_linear`` states what each counts).
+    ``seconds`` maps each of the ``PHASES`` to its summed wall time:
+    ``hessian_operator``, ``step_pattern``, the rest of the
+    ``Discretisation``, ``default_initializer``, ``Discretisation.system``
+    with the solution's ``assemble_step``, ``apply_dirichlet``, each
+    ``PermutedLU`` and each ``_refine`` loop, a phase timed inside another
+    counting for itself alone (``timed``).
     """
 
     solution: FEFunction
@@ -136,6 +166,7 @@ class SolveReport:
     linear_iterations: list[int] = field(default_factory=list)
     factorizations: int = 0
     fallbacks: int = 0
+    seconds: dict[str, float] = field(default_factory=dict)
 
 
 class StepFactor:
@@ -166,7 +197,11 @@ class PermutedLU:
     The pre-ordering (Cuthill & McKee 1969) gives SuperLU's minimum-degree
     ordering on the pattern of A + A^T (Liu 1985) a banded start; on the
     vertex numbering of ``uniform_refine`` alone minimum degree fills more
-    than COLAMD.  ``symmetric_mode=False`` because the Dirichlet lift's
+    than COLAMD; with it, L+U holds 40-58 % fewer entries than with COLAMD on
+    the benchmark's uniform and adaptive step matrices (8k to 131k dofs), and
+    a factorisation takes a third to a half of COLAMD's time (classical at
+    33,025 dofs: 4.30M entries in 0.26 s against 7.74M in 0.80 s, 2 vCPU).
+    ``symmetric_mode=False`` because the Dirichlet lift's
     ``eliminate_zeros`` may drop one entry of a symmetric pair.  The step
     matrices are nonsymmetric, so symmetric mode keeps partial pivoting
     with threshold 0.1: a diagonal pivot stays unless it is ten times
@@ -281,13 +316,17 @@ class Discretisation:
     stencil to the rows of its three vertices.  ``lifted`` is g on the
     boundary vertices and zero inside.  The Dirichlet lift zeroes the
     entries ``dropped`` (off the diagonal in boundary rows or columns) and
-    sets the boundary diagonals ``pins`` to 1.
+    sets the boundary diagonals ``pins`` to 1.  A ``seconds`` dict takes the
+    ``hessian`` and ``pattern`` phases of the build (``timed``).
     """
 
-    def __init__(self, mesh: Triangulation, problem: ProblemData):
+    def __init__(self, mesh: Triangulation, problem: ProblemData,
+                 seconds: dict | None = None):
         self.mesh = mesh
-        self.blocks, self.stencil = hessian_operator(mesh)
-        self.indptr, self.indices, self.slots = step_pattern(mesh, self.stencil)
+        with timed(seconds, "hessian"):
+            self.blocks, self.stencil = hessian_operator(mesh)
+        with timed(seconds, "pattern"):
+            self.indptr, self.indices, self.slots = step_pattern(mesh, self.stencil)
         self.load = load_vector(mesh, problem.f)
         trace = (self.blocks[0] + self.blocks[3]) * (mesh.areas / 3.0)[:, None]
         self.relaxation = _fill_pattern(self, self.slots, np.repeat(trace, 3, axis=0))
@@ -321,7 +360,7 @@ class Discretisation:
 
         The values are M_P[u] + T / tau, the right-hand side is
         load + T u / tau, and R(u) is taken from M_P[u] before T / tau is
-        added.
+        added, at the cost of one matrix-vector product.
         """
         values = assemble_step(self, u)
         residual = self.residual(u, values)
@@ -416,8 +455,8 @@ def _refine(matrix, rhs, lu, start):
             return solution, solves, relative, True
 
 
-def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
-                 factor: StepFactor | None = None) -> np.ndarray:
+def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, factor: StepFactor | None = None,
+                 seconds: dict | None = None) -> np.ndarray:
     """Sparse solve by the ``_refine`` loop, gated by the true residual.
 
     The loop runs with one LU after another and keeps the first whose
@@ -439,7 +478,8 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     whose loop stalls counts one of the holder's ``fallbacks``.  A matrix
     singular in float64, or a kept iterate whose relative residual exceeds
     ``LINEAR_SOLVER_TOL`` (infinite when it is not finite), raises
-    ``SolverFailure``.
+    ``SolverFailure``.  Each ``PermutedLU`` is timed as phase ``factor`` and
+    each loop as ``refine`` into ``seconds``.
     """
     holder = factor if factor is not None else StepFactor()
     held = holder.lu is not None and not holder.stale and holder.lu.shape == matrix.shape
@@ -449,14 +489,16 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
         if dtype is not None:
             holder.lu = None        # release the old factor before building a new one
             try:
-                holder.lu = PermutedLU(matrix, dtype)
+                with timed(seconds, "factor"):
+                    holder.lu = PermutedLU(matrix, dtype)
             except RuntimeError as failure:
                 if dtype is np.float64:
                     raise SolverFailure(f"linear solve failed: {failure}") from failure
                 holder.fallbacks += 1
                 continue
             holder.factorizations += 1
-        solution, solves, relative, stalled = _refine(matrix, rhs, holder.lu, start)
+        with timed(seconds, "refine"):
+            solution, solves, relative, stalled = _refine(matrix, rhs, holder.lu, start)
         solves -= dtype is not None     # a fresh LU's direct solve is no refinement
         holder.lu_solves += solves
         if not stalled or dtype is np.float64:
@@ -472,20 +514,20 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
     return solution
 
 
-def default_initializer(disc: Discretisation) -> FEFunction:
+def default_initializer(disc: Discretisation, seconds: dict | None = None) -> FEFunction:
     """Poisson start-up guess: the P1 solution of laplace(u) = f, u = g.
 
     Away from its critical points the guess has a usable gradient
     direction, which keeps the first diffusion tensor well defined.  The
     stiffness matrix fills the step pattern through the slots of each
-    element's own vertices.
+    element's own vertices.  ``seconds`` takes the linear solve's phases.
     """
     mesh = disc.mesh
     local = mesh.areas[:, None, None] * np.einsum(
         "dit,djt->tij", mesh.basis_components, mesh.basis_components)
     stiffness = _fill_pattern(disc, disc.slots[:, :, :3], local)
     matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
-    return FEFunction(mesh, solve_linear(matrix, rhs))
+    return FEFunction(mesh, solve_linear(matrix, rhs, seconds=seconds))
 
 
 def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
@@ -501,29 +543,37 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     One ``Discretisation`` of the mesh is built per call; the loop alone
     holds tau and the ``StepFactor``.  The first step matrix is factored,
     and later steps refine iteratively with the last LU, started from the
-    previous step's solution, until ``solve_linear`` refreshes it.  Each
+    previous step's solution, until ``solve_linear`` refreshes it, so a
+    one-step solve is bit-identical to a fresh ``solve_linear`` of its
+    system.  Each
     step's system also gives the steady residual of the iterate it starts
     from; once the loop ends, the LU is released and one more
-    ``assemble_step`` gives the solution's.
+    ``assemble_step`` gives the solution's.  The report's ``seconds`` are
+    filled as the phases run.
     """
     config = config if config is not None else SolverConfig()
     if initial is not None and initial.mesh is not mesh:
         raise InvalidArgumentError("initial guess lives on a different mesh")
-    disc = Discretisation(mesh, problem)
-    current = default_initializer(disc) if initial is None else initial
+    seconds = dict.fromkeys(PHASES, 0.0)
+    with timed(seconds, "setup"):
+        disc = Discretisation(mesh, problem, seconds)
+    with timed(seconds, "start"):
+        current = default_initializer(disc, seconds) if initial is None else initial
 
     tau, factor = problem.tau, StepFactor()
-    report = SolveReport(current, 0)
+    report = SolveReport(current, 0, seconds=seconds)
     h = float(mesh.diameters.max())
     tolerance = config.increment_tol_factor * h * h
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            values, rhs, residual = disc.system(current, tau)
+            with timed(seconds, "assemble"):
+                values, rhs, residual = disc.system(current, tau)
             report.residuals.append(float(np.linalg.norm(residual)))
-            matrix, rhs = apply_dirichlet(disc, values, rhs)
+            with timed(seconds, "dirichlet"):
+                matrix, rhs = apply_dirichlet(disc, values, rhs)
             del values, residual        # the solve holds only the lifted copy
-            proposed = FEFunction(mesh, solve_linear(matrix, rhs, factor))
+            proposed = FEFunction(mesh, solve_linear(matrix, rhs, factor, seconds))
         except SolverFailure as failure:
             failure.iteration = iteration
             raise
@@ -551,6 +601,7 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
         current = proposed
     factor.lu = None        # release the LU before one more assembly
     final = report.solution
-    residual = disc.residual(final, assemble_step(disc, final))
+    with timed(seconds, "assemble"):
+        residual = disc.residual(final, assemble_step(disc, final))
     report.residuals.append(float(np.linalg.norm(residual)))
     return report

@@ -29,7 +29,7 @@ from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangl
 from inflap.hessian import fe_hessian
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
-from inflap.estimator import GRADIENT_FLOOR
+from inflap.estimator import GRADIENT_FLOOR, interior_residual_norms, jump_residuals
 from inflap.solver import REFINE_MIN_RATE
 
 
@@ -561,6 +561,11 @@ def add_at_trace_test(mesh, hessian):
     np.add.at(out, mesh.triangle_vertices,
               (mesh.areas * (hessian[:, 0, 0] + hessian[:, 1, 1]) / 3.0)[:, None])
     return out
+
+
+def weighted_residuals(u, f):
+    """The two parts ``estimate`` sums: h_K ||R||_K per element and |J| h_e per interior edge."""
+    return u.mesh.diameters * interior_residual_norms(u.mesh, f), np.abs(jump_residuals(u))
 
 
 def add_at_squared_indicators(mesh, interior, jumps):

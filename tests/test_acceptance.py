@@ -1,6 +1,7 @@
 """End-to-end acceptance suite.
 
-Each test prints one PASS/FAIL line (run pytest -s to see them inline).
+Each criterion prints one PASS/FAIL line (run pytest -s to see them inline);
+the diagnostic at the end prints its measurements and gates nothing.
 The heavy studies are shared through session fixtures; the adaptive
 efficiency comparison is the long pole at about 16 s (2 vCPU, BLAS on one
 thread).
@@ -16,9 +17,9 @@ from inflap import (AdaptiveConfig, FEFunction, adaptive_solve, build_initial_me
 from inflap.cli import main
 from inflap.fespace import gradients
 from inflap.hessian import fe_hessian
-from inflap.solver import Discretisation, apply_dirichlet, solve_linear
+from inflap.solver import Discretisation, apply_dirichlet, assemble_step, solve_linear
 from conftest import (brute_conformity_errors, brute_saddle, integrate, interpolate,
-                      min_angle_degrees, row_major_edge_table)
+                      min_angle_degrees, row_major_edge_table, weighted_residuals)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -162,9 +163,10 @@ def test_criterion_7_estimator_property_suite(classical_table):
 
     rng = np.random.default_rng(7)
     u = FEFunction(mesh, rng.standard_normal(mesh.vertex_count))
-    field = estimate(u, lambda x, y: np.full(np.shape(x), 2.0))
-    partition_gap = abs(np.sum(field.eta ** 2) - np.sum(field.interior ** 2)
-                        - np.sum(field.jumps ** 2))
+    two = lambda x, y: np.full(np.shape(x), 2.0)
+    field = estimate(u, two)
+    interior, jumps = weighted_residuals(u, two)
+    partition_gap = abs(np.sum(field.eta ** 2) - np.sum(interior ** 2) - np.sum(jumps ** 2))
     partition_ok = partition_gap <= 1e-13 * np.sum(field.eta ** 2)
 
     ok = zero_ok and eoc_ok and partition_ok
@@ -224,3 +226,26 @@ def test_criterion_9_cli_determinism(tmp_path):
     report(9, "CLI determinism", ok,
            "identical invocations produced bit-identical CSV outputs"
            if ok else "CSV outputs differ between identical runs")
+
+
+def test_diagnostic_interpolant_steady_residual():
+    # Report only (ROADMAP item 13(a)), it gates nothing: the steady residual
+    # R(I_h u) of the exact solution's interpolant on uniform levels 2-5,
+    # its rate in h and the share of |R|^2 on the vertices within 2 h of an
+    # axis, where the Aronsson solution is singular.  Classical is the
+    # control: its quadratic solution makes R round-off.
+    for name, problem in (("aronsson", ARONSSON), ("classical", CLASSICAL)):
+        mesh, previous = uniform_refine(uniform_refine(build_initial_mesh(4))), None
+        for level in range(2, 6):
+            disc = Discretisation(mesh, problem)
+            u = interpolate(mesh, problem.exact_solution)
+            squared = disc.residual(u, assemble_step(disc, u)) ** 2
+            norm = np.sqrt(squared.sum())
+            detail = f"{name} level {level}, {mesh.vertex_count} dofs: |R(I_h u)| {norm:.3e}"
+            if name == "aronsson":
+                near = np.abs(mesh.vertex_coords).min(axis=1) <= 2.0 * mesh.diameters.max()
+                rate = f"{np.log2(previous / norm):.2f}" if previous else "--"
+                detail += (f", rate {rate}, {squared[near].sum() / squared.sum():.1%} of "
+                           f"|R|^2 on the {near.mean():.1%} of vertices within 2h of an axis")
+            print(f"\nDIAGNOSTIC 13(a): {detail}")
+            mesh, previous = uniform_refine(mesh), norm

@@ -16,6 +16,7 @@ from inflap import (AdaptiveConfig, AdaptiveHistory, DivergenceError, EOCTable,
 from inflap.adapt import CycleRecord
 from inflap.cli import main
 from inflap.hessian import fe_hessian
+from inflap.solver import PHASES
 import inflap
 import inflap.adapt
 import inflap.bench
@@ -187,11 +188,16 @@ def test_levels_and_cycles_log_their_factorizations_and_lu_solves(monkeypatch, c
     assert len(lines) == len(reports) == 4
     assert max(sum(report.linear_iterations) for report in reports) > 0
     for line, report in zip(lines, reports):
-        assert line.endswith(f"float64 fallbacks {report.fallbacks}, factorizations "
-                             f"{report.factorizations}, refinement LU solves "
-                             f"{sum(report.linear_iterations)}, residual "
-                             f"{report.residuals[-1]:.4e}")
+        counts, seconds = line.split(", seconds ")
+        assert counts.endswith(f"float64 fallbacks {report.fallbacks}, factorizations "
+                               f"{report.factorizations}, refinement LU solves "
+                               f"{sum(report.linear_iterations)}, residual "
+                               f"{report.residuals[-1]:.4e}")
         assert len(report.residuals) == report.iterations + 1
+        # the solve's phases, then the estimate's and the error norms'
+        words = seconds.split()
+        assert words[::2] == [*PHASES, "estimate", "errors"]
+        assert all(float(value) >= 0.0 for value in words[1::2])
     assert [line.split(":")[0] for line in lines] == ["level 0", "level 1",
                                                       "cycle 0", "cycle 1"]
 
@@ -211,7 +217,9 @@ def test_levels_and_cycles_share_one_measurement(caplog):
     # the adaptive run meets its tolerance, so it warns of nothing
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert lines[0].startswith("level 0: ") and lines[1].startswith("cycle 0: ")
-    assert lines[0].removeprefix("level 0: ") == lines[1].removeprefix("cycle 0: ")
+    # equal but for the phase times
+    counts = [line.split(", seconds ")[0] for line in lines]
+    assert counts[0].removeprefix("level 0: ") == counts[1].removeprefix("cycle 0: ")
 
 
 def test_csv_rejects_unknown_payload(tmp_path):
@@ -347,8 +355,7 @@ def test_vtu_layout_is_pinned(tmp_path):
     mesh = build_initial_mesh(2)
     nv, nt = mesh.vertex_count, mesh.triangle_count
     eta = np.arange(nt) / 4.0
-    jumps = np.zeros(int((mesh.corner_across >= 0).sum()) // 2)
-    indicators = IndicatorField(mesh, eta, eta / 2.0, jumps, float(eta.sum()), 1.0)
+    indicators = IndicatorField(mesh, eta, float(eta.sum()), 1.0)
     fields = {"solution": interpolate(mesh, lambda x, y: x + 2.0 * y), "indicator": indicators,
               "hessian": np.arange(4 * nt).reshape(nt, 2, 2) / 8.0,
               "vertex ids": np.arange(nv), 'u<0 & "v"': -np.arange(nv) / 2.0}
@@ -377,7 +384,7 @@ def test_vtu_rejects_odd_field_length(tmp_path):
     with pytest.raises(InvalidArgumentError, match="another mesh"):
         write_vtu(right, {"eta": foreign}, tmp_path / "bad.vtu")
     # indicators of this mesh with 3 eta values for its 4 triangles
-    short = IndicatorField(mesh, np.ones(3), np.ones(3), np.zeros(0), 1.0, 1.0)
+    short = IndicatorField(mesh, np.ones(3), 1.0, 1.0)
     with pytest.raises(InvalidArgumentError, match="one eta per triangle"):
         write_vtu(mesh, {"eta": short}, tmp_path / "bad.vtu")
     assert not (tmp_path / "bad.vtu").exists()

@@ -1,3 +1,4 @@
+import time
 import weakref
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from inflap.bench import convergence_study
 from inflap.estimator import diffusion_components
 from inflap.fespace import gradients, l2_norm
 from inflap.hessian import fe_hessian
-from inflap.solver import (LINEAR_SOLVER_TOL, Discretisation, PermutedLU, ProblemData,
+from inflap.solver import (LINEAR_SOLVER_TOL, PHASES, Discretisation, PermutedLU, ProblemData,
                            StepFactor, apply_dirichlet, assemble_step,
                            default_initializer, load_vector, solve_linear)
 import inflap.solver
@@ -24,7 +25,7 @@ from conftest import (add_at_load_vector, add_at_squared_indicators,
                       edge_dictionary, interpolate, kernel_functions, kernel_meshes,
                       oracle_meshes, outer_diffusion_tensor,
                       perturbed_mesh, schur_eliminate, sparse_product_dirichlet,
-                      sparse_product_step_matrix, two_product_refine)
+                      sparse_product_step_matrix, two_product_refine, weighted_residuals)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -232,7 +233,7 @@ def test_vertex_and_element_sums_are_bit_identical_to_add_at_oracles(mesh):
 
     v = FEFunction(mesh, u.coefficients + 0.01 * np.cos(5.0 * mesh.vertex_coords[:, 0]))
     indicators = estimate(v, problem.f)
-    eta_sq = add_at_squared_indicators(mesh, indicators.interior, indicators.jumps)
+    eta_sq = add_at_squared_indicators(mesh, *weighted_residuals(v, problem.f))
     assert np.array_equal(indicators.eta, np.sqrt(eta_sq))
     assert indicators.eta_total == float(np.sqrt(eta_sq.sum()))
 
@@ -567,9 +568,9 @@ def test_poisson_start_matches_coo_stiffness_oracle(monkeypatch, base, levels, r
     systems = []
     real_solve = inflap.solver.solve_linear
 
-    def recording(matrix, rhs, factor=None):
+    def recording(matrix, rhs, factor=None, seconds=None):
         systems.append((matrix, rhs))
-        return real_solve(matrix, rhs, factor)
+        return real_solve(matrix, rhs, factor, seconds)
 
     monkeypatch.setattr(inflap.solver, "solve_linear", recording)
     accept = 1e-2 * LINEAR_SOLVER_TOL
@@ -701,6 +702,25 @@ def test_solution_residual_is_assembled_after_the_factor_is_released(monkeypatch
     assert held == [False] + [True] * (report.iterations - 1) + [False]
 
 
+def test_solve_reports_the_seconds_of_each_phase(monkeypatch):
+    real_pattern = inflap.solver.step_pattern
+
+    def slow_pattern(*args):
+        time.sleep(0.05)
+        return real_pattern(*args)
+
+    monkeypatch.setattr(inflap.solver, "step_pattern", slow_pattern)
+    start = time.perf_counter()
+    report = fixed_point_solve(build_initial_mesh(4), ARONSSON)
+    wall = time.perf_counter() - start
+    assert list(report.seconds) == list(PHASES)
+    assert min(report.seconds.values()) > 0.0     # every phase ran
+    assert report.seconds["pattern"] >= 0.05
+    # the pattern is built inside the Discretisation, and counts for itself alone
+    assert report.seconds["hessian"] < 0.05 and report.seconds["setup"] < 0.05
+    assert sum(report.seconds.values()) <= wall
+
+
 def test_growing_increments_raise_divergence_error(monkeypatch):
     # the step map u -> 2u + 1 doubles every increment, so five growing
     # increments in a row gain 2^5 > 10 at iteration 6; the Poisson start's
@@ -708,7 +728,7 @@ def test_growing_increments_raise_divergence_error(monkeypatch):
     real_solve = inflap.solver.solve_linear
     solutions = []
 
-    def doubling(matrix, rhs, factor=None):
+    def doubling(matrix, rhs, factor=None, seconds=None):
         if factor is None:
             solutions.append(real_solve(matrix, rhs))
         else:
@@ -733,8 +753,8 @@ def test_fixed_point_solve_makes_no_hessian_contraction_per_step(monkeypatch, co
     # discretisation is built
     real_init = Discretisation.__init__
 
-    def init(disc, mesh, problem):
-        real_init(disc, mesh, problem)
+    def init(disc, mesh, problem, seconds=None):
+        real_init(disc, mesh, problem, seconds)
         disc.stencil = None
 
     monkeypatch.setattr(Discretisation, "__init__", init)
@@ -806,11 +826,11 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
     factored = []
     real_solve = inflap.solver.solve_linear
 
-    def solve(matrix, rhs, factor=None):
+    def solve(matrix, rhs, factor=None, seconds=None):
         if factor is None:
-            return real_solve(matrix, rhs)
+            return real_solve(matrix, rhs, seconds=seconds)
         before = factor.factorizations
-        solution = real_solve(matrix, rhs, factor)
+        solution = real_solve(matrix, rhs, factor, seconds)
         factored.append(factor.factorizations > before)
         return solution
 
@@ -853,9 +873,9 @@ def test_stalled_refinement_lu_solves_are_counted(monkeypatch):
     starts = []
     real_initializer = inflap.solver.default_initializer
 
-    def initializer(disc):
+    def initializer(disc, seconds=None):
         before = len(solves)
-        start = real_initializer(disc)
+        start = real_initializer(disc, seconds)
         starts.append(len(solves) - before)
         return start
 

@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 when a solve fails, 2 for bad arguments,
 an unusable ``--out`` directory or an output file that cannot be written.
+A failed solve prints ``error: level N, iteration K: <message>`` (``cycle
+N`` for ``adapt``), N counting the finished levels or cycles, whose rows
+are written; ``, iteration K`` is left out when the Poisson start failed.
 The output directory defaults to the INFLAP_OUT environment variable and
 then to the current directory.  ``--log-level DEBUG`` prints one line per
 fixed-point iteration, ``INFO`` one per level or cycle.
@@ -76,6 +79,15 @@ def _solver_config(args) -> SolverConfig:
                         max_iterations=args.max_iters)
 
 
+def _failed(failure: SolverFailure, unit: str, finished: list, csv_path: str) -> int:
+    """Write the ``finished`` rows of ``failure.partial``, say where the solve failed, return 1."""
+    if finished:
+        write_csv(failure.partial, csv_path)
+    iteration = f", iteration {failure.iteration}" if failure.iteration is not None else ""
+    print(f"error: {unit} {len(finished)}{iteration}: {failure}", file=sys.stderr)
+    return 1
+
+
 def _run_solve(args) -> int:
     out = _out_dir(args.out)
     written = []
@@ -93,10 +105,7 @@ def _run_solve(args) -> int:
                                   solver_config=_solver_config(args),
                                   initial_n=args.initial_n, on_level=on_level)
     except SolverFailure as failure:
-        if failure.partial is not None and failure.partial.rows:
-            write_csv(failure.partial, csv_path)
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
+        return _failed(failure, "level", failure.partial.rows, csv_path)
     write_csv(table, csv_path)
     print(f"wrote {csv_path} and {len(written)} VTU files")
     header = f"{'level':>5} {'h':>12} {'dofs':>8} {'L2':>12} {'eoc':>6} " \
@@ -125,10 +134,7 @@ def _run_adapt(args) -> int:
     try:
         report, final_mesh, history = adaptive_solve(problem.data, mesh, config)
     except SolverFailure as failure:
-        if failure.partial is not None and failure.partial.records:
-            write_csv(failure.partial, csv_path)
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
+        return _failed(failure, "cycle", failure.partial.records, csv_path)
 
     write_csv(history, csv_path)
     vtu_path = os.path.join(out, f"{args.problem}_adapt_final.vtu")

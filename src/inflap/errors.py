@@ -25,9 +25,8 @@ class SolverFailure(RuntimeError):
     finished before the failure.
     """
 
-    def __init__(self, message, residual=None, iteration=None):
+    def __init__(self, message, iteration=None):
         super().__init__(message)
-        self.residual = residual
         self.iteration = iteration
         self.partial = None
 

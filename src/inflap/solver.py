@@ -146,9 +146,10 @@ class SolveReport:
     iterate: ``iterations + 1`` values, the last the solution's.  It says
     how far an iterate is from solving the discrete problem, unlike
     ``linear_residuals``, the true relative residual of each step's linear
-    solve.  ``linear_iterations`` holds each step's ``StepFactor.lu_solves``;
-    ``factorizations`` and ``fallbacks`` are the ``StepFactor``'s counts
-    over the whole solve (``solve_linear`` states what each counts).
+    solve, and ``linear_iterations`` each step's refinement LU solves, both
+    as ``solve_linear`` returns them; ``factorizations`` and ``fallbacks``
+    are the ``StepFactor``'s counts over the whole solve (``solve_linear``
+    states what each counts).
     ``seconds`` maps each of the ``PHASES`` to its summed wall time:
     ``hessian_operator``, ``step_pattern``, the rest of the
     ``Discretisation``, ``default_initializer``, ``Discretisation.system``
@@ -170,24 +171,19 @@ class SolveReport:
 
 
 class StepFactor:
-    """Holder of the LU factor that ``solve_linear`` reuses across calls.
+    """What ``solve_linear`` carries from one call to the next.
 
     ``lu`` is the LU of the last matrix factored through this holder (None
-    before the first solve), ``solution`` the last solution (the start of
-    the next refinement with ``lu``) and ``residual`` its true relative
-    residual.  ``stale`` says that the last solve's final refinement took
-    more than ``REFACTOR_AFTER_SOLVES`` LU solves, ``lu_solves`` counts the
-    refinement LU solves of the last solve, and ``factorizations`` and
-    ``fallbacks`` count over all solves; ``solve_linear`` states the rule.
+    before the first solve) and ``stale`` says that the last solve's kept
+    refinement took more than ``REFACTOR_AFTER_SOLVES`` LU solves;
+    ``factorizations`` and ``fallbacks`` count over all solves.
+    ``solve_linear`` states the rule.
     """
 
     def __init__(self):
         self.lu = None
-        self.factorizations = 0
-        self.solution = None
-        self.residual = None
         self.stale = False
-        self.lu_solves = 0
+        self.factorizations = 0
         self.fallbacks = 0
 
 
@@ -415,18 +411,6 @@ def apply_dirichlet(disc: Discretisation, values: np.ndarray, rhs: np.ndarray):
     return matrix, new_rhs
 
 
-def _residual(matrix, solution, rhs):
-    """``rhs - matrix @ solution`` and its norm relative to that of ``rhs``.
-
-    The relative residual of a solution with a NaN or inf entry is inf.
-    """
-    residual = rhs - matrix @ solution
-    if not np.isfinite(solution).all():
-        return residual, np.inf
-    norm, scale = np.linalg.norm(residual), np.linalg.norm(rhs)
-    return residual, norm / scale if scale > 0 else norm
-
-
 def _refine(matrix, rhs, lu, start):
     """Iterative refinement (Moler 1967) with ``lu`` from ``start``.
 
@@ -434,7 +418,8 @@ def _refine(matrix, rhs, lu, start):
     ``lu.solve(rhs)`` itself.  Each LU solve corrects the iterate by the LU
     solve of its residual, and the new iterate's true residual is computed
     once, one matrix-vector product per LU solve (and one for ``start``'s):
-    its norm is the stop test and the vector the next correction's
+    its norm relative to that of ``rhs`` is the stop test (inf for an
+    iterate with a NaN or inf entry) and the vector the next correction's
     right-hand side.  Returns the last iterate, the LU solves, its relative
     residual and whether the loop stalled, once that residual is at most
     ``1e-2 * LINEAR_SOLVER_TOL`` or falls by less than REFINE_MIN_RATE per
@@ -442,11 +427,13 @@ def _refine(matrix, rhs, lu, start):
     """
     solution, solves = start, 0
     residual = rhs if start is None else rhs - matrix @ start
+    scale = np.linalg.norm(rhs) or 1.0      # the absolute residual for a zero rhs
     while True:
         correction = lu.solve(residual)
         solution = correction if solution is None else solution + correction
         solves += 1
-        residual, relative = _residual(matrix, solution, rhs)
+        residual = rhs - matrix @ solution
+        relative = np.linalg.norm(residual) / scale if np.isfinite(solution).all() else np.inf
         if relative <= 1e-2 * LINEAR_SOLVER_TOL:
             return solution, solves, relative, False
         if solves == 1:
@@ -456,36 +443,36 @@ def _refine(matrix, rhs, lu, start):
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, factor: StepFactor | None = None,
-                 seconds: dict | None = None) -> np.ndarray:
+                 start: np.ndarray | None = None, seconds: dict | None = None):
     """Sparse solve by the ``_refine`` loop, gated by the true residual.
 
     The loop runs with one LU after another and keeps the first whose
     refinement does not stall, or the float64 one whatever happens:
 
-    1. the ``factor`` holder's LU (of an earlier, similar matrix) from the
-       holder's last solution, if it exists, has ``matrix``'s shape and is
-       not ``stale``;
+    1. the ``factor`` holder's LU (of an earlier, similar matrix) from
+       ``start`` (from nothing when None), if the LU exists, has
+       ``matrix``'s shape and is not ``stale``;
     2. a fresh float32 ``PermutedLU`` of ``matrix``;
     3. a fresh float64 ``PermutedLU`` of ``matrix``.
 
     A fresh LU replaces the holder's, which is released before the
     factorisation, and counts one of its ``factorizations``; its loop
     starts from nothing, so its first LU solve is the direct solve, which
-    is not counted.  The holder's ``lu_solves`` counts every other LU solve
-    of the call, those of stalled loops included, and ``stale`` is set when
-    the kept loop took more than ``REFACTOR_AFTER_SOLVES`` of them.  A
-    float32 LU whose cast is not finite, which SuperLU finds singular or
-    whose loop stalls counts one of the holder's ``fallbacks``.  A matrix
-    singular in float64, or a kept iterate whose relative residual exceeds
+    is not counted.  Returns the kept solution, its true relative residual
+    and the call's refinement LU solves: every other LU solve, those of
+    stalled loops included.  The holder is ``stale`` when the kept loop
+    took more than ``REFACTOR_AFTER_SOLVES`` of them.  A float32 LU whose
+    cast is not finite, which SuperLU finds singular or whose loop stalls
+    counts one of the holder's ``fallbacks``.  A matrix singular in
+    float64, or a kept iterate whose relative residual exceeds
     ``LINEAR_SOLVER_TOL`` (infinite when it is not finite), raises
     ``SolverFailure``.  Each ``PermutedLU`` is timed as phase ``factor`` and
     each loop as ``refine`` into ``seconds``.
     """
     holder = factor if factor is not None else StepFactor()
     held = holder.lu is not None and not holder.stale and holder.lu.shape == matrix.shape
-    holder.lu_solves = 0
+    lu_solves = 0
     for dtype in [None] * held + [np.float32, np.float64]:     # None: the held LU
-        start = holder.solution if dtype is None else None
         if dtype is not None:
             holder.lu = None        # release the old factor before building a new one
             try:
@@ -498,20 +485,18 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, factor: StepFactor | None
                 continue
             holder.factorizations += 1
         with timed(seconds, "refine"):
-            solution, solves, relative, stalled = _refine(matrix, rhs, holder.lu, start)
+            solution, solves, relative, stalled = _refine(
+                matrix, rhs, holder.lu, start if dtype is None else None)
         solves -= dtype is not None     # a fresh LU's direct solve is no refinement
-        holder.lu_solves += solves
+        lu_solves += solves
         if not stalled or dtype is np.float64:
             break
         holder.fallbacks += dtype is np.float32
     holder.stale = solves > REFACTOR_AFTER_SOLVES
-    holder.residual = relative
     if not relative <= LINEAR_SOLVER_TOL:
-        raise SolverFailure(
-            f"linear solve reached relative residual {relative:.3e} "
-            f"(tolerance {LINEAR_SOLVER_TOL:.1e})", residual=relative)
-    holder.solution = solution
-    return solution
+        raise SolverFailure(f"linear solve reached relative residual {relative:.3e} "
+                            f"(tolerance {LINEAR_SOLVER_TOL:.1e})")
+    return solution, relative, lu_solves
 
 
 def default_initializer(disc: Discretisation, seconds: dict | None = None) -> FEFunction:
@@ -527,7 +512,7 @@ def default_initializer(disc: Discretisation, seconds: dict | None = None) -> FE
         "dit,djt->tij", mesh.basis_components, mesh.basis_components)
     stiffness = _fill_pattern(disc, disc.slots[:, :, :3], local)
     matrix, rhs = apply_dirichlet(disc, stiffness, -disc.load)
-    return FEFunction(mesh, solve_linear(matrix, rhs, seconds=seconds))
+    return FEFunction(mesh, solve_linear(matrix, rhs, seconds=seconds)[0])
 
 
 def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
@@ -543,9 +528,8 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
     One ``Discretisation`` of the mesh is built per call; the loop alone
     holds tau and the ``StepFactor``.  The first step matrix is factored,
     and later steps refine iteratively with the last LU, started from the
-    previous step's solution, until ``solve_linear`` refreshes it, so a
-    one-step solve is bit-identical to a fresh ``solve_linear`` of its
-    system.  Each
+    step's own iterate, until ``solve_linear`` refreshes it, so a one-step
+    solve is bit-identical to a fresh ``solve_linear`` of its system.  Each
     step's system also gives the steady residual of the iterate it starts
     from; once the loop ends, the LU is released and one more
     ``assemble_step`` gives the solution's.  The report's ``seconds`` are
@@ -573,21 +557,23 @@ def fixed_point_solve(mesh: Triangulation, problem: ProblemData,
             with timed(seconds, "dirichlet"):
                 matrix, rhs = apply_dirichlet(disc, values, rhs)
             del values, residual        # the solve holds only the lifted copy
-            proposed = FEFunction(mesh, solve_linear(matrix, rhs, factor, seconds))
+            solution, relative, lu_solves = solve_linear(matrix, rhs, factor,
+                                                         current.coefficients, seconds)
         except SolverFailure as failure:
             failure.iteration = iteration
             raise
+        proposed = FEFunction(mesh, solution)
         increment = l2_norm(FEFunction(mesh, proposed.coefficients - current.coefficients))
         report.solution, report.iterations = proposed, iteration
-        report.linear_residuals.append(factor.residual)
-        report.linear_iterations.append(factor.lu_solves)
+        report.linear_residuals.append(relative)
+        report.linear_iterations.append(lu_solves)
         report.increments.append(increment)
         report.factorizations, report.fallbacks = factor.factorizations, factor.fallbacks
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("iteration %d: increment %.3e (tolerance %.3e), steady residual "
                          "of its start %.3e, linear residual %.2e, LU solves %d, "
                          "factorizations %d, L+U fill %d", iteration, increment, tolerance,
-                         report.residuals[-1], factor.residual, factor.lu_solves,
+                         report.residuals[-1], relative, lu_solves,
                          factor.factorizations, factor.lu.nnz)
         if increment <= tolerance:
             report.converged = True

@@ -5,6 +5,9 @@ dictionaries, plain loops) or assemble with general sparse products, so
 they stay independent of the vectorised code paths they are used to
 check; ``brute_conformity_errors`` tests every vertex against every edge,
 and ``decode_vtu_array`` reads a VTU array by the file format alone.
+``steady_residual_oracle`` evaluates the steady residual and its Jacobian
+from the blocks of ``argmax_product_operator_and_pattern``, with no
+package assembly, and ``oracle_root`` finds its root with scipy's hybr.
 ``interpolate``, ``integrate``, ``min_angle_degrees`` and ``centroids``
 are helpers that only the tests need, as are the edge normals, lengths
 and per-edge triangles of ``row_major_edge_table``.
@@ -22,10 +25,12 @@ import base64
 import functools
 
 import numpy as np
+import scipy.optimize
 import scipy.sparse as sp
 
 from inflap.fespace import (FEFunction, evaluate_field, physical_points, triangle_rule,
                             values_at)
+from inflap.bench import INITIAL_N, registry
 from inflap.hessian import fe_hessian
 from inflap.mesh import (BOUNDARY_TOL, COVERAGE_TOL, Triangulation, build_initial_mesh,
                          refine, uniform_refine)
@@ -741,6 +746,83 @@ def argmax_product_operator_and_pattern(mesh):
     return (blocks, stencil), (pattern.indptr.astype(np.int32),
                                pattern.indices.astype(np.int32),
                                slots.astype(np.int32).reshape(nt, 3, 6))
+
+
+def steady_residual_oracle(mesh, f):
+    """The interior steady residual F and its dense Jacobian as functions of all vertex values.
+
+    F = M_P[u] u - load on the interior rows: each element adds |K|/3 *
+    (P : H) to its three vertices, with P = (p (x) p) / max(|p|^2,
+    GRADIENT_FLOOR), p the element gradient and H the recovered Hessian
+    from ``argmax_product_operator_and_pattern``'s blocks, and the load is
+    ``add_at_load_vector``'s.  The Jacobian (all columns) is M_P[u] + C[u],
+    where C adds |K|/3 * b . grad(phi_j) with b the gradient in p of
+    P : H, (H + H^T) p / d - (p . H p) d' / d^2, d = max(|p|^2, floor).
+    """
+    (blocks, stencil), _ = argmax_product_operator_and_pattern(mesh)
+    tris, weight = mesh.triangle_vertices, mesh.areas / 3.0
+    basis = mesh.basis_components                                   # (d, vertex, K)
+    load = add_at_load_vector(mesh, f)
+    interior = ~mesh.vertex_on_boundary
+
+    def tensors(u):
+        grad = np.einsum("dit,ti->td", basis, u[tris])
+        hessian = np.einsum("cts,ts->tc", blocks, u[stencil]).reshape(-1, 2, 2)
+        squared = (grad ** 2).sum(axis=1)
+        denom = np.maximum(squared, GRADIENT_FLOOR)
+        tensor = grad[:, :, None] * grad[:, None, :] / denom[:, None, None]
+        return grad, hessian, squared, denom, tensor
+
+    def residual(u):
+        _, hessian, _, _, tensor = tensors(u)
+        out = -load
+        np.add.at(out, tris, (weight * np.einsum("trc,trc->t", tensor, hessian))[:, None])
+        return out[interior]
+
+    def jacobian(u):
+        grad, hessian, squared, denom, tensor = tensors(u)
+        out = np.zeros((mesh.vertex_count, mesh.vertex_count))
+        frozen = weight[:, None] * np.einsum("tc,cts->ts", tensor.reshape(-1, 4), blocks)
+        np.add.at(out, (tris[:, :, None], stencil[:, None, :]), frozen[:, None, :])
+        d_denom = np.where(squared > GRADIENT_FLOOR, 2.0, 0.0)[:, None] * grad
+        quadratic = np.einsum("tr,trc,tc->t", grad, hessian, grad)
+        b = (np.einsum("trc,tc->tr", hessian + hessian.transpose(0, 2, 1), grad)
+             / denom[:, None] - (quadratic / denom ** 2)[:, None] * d_denom)
+        linear = weight[:, None] * np.einsum("td,dit->ti", b, basis)
+        np.add.at(out, (tris[:, :, None], tris[:, None, :]), linear[:, None, :])
+        return out[interior]
+
+    return residual, jacobian
+
+
+@functools.cache
+def oracle_root(name, level):
+    """The root of ``steady_residual_oracle`` on uniform level ``level`` of ``registry()[name]``.
+
+    ``scipy.optimize.root`` (hybr, finite-difference Jacobian) starts from
+    the interpolant of the exact solution, with the boundary values g, and
+    Newton steps on the dense Jacobian polish its root.  Returns the root
+    and |F| there.
+    """
+    problem = registry()[name].data
+    mesh = build_initial_mesh(INITIAL_N)
+    for _ in range(level):
+        mesh = uniform_refine(mesh)
+    residual, jacobian = steady_residual_oracle(mesh, problem.f)
+    interior = ~mesh.vertex_on_boundary
+    u = interpolate(mesh, problem.exact_solution).coefficients.copy()
+    u[~interior] = evaluate_field(problem.g, *mesh.vertex_coords[~interior].T)
+
+    def on_interior(values):
+        u[interior] = values
+        return u
+
+    found = scipy.optimize.root(lambda values: residual(on_interior(values)), u[interior],
+                                method="hybr", options={"xtol": 1e-13})
+    on_interior(found.x)
+    for _ in range(3):
+        u[interior] -= np.linalg.solve(jacobian(u)[:, interior], residual(u))
+    return FEFunction(mesh, u), float(np.linalg.norm(residual(u)))
 
 
 VTK_TYPES = {"Float64": "<f8", "Int64": "<i8", "UInt8": "u1"}

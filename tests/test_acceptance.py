@@ -1,7 +1,9 @@
 """End-to-end acceptance suite.
 
 Each criterion prints one PASS/FAIL line (run pytest -s to see them inline);
-the diagnostic at the end prints its measurements and gates nothing.
+the diagnostics at the end print their measurements and gate nothing.  The
+root oracle's own checks come before the diagnostic that compares the
+production solves with it.
 The heavy studies are shared through session fixtures; the adaptive
 efficiency comparison is the long pole at about 16 s (2 vCPU, BLAS on one
 thread).
@@ -12,14 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from inflap import (AdaptiveConfig, FEFunction, adaptive_solve, build_initial_mesh,
-                    convergence_study, estimate, refine, registry, uniform_refine)
+from inflap import (AdaptiveConfig, FEFunction, SolverConfig, adaptive_solve,
+                    build_initial_mesh, convergence_study, estimate, l2_error, refine,
+                    registry, uniform_refine)
 from inflap.cli import main
 from inflap.fespace import gradients
 from inflap.hessian import fe_hessian
 from inflap.solver import Discretisation, apply_dirichlet, assemble_step, solve_linear
 from conftest import (brute_conformity_errors, brute_saddle, integrate, interpolate,
-                      min_angle_degrees, row_major_edge_table, weighted_residuals)
+                      min_angle_degrees, oracle_root, row_major_edge_table,
+                      steady_residual_oracle, weighted_residuals)
 
 CLASSICAL = registry()["classical"].data
 ARONSSON = registry()["aronsson"].data
@@ -137,7 +141,7 @@ def test_criterion_6_hessian_property_suite():
         disc = Discretisation(small, CLASSICAL)
         u = interpolate(small, lambda x, y: x * x + y * y)
         matrix, rhs_vec = apply_dirichlet(disc, *disc.system(u, CLASSICAL.tau)[:2])
-        eliminated = solve_linear(matrix, rhs_vec)
+        eliminated = solve_linear(matrix, rhs_vec)[0]
         saddle, rhs_for, _ = brute_saddle(small, u.coefficients, CLASSICAL.f,
                                           CLASSICAL.g, CLASSICAL.tau)
         h_prev = fe_hessian(u)
@@ -249,3 +253,44 @@ def test_diagnostic_interpolant_steady_residual():
                            f"|R|^2 on the {near.mean():.1%} of vertices within 2h of an axis")
             print(f"\nDIAGNOSTIC 13(a): {detail}")
             mesh, previous = uniform_refine(mesh), norm
+
+
+# the L2 errors of the steady problem's roots on uniform levels 0 and 1
+# (41 and 145 dofs), to 7 significant digits
+ROOT_L2 = {("classical", 0): "8.740074e-02", ("classical", 1): "2.185018e-02",
+           ("aronsson", 0): "5.881482e-02", ("aronsson", 1): "2.040139e-02"}
+
+
+@pytest.mark.parametrize("name, level", list(ROOT_L2), ids=[f"{n}-{l}" for n, l in ROOT_L2])
+def test_root_oracle_solves_the_steady_problem(name, level):
+    root, norm = oracle_root(name, level)
+    assert norm <= 1e-12
+    assert f"{l2_error(root, registry()[name].data.exact_solution):.6e}" == ROOT_L2[name, level]
+
+
+@pytest.mark.parametrize("problem", [CLASSICAL, ARONSSON], ids=["classical", "aronsson"])
+def test_root_oracle_jacobian_matches_central_differences(problem):
+    mesh = uniform_refine(build_initial_mesh(4))
+    residual, jacobian = steady_residual_oracle(mesh, problem.f)
+    u = interpolate(mesh, lambda x, y: x * x - 0.5 * x * y + np.exp(y)).coefficients
+    v = np.random.default_rng(1).standard_normal(len(u))
+    central = (residual(u + 1e-6 * v) - residual(u - 1e-6 * v)) / 2e-6
+    assert np.linalg.norm(jacobian(u) @ v - central) <= 1e-8 * np.linalg.norm(central)
+
+
+def test_diagnostic_production_solve_against_the_oracle_root():
+    # Report only (ROADMAP item 9), it gates nothing: each uniform level's
+    # production L2 error and final steady residual, and its H1 distance to
+    # the root of the steady problem, at the default stop and at factor 0.01
+    for name in ("classical", "aronsson"):
+        for factor in (SolverConfig.increment_tol_factor, 0.01):
+            solutions = []
+            table = convergence_study(name, 2, solver_config=SolverConfig(factor), on_level=(
+                lambda level, mesh, report, _: solutions.append(report.solution)))
+            for row, solution in zip(table.rows, solutions):
+                root, _ = oracle_root(name, row.level)
+                gap = FEFunction(solution.mesh, solution.coefficients - root.coefficients)
+                distance = np.sqrt(solution.mesh.areas @ (gradients(gap) ** 2).sum(axis=1))
+                print(f"\nDIAGNOSTIC 9: {name} level {row.level}, {row.dofs} dofs, factor "
+                      f"{factor:g}: L2 {row.l2_error:.6e} (root {ROOT_L2[name, row.level]}), "
+                      f"|R| {row.residual:.3e}, H1 distance to the root {distance:.3e}")

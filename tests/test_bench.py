@@ -505,8 +505,8 @@ def test_cli_unwritable_csv_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write CSV")
 
 
-def fail_on_third_solve(monkeypatch, module):
-    """Make ``module``'s ``fixed_point_solve`` raise on its third call.
+def fail_on_third_solve(monkeypatch, module, iteration=None):
+    """Make ``module``'s ``fixed_point_solve`` raise on its third call, at ``iteration``.
 
     Returns the list of the meshes it was called with.
     """
@@ -516,7 +516,7 @@ def fail_on_third_solve(monkeypatch, module):
     def failing_on_third_solve(*args, **kwargs):
         solves.append(args[0])
         if len(solves) == 3:
-            raise SolverFailure("linear solve failed: stub")
+            raise SolverFailure("linear solve failed: stub", iteration=iteration)
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(module, "fixed_point_solve", failing_on_third_solve)
@@ -560,17 +560,18 @@ def test_cli_solve_failure_keeps_the_finished_levels(tmp_path, monkeypatch, caps
     fail_on_third_solve(monkeypatch, inflap.adapt)
     assert main(["solve", "--problem", "classical", "--levels", "4", "--tau", "1000",
                  "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: linear solve failed")
+    # the failure has no iteration, as for a failed Poisson start
+    assert capsys.readouterr().err == "error: level 2: linear solve failed: stub\n"
     lines = (tmp_path / "classical_eoc.csv").read_text().splitlines()
     assert lines[0].startswith("level,h,dofs,")
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
 def test_cli_adapt_failure_keeps_the_finished_cycles(tmp_path, monkeypatch, capsys):
-    solves = fail_on_third_solve(monkeypatch, inflap.adapt)
+    solves = fail_on_third_solve(monkeypatch, inflap.adapt, iteration=3)
     assert main(["adapt", "--problem", "aronsson", "--tol", "1e-6",
                  "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: linear solve failed")
+    assert capsys.readouterr().err == "error: cycle 2, iteration 3: linear solve failed: stub\n"
     with open(tmp_path / "aronsson_adapt_history.csv", newline="") as stream:
         rows = list(csv.DictReader(stream))
     assert [(row["cycle"], row["dofs"]) for row in rows] == \
@@ -578,10 +579,10 @@ def test_cli_adapt_failure_keeps_the_finished_cycles(tmp_path, monkeypatch, caps
     assert sorted(path.name for path in tmp_path.iterdir()) == ["aronsson_adapt_history.csv"]
 
 
-@pytest.mark.parametrize("argv", [["solve", "--problem", "classical", "--levels", "2"],
-                                  ["adapt", "--problem", "aronsson", "--tol", "0.5"]],
-                         ids=["solve", "adapt"])
-def test_cli_divergence_exits_1(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv, where", [
+    (["solve", "--problem", "classical", "--levels", "2"], "level 0"),
+    (["adapt", "--problem", "aronsson", "--tol", "0.5"], "cycle 0")], ids=["solve", "adapt"])
+def test_cli_divergence_exits_1(tmp_path, monkeypatch, capsys, argv, where):
     # a DivergenceError is a SolverFailure, so both runners report it alike
     def diverging(*args, **kwargs):
         raise DivergenceError("increments grew tenfold over five iterations (stub)",
@@ -589,7 +590,22 @@ def test_cli_divergence_exits_1(tmp_path, monkeypatch, capsys, argv):
 
     monkeypatch.setattr(inflap.adapt, "fixed_point_solve", diverging)
     assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: increments grew tenfold")
+    assert capsys.readouterr().err.startswith(
+        f"error: {where}, iteration 6: increments grew tenfold")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_names_a_failed_poisson_start(tmp_path, monkeypatch, capsys):
+    # a real failed solve: the first level's Poisson start gets a NaN
+    # solution, so no fixed-point iteration is named
+    def poisoned(lu, rhs):
+        return np.full_like(rhs, np.nan)
+
+    monkeypatch.setattr(inflap.solver.PermutedLU, "solve", poisoned)
+    assert main(["solve", "--problem", "classical", "--levels", "2",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: level 0: linear solve reached relative residual inf (tolerance 1.0e-10)\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -260,7 +260,7 @@ def test_eliminated_iterates_match_coupled_system(steps):
         u_oracle = u_ours
         for _ in range(steps):
             matrix, rhs = apply_dirichlet(disc, *disc.system(u_ours, CLASSICAL.tau)[:2])
-            u_ours = FEFunction(mesh, solve_linear(matrix, rhs))
+            u_ours = FEFunction(mesh, solve_linear(matrix, rhs)[0])
 
             saddle, rhs_for, _ = brute_saddle(mesh, u_oracle.coefficients,
                                               CLASSICAL.f, CLASSICAL.g,
@@ -312,7 +312,7 @@ def test_dirichlet_rows_and_values():
     assert np.abs(zrhs[boundary]).max() == 0.0
 
     matrix, rhs = apply_dirichlet(disc, matrix, rhs)
-    solution = solve_linear(matrix, rhs)
+    solution = solve_linear(matrix, rhs)[0]
     coords = mesh.vertex_coords[boundary]
     assert solution[boundary] == pytest.approx(
         (coords ** 2).sum(axis=1), abs=1e-12)
@@ -345,10 +345,10 @@ def test_dirichlet_leaves_its_values_as_they_are():
 def test_solve_linear_identity_and_diagonal():
     identity = sp.identity(4, format="csr")
     rhs = np.array([1.0, -2.0, 3.0, 0.5])
-    assert np.allclose(solve_linear(identity, rhs), rhs)
+    assert np.allclose(solve_linear(identity, rhs)[0], rhs)
 
     system = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    assert np.allclose(solve_linear(system, np.array([2.0, 4.0])), [1.0, 1.0])
+    assert np.allclose(solve_linear(system, np.array([2.0, 4.0]))[0], [1.0, 1.0])
 
 
 def test_solve_linear_residual_contract():
@@ -356,17 +356,16 @@ def test_solve_linear_residual_contract():
     dense = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)
     matrix = sp.csr_matrix(dense)
     rhs = rng.standard_normal(20)
-    x = solve_linear(matrix, rhs)
+    x, relative, _ = solve_linear(matrix, rhs)
     residual = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
-    assert residual <= 1e-10
+    assert residual <= 1e-10 and relative == residual
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_solve_linear_singular_system_fails():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolverFailure) as info:
+    with pytest.raises(SolverFailure, match="^linear solve (failed|reached relative residual)"):
         solve_linear(singular, np.array([1.0, 0.0]))
-    assert info.value.residual is None or info.value.residual > 1e-10
 
 
 def _step_system(mesh, problem):
@@ -400,11 +399,11 @@ def test_factor_fills_less_than_colamd_and_meets_the_gate(kind):
     for problem in (replace(CLASSICAL, tau=1000.0), ARONSSON, replace(ARONSSON, tau=0.1)):
         matrix, rhs = _step_system(mesh, problem)
         holder = StepFactor()
-        solve_linear(matrix, rhs, factor=holder)
+        _, relative, _ = solve_linear(matrix, rhs, factor=holder)
         assert holder.lu.dtype == np.float32
         # no float32 loop stalled: that would have counted a fallback
         assert holder.fallbacks == 0 and holder.factorizations == 1 and not holder.stale
-        assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+        assert relative <= 1e-2 * LINEAR_SOLVER_TOL
         assert holder.lu.nnz < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
 
 
@@ -439,11 +438,10 @@ def test_float32_overflow_falls_back_to_float64():
     with pytest.raises(RuntimeError, match="not finite"):
         PermutedLU(huge)
     holder = StepFactor()
-    solution = solve_linear(huge, rhs, factor=holder)
+    _, relative, _ = solve_linear(huge, rhs, factor=holder)
     assert holder.fallbacks == 1 and holder.factorizations == 1
     assert holder.lu.dtype == np.float64
-    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
-    assert np.array_equal(solution, holder.solution)
+    assert relative <= 1e-2 * LINEAR_SOLVER_TOL
 
 
 def test_matrix_singular_in_float32_falls_back_to_float64():
@@ -452,7 +450,7 @@ def test_matrix_singular_in_float32_falls_back_to_float64():
     with pytest.raises(RuntimeError, match="singular"):
         PermutedLU(matrix)
     holder = StepFactor()
-    solution = solve_linear(matrix, matrix @ np.array([1.0, 2.0]), factor=holder)
+    solution, _, _ = solve_linear(matrix, matrix @ np.array([1.0, 2.0]), factor=holder)
     assert holder.fallbacks == 1 and holder.factorizations == 1
     assert holder.lu.dtype == np.float64
     assert np.allclose(solution, [1.0, 2.0], rtol=0.0, atol=1e-6)
@@ -467,10 +465,10 @@ def test_ill_conditioned_system_meets_the_gate_through_the_float64_fallback():
                          format="csr")
     rhs = laplacian @ np.random.default_rng(0).standard_normal(n)
     holder = StepFactor()
-    solve_linear(laplacian, rhs, factor=holder)
-    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.lu_solves == 8
+    _, relative, lu_solves = solve_linear(laplacian, rhs, factor=holder)
+    assert holder.fallbacks == 1 and holder.factorizations == 2 and lu_solves == 8
     assert holder.lu.dtype == np.float64
-    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+    assert relative <= 1e-2 * LINEAR_SOLVER_TOL
 
 
 def test_tiny_right_hand_side_does_not_underflow_the_float32_solve():
@@ -479,10 +477,10 @@ def test_tiny_right_hand_side_does_not_underflow_the_float32_solve():
     # scaled system is the scaled solve
     matrix, rhs = _step_system(uniform_refine(build_initial_mesh(4)), ARONSSON)
     holder = StepFactor()
-    tiny = solve_linear(matrix, np.ldexp(rhs, -133), factor=holder)
+    tiny, relative, _ = solve_linear(matrix, np.ldexp(rhs, -133), factor=holder)
     assert holder.fallbacks == 0 and holder.lu.dtype == np.float32
-    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
-    assert np.array_equal(tiny, np.ldexp(solve_linear(matrix, rhs), -133))
+    assert relative <= 1e-2 * LINEAR_SOLVER_TOL
+    assert np.array_equal(tiny, np.ldexp(solve_linear(matrix, rhs)[0], -133))
 
 
 def test_fresh_factor_is_polished_by_refinement(monkeypatch):
@@ -500,12 +498,11 @@ def test_fresh_factor_is_polished_by_refinement(monkeypatch):
 
     monkeypatch.setattr(inflap.solver.spla, "splu", perturbed_splu)
     holder = StepFactor()
-    solution = solve_linear(matrix, rhs, factor=holder)
+    _, relative, lu_solves = solve_linear(matrix, rhs, factor=holder)
     direct = holder.lu.solve(rhs)
     assert np.linalg.norm(matrix @ direct - rhs) > LINEAR_SOLVER_TOL * np.linalg.norm(rhs)
-    assert holder.factorizations == 1 and holder.lu_solves > 0
-    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
-    assert np.array_equal(holder.solution, solution)
+    assert holder.factorizations == 1 and lu_solves > 0
+    assert relative <= 1e-2 * LINEAR_SOLVER_TOL
 
 
 def test_stalled_refinement_of_a_fresh_factor_fails_the_gate(monkeypatch):
@@ -532,12 +529,12 @@ def test_stalled_refinement_of_a_fresh_factor_fails_the_gate(monkeypatch):
         solve_linear(matrix, rhs, factor=holder)
     [single, (solution, solves, relative, stalled)] = outcomes
     assert single[3] and single[1] == 2
-    # one refinement LU solve of each loop: the float32 stall's and the float64's
-    assert holder.fallbacks == 1 and holder.factorizations == 2 and holder.lu_solves == 2
+    assert holder.fallbacks == 1 and holder.factorizations == 2
     assert holder.lu.dtype == np.float64
     assert stalled and solves == 2
     assert relative == pytest.approx(0.25)
-    assert info.value.residual == relative
+    assert str(info.value) == (f"linear solve reached relative residual {relative:.3e} "
+                               f"(tolerance {LINEAR_SOLVER_TOL:.1e})")
     assert relative == np.linalg.norm(rhs - matrix @ solution) / np.linalg.norm(rhs)
 
 
@@ -568,9 +565,9 @@ def test_poisson_start_matches_coo_stiffness_oracle(monkeypatch, base, levels, r
     systems = []
     real_solve = inflap.solver.solve_linear
 
-    def recording(matrix, rhs, factor=None, seconds=None):
+    def recording(matrix, rhs, factor=None, start=None, seconds=None):
         systems.append((matrix, rhs))
-        return real_solve(matrix, rhs, factor, seconds)
+        return real_solve(matrix, rhs, factor, start, seconds)
 
     monkeypatch.setattr(inflap.solver, "solve_linear", recording)
     accept = 1e-2 * LINEAR_SOLVER_TOL
@@ -585,7 +582,7 @@ def test_poisson_start_matches_coo_stiffness_oracle(monkeypatch, base, levels, r
                 coo_poisson_stiffness(mesh), -disc.load, mesh, problem.g)
             assert abs(matrix - their_matrix).max() <= rel * abs(their_matrix).max()
             assert np.abs(rhs - their_rhs).max() <= rel * np.abs(their_rhs).max()
-            theirs = real_solve(their_matrix, their_rhs)
+            theirs = real_solve(their_matrix, their_rhs)[0]
             for a, b, x in ((matrix, rhs, ours), (their_matrix, their_rhs, theirs)):
                 assert np.linalg.norm(b - a @ x) <= accept * np.linalg.norm(b)
         mesh = uniform_refine(mesh)
@@ -722,19 +719,15 @@ def test_solve_reports_the_seconds_of_each_phase(monkeypatch):
 
 
 def test_growing_increments_raise_divergence_error(monkeypatch):
-    # the step map u -> 2u + 1 doubles every increment, so five growing
-    # increments in a row gain 2^5 > 10 at iteration 6; the Poisson start's
-    # solve (no factor holder) runs as it is
+    # the step map u -> 2u + 1 of each step's start doubles every increment,
+    # so five growing increments in a row gain 2^5 > 10 at iteration 6; the
+    # Poisson start's solve (no factor holder) runs as it is
     real_solve = inflap.solver.solve_linear
-    solutions = []
 
-    def doubling(matrix, rhs, factor=None, seconds=None):
+    def doubling(matrix, rhs, factor=None, start=None, seconds=None):
         if factor is None:
-            solutions.append(real_solve(matrix, rhs))
-        else:
-            factor.residual, factor.lu_solves = 0.0, 0
-            solutions.append(2.0 * solutions[-1] + 1.0)
-        return solutions[-1]
+            return real_solve(matrix, rhs)
+        return 2.0 * start + 1.0, 0.0, 0
 
     monkeypatch.setattr(inflap.solver, "solve_linear", doubling)
     with pytest.raises(DivergenceError) as info:
@@ -797,7 +790,7 @@ def test_warm_started_single_step_is_bit_identical_to_direct_path():
 
     disc = Discretisation(mesh, ARONSSON)
     matrix, rhs = apply_dirichlet(disc, *disc.system(settled, ARONSSON.tau)[:2])
-    direct = solve_linear(matrix, rhs)
+    direct = solve_linear(matrix, rhs)[0]
     assert np.array_equal(report.solution.coefficients, direct)
     # another ordering and pivoting than spsolve's: the two solutions of a
     # system solved to relative residual 1e-15 agree to rounding
@@ -826,13 +819,13 @@ def test_factor_reuse_matches_direct_solves_on_aronsson_study(monkeypatch):
     factored = []
     real_solve = inflap.solver.solve_linear
 
-    def solve(matrix, rhs, factor=None, seconds=None):
+    def solve(matrix, rhs, factor=None, start=None, seconds=None):
         if factor is None:
             return real_solve(matrix, rhs, seconds=seconds)
         before = factor.factorizations
-        solution = real_solve(matrix, rhs, factor, seconds)
+        outcome = real_solve(matrix, rhs, factor, start, seconds)
         factored.append(factor.factorizations > before)
-        return solution
+        return outcome
 
     monkeypatch.setattr(inflap.solver, "solve_linear", solve)
     config = SolverConfig(increment_tol_factor=0.01)
@@ -897,25 +890,27 @@ def test_stalled_refinement_lu_solves_are_counted(monkeypatch):
         assert counted == start + report.factorizations + sum(report.linear_iterations)
 
 
-def test_refinement_starts_from_the_last_solution():
+def test_held_factor_refines_from_the_given_start():
     mesh = uniform_refine(build_initial_mesh(4))
     disc = Discretisation(mesh, ARONSSON)
     u = default_initializer(disc)
     matrix, rhs = apply_dirichlet(disc, *disc.system(u, ARONSSON.tau)[:2])
     holder = StepFactor()
-    first = solve_linear(matrix, rhs, factor=holder)
-    assert holder.lu_solves == 1 and holder.factorizations == 1
-    assert np.array_equal(holder.solution, first)
+    # a fresh factor's loop starts from nothing, whatever the start
+    first, _, lu_solves = solve_linear(matrix, rhs, holder, u.coefficients)
+    assert lu_solves == 1 and holder.factorizations == 1
+    assert np.array_equal(first, solve_linear(matrix, rhs)[0])
 
-    # a nearby system: the first LU solve corrects the last solution's residual
+    # a nearby system: the held LU's first solve corrects the start's residual,
+    # or solves the right-hand side itself from no start
     nudged = matrix + 1e-3 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
-    holder.lu = recording = _RecordingFactor(holder.lu)
-    second = solve_linear(nudged, rhs, factor=holder)
-    assert np.array_equal(recording.solved[0], rhs - nudged @ first)
-    assert holder.factorizations == 1
-    assert holder.lu_solves == len(recording.solved) > 0
-    assert np.array_equal(holder.solution, second)
-    assert holder.residual <= 1e-2 * LINEAR_SOLVER_TOL
+    for start, corrected in ((first, rhs - nudged @ first), (None, rhs)):
+        holder.lu = recording = _RecordingFactor(holder.lu.lu if start is None else holder.lu)
+        _, relative, lu_solves = solve_linear(nudged, rhs, holder, start)
+        assert np.array_equal(recording.solved[0], corrected)
+        assert holder.factorizations == 1
+        assert lu_solves == len(recording.solved) > 0
+        assert relative <= 1e-2 * LINEAR_SOLVER_TOL
 
 
 def test_stale_factor_is_refreshed_before_refining():
@@ -923,20 +918,20 @@ def test_stale_factor_is_refreshed_before_refining():
     disc = Discretisation(mesh, ARONSSON)
     matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau)[:2])
     holder = StepFactor()
-    solve_linear(matrix, rhs, factor=holder)
+    first = solve_linear(matrix, rhs, factor=holder)[0]
     interior = sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
-    solve_linear(matrix + 2e-2 * interior, rhs, factor=holder)
+    _, _, lu_solves = solve_linear(matrix + 2e-2 * interior, rhs, holder, first)
     assert holder.factorizations == 1
-    assert holder.stale and holder.lu_solves > inflap.solver.REFACTOR_AFTER_SOLVES
+    assert holder.stale and lu_solves > inflap.solver.REFACTOR_AFTER_SOLVES
 
     # the next solve factors its own matrix and never touches the stale LU
     holder.lu = stale = _RecordingFactor(holder.lu)
     nudged = matrix + 3e-2 * interior
-    solution = solve_linear(nudged, rhs, factor=holder)
+    solution, relative, lu_solves = solve_linear(nudged, rhs, holder, first)
     assert stale.solved == []
-    assert holder.factorizations == 2 and holder.lu_solves == 1 and not holder.stale
-    assert holder.residual <= LINEAR_SOLVER_TOL
-    assert np.array_equal(solution, solve_linear(nudged, rhs))
+    assert holder.factorizations == 2 and lu_solves == 1 and not holder.stale
+    assert relative <= LINEAR_SOLVER_TOL
+    assert np.array_equal(solution, solve_linear(nudged, rhs)[0])
 
 
 class _RecordingMatrix:
@@ -956,7 +951,7 @@ def test_refinement_computes_one_residual_per_lu_solve():
     disc = Discretisation(mesh, ARONSSON)
     matrix, rhs = apply_dirichlet(disc, *disc.system(default_initializer(disc), ARONSSON.tau)[:2])
     holder = StepFactor()
-    first = solve_linear(matrix, rhs, factor=holder)
+    first = solve_linear(matrix, rhs, factor=holder)[0]
     nudged = matrix + 2e-2 * sp.diags(np.where(mesh.vertex_on_boundary, 0.0, 1.0))
     accept = 1e-2 * LINEAR_SOLVER_TOL
     for start in (first, None):
@@ -991,7 +986,7 @@ def test_non_finite_solution_fails_the_gate(monkeypatch, bad):
     monkeypatch.setattr(inflap.solver.PermutedLU, "solve", poisoned)
     with pytest.raises(SolverFailure) as info:
         solve_linear(sp.identity(3, format="csr"), np.ones(3))
-    assert info.value.residual == np.inf
+    assert str(info.value) == "linear solve reached relative residual inf (tolerance 1.0e-10)"
 
 
 class _RecordingFactor:
@@ -1029,20 +1024,20 @@ def test_unrelated_factor_is_released_and_refactored(monkeypatch):
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(inflap.solver.spla, "splu", splu)
-    solution = solve_linear(matrix, rhs, factor=holder)
+    solution, relative, lu_solves = solve_linear(matrix, rhs, factor=holder)
     assert factor_calls == [True]
     assert len(stale_solves) == 2       # the refinement stalls at its first check
-    assert holder.lu_solves == 3       # the 2 stalled and 1 of the fresh float32 LU
+    assert lu_solves == 3               # the 2 stalled and 1 of the fresh float32 LU
     assert holder.factorizations == 1 and holder.fallbacks == 0
-    assert holder.residual <= LINEAR_SOLVER_TOL
-    assert np.array_equal(solution, solve_linear(matrix, rhs))
+    assert relative <= LINEAR_SOLVER_TOL
+    assert np.array_equal(solution, solve_linear(matrix, rhs)[0])
 
 
 def test_held_factor_of_another_size_is_not_tried():
     holder = StepFactor()
     solve_linear(2.0 * sp.identity(4, format="csr"), np.ones(4), factor=holder)
     held = holder.lu = _RecordingFactor(holder.lu)
-    solution = solve_linear(3.0 * sp.identity(6, format="csr"), np.ones(6), factor=holder)
+    solution, _, _ = solve_linear(3.0 * sp.identity(6, format="csr"), np.ones(6), factor=holder)
     assert held.solved == []
     assert holder.factorizations == 2 and holder.lu.shape == (6, 6)
     assert np.allclose(solution, 1.0 / 3.0, rtol=1e-15, atol=0.0)
